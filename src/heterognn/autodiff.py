@@ -7,6 +7,7 @@ tensors. A tape is single-use: calling backward twice raises.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = ["Tensor", "Tape", "AdamState", "parameter", "constant"]
 
@@ -49,6 +50,16 @@ def constant(data):
     return Tensor(data, requires_grad=False)
 
 
+def _scatter_rows(ids, values, n):
+    """Sum the rows of values into n buckets: out[s] = sum of rows with id s.
+
+    A one-nonzero-per-column CSR matrix adds the rows of each bucket in row
+    order, the order np.add.at uses, so results match it bit for bit.
+    """
+    k = ids.shape[0]
+    return sp.csr_matrix((np.ones(k), (ids, np.arange(k))), shape=(n, k)) @ values
+
+
 def _accum(t: Tensor, g):
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
@@ -58,8 +69,10 @@ def _accum(t: Tensor, g):
 class Tape:
     """Operation recorder. All ops are methods so the recording scope is explicit.
 
-    With recording=False the same methods compute forward values only, which
-    is what evaluation-mode forward passes use.
+    With recording=False the same methods compute forward values only. The
+    eval passes use that: the per-epoch eval in `training.train`,
+    `training.predict`, `training.average_scores` and the alignment softmax
+    of `training.attention_analysis`.
     """
 
     def __init__(self, recording=True):
@@ -183,9 +196,7 @@ class Tape:
 
         def back(g):
             if x.requires_grad:
-                gx = np.zeros_like(x.data)
-                np.add.at(gx, idx, g)
-                _accum(x, gx)
+                _accum(x, _scatter_rows(idx, g, x.data.shape[0]))
 
         return self._emit(out, (x,), back)
 
@@ -196,9 +207,7 @@ class Tape:
             raise ValueError("segment_ids must have one id per row")
         if ids.size and (ids.min() < 0 or ids.max() >= n_segments):
             raise IndexError("segment id out of range")
-        acc = np.zeros((n_segments, x.data.shape[1]))
-        np.add.at(acc, ids, x.data)
-        out = Tensor(acc)
+        out = Tensor(_scatter_rows(ids, x.data, n_segments))
 
         def back(g):
             if x.requires_grad:
@@ -338,9 +347,7 @@ class Tape:
                 soft = np.exp(z - zmax)
                 soft /= soft.sum(axis=1, keepdims=True)
                 soft[np.arange(rows.size), y[rows]] -= 1.0
-                gl = np.zeros_like(logits.data)
-                np.add.at(gl, rows, soft * (g[0, 0] / rows.size))
-                _accum(logits, gl)
+                _accum(logits, _scatter_rows(rows, soft * (g[0, 0] / rows.size), n))
 
         return self._emit(out, (logits,), back)
 
@@ -403,8 +410,3 @@ class AdamState:
                 update = update + self.weight_decay * p.data
             p.data -= self.lr * update
 
-
-def adam_step(state: AdamState, grads=None):
-    """Functional alias for AdamState.step."""
-    state.step(grads)
-    return state.params

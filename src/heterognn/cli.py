@@ -20,10 +20,9 @@ from datetime import datetime, timezone
 from importlib import resources
 
 import numpy as np
-from scipy import sparse as sp
 
 from . import __version__
-from .csbm import CsbmParams, SignedGraphSample, sample_csbm, signed_normalize
+from .csbm import CsbmParams, label_signed_sample, sample_csbm, signed_normalize
 from .graphs import (
     DatasetFormatError,
     build_graph,
@@ -273,16 +272,7 @@ def cmd_desirability(args) -> int:
     und = self_free_undirected_edges(g)
     if und.shape[0] == 0:
         raise ValueError("dataset has no edges to audit")
-    signs = np.where(g.labels[und[:, 0]] == g.labels[und[:, 1]], 1.0, -1.0)
-    adjacency = sp.coo_matrix(
-        (np.concatenate([signs, signs]),
-         (np.concatenate([und[:, 0], und[:, 1]]),
-          np.concatenate([und[:, 1], und[:, 0]]))),
-        shape=(g.n_nodes, g.n_nodes),
-    ).tocsr()
-    abs_degree = np.asarray(abs(adjacency).sum(axis=1)).ravel()
-    sample = SignedGraphSample(adjacency, g.features, g.labels, abs_degree)
-    P, kept = signed_normalize(sample)
+    P, kept = signed_normalize(label_signed_sample(und, g.features, g.labels))
     cumulative = cumulative_matrix([P] * args.layers)
     ok, violations = is_desirable(cumulative, g.labels[kept], atol=args.atol)
     per_layer_ok, _ = is_desirable(P, g.labels[kept], atol=args.atol)

@@ -9,13 +9,13 @@ negative only across.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["CsbmParams", "SignedGraphSample", "sample_csbm", "signed_normalize",
-           "expected_operator", "mean_abs_degree"]
+__all__ = ["CsbmParams", "SignedGraphSample", "label_signed_sample", "sample_csbm",
+           "signed_normalize", "expected_operator", "mean_abs_degree"]
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,22 @@ class SignedGraphSample:
     abs_degree: np.ndarray  # N, row sums of |adjacency|
 
 
+def label_signed_sample(edges, features, labels) -> SignedGraphSample:
+    """Symmetric signed adjacency of (E, 2) undirected edges, each listed once.
+
+    Edges within a class weigh +1, edges across classes -1.
+    """
+    n = labels.shape[0]
+    ii, jj = edges[:, 0], edges[:, 1]
+    signs = np.where(labels[ii] == labels[jj], 1.0, -1.0)
+    rows = np.concatenate([ii, jj])
+    cols = np.concatenate([jj, ii])
+    vals = np.concatenate([signs, signs])
+    adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    abs_degree = np.asarray(abs(adjacency).sum(axis=1)).ravel()
+    return SignedGraphSample(adjacency, features, labels, abs_degree)
+
+
 def sample_csbm(params: CsbmParams) -> SignedGraphSample:
     """Draw one signed graph + feature sample; deterministic per params.seed."""
     rng = np.random.default_rng(params.seed)
@@ -73,18 +89,11 @@ def sample_csbm(params: CsbmParams) -> SignedGraphSample:
     thresh = np.where(same, params.p, params.q)
     coins = rng.random((n, n))
     upper = np.triu(coins < thresh, k=1)
-    ii, jj = np.nonzero(upper)
-    signs = np.where(labels[ii] == labels[jj], 1.0, -1.0)
-
-    rows = np.concatenate([ii, jj])
-    cols = np.concatenate([jj, ii])
-    vals = np.concatenate([signs, signs])
-    adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    edges = np.argwhere(upper)
 
     noise = rng.standard_normal((n, params.n_features))
     features = params.class_means[labels] + np.sqrt(params.noise_var) * noise
-    abs_degree = np.asarray(abs(adjacency).sum(axis=1)).ravel()
-    return SignedGraphSample(adjacency, features, labels, abs_degree)
+    return label_signed_sample(edges, features, labels)
 
 
 def signed_normalize(sample: SignedGraphSample):

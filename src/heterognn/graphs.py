@@ -85,8 +85,7 @@ def build_graph(n_nodes, undirected_edges, features, labels, n_classes) -> Graph
     order = np.lexsort((src, dst))
     src, dst = src[order], dst[order]
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, dst + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(dst, minlength=n_nodes), out=indptr[1:])
     return Graph(int(n_nodes), src, dst, indptr, features, labels, int(n_classes))
 
 

@@ -199,7 +199,9 @@ def forward(tape, params: M2mParams, graph, config: M2mConfig,
 
     ``attention_override`` replaces layer k's learned scores with the given
     (n_arcs, chunks) array; the label-oracle comparisons rely on this hook.
-    Evaluation mode (training=False) is deterministic.
+    Evaluation mode (training=False) is deterministic. Its callers in
+    ``training`` (the per-epoch eval of ``train``, ``predict`` and
+    ``average_scores``) pass ``ad.Tape(recording=False)``.
     """
     h0 = encode(tape, params, graph.features, config, training, rng)
     hiddens = [h0]
@@ -303,11 +305,21 @@ def save_checkpoint(base_path: str, params: M2mParams, config: M2mConfig,
 
 
 def load_checkpoint(base_path: str):
-    """Rebuild (config, params, n_features, n_classes) from disk."""
-    with open(base_path + ".json") as fh:
+    """Rebuild (config, params, n_features, n_classes); reject a bad dtype or size."""
+    manifest_path, blob_path = base_path + ".json", base_path + ".bin"
+    with open(manifest_path) as fh:
         manifest = json.load(fh)
     config = M2mConfig(**manifest["config"])
-    blob = np.fromfile(base_path + ".bin", dtype=np.float64)
+    if manifest.get("dtype") != "float64":
+        raise ValueError(f"{manifest_path}: field 'dtype' is "
+                         f"{manifest.get('dtype')!r}; only 'float64' is supported")
+    blob = np.fromfile(blob_path, dtype=np.uint8)
+    implied = max((entry["offset"] + 8 * int(np.prod(entry["shape"]))
+                   for entry in manifest["arrays"]), default=0)
+    if blob.size != implied:
+        raise ValueError(f"{blob_path}: {blob.size} bytes, but field 'arrays' "
+                         f"of {manifest_path} implies {implied}")
+    blob = blob.view(np.float64)
     arrays = {}
     for entry in manifest["arrays"]:
         shape = tuple(entry["shape"])

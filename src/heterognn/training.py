@@ -64,14 +64,6 @@ def _masked_accuracy(logits: np.ndarray, labels, node_ids) -> float:
     return float(np.mean(pred == np.asarray(labels)[node_ids]))
 
 
-def _masked_ce(logits: np.ndarray, labels, node_ids) -> float:
-    z = logits[node_ids]
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    picked = z[np.arange(len(node_ids)), np.asarray(labels)[node_ids]]
-    return float(np.mean(lse - picked))
-
-
 def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
           patience: int = 100, lr: float = 0.01,
           weight_decay: float = 0.005) -> Tuple[TrainRecord, M2mParams]:
@@ -108,11 +100,12 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
         tape.backward(loss)
         adam.step()
 
-        logits = forward(ad.Tape(), params, g, config).logits.data
+        eval_tape = ad.Tape(recording=False)
+        logits = forward(eval_tape, params, g, config).logits
         history[0].append(loss_value)
-        history[1].append(_masked_ce(logits, g.labels, split.val))
-        history[2].append(_masked_accuracy(logits, g.labels, split.train))
-        history[3].append(_masked_accuracy(logits, g.labels, split.val))
+        history[1].append(eval_tape.cross_entropy(logits, g.labels, split.val).item())
+        history[2].append(_masked_accuracy(logits.data, g.labels, split.train))
+        history[3].append(_masked_accuracy(logits.data, g.labels, split.val))
 
         if history[3][-1] > best_val:
             best_val = history[3][-1]
@@ -139,7 +132,7 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
 
 def predict(g: Graph, params: M2mParams, config: M2mConfig) -> np.ndarray:
     """Eval-mode class predictions; ties go to the lowest class index."""
-    logits = forward(ad.Tape(), params, g, config).logits.data
+    logits = forward(ad.Tape(recording=False), params, g, config).logits.data
     return np.argmax(logits, axis=1)
 
 
@@ -187,12 +180,6 @@ class AttentionSummary:
         return int(np.sum(dominant_columns(self.alignment)))
 
 
-def _row_softmax(m: np.ndarray) -> np.ndarray:
-    z = m - m.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _greedy_match(mass: np.ndarray) -> np.ndarray:
     """Assign each row its chunk by repeatedly taking the largest entry."""
     n = mass.shape[0]
@@ -209,7 +196,7 @@ def _greedy_match(mass: np.ndarray) -> np.ndarray:
 def average_scores(g: Graph, params: M2mParams,
                    config: M2mConfig) -> np.ndarray:
     """Layer-averaged (n_arcs, chunks) score matrix from an eval forward."""
-    result = forward(ad.Tape(), params, g, config)
+    result = forward(ad.Tape(recording=False), params, g, config)
     stacked = np.stack([s.data for s in result.attentions])
     return stacked.mean(axis=0)
 
@@ -241,7 +228,7 @@ def attention_analysis(g: Graph, params: M2mParams, config: M2mConfig,
     return AttentionSummary(
         avg_scores=avg_scores,
         arc_labels=arc_labels,
-        alignment=_row_softmax(aligned),
+        alignment=ad.Tape(recording=False).row_softmax(ad.constant(aligned)).data,
         permutation=perm,
     )
 

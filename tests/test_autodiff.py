@@ -171,6 +171,56 @@ def test_segment_sum_permutation_invariant_within_segments(perm):
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
+@st.composite
+def scatter_cases(draw, min_rows=0):
+    """Unsorted bucket ids with repeats, some buckets empty, and row values."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(min_rows, 12))
+    w = draw(st.integers(1, 3))
+    ids = np.array(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)),
+                   dtype=np.int64)
+    values = draw(arrays(np.float64, (k, w), elements=st.floats(-1e3, 1e3)))
+    return n, ids, values
+
+
+def add_at_reference(ids, values, n):
+    out = np.zeros((n, values.shape[1]))
+    np.add.at(out, ids, values)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=scatter_cases())
+def test_segment_sum_and_gather_backward_match_add_at_bit_for_bit(case):
+    n, ids, values = case
+    expected = add_at_reference(ids, values, n)
+    summed = Tape(recording=False).segment_sum(constant(values), ids, n)
+    assert np.array_equal(summed.data, expected)
+    t = Tape()
+    x = parameter(np.zeros((n, values.shape[1])))
+    # the upstream gradient of the gathered rows is exactly `values`
+    t.backward(t.sum_all(t.mul(t.row_gather(x, ids), constant(values))))
+    assert np.array_equal(x.grad, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=scatter_cases(min_rows=1), data=st.data())
+def test_cross_entropy_backward_matches_add_at_bit_for_bit(case, data):
+    n, rows, _ = case
+    c = data.draw(st.integers(1, 4))
+    logits = data.draw(arrays(np.float64, (n, c), elements=st.floats(-10, 10)))
+    labels = np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=n,
+                                         max_size=n)), dtype=np.int64)
+    z = logits[rows]
+    soft = np.exp(z - z.max(axis=1, keepdims=True))
+    soft /= soft.sum(axis=1, keepdims=True)
+    soft[np.arange(rows.size), labels[rows]] -= 1.0
+    t = Tape()
+    x = parameter(logits)
+    t.backward(t.cross_entropy(x, labels, rows))
+    assert np.array_equal(x.grad, add_at_reference(rows, soft * (1.0 / rows.size), n))
+
+
 def test_concat_then_slice_roundtrip_bit_exact():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(4, 3))

@@ -245,6 +245,20 @@ def test_analyze_attention_rejects_chunk_mismatch(tmp_path, capsys):
     assert "chunks == classes" in capsys.readouterr().err
 
 
+def test_analyze_attention_rejects_truncated_checkpoint(tmp_path, capsys):
+    toy = make_toy(tmp_path)
+    ckpt = str(tmp_path / "ckpt")
+    assert main(train_args(toy, str(tmp_path / "acc.csv"),
+                           ["--save-checkpoint", ckpt])) == 0
+    with open(ckpt + ".bin", "r+b") as fh:
+        fh.truncate(os.path.getsize(ckpt + ".bin") - 8)
+    capsys.readouterr()
+    code = main(["analyze-attention", "--data", toy, "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "att.csv")])
+    assert code == 1
+    assert "ckpt.bin" in capsys.readouterr().err
+
+
 def test_ablate_writes_grid_rows(tmp_path, capsys):
     toy = make_toy(tmp_path)
     out = str(tmp_path / "abl.csv")

@@ -7,6 +7,7 @@ the aggregation step reproduce the label-partition reference pooling from
 entry against central differences.
 """
 
+import json
 import time
 
 import numpy as np
@@ -430,9 +431,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(before, after)
 
 
-def test_checkpoint_rejects_missing_tensor(tmp_path):
-    import json
-
+def saved_checkpoint(tmp_path, **manifest_edits):
     g = random_graph(seed=16)
     cfg = tiny_config()
     params = init_params(cfg, g.n_features, g.n_classes)
@@ -440,10 +439,36 @@ def test_checkpoint_rejects_missing_tensor(tmp_path):
     save_checkpoint(base, params, cfg, g.n_features, g.n_classes)
     with open(base + ".json") as fh:
         manifest = json.load(fh)
+    manifest.update(manifest_edits)
+    with open(base + ".json", "w") as fh:
+        json.dump(manifest, fh)
+    return base, manifest
+
+
+def test_checkpoint_rejects_missing_tensor(tmp_path):
+    base, manifest = saved_checkpoint(tmp_path)
     manifest["arrays"][0]["name"] = "something_else"
     with open(base + ".json", "w") as fh:
         json.dump(manifest, fh)
     with pytest.raises(ValueError):
+        load_checkpoint(base)
+
+
+@pytest.mark.parametrize("change", ["truncate", "pad"])
+def test_checkpoint_rejects_blob_of_wrong_length(tmp_path, change):
+    base, _ = saved_checkpoint(tmp_path)
+    with open(base + ".bin", "rb") as fh:
+        raw = fh.read()
+    raw = raw[:-8] if change == "truncate" else raw + bytes(8)
+    with open(base + ".bin", "wb") as fh:
+        fh.write(raw)
+    with pytest.raises(ValueError, match=r"model\.bin: .*'arrays'"):
+        load_checkpoint(base)
+
+
+def test_checkpoint_rejects_non_float64_dtype(tmp_path):
+    base, _ = saved_checkpoint(tmp_path, dtype="float32")
+    with pytest.raises(ValueError, match=r"model\.json: field 'dtype'"):
         load_checkpoint(base)
 
 

@@ -9,12 +9,14 @@ reliable way to drive the loss out of the reals.
 import numpy as np
 import pytest
 
+from heterognn import autodiff as ad
 from heterognn.graphs import Graph, Split, build_graph, random_split
 from heterognn.model import M2mConfig, init_params, one_hot_arc_scores
 from heterognn.training import (
     TrainingDiverged,
     ablate,
     attention_analysis,
+    average_scores,
     depth_sweep,
     dominant_columns,
     evaluate,
@@ -110,6 +112,25 @@ def test_divergence_raises_with_epoch():
     with pytest.raises(TrainingDiverged, match="epoch"):
         train(g, quick_config(), split, max_epochs=100, patience=100,
               lr=1e5, weight_decay=1e5)
+
+
+def test_only_the_training_forward_records_a_tape(monkeypatch):
+    flags = []
+
+    class CountingTape(ad.Tape):
+        def __init__(self, recording=True):
+            super().__init__(recording)
+            flags.append(recording)
+
+    monkeypatch.setattr(ad, "Tape", CountingTape)
+    g = separable_graph(seed=2)
+    cfg = quick_config(keep_prob=0.7)
+    record, params = train(g, cfg, random_split(g, seed=0), max_epochs=6,
+                           patience=6)
+    predict(g, params, cfg)
+    average_scores(g, params, cfg)
+    assert record.n_epochs == 6
+    assert sum(flags) == record.n_epochs
 
 
 def test_train_rejects_empty_split_part():
