@@ -157,35 +157,6 @@ class Tape:
 
         return self._emit(out, (x,), back)
 
-    def concat_cols(self, *xs: Tensor) -> Tensor:
-        rows = {x.data.shape[0] for x in xs}
-        if len(rows) != 1:
-            raise ValueError(f"concat_cols row counts differ: {sorted(rows)}")
-        out = Tensor(np.concatenate([x.data for x in xs], axis=1))
-        widths = [x.data.shape[1] for x in xs]
-
-        def back(g):
-            offset = 0
-            for x, w in zip(xs, widths):
-                if x.requires_grad:
-                    _accum(x, g[:, offset : offset + w])
-                offset += w
-
-        return self._emit(out, xs, back)
-
-    def slice_cols(self, x: Tensor, start: int, stop: int) -> Tensor:
-        if not (0 <= start < stop <= x.data.shape[1]):
-            raise ValueError(f"column slice [{start}:{stop}] out of range for {x.data.shape}")
-        out = Tensor(x.data[:, start:stop].copy())
-
-        def back(g):
-            if x.requires_grad:
-                full = np.zeros_like(x.data)
-                full[:, start:stop] = g
-                _accum(x, full)
-
-        return self._emit(out, (x,), back)
-
     def row_gather(self, x: Tensor, index) -> Tensor:
         idx = np.asarray(index, dtype=np.int64)
         if idx.ndim != 1:
@@ -200,20 +171,33 @@ class Tape:
 
         return self._emit(out, (x,), back)
 
-    def segment_sum(self, x: Tensor, segment_ids, n_segments: int) -> Tensor:
-        """Sum rows of x into n_segments buckets: out[s] = sum of rows with id s."""
+    def chunk_sum(self, scores: Tensor, x: Tensor, segment_ids,
+                  n_segments: int) -> Tensor:
+        """Score-weighted segment sums: block t of out[s] sums scores[r, t] * x[r]
+        over the rows r with id s. One all-ones score column is a plain segment sum.
+        """
         ids = np.asarray(segment_ids, dtype=np.int64)
-        if ids.shape != (x.data.shape[0],):
-            raise ValueError("segment_ids must have one id per row")
+        k, w = x.data.shape
+        c = scores.data.shape[1]
+        if ids.shape != (k,) or scores.data.shape[0] != k:
+            raise ValueError("scores, x and segment_ids need one entry per row")
         if ids.size and (ids.min() < 0 or ids.max() >= n_segments):
             raise IndexError("segment id out of range")
-        out = Tensor(_scatter_rows(ids, x.data, n_segments))
+        product = (scores.data[:, :, None] * x.data[:, None, :]).reshape(k, c * w)
+        out = Tensor(_scatter_rows(ids, product, n_segments))
 
         def back(g):
+            g_rows = g[ids]
+            if scores.requires_grad:
+                _accum(scores, (g_rows.reshape(k, c, w) * x.data[:, None, :]).sum(axis=2))
             if x.requires_grad:
-                _accum(x, g[ids])
+                # last chunk first: seeded training depends on this order bit for bit
+                gx = np.zeros_like(x.data)
+                for t in reversed(range(c)):
+                    gx += g_rows[:, t * w : (t + 1) * w] * scores.data[:, t : t + 1]
+                _accum(x, gx)
 
-        return self._emit(out, (x,), back)
+        return self._emit(out, (scores, x), back)
 
     def sum_rows(self, x: Tensor) -> Tensor:
         """Collapse to a single row: out[0, j] = sum_i x[i, j]."""

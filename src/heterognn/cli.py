@@ -32,7 +32,7 @@ from .graphs import (
     save_dataset,
     self_free_undirected_edges,
 )
-from .model import M2mConfig, init_params, load_checkpoint, save_checkpoint
+from .model import M2mConfig, load_checkpoint, save_checkpoint
 from .multiset import (
     Partition,
     VectorMultiset,
@@ -403,8 +403,7 @@ def cmd_theory_check(args) -> int:
 
 def _train_one_split(payload):
     g, config, split, train_kw = payload
-    record, params = train(g, config, split, **train_kw)
-    return record, [t.data for t in params.tensors()]
+    return train(g, config, split, **train_kw)
 
 
 def cmd_train(args) -> int:
@@ -419,23 +418,20 @@ def cmd_train(args) -> int:
     ]
     results = _pmap(_train_one_split, payloads, args.jobs)
     rows, best = [], None
-    for s, (record, weights) in enumerate(results):
+    for s, (record, params) in enumerate(results):
         rows.append((dataset, record.seed, s, record.config.layers,
                      record.test_accuracy))
         print(f"split {s}: acc={record.test_accuracy:.4f} "
               f"(best epoch {record.best_epoch} of {record.n_epochs})")
         if best is None or record.test_accuracy > best[0].test_accuracy:
-            best = (record, weights)
+            best = (record, params)
     accs = [r[-1] for r in rows]
     print(f"mean={np.mean(accs):.4f} std={np.std(accs):.4f} "
           f"over {args.splits} splits")
     _write_csv(args.out, ["dataset", "seed", "split", "K", "acc"], rows)
     _write_sidecar(args.out, args)
     if args.save_checkpoint:
-        record, weights = best
-        params = init_params(record.config, g.n_features, g.n_classes)
-        for tensor, data in zip(params.tensors(), weights):
-            tensor.data[...] = data
+        record, params = best
         save_checkpoint(args.save_checkpoint, params, record.config,
                         g.n_features, g.n_classes,
                         extra={"dataset": dataset,

@@ -113,7 +113,7 @@ def load_dataset(path, row_normalize=False) -> Graph:
         if not os.path.isfile(p):
             raise DatasetFormatError(f"missing required file: {p}")
 
-    features = []
+    features, feature_lines = [], []
     width = None
     for lineno, text in _data_lines(feats_path):
         parts = text.split("\t")
@@ -127,9 +127,17 @@ def load_dataset(path, row_normalize=False) -> Graph:
             features.append([float(v) for v in parts])
         except ValueError as exc:
             raise DatasetFormatError(f"{feats_path}:{lineno}: {exc}") from None
+        feature_lines.append(lineno)
     if not features:
         raise DatasetFormatError(f"{feats_path}: no feature rows")
     features = np.asarray(features, dtype=np.float64)
+    finite = np.isfinite(features)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise DatasetFormatError(
+            f"{feats_path}:{feature_lines[row]}: feature {col} is "
+            f"{features[row, col]}; features must be finite"
+        )
     n_nodes = features.shape[0]
 
     labels = []
@@ -152,6 +160,11 @@ def load_dataset(path, row_normalize=False) -> Graph:
         with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
         n_classes = meta.get("n_classes")
+        if n_classes is not None and (type(n_classes) is not int or n_classes < 1):
+            raise DatasetFormatError(
+                f"{meta_path}: field 'n_classes' must be a positive integer, "
+                f"got {n_classes!r}"
+            )
     if n_classes is None:
         n_classes = int(labels.max()) + 1 if n_nodes else 0
     if labels.min() < 0 or labels.max() >= n_classes:

@@ -157,20 +157,15 @@ def attention_scores(tape, h_hat: ad.Tensor, graph, w_att: ad.Tensor,
     return tape.row_softmax(tape.matmul(pre, w_att), temperature)
 
 
-def chunk_aggregate(tape, h_hat: ad.Tensor, scores: ad.Tensor, graph,
-                    chunks: int) -> ad.Tensor:
+def chunk_aggregate(tape, h_hat: ad.Tensor, scores: ad.Tensor,
+                    graph) -> ad.Tensor:
     """Score-weighted per-chunk sums of source projections, concatenated.
 
-    Chunk t of node i sums s_t(i, j) * h_hat_j over i's in-arcs; nodes with
-    no arcs end up with all-zero messages.
+    Chunk t of node i (one chunk per score column) sums s_t(i, j) * h_hat_j
+    over i's in-arcs; nodes with no arcs end up with all-zero messages.
     """
     src_vals = tape.row_gather(h_hat, graph.arc_src)
-    blocks = []
-    for t in range(chunks):
-        s_t = tape.slice_cols(scores, t, t + 1)
-        weighted = tape.mul(s_t, src_vals)
-        blocks.append(tape.segment_sum(weighted, graph.arc_dst, graph.n_nodes))
-    return tape.concat_cols(*blocks)
+    return tape.chunk_sum(scores, src_vals, graph.arc_dst, graph.n_nodes)
 
 
 def layer_update(tape, h0: ad.Tensor, message: ad.Tensor, beta: float,
@@ -219,7 +214,7 @@ def forward(tape, params: M2mParams, graph, config: M2mConfig,
                 tape, h_hat, graph, params.layer_att[k],
                 config.alpha, config.temperature,
             )
-        message = chunk_aggregate(tape, h_hat, scores, graph, config.chunks)
+        message = chunk_aggregate(tape, h_hat, scores, graph)
         h = layer_update(
             tape, h0, message, config.beta, params.ln_gain[k], params.ln_bias[k]
         )
@@ -309,7 +304,13 @@ def load_checkpoint(base_path: str):
     manifest_path, blob_path = base_path + ".json", base_path + ".bin"
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    config = M2mConfig(**manifest["config"])
+    for key in ("config", "n_features", "n_classes", "arrays"):
+        if key not in manifest:
+            raise ValueError(f"{manifest_path}: missing field {key!r}")
+    try:
+        config = M2mConfig(**manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{manifest_path}: field 'config': {exc}") from None
     if manifest.get("dtype") != "float64":
         raise ValueError(f"{manifest_path}: field 'dtype' is "
                          f"{manifest.get('dtype')!r}; only 'float64' is supported")

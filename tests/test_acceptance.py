@@ -296,15 +296,14 @@ def test_criterion_7_gradients_match_finite_differences():
             s = tape.scale(s, 0.7)
             m = tape.matmul(s, w)
             m = tape.relu(tape.add(m, tape.matmul(shift, w)))
-            wide = tape.concat_cols(m, tape.slice_cols(s, 1, 3))
-            gathered = tape.row_gather(wide, index)
-            pooled = tape.segment_sum(gathered, segments, 3)
-            normed = tape.layer_norm(tape.slice_cols(pooled, 0, 4), gain, bias)
+            pooled = tape.chunk_sum(tape.row_gather(col, index),
+                                    tape.row_gather(s, index), segments, 3)
+            normed = tape.layer_norm(pooled, gain, bias)
             soft = tape.row_softmax(normed, temperature=0.7)
             ce = tape.cross_entropy(normed, labels, rows)
             pieces = tape.add(
                 tape.add(tape.l2_norm_sq(soft), tape.l2_norm(pooled)),
-                tape.add(tape.sum_all(tape.sum_rows(wide)), ce),
+                tape.add(tape.sum_all(tape.sum_rows(m)), ce),
             )
             return pieces
 

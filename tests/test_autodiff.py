@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from heterognn.autodiff import AdamState, Tape, Tensor, constant, parameter
+from heterognn.graphs import build_graph
+from heterognn.model import one_hot_arc_scores
+from heterognn.multiset import one_hop_desirable_m2m
 
 FD_H = 1e-5
 FD_RTOL = 1e-4
@@ -139,35 +142,40 @@ def test_relu_clamps_negative():
     np.testing.assert_array_equal(out.data, [[0.0, 0.0, 2.5]])
 
 
-def test_segment_sum_hand_example():
+def ones_column(k):
+    """Scores that turn chunk_sum into a plain segment sum."""
+    return constant(np.ones((k, 1)))
+
+
+def test_chunk_sum_hand_example():
     t = Tape()
     x = constant([[1.0, 2.0], [10.0, 20.0], [5.0, 5.0]])
-    out = t.segment_sum(x, [0, 0, 1], 2)
+    out = t.chunk_sum(ones_column(3), x, [0, 0, 1], 2)
     np.testing.assert_array_equal(out.data, [[11.0, 22.0], [5.0, 5.0]])
 
 
-def test_segment_sum_empty_segment_is_zero():
+def test_chunk_sum_empty_segment_is_zero():
     t = Tape()
-    out = t.segment_sum(constant([[1.0]]), [2], 4)
+    out = t.chunk_sum(ones_column(1), constant([[1.0]]), [2], 4)
     np.testing.assert_array_equal(out.data, [[0.0], [0.0], [1.0], [0.0]])
 
 
-def test_segment_sum_rejects_out_of_range_id():
+def test_chunk_sum_rejects_out_of_range_id():
     t = Tape()
     with pytest.raises(IndexError):
-        t.segment_sum(constant([[1.0]]), [3], 2)
+        t.chunk_sum(ones_column(1), constant([[1.0]]), [3], 2)
 
 
 @settings(max_examples=30, deadline=None)
 @given(perm=st.permutations(range(6)))
-def test_segment_sum_permutation_invariant_within_segments(perm):
+def test_chunk_sum_permutation_invariant_within_segments(perm):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(6, 3))
     ids = np.array([0, 0, 1, 1, 1, 2])
     t = Tape(recording=False)
-    ref = t.segment_sum(constant(x), ids, 3).data
+    ref = t.chunk_sum(ones_column(6), constant(x), ids, 3).data
     perm = np.array(perm)
-    got = t.segment_sum(constant(x[perm]), ids[perm], 3).data
+    got = t.chunk_sum(ones_column(6), constant(x[perm]), ids[perm], 3).data
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
@@ -191,10 +199,11 @@ def add_at_reference(ids, values, n):
 
 @settings(max_examples=100, deadline=None)
 @given(case=scatter_cases())
-def test_segment_sum_and_gather_backward_match_add_at_bit_for_bit(case):
+def test_chunk_sum_and_gather_backward_match_add_at_bit_for_bit(case):
     n, ids, values = case
     expected = add_at_reference(ids, values, n)
-    summed = Tape(recording=False).segment_sum(constant(values), ids, n)
+    summed = Tape(recording=False).chunk_sum(ones_column(ids.size),
+                                             constant(values), ids, n)
     assert np.array_equal(summed.data, expected)
     t = Tape()
     x = parameter(np.zeros((n, values.shape[1])))
@@ -221,15 +230,37 @@ def test_cross_entropy_backward_matches_add_at_bit_for_bit(case, data):
     assert np.array_equal(x.grad, add_at_reference(rows, soft * (1.0 / rows.size), n))
 
 
-def test_concat_then_slice_roundtrip_bit_exact():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(4, 3))
-    b = rng.normal(size=(4, 2))
-    t = Tape()
-    cat = t.concat_cols(constant(a), constant(b))
-    back_a = t.slice_cols(cat, 0, 3)
-    back_b = t.slice_cols(cat, 3, 5)
-    assert (back_a.data == a).all() and (back_b.data == b).all()
+@settings(max_examples=100, deadline=None)
+@given(case=scatter_cases(), data=st.data())
+def test_chunk_sum_matches_per_chunk_add_at_bit_for_bit(case, data):
+    n, ids, values = case
+    c = data.draw(st.integers(1, 4))
+    scores = data.draw(arrays(np.float64, (ids.size, c), elements=st.floats(-1e3, 1e3)))
+    expected = np.concatenate(
+        [add_at_reference(ids, scores[:, t : t + 1] * values, n) for t in range(c)],
+        axis=1,
+    )
+    got = Tape(recording=False).chunk_sum(constant(scores), constant(values), ids, n)
+    assert np.array_equal(got.data, expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_chunk_sum_of_one_hot_scores_is_the_label_blocked_sum(data):
+    n = data.draw(st.integers(1, 8))
+    c = data.draw(st.integers(1, 4))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=16))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    features = data.draw(arrays(np.float64, (n, 3), elements=st.floats(-1e3, 1e3)))
+    labels = np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=n,
+                                         max_size=n)), dtype=np.int64)
+    g = build_graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), features,
+                    labels, c)
+    got = Tape(recording=False).chunk_sum(
+        constant(one_hot_arc_scores(g, labels, c)), constant(features[g.arc_src]),
+        g.arc_dst, n)
+    assert np.array_equal(got.data, one_hop_desirable_m2m(features, g, labels, mode="sum"))
 
 
 def test_row_gather_out_of_range():
@@ -392,14 +423,10 @@ def _build_cases():
     def _(t, a, g, b):
         return t.l2_norm_sq(t.layer_norm(a, g, b))
 
-    @case("segment_gather", [(3, 4)])
-    def _(t, a):
-        picked = t.row_gather(a, ids)
-        return t.l2_norm_sq(t.segment_sum(picked, [0, 1, 1, 0, 1], 2))
-
-    @case("concat_slice", [(3, 2), (3, 3)])
+    @case("chunk_sum", [(3, 4), (5, 3)])
     def _(t, a, b):
-        return t.l2_norm_sq(t.slice_cols(t.concat_cols(a, b), 1, 4))
+        picked = t.row_gather(a, ids)
+        return t.l2_norm_sq(t.chunk_sum(b, picked, [0, 1, 1, 0, 1], 2))
 
     @case("cross_entropy", [(5, 3)])
     def _(t, a):

@@ -58,6 +58,29 @@ def test_missing_dataset_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fractional_n_classes_exits_1(tmp_path, capsys):
+    toy = make_toy(tmp_path)
+    with open(os.path.join(toy, "meta.json"), "w") as fh:
+        json.dump({"n_classes": 2.5}, fh)
+    capsys.readouterr()
+    assert main(["dataset-info", toy]) == 1
+    assert "meta.json: field 'n_classes'" in capsys.readouterr().err
+
+
+def test_non_finite_feature_exits_1_before_training(tmp_path, capsys):
+    toy = make_toy(tmp_path)
+    path = os.path.join(toy, "features.tsv")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[-1] = "nan"
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(train_args(toy, str(tmp_path / "acc.csv"))) == 1
+    err = capsys.readouterr().err
+    assert f"features.tsv:{len(lines)}: feature 0 is nan" in err
+
+
 def test_gen_csbm_writes_a_loadable_dataset(tmp_path, capsys):
     out = make_toy(tmp_path)
     capsys.readouterr()
@@ -257,6 +280,34 @@ def test_analyze_attention_rejects_truncated_checkpoint(tmp_path, capsys):
                  "--out", str(tmp_path / "att.csv")])
     assert code == 1
     assert "ckpt.bin" in capsys.readouterr().err
+
+
+def test_analyze_attention_rejects_unknown_checkpoint_config_field(tmp_path, capsys):
+    toy = make_toy(tmp_path)
+    ckpt = str(tmp_path / "ckpt")
+    assert main(train_args(toy, str(tmp_path / "acc.csv"),
+                           ["--save-checkpoint", ckpt])) == 0
+    with open(ckpt + ".json") as fh:
+        manifest = json.load(fh)
+    manifest["config"]["hiddn"] = manifest["config"].pop("hidden")
+    with open(ckpt + ".json", "w") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    code = main(["analyze-attention", "--data", toy, "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "att.csv")])
+    assert code == 1
+    assert "ckpt.json: field 'config'" in capsys.readouterr().err
+
+
+def test_parallel_train_saves_the_same_checkpoint_bytes(tmp_path):
+    toy = make_toy(tmp_path)
+    blobs = []
+    for jobs in ("1", "2"):
+        ckpt = str(tmp_path / f"ckpt{jobs}")
+        assert main(train_args(toy, str(tmp_path / f"acc{jobs}.csv"),
+                               ["--jobs", jobs, "--save-checkpoint", ckpt])) == 0
+        blobs.append([open(ckpt + ext, "rb").read() for ext in (".json", ".bin")])
+    assert blobs[0] == blobs[1]
 
 
 def test_ablate_writes_grid_rows(tmp_path, capsys):

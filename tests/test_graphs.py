@@ -117,6 +117,22 @@ def test_label_out_of_meta_range(tmp_path):
         load_dataset(root)
 
 
+@pytest.mark.parametrize("n_classes", [2.5, "3", 0, -1, True])
+def test_meta_n_classes_must_be_a_positive_integer(tmp_path, n_classes):
+    root = triangle(tmp_path, meta={"n_classes": n_classes})
+    with pytest.raises(DatasetFormatError, match=r"meta\.json: field 'n_classes'"):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_feature_names_line(tmp_path, value):
+    root = triangle(tmp_path)
+    (root / "features.tsv").write_text(f"# x y\n1.0\t2.0\n3.0\t{value}\n4.0\t5.0\n",
+                                       encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="features.tsv:3: feature 1"):
+        load_dataset(root)
+
+
 def test_n_classes_inferred_and_overridden(tmp_path):
     g = load_dataset(triangle(tmp_path))
     assert g.n_classes == 2

@@ -8,6 +8,7 @@ entry against central differences.
 """
 
 import json
+from dataclasses import asdict
 import time
 
 import numpy as np
@@ -206,7 +207,7 @@ def test_one_hot_scores_route_mass_to_matching_block():
     scores = np.zeros((g.n_arcs, 2))
     scores[:, 1] = 1.0
     tape = ad.Tape()
-    message = chunk_aggregate(tape, h_hat, ad.constant(scores), g, 2).data
+    message = chunk_aggregate(tape, h_hat, ad.constant(scores), g).data
     assert np.all(message[:, :3] == 0.0)
     expected = np.zeros((7, 3))
     np.add.at(expected, g.arc_dst, h_hat.data[g.arc_src])
@@ -469,6 +470,28 @@ def test_checkpoint_rejects_blob_of_wrong_length(tmp_path, change):
 def test_checkpoint_rejects_non_float64_dtype(tmp_path):
     base, _ = saved_checkpoint(tmp_path, dtype="float32")
     with pytest.raises(ValueError, match=r"model\.json: field 'dtype'"):
+        load_checkpoint(base)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda config: config.update(hiddn=4), "hiddn"),
+    (lambda config: config.pop("chunks"), "chunks"),
+], ids=["unknown", "missing"])
+def test_checkpoint_rejects_unknown_or_missing_config_field(tmp_path, edit, field):
+    config = asdict(tiny_config())
+    edit(config)
+    base, _ = saved_checkpoint(tmp_path, config=config)
+    with pytest.raises(ValueError, match=rf"model\.json: field 'config': .*'{field}'"):
+        load_checkpoint(base)
+
+
+@pytest.mark.parametrize("key", ["config", "n_features", "n_classes", "arrays"])
+def test_checkpoint_rejects_missing_top_level_field(tmp_path, key):
+    base, manifest = saved_checkpoint(tmp_path)
+    del manifest[key]
+    with open(base + ".json", "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ValueError, match=rf"model\.json: missing field '{key}'"):
         load_checkpoint(base)
 
 
