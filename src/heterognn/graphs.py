@@ -82,8 +82,8 @@ def build_graph(n_nodes, undirected_edges, features, labels, n_classes) -> Graph
             raise ValueError("self-loops are not represented")
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((src, dst))
-    src, dst = src[order], dst[order]
+    # one key sorts arcs by (dst, src); equal keys are equal arcs
+    dst, src = np.divmod(np.sort(dst * n_nodes + src), n_nodes)
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(dst, minlength=n_nodes), out=indptr[1:])
     return Graph(int(n_nodes), src, dst, indptr, features, labels, int(n_classes))

@@ -46,16 +46,12 @@ class Trajectory:
         return self.means.shape[0] - 1
 
 
-def _class_stats(H, labels, n_classes):
-    f = H.shape[1]
-    means = np.zeros((n_classes, f))
-    variances = np.zeros((n_classes, f))
-    for c in range(n_classes):
-        block = H[labels == c]
-        if block.shape[0] < 2:
-            raise ValueError(f"class {c} needs at least 2 nodes for statistics")
-        means[c] = block.mean(axis=0)
-        variances[c] = block.var(axis=0, ddof=1)
+def _class_stats(H, labels, indicator, counts):
+    """Per-class means and unbiased variances; indicator is the C x N
+    class-membership matrix and counts its row sums."""
+    means = indicator @ H / counts[:, None]
+    centred = H - means[labels]
+    variances = indicator @ (centred * centred) / (counts[:, None] - 1)
     return means, variances
 
 
@@ -67,14 +63,19 @@ def propagate_linear(P, X, K: int, labels, n_classes: int) -> Trajectory:
     if H.ndim == 1:
         H = H[:, None]
     labels = np.asarray(labels)
-    f = H.shape[1]
+    n, f = H.shape
+    counts = np.bincount(labels, minlength=n_classes)
+    small = np.flatnonzero(counts < 2)
+    if small.size:
+        raise ValueError(f"class {small[0]} needs at least 2 nodes for statistics")
+    indicator = sp.csr_matrix((np.ones(n), (labels, np.arange(n))),
+                              shape=(n_classes, n))
     means = np.zeros((K + 1, n_classes, f))
     variances = np.zeros((K + 1, n_classes, f))
-    means[0], variances[0] = _class_stats(H, labels, n_classes)
+    means[0], variances[0] = _class_stats(H, labels, indicator, counts)
     for k in range(1, K + 1):
         H = P @ H
-        means[k], variances[k] = _class_stats(H, labels, n_classes)
-    counts = np.bincount(labels, minlength=n_classes)
+        means[k], variances[k] = _class_stats(H, labels, indicator, counts)
     return Trajectory(means, variances, counts, H)
 
 

@@ -80,7 +80,10 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
         raise ValueError("max_epochs and patience must be at least 1")
     params = init_params(config, g.n_features, g.n_classes)
     adam = ad.AdamState(params.tensors(), lr=lr, weight_decay=weight_decay)
-    dropout_rng = np.random.default_rng(config.seed)
+    # init_params draws from the root stream of config.seed; dropout takes a
+    # spawned child so its masks are independent of the initial weights
+    dropout_rng = np.random.default_rng(
+        np.random.SeedSequence(config.seed).spawn(1)[0])
 
     history = ([], [], [], [])  # train loss, val loss, train acc, val acc
     best_val, best_epoch = -np.inf, -1

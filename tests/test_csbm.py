@@ -1,11 +1,14 @@
 """Signed block-model sampling and the expected normalized operator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
 from heterognn.csbm import (
     CsbmParams,
+    _triangle_pairs,
     expected_operator,
     mean_abs_degree,
     sample_csbm,
@@ -67,6 +70,86 @@ def test_deterministic_per_seed():
     a, b = sample_csbm(params(seed=7)), sample_csbm(params(seed=7))
     assert (a.adjacency != b.adjacency).nnz == 0
     np.testing.assert_array_equal(a.features, b.features)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 7, 2000])
+def test_triangle_positions_map_like_triu_indices(s):
+    i, j = _triangle_pairs(np.arange(s * (s - 1) // 2, dtype=np.int64), s)
+    want_i, want_j = np.triu_indices(s, 1)
+    np.testing.assert_array_equal(i, want_i)
+    np.testing.assert_array_equal(j, want_j)
+
+
+def test_triangle_map_is_exact_at_row_edges_of_a_huge_block():
+    # s(s-1)/2 ~ 4.5e16 pairs: float rounding alone would misplace rows
+    s = 3 * 10**8 + 1
+    rows = np.array([0, 1, 2, s // 3, s // 2, s - 3, s - 2], dtype=np.int64)
+    starts = rows * (2 * s - 1 - rows) // 2
+    ends = starts + (s - 2 - rows)  # last position of each row
+    i, j = _triangle_pairs(np.concatenate([starts, ends]), s)
+    np.testing.assert_array_equal(i, np.concatenate([rows, rows]))
+    np.testing.assert_array_equal(j, np.concatenate([rows + 1, np.full(7, s - 1)]))
+
+
+def test_pairs_are_independent_bernoulli_draws():
+    # N=6, C=2: 6 same-class pairs at p and 9 cross pairs at q; 2000 seeds
+    # put each frequency within 5 binomial standard errors of its probability
+    p, q, trials = 0.3, 0.6, 2000
+    hits = np.zeros((6, 6))
+    same_pair = cross_pair = 0
+    for seed in range(trials):
+        a = sample_csbm(CsbmParams(6, 2, p, q, [[0.0], [1.0]], seed=seed))
+        a = abs(a.adjacency.toarray())
+        hits += a
+        same_pair += a[0, 1] * a[0, 2]  # neighbours in one triangle block
+        cross_pair += a[0, 3] * a[0, 4]  # neighbours in one rectangle block
+    labels = np.repeat([0, 1], 3)
+    same = labels[:, None] == labels[None, :]
+    want = np.where(same, p, q)
+    np.fill_diagonal(want, 0.0)
+    tol = 5 * np.sqrt(want * (1 - want) / trials)
+    assert np.all(np.abs(hits / trials - want) <= tol)
+    for freq, prob in ((same_pair / trials, p * p), (cross_pair / trials, q * q)):
+        assert abs(freq - prob) <= 5 * np.sqrt(prob * (1 - prob) / trials)
+
+
+def test_complete_graph_when_p_q_one():
+    s = sample_csbm(params(p=1.0, q=1.0, n_nodes=12))
+    a = s.adjacency.toarray()
+    same = s.labels[:, None] == s.labels[None, :]
+    expected = np.where(same, 1.0, -1.0)
+    np.fill_diagonal(expected, 0.0)
+    np.testing.assert_array_equal(a, expected)
+
+
+def test_block_size_one():
+    s = sample_csbm(CsbmParams(4, 4, 0.5, 1.0, [[0.0]] * 4))
+    expected = -np.ones((4, 4))
+    np.fill_diagonal(expected, 0.0)
+    np.testing.assert_array_equal(s.adjacency.toarray(), expected)
+
+
+def test_vanishing_probability_draws_no_edges():
+    # geometric gaps near 2**63 must not wrap around into valid positions
+    s = sample_csbm(params(p=1.0, q=1e-300, n_nodes=30))
+    coo = s.adjacency.tocoo()
+    assert coo.nnz == 3 * 10 * 9
+    assert (s.labels[coo.row] == s.labels[coo.col]).all()
+
+
+def test_large_sparse_sample_memory_is_linear_in_edges():
+    # a dense N x N draw at this size would need over 100 GB
+    p = params(n_nodes=120_000, p=3e-4, q=1e-4, seed=1)
+    tracemalloc.start()
+    try:
+        s = sample_csbm(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_edges = s.adjacency.nnz // 2
+    expected = (p.block_size - 1) * p.block_size / 2 * 3 * p.p + 3 * p.block_size**2 * p.q
+    assert abs(n_edges / expected - 1) < 0.01
+    assert peak < 256 * n_edges + 64 * p.n_nodes
 
 
 def test_mean_abs_degree_matches_expectation():

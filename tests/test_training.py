@@ -6,6 +6,8 @@ scores as the alignment/mixing oracle, and exploding weight decay as a
 reliable way to drive the loss out of the reals.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,29 @@ def test_only_the_training_forward_records_a_tape(monkeypatch):
     average_scores(g, params, cfg)
     assert record.n_epochs == 6
     assert sum(flags) == record.n_epochs
+
+
+def test_dropout_stream_is_independent_of_the_initial_weights(monkeypatch):
+    # were dropout to share init_params' stream, the first mask on the
+    # encoder's hidden units would equal enc_in < 0 entry for entry
+    masks = []
+    original = ad.Tape.dropout
+
+    def recording_dropout(self, x, keep_prob, rng):
+        masks.append(copy.deepcopy(rng).random(x.data.shape) < keep_prob)
+        return original(self, x, keep_prob, rng)
+
+    monkeypatch.setattr(ad.Tape, "dropout", recording_dropout)
+    rng = np.random.default_rng(0)
+    n, f = 60, 30
+    labels = np.arange(n) % 3
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    g = build_graph(n, edges, rng.normal(size=(n, f)), labels, 3)
+    cfg = quick_config(keep_prob=0.5)
+    train(g, cfg, random_split(g, seed=0), max_epochs=1, patience=1)
+    enc_in = init_params(cfg, f, 3).enc_in.data
+    agreement = np.mean(masks[0][:f] == (enc_in < 0))
+    assert abs(agreement - 0.5) < 0.15
 
 
 def test_train_rejects_empty_split_part():
