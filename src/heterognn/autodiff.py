@@ -12,6 +12,7 @@ import scipy.sparse as sp
 __all__ = ["Tensor", "Tape", "AdamState", "parameter", "constant"]
 
 _LN_EPS = 1e-5
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Tensor:
@@ -227,18 +228,6 @@ class Tape:
 
         return self._emit(out, (x,), back)
 
-    def l2_norm(self, x: Tensor) -> Tensor:
-        norm = float(np.sqrt(np.sum(x.data * x.data)))
-        out = Tensor([[norm]])
-
-        def back(g):
-            if x.requires_grad:
-                # subgradient 0 at the origin
-                denom = norm if norm > 0.0 else np.inf
-                _accum(x, (x.data / denom) * g[0, 0])
-
-        return self._emit(out, (x,), back)
-
     # ---- normalization / regularization ops --------------------------------
 
     def row_softmax(self, x: Tensor, temperature: float = 1.0) -> Tensor:
@@ -355,13 +344,9 @@ class Tape:
 class AdamState:
     """Adam with bias correction and optional decoupled weight decay."""
 
-    def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0):
+    def __init__(self, params, lr=0.01, weight_decay=0.0):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -371,25 +356,22 @@ class AdamState:
         for p in self.params:
             p.grad = None
 
-    def step(self, grads=None):
-        """Update parameters in place from grads (default: each param's .grad)."""
-        if grads is None:
-            grads = [p.grad for p in self.params]
-        if len(grads) != len(self.params):
-            raise ValueError("one gradient per parameter is required")
+    def step(self):
+        """Update each parameter in place from its .grad (None counts as zero)."""
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        bc1 = 1.0 - _ADAM_BETA1**self.t
+        bc2 = 1.0 - _ADAM_BETA2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data -= self.lr * update

@@ -102,7 +102,10 @@ def _config_text(name: str) -> str:
 
 
 def _load_run_config(args):
-    """Merge shipped/user JSON with explicit flags; flags win."""
+    """Merge shipped/user JSON with explicit flags; flags win.
+
+    Sets ``args.seed`` to the seed in use, so the sidecar records it.
+    """
     payload = json.loads(_config_text(args.config))
     unknown = set(payload) - MODEL_KEYS - TRAIN_KEYS
     if unknown:
@@ -113,7 +116,9 @@ def _load_run_config(args):
             payload[key] = value
     model = {k: v for k, v in payload.items() if k in MODEL_KEYS}
     train_kw = {k: v for k, v in payload.items() if k in TRAIN_KEYS}
-    return M2mConfig(**model), train_kw
+    config = M2mConfig(**model)
+    args.seed = config.seed
+    return config, train_kw
 
 
 def _write_csv(path: str, fields, rows):
@@ -586,9 +591,6 @@ def _add_model_flags(sub):
                      help="chunk-balance penalty weight")
     sub.add_argument("--keep-prob", type=float, default=None,
                      help="dropout keep probability")
-    sub.add_argument("--reg-norm", type=str, default=None,
-                     choices=["squared", "unsquared"],
-                     help="norm used by the balance penalty")
     sub.add_argument("--lr", type=float, default=None, help="Adam step size")
     sub.add_argument("--weight-decay", type=float, default=None,
                      help="decoupled weight decay")
@@ -600,6 +602,8 @@ def _add_model_flags(sub):
                      help="L1-normalize feature rows on load")
     sub.add_argument("--split-seed", type=int, default=0,
                      help="base seed for the random splits")
+    # like the flags above, --seed overrides the config file only when given
+    sub.set_defaults(seed=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .graphs import _arcs_by_destination
+
 __all__ = ["CsbmParams", "SignedGraphSample", "label_signed_sample", "sample_csbm",
            "signed_normalize", "expected_operator", "mean_abs_degree"]
 
@@ -65,23 +67,23 @@ class SignedGraphSample:
     adjacency: sp.csr_matrix  # entries in {-1, 0, +1}, symmetric, zero diagonal
     features: np.ndarray  # N x f
     labels: np.ndarray  # N
-    abs_degree: np.ndarray  # N, row sums of |adjacency|
 
 
 def label_signed_sample(edges, features, labels) -> SignedGraphSample:
     """Symmetric signed adjacency of (E, 2) undirected edges, each listed once.
 
-    Edges within a class weigh +1, edges across classes -1.
+    Edges within a class weigh +1, edges across classes -1. Row i of the CSR
+    holds the arcs into i, in the (dst, src) order `graphs.build_graph` uses.
     """
     n = labels.shape[0]
-    ii, jj = edges[:, 0], edges[:, 1]
-    signs = np.where(labels[ii] == labels[jj], 1.0, -1.0)
-    rows = np.concatenate([ii, jj])
-    cols = np.concatenate([jj, ii])
-    vals = np.concatenate([signs, signs])
-    adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    abs_degree = np.asarray(abs(adjacency).sum(axis=1)).ravel()
-    return SignedGraphSample(adjacency, features, labels, abs_degree)
+    src, dst = _arcs_by_destination(edges[:, 0], edges[:, 1], n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
+    dst_labels = labels[dst]
+    del dst  # three arc-sized int64 arrays alive below, not four
+    signs = np.where(labels[src] == dst_labels, 1.0, -1.0)
+    adjacency = sp.csr_matrix((signs, src, indptr), shape=(n, n))
+    return SignedGraphSample(adjacency, features, labels)
 
 
 def _bernoulli_positions(rng, prob, n_pairs):
@@ -156,15 +158,18 @@ def signed_normalize(sample: SignedGraphSample):
     Isolated nodes carry no propagation signal and are removed with a
     warning. The spectral norm of P is at most 1.
     """
-    isolated = sample.abs_degree == 0
-    kept = np.nonzero(~isolated)[0]
     adj = sample.adjacency
+    deg = np.asarray(abs(adj).sum(axis=1)).ravel()
+    isolated = deg == 0
+    kept = np.nonzero(~isolated)[0]
     if isolated.any():
         warnings.warn(
             f"dropping {int(isolated.sum())} isolated node(s) before normalization"
         )
+        # the adjacency is symmetric, so an isolated node's column is empty
+        # too and the kept rows keep their degrees
         adj = adj[kept][:, kept]
-    deg = np.asarray(abs(adj).sum(axis=1)).ravel()
+        deg = deg[kept]
     inv_sqrt = 1.0 / np.sqrt(deg)
     scale = sp.diags(inv_sqrt)
     P = (scale @ adj @ scale).tocsr()

@@ -64,6 +64,18 @@ class Graph:
         return self.arc_src[self.indptr[i] : self.indptr[i + 1]]
 
 
+def _arcs_by_destination(u, v, n_nodes):
+    """Both directions of the undirected edges (u[e], v[e]) as (src, dst)
+    arrays sorted by (dst, src)."""
+    # one key sorts arcs by (dst, src); equal keys are equal arcs
+    keys = np.concatenate([v, u], dtype=np.int64)
+    keys *= n_nodes
+    keys += np.concatenate([u, v])
+    keys.sort()
+    dst, src = np.divmod(keys, n_nodes)
+    return src, dst
+
+
 def build_graph(n_nodes, undirected_edges, features, labels, n_classes) -> Graph:
     """Assemble a Graph from deduplicated undirected edges.
 
@@ -80,10 +92,7 @@ def build_graph(n_nodes, undirected_edges, features, labels, n_classes) -> Graph
             raise ValueError("edge endpoint out of range")
         if (edges[:, 0] == edges[:, 1]).any():
             raise ValueError("self-loops are not represented")
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    # one key sorts arcs by (dst, src); equal keys are equal arcs
-    dst, src = np.divmod(np.sort(dst * n_nodes + src), n_nodes)
+    src, dst = _arcs_by_destination(edges[:, 0], edges[:, 1], n_nodes)
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(dst, minlength=n_nodes), out=indptr[1:])
     return Graph(int(n_nodes), src, dst, indptr, features, labels, int(n_classes))
@@ -243,11 +252,12 @@ def save_dataset(path, g: Graph, arc_signs=None):
 
 
 def self_free_undirected_edges(g: Graph) -> np.ndarray:
-    """The (E, 2) canonical u < v edge list underlying the graph's arcs."""
-    mask = g.arc_src < g.arc_dst
-    pairs = np.stack([g.arc_src[mask], g.arc_dst[mask]], axis=1)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    """The (E, 2) canonical u < v edge list underlying the graph's arcs,
+    sorted by (u, v)."""
+    # arcs are sorted by (dst, src), so the arcs with dst < src list the
+    # (u, v) = (dst, src) pairs in order
+    mask = g.arc_dst < g.arc_src
+    return np.stack([g.arc_dst[mask], g.arc_src[mask]], axis=1)
 
 
 def edge_homophily(g: Graph) -> float:
@@ -285,13 +295,12 @@ def largest_remainder(n: int, fractions) -> list:
     return sizes
 
 
-def random_split(g: Graph, seed: int, fractions=SPLIT_FRACTIONS) -> Split:
-    """Uniformly random node partition with deterministic per-seed sizes."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
+def random_split(g: Graph, seed: int) -> Split:
+    """Uniformly random node partition in SPLIT_FRACTIONS with deterministic
+    per-seed sizes."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(g.n_nodes)
-    n_train, n_val, n_test = largest_remainder(g.n_nodes, fractions)
+    n_train, n_val, n_test = largest_remainder(g.n_nodes, SPLIT_FRACTIONS)
     return Split(
         train=np.sort(perm[:n_train]),
         val=np.sort(perm[n_train : n_train + n_val]),

@@ -4,9 +4,10 @@ Each layer projects node embeddings into a narrow slice, scores every arc's
 source against its ego over a small set of chunks (a soft class guess), and
 sums the sources into per-chunk blocks that concatenate back to full width.
 The residual always returns to the encoder output, so depth cannot wash out
-the input signal, and an optional regularizer pushes the chunk mass toward
-balance across arcs. Everything runs on the reverse-mode tape from
-`heterognn.autodiff`, so a single backward call trains the whole stack.
+the input signal, and a chunk-balance penalty weighted by ``reg_strength``
+pushes the chunk mass toward balance across arcs. Everything runs on the
+reverse-mode tape from `heterognn.autodiff`, so a single backward call trains
+the whole stack.
 """
 
 import json
@@ -29,11 +30,11 @@ __all__ = [
 class M2mConfig:
     """Hyperparameters of the chunked message-passing model.
 
-    ``hidden`` must be divisible by ``chunks`` because every layer projects
-    to a width-``hidden/chunks`` slice. ``keep_prob`` is the dropout
-    keep-probability (1 disables dropout). ``reg_norm`` picks the attention
-    regularizer's norm: "squared" is the literal objective whose uniform
-    floor sits at arcs/sqrt(chunks) - 1, "unsquared" floors at exactly 0.
+    ``hidden`` is the width of the encoder and of every layer, and must be
+    divisible by ``chunks`` because every layer projects to a
+    width-``hidden/chunks`` slice. ``keep_prob`` is the dropout
+    keep-probability (1 disables dropout). ``reg_strength`` weighs the
+    chunk-balance penalty (0 disables it).
     """
 
     hidden: int
@@ -44,8 +45,6 @@ class M2mConfig:
     temperature: float = 0.5
     reg_strength: float = 0.0
     keep_prob: float = 1.0
-    encoder_width: Optional[int] = None
-    reg_norm: str = "squared"
     seed: int = 0
 
     def __post_init__(self):
@@ -65,18 +64,10 @@ class M2mConfig:
             raise ValueError("reg_strength must be nonnegative")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must lie in (0, 1]")
-        if self.encoder_width is not None and self.encoder_width < 1:
-            raise ValueError("encoder_width must be positive")
-        if self.reg_norm not in ("squared", "unsquared"):
-            raise ValueError("reg_norm must be 'squared' or 'unsquared'")
 
     @property
     def chunk_width(self) -> int:
         return self.hidden // self.chunks
-
-    @property
-    def mlp_width(self) -> int:
-        return self.encoder_width if self.encoder_width is not None else self.hidden
 
 
 @dataclass
@@ -114,10 +105,10 @@ def _glorot(rng, rows, cols):
 def init_params(config: M2mConfig, n_features: int, n_classes: int) -> M2mParams:
     """Glorot-uniform weights, unit LayerNorm gains, zero shifts."""
     rng = np.random.default_rng(config.seed)
-    d, w = config.hidden, config.mlp_width
+    d = config.hidden
     params = M2mParams(
-        enc_in=ad.parameter(_glorot(rng, n_features, w)),
-        enc_out=ad.parameter(_glorot(rng, w, d)),
+        enc_in=ad.parameter(_glorot(rng, n_features, d)),
+        enc_out=ad.parameter(_glorot(rng, d, d)),
         layer_proj=[
             ad.parameter(_glorot(rng, d, config.chunk_width))
             for _ in range(config.layers)
@@ -183,67 +174,52 @@ def layer_update(tape, h0: ad.Tensor, message: ad.Tensor, beta: float,
 class ForwardResult:
     logits: ad.Tensor
     attentions: List[ad.Tensor]
-    hiddens: List[ad.Tensor]
-    messages: List[ad.Tensor]
 
 
 def forward(tape, params: M2mParams, graph, config: M2mConfig,
-            training: bool = False, rng=None,
-            attention_override=None) -> ForwardResult:
+            training: bool = False, rng=None) -> ForwardResult:
     """Encoder, K chunked message-passing layers, then the linear head.
 
-    ``attention_override`` replaces layer k's learned scores with the given
-    (n_arcs, chunks) array; the label-oracle comparisons rely on this hook.
-    Evaluation mode (training=False) is deterministic. Its callers in
-    ``training`` (the per-epoch eval of ``train``, ``predict`` and
-    ``average_scores``) pass ``ad.Tape(recording=False)``.
+    Returns the logits and each layer's (n_arcs, chunks) scores. Evaluation
+    mode (training=False) is deterministic. Its callers in ``training`` (the
+    per-epoch eval of ``train``, ``predict`` and ``average_scores``) pass
+    ``ad.Tape(recording=False)``.
     """
     h0 = encode(tape, params, graph.features, config, training, rng)
-    hiddens = [h0]
-    attentions, messages = [], []
+    attentions = []
     h = h0
     for k in range(config.layers):
         h_in = h
         if training and config.keep_prob < 1.0:
             h_in = tape.dropout(h_in, config.keep_prob, rng)
         h_hat = tape.matmul(h_in, params.layer_proj[k])
-        if attention_override is not None:
-            scores = ad.constant(np.asarray(attention_override[k], dtype=np.float64))
-        else:
-            scores = attention_scores(
-                tape, h_hat, graph, params.layer_att[k],
-                config.alpha, config.temperature,
-            )
+        scores = attention_scores(
+            tape, h_hat, graph, params.layer_att[k],
+            config.alpha, config.temperature,
+        )
         message = chunk_aggregate(tape, h_hat, scores, graph)
         h = layer_update(
             tape, h0, message, config.beta, params.ln_gain[k], params.ln_bias[k]
         )
         attentions.append(scores)
-        messages.append(message)
-        hiddens.append(h)
     logits = tape.matmul(h, params.head)
-    return ForwardResult(logits, attentions, hiddens, messages)
+    return ForwardResult(logits, attentions)
 
 
-def reg_loss(tape, attentions, chunks: int, n_arcs: int,
-             norm: str = "squared") -> ad.Tensor:
+def reg_loss(tape, attentions, chunks: int, n_arcs: int) -> ad.Tensor:
     """Chunk-balance penalty averaged over layers.
 
-    Per layer: scale the norm of the column-summed score matrix by
-    sqrt(chunks)/n_arcs and subtract 1. The squared variant bottoms out at
-    n_arcs/sqrt(chunks) - 1 when every row is uniform; the unsquared variant
-    bottoms out at exactly 0. Collapsing all mass onto one chunk maximizes
-    either.
+    Per layer: scale the squared norm of the column-summed score matrix by
+    sqrt(chunks)/n_arcs and subtract 1. It bottoms out at
+    n_arcs/sqrt(chunks) - 1 when every row is uniform; collapsing all mass
+    onto one chunk maximizes it.
     """
     if not attentions:
         raise ValueError("need at least one layer of scores")
-    if norm not in ("squared", "unsquared"):
-        raise ValueError("norm must be 'squared' or 'unsquared'")
     total = None
     for scores in attentions:
         mass = tape.sum_rows(scores)
-        size = tape.l2_norm_sq(mass) if norm == "squared" else tape.l2_norm(mass)
-        term = tape.scale(size, np.sqrt(chunks) / n_arcs)
+        term = tape.scale(tape.l2_norm_sq(mass), np.sqrt(chunks) / n_arcs)
         total = term if total is None else tape.add(total, term)
     avg = tape.scale(total, 1.0 / len(attentions))
     return tape.add(avg, ad.constant([[-1.0]]))
@@ -255,9 +231,7 @@ def total_loss(tape, result: ForwardResult, labels, train_ids, graph,
     task = tape.cross_entropy(result.logits, labels, train_ids)
     if config.reg_strength == 0.0:
         return task
-    reg = reg_loss(
-        tape, result.attentions, config.chunks, graph.n_arcs, config.reg_norm
-    )
+    reg = reg_loss(tape, result.attentions, config.chunks, graph.n_arcs)
     return tape.add(task, tape.scale(reg, config.reg_strength))
 
 

@@ -241,7 +241,6 @@ def d_hop_oracle(
     d: int,
     weights=None,
     n_classes: Optional[int] = None,
-    max_width: int = _ORACLE_WIDTH_LIMIT,
 ) -> np.ndarray:
     """Walk-enumeration reference for the d-fold label-blocked summary.
 
@@ -265,9 +264,10 @@ def d_hop_oracle(
     else:
         fp = np.asarray(weights[0]).shape[1]
     width = C**d * fp
-    if width > max_width:
+    if width > _ORACLE_WIDTH_LIMIT:
         raise ValueError(
-            f"{C}^{d} blocks of width {fp} exceed the {max_width}-column cap"
+            f"{C}^{d} blocks of width {fp} exceed the "
+            f"{_ORACLE_WIDTH_LIMIT}-column cap"
         )
 
     def cumulative(seq) -> Optional[np.ndarray]:

@@ -302,7 +302,7 @@ def test_criterion_7_gradients_match_finite_differences():
             soft = tape.row_softmax(normed, temperature=0.7)
             ce = tape.cross_entropy(normed, labels, rows)
             pieces = tape.add(
-                tape.add(tape.l2_norm_sq(soft), tape.l2_norm(pooled)),
+                tape.add(tape.l2_norm_sq(soft), tape.l2_norm_sq(pooled)),
                 tape.add(tape.sum_all(tape.sum_rows(m)), ce),
             )
             return pieces

@@ -436,9 +436,8 @@ def _build_cases():
     def _(t, a):
         return t.l2_norm_sq(t.sum_rows(a))
 
-    @case("l2_norm", [(2, 3)])
-    def _(t, a):
-        return t.l2_norm(a)
+    # draw the leaf of the retired l2_norm case so later cases keep their inputs
+    rng.uniform(-2, 2, (2, 3))
 
     @case("composite_chain", [(4, 3), (3, 3)])
     def _(t, x, w):
@@ -512,7 +511,8 @@ def test_dropout_mask_constant_in_backward():
 def test_adam_zero_gradient_is_noop_without_decay():
     p = parameter([[1.0, -2.0]])
     opt = AdamState([p], lr=0.5)
-    opt.step([np.zeros((1, 2))])
+    p.grad = np.zeros((1, 2))
+    opt.step()
     np.testing.assert_array_equal(p.data, [[1.0, -2.0]])
 
 
@@ -520,7 +520,8 @@ def test_adam_first_step_is_lr_sized():
     # closed form: m_hat = g, v_hat = g^2 -> step = lr * g/(|g| + eps)
     p = parameter([[0.0]])
     opt = AdamState([p], lr=0.1)
-    opt.step([np.array([[1.0]])])
+    p.grad = np.array([[1.0]])
+    opt.step()
     expected = -0.1 * 1.0 / (1.0 + 1e-8)
     np.testing.assert_allclose(p.data, [[expected]], rtol=1e-12)
 
@@ -529,15 +530,16 @@ def test_adam_converges_on_quadratic():
     p = parameter([[10.0]])
     opt = AdamState([p], lr=0.05)
     for _ in range(2000):
-        grad = 2.0 * (p.data - 3.0)
-        opt.step([grad])
+        p.grad = 2.0 * (p.data - 3.0)
+        opt.step()
     assert abs(p.data[0, 0] - 3.0) < 1e-3
 
 
 def test_adam_decoupled_weight_decay():
     p = parameter([[2.0]])
     opt = AdamState([p], lr=0.1, weight_decay=0.5)
-    opt.step([np.zeros((1, 1))])
+    p.grad = np.zeros((1, 1))
+    opt.step()
     # zero gradient: only the decay term moves the weight: p -= lr*wd*p
     np.testing.assert_allclose(p.data, [[2.0 * (1 - 0.1 * 0.5)]], rtol=1e-12)
 
@@ -546,5 +548,6 @@ def test_adam_moment_shapes_follow_params():
     p = parameter(np.zeros((3, 2)))
     opt = AdamState([p])
     assert opt.m[0].shape == (3, 2) and opt.v[0].shape == (3, 2)
+    p.grad = np.zeros((2, 3))
     with pytest.raises(ValueError):
-        opt.step([np.zeros((2, 3))])
+        opt.step()

@@ -345,3 +345,34 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     code = main(["train", "--data", toy, "--config", str(bad), "--out", out])
     assert code == 1
     assert "typo_key" in capsys.readouterr().err
+
+
+SEEDED_COMMANDS = {
+    "train": ["--splits", "1"],
+    "sweep-depth": ["--k-list", "1", "--splits", "1"],
+    "ablate": ["--chunks-list", "2", "--lambda-list", "0", "--k-list", "1"],
+    "analyze-attention": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+def test_config_file_seed_applies_unless_flag_given(tmp_path, capsys, command):
+    toy = make_toy(tmp_path)
+    cfg = tmp_path / "seeded.json"
+    cfg.write_text('{"hidden": 8, "chunks": 2, "layers": 1, "seed": 7, '
+                   '"max_epochs": 3, "patience": 3}')
+    runs = {"file": [], "flag": ["--seed", "7"], "other": ["--seed", "3"]}
+    for name, extra in runs.items():
+        argv = [command, "--data", toy, "--config", str(cfg),
+                "--out", str(tmp_path / f"{name}.csv"),
+                *SEEDED_COMMANDS[command], *extra]
+        assert main(argv) == 0
+    capsys.readouterr()
+    recorded = {
+        name: json.loads((tmp_path / f"{name}.config.json").read_text())
+        ["options"]["seed"]
+        for name in runs
+    }
+    assert recorded == {"file": 7, "flag": 7, "other": 3}
+    assert (data_lines(str(tmp_path / "file.csv"))
+            == data_lines(str(tmp_path / "flag.csv")))

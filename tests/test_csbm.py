@@ -4,12 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heterognn.csbm import (
     CsbmParams,
     _triangle_pairs,
     expected_operator,
+    label_signed_sample,
     mean_abs_degree,
     sample_csbm,
     signed_normalize,
@@ -152,6 +156,29 @@ def test_large_sparse_sample_memory_is_linear_in_edges():
     assert peak < 256 * n_edges + 64 * p.n_nodes
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 50), n_classes=st.integers(1, 4),
+       p_edge=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+def test_signed_adjacency_equals_the_coo_built_reference(n, n_classes, p_edge,
+                                                         seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, n_classes, n)
+    edges = np.array([(u, v) if rng.random() < 0.5 else (v, u)
+                      for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < p_edge], dtype=np.int64).reshape(-1, 2)
+    rng.shuffle(edges)
+    adj = label_signed_sample(edges, np.zeros((n, 1)), labels).adjacency
+    # reference: both directions as COO triplets, converted by scipy
+    ii, jj = edges[:, 0], edges[:, 1]
+    signs = np.where(labels[ii] == labels[jj], 1.0, -1.0)
+    ref = sp.csr_matrix((np.concatenate([signs, signs]),
+                         (np.concatenate([ii, jj]), np.concatenate([jj, ii]))),
+                        shape=(n, n))
+    assert np.array_equal(adj.indptr, ref.indptr)
+    assert np.array_equal(adj.indices, ref.indices)
+    assert np.array_equal(adj.data, ref.data)
+
+
 def test_mean_abs_degree_matches_expectation():
     # 20 seeds at simulation scale; expectation (N/C-1)p + (C-1)(N/C)q ~ 23
     p = params(n_nodes=3000, p=0.003, q=0.01)
@@ -160,7 +187,7 @@ def test_mean_abs_degree_matches_expectation():
     degs = []
     for seed in range(20):
         s = sample_csbm(params(n_nodes=3000, p=0.003, q=0.01, seed=seed))
-        degs.append(s.abs_degree.mean())
+        degs.append(abs(s.adjacency).sum() / s.adjacency.shape[0])
     assert abs(np.mean(degs) - exact) / exact < 0.10
 
 
@@ -187,7 +214,6 @@ def test_isolated_nodes_dropped_with_warning():
     s.adjacency[0, 1] = 1.0
     s.adjacency[1, 0] = 1.0
     s.adjacency = s.adjacency.tocsr()
-    s.abs_degree = np.asarray(abs(s.adjacency).sum(axis=1)).ravel()
     with pytest.warns(UserWarning, match="isolated"):
         P, kept = signed_normalize(s)
     assert kept.tolist() == [0, 1]

@@ -182,6 +182,21 @@ def test_round_trip_is_exact(tmp_path):
     )
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 40), p_edge=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+def test_undirected_edges_match_the_sorted_reference(n, p_edge, seed):
+    rng = np.random.default_rng(seed)
+    edges = [(u, v) if rng.random() < 0.5 else (v, u)
+             for u in range(n) for v in range(u + 1, n) if rng.random() < p_edge]
+    rng.shuffle(edges)
+    g = build_graph(n, edges, np.zeros((n, 1)), np.zeros(n, dtype=int), 1)
+    # reference: the u < v arcs, sorted by (u, v) with lexsort
+    mask = g.arc_src < g.arc_dst
+    pairs = np.stack([g.arc_src[mask], g.arc_dst[mask]], axis=1)
+    expected = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    assert np.array_equal(self_free_undirected_edges(g), expected)
+
+
 def test_homophily_all_same_class():
     g = build_graph(3, [(0, 1), (1, 2)], np.zeros((3, 1)), [1, 1, 1], 2)
     assert edge_homophily(g) == 1.0
