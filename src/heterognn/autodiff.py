@@ -2,8 +2,9 @@
 
 Everything is a 2-D float64 matrix (scalars are 1x1). A Tape records each
 operation applied to tensors that require gradients; Tape.backward replays
-the records in reverse and accumulates gradients into the participating
-tensors. A tape is single-use: calling backward twice raises.
+the records in reverse, accumulates gradients into the leaf tensors and
+frees each record as it goes. A tape is single-use: calling backward twice
+raises.
 """
 
 import numpy as np
@@ -61,6 +62,22 @@ def _scatter_rows(ids, values, n):
     return sp.csr_matrix((np.ones(k), (ids, np.arange(k))), shape=(n, k)) @ values
 
 
+def _softmax(x, temperature):
+    """Row softmax of x / temperature, shifted by the row max."""
+    if not temperature > 0.0:
+        raise ValueError(f"softmax temperature must be positive, got {temperature}")
+    z = x / temperature
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_backward(g, s, temperature):
+    """Gradient of the input of _softmax from g, the gradient of its output s."""
+    inner = (g * s).sum(axis=1, keepdims=True)
+    return (g - inner) * s / temperature
+
+
 def _accum(t: Tensor, g):
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
@@ -74,6 +91,9 @@ class Tape:
     eval passes use that: the per-epoch eval in `training.train`,
     `training.predict`, `training.average_scores` and the alignment softmax
     of `training.attention_analysis`.
+
+    Backward frees as it goes: each record, and the gradient of its
+    non-leaf output, is dropped as soon as its backward has run.
     """
 
     def __init__(self, recording=True):
@@ -172,33 +192,98 @@ class Tape:
 
         return self._emit(out, (x,), back)
 
-    def chunk_sum(self, scores: Tensor, x: Tensor, segment_ids,
-                  n_segments: int) -> Tensor:
-        """Score-weighted segment sums: block t of out[s] sums scores[r, t] * x[r]
-        over the rows r with id s. One all-ones score column is a plain segment sum.
+    def chunk_sum(self, scores: Tensor, x: Tensor, arc_src, indptr) -> Tensor:
+        """Score-weighted sums of source rows, one output block per score column.
+
+        The arcs a in indptr[i]:indptr[i+1] point at output row i, and block t
+        of out[i] sums scores[a, t] * x[arc_src[a]] over them in arc order,
+        the order np.add.at would use. One all-ones score column is a plain
+        segment sum of gathered rows.
+
+        The forward is one sparse product: the C chunk matrices (chunk t
+        holds scores[a, t] at (i, arc_src[a])) stacked into a (C*n, len(x))
+        CSR matrix. The backward takes the x gradient as the transposed
+        product and the score gradient as a sampled dense-dense product over
+        the arcs, one chunk at a time. No (arcs, C*w) array is built, and
+        memory is O(arcs * (C + w)).
         """
-        ids = np.asarray(segment_ids, dtype=np.int64)
-        k, w = x.data.shape
-        c = scores.data.shape[1]
-        if ids.shape != (k,) or scores.data.shape[0] != k:
-            raise ValueError("scores, x and segment_ids need one entry per row")
-        if ids.size and (ids.min() < 0 or ids.max() >= n_segments):
-            raise IndexError("segment id out of range")
-        product = (scores.data[:, :, None] * x.data[:, None, :]).reshape(k, c * w)
-        out = Tensor(_scatter_rows(ids, product, n_segments))
+        src = np.asarray(arc_src, dtype=np.int64)
+        ptr = np.asarray(indptr, dtype=np.int64)
+        k, c = scores.data.shape
+        n_x, w = x.data.shape
+        n = ptr.size - 1
+        if src.shape != (k,):
+            raise ValueError("scores and arc_src need one entry per arc")
+        if (ptr.ndim != 1 or n < 0 or ptr[0] != 0 or ptr[-1] != k
+                or np.any(np.diff(ptr) < 0)):
+            raise ValueError("indptr must rise from 0 to the number of arcs")
+        if k and (src.min() < 0 or src.max() >= n_x):
+            raise IndexError("arc_src out of range")
+        chunks = sp.csr_matrix(
+            (scores.data.T.ravel(), np.tile(src, c),
+             np.append((ptr[:-1] + k * np.arange(c)[:, None]).ravel(), c * k)),
+            shape=(c * n, n_x))
+        out = Tensor((chunks @ x.data).reshape(c, n, w).transpose(1, 0, 2)
+                     .reshape(n, c * w))
 
         def back(g):
-            g_rows = g[ids]
-            if scores.requires_grad:
-                _accum(scores, (g_rows.reshape(k, c, w) * x.data[:, None, :]).sum(axis=2))
+            g3 = g.reshape(n, c, w)
             if x.requires_grad:
-                # last chunk first: seeded training depends on this order bit for bit
-                gx = np.zeros_like(x.data)
-                for t in reversed(range(c)):
-                    gx += g_rows[:, t * w : (t + 1) * w] * scores.data[:, t : t + 1]
-                _accum(x, gx)
+                _accum(x, chunks.T @ g3.transpose(1, 0, 2).reshape(c * n, w))
+            if scores.requires_grad:
+                # chunk by chunk, so the transient arrays stay (arcs, w)
+                dst = np.repeat(np.arange(n), np.diff(ptr))
+                x_src = x.data[src]
+                g_scores = np.empty((k, c))
+                for t in range(c):
+                    g_scores[:, t] = np.einsum("aw,aw->a", g3[dst, t], x_src)
+                _accum(scores, g_scores)
 
         return self._emit(out, (scores, x), back)
+
+    def arc_attention(self, h: Tensor, w_att: Tensor, arc_src, arc_dst,
+                      alpha: float, temperature: float) -> Tensor:
+        """Per-arc scores softmax(ReLU(alpha * h[arc_dst] + h[arc_src]) @ w_att).
+
+        Equal bit for bit to the chain row_gather, row_gather, scale, add,
+        relu, matmul, row_softmax, recorded as one node. It keeps the
+        (arcs, w) ReLU output and the (arcs, C) scores for the backward, which
+        runs the softmax, then w_att's gradient, then the ReLU mask, and
+        returns h's gradient as one sparse product with alpha at
+        (arc_dst[a], a) and 1 at (arc_src[a], a).
+        """
+        src = np.asarray(arc_src, dtype=np.int64)
+        dst = np.asarray(arc_dst, dtype=np.int64)
+        n, w = h.data.shape
+        k = src.shape[0]
+        if src.ndim != 1 or dst.shape != (k,):
+            raise ValueError("arc_src and arc_dst must be 1-D and of equal length")
+        if w_att.data.shape[0] != w:
+            raise ValueError(f"arc_attention dimension mismatch: {h.data.shape} "
+                             f"rows scored by {w_att.data.shape}")
+        if k and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+            raise IndexError("arc endpoint out of range")
+        alpha = float(alpha)
+        act = h.data[dst]
+        act *= alpha
+        act += h.data[src]
+        np.maximum(act, 0.0, out=act)
+        s = _softmax(act @ w_att.data, temperature)
+        out = Tensor(s)
+
+        def back(g):
+            dz = _softmax_backward(g, s, temperature)
+            if w_att.requires_grad:
+                _accum(w_att, act.T @ dz)
+            if h.requires_grad:
+                d_pre = dz @ w_att.data.T
+                d_pre *= act > 0.0
+                ends = sp.csc_matrix(
+                    (np.tile([alpha, 1.0], k), np.stack([dst, src], axis=1).ravel(),
+                     np.arange(0, 2 * k + 1, 2)), shape=(n, k))
+                _accum(h, ends @ d_pre)
+
+        return self._emit(out, (h, w_att), back)
 
     def sum_rows(self, x: Tensor) -> Tensor:
         """Collapse to a single row: out[0, j] = sum_i x[i, j]."""
@@ -231,18 +316,12 @@ class Tape:
     # ---- normalization / regularization ops --------------------------------
 
     def row_softmax(self, x: Tensor, temperature: float = 1.0) -> Tensor:
-        if not temperature > 0.0:
-            raise ValueError(f"softmax temperature must be positive, got {temperature}")
-        z = x.data / temperature
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        s = e / e.sum(axis=1, keepdims=True)
+        s = _softmax(x.data, temperature)
         out = Tensor(s)
 
         def back(g):
             if x.requires_grad:
-                inner = (g * s).sum(axis=1, keepdims=True)
-                _accum(x, (g - inner) * s / temperature)
+                _accum(x, _softmax_backward(g, s, temperature))
 
         return self._emit(out, (x,), back)
 
@@ -327,7 +406,14 @@ class Tape:
     # ---- reverse pass -------------------------------------------------------
 
     def backward(self, loss: Tensor):
-        """Populate .grad on every tensor the scalar loss depends on."""
+        """Populate .grad on every leaf tensor the scalar loss depends on.
+
+        Runs the records from last to first and drops each one once its
+        backward has run: the record's gradient (.grad of the non-leaf
+        output, loss included) is set to None and the arrays its closure
+        captured are freed during the pass, not after it. Only leaf
+        gradients, those of the parameters, survive.
+        """
         if loss.data.shape != (1, 1):
             raise ValueError(f"backward needs a scalar (1x1) loss, got {loss.data.shape}")
         if self._consumed:
@@ -336,9 +422,12 @@ class Tape:
             raise RuntimeError("tape is empty; nothing was recorded")
         self._consumed = True
         loss.grad = np.ones((1, 1))
-        for out, back in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            out, back = nodes.pop()
             if out.grad is not None:
                 back(out.grad)
+                out.grad = None
 
 
 class AdamState:

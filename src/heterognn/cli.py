@@ -557,6 +557,7 @@ def cmd_dataset_info(args) -> int:
 
 
 def _add_csbm_flags(sub, with_noise=True):
+    sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
     sub.add_argument("--nodes", "-N", type=int, default=3000,
                      help="number of nodes")
     sub.add_argument("--classes", "-C", type=int, default=3,
@@ -603,7 +604,8 @@ def _add_model_flags(sub):
     sub.add_argument("--split-seed", type=int, default=0,
                      help="base seed for the random splits")
     # like the flags above, --seed overrides the config file only when given
-    sub.set_defaults(seed=None)
+    sub.add_argument("--seed", type=int, default=None,
+                     help="base RNG seed (default: the config's seed)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -621,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
             name, help=help_text, description=help_text,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         sub.set_defaults(func=handler)
-        sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
         return sub
 
     sub = command("gen-csbm", cmd_gen_csbm,
@@ -675,6 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command("theory-check", cmd_theory_check,
                   "run the randomized self-checks for the core claims")
+    sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
     sub = command("train", cmd_train,
                   "train on a dataset over several random splits")

@@ -36,7 +36,8 @@ class Graph:
     arc_src[a] -> arc_dst[a] is one directed arc; both directions of every
     undirected edge are present. Arcs are sorted by (dst, src) and indptr is
     the CSR offset array over destinations: arcs with destination i occupy
-    slice indptr[i]:indptr[i+1].
+    slice indptr[i]:indptr[i+1]. Construction checks that arc_dst and
+    indptr agree, since the model reads destinations from either one.
     """
 
     n_nodes: int
@@ -46,6 +47,19 @@ class Graph:
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
+
+    def __post_init__(self):
+        if len(self.indptr) != self.n_nodes + 1:
+            raise ValueError(f"Graph field 'indptr': length {len(self.indptr)}, "
+                             f"expected n_nodes + 1 = {self.n_nodes + 1}")
+        if not self.indptr[-1] == self.n_arcs == len(self.arc_dst):
+            raise ValueError(f"Graph field 'arc_dst': indptr ends at {self.indptr[-1]}, "
+                             f"with {self.n_arcs} arc sources and "
+                             f"{len(self.arc_dst)} arc destinations")
+        if not np.array_equal(self.arc_dst, np.repeat(np.arange(self.n_nodes),
+                                                      np.diff(self.indptr))):
+            raise ValueError("Graph field 'arc_dst': arcs are not grouped by "
+                             "destination in the order indptr gives")
 
     @property
     def n_arcs(self) -> int:

@@ -140,12 +140,12 @@ def attention_scores(tape, h_hat: ad.Tensor, graph, w_att: ad.Tensor,
 
     Rows live on arcs (source scored while messaging its ego), sum to one,
     and stay nonnegative; the two directions of an undirected edge are
-    scored independently.
+    scored independently. One fused tape op (`Tape.arc_attention`); it
+    keeps O(arcs * (C + w)) for the backward: the ReLU output and the
+    scores.
     """
-    ego = tape.row_gather(h_hat, graph.arc_dst)
-    src = tape.row_gather(h_hat, graph.arc_src)
-    pre = tape.relu(tape.add(tape.scale(ego, alpha), src))
-    return tape.row_softmax(tape.matmul(pre, w_att), temperature)
+    return tape.arc_attention(h_hat, w_att, graph.arc_src, graph.arc_dst,
+                              alpha, temperature)
 
 
 def chunk_aggregate(tape, h_hat: ad.Tensor, scores: ad.Tensor,
@@ -153,10 +153,11 @@ def chunk_aggregate(tape, h_hat: ad.Tensor, scores: ad.Tensor,
     """Score-weighted per-chunk sums of source projections, concatenated.
 
     Chunk t of node i (one chunk per score column) sums s_t(i, j) * h_hat_j
-    over i's in-arcs; nodes with no arcs end up with all-zero messages.
+    over i's in-arcs; nodes with no arcs end up with all-zero messages. One
+    tape op (`Tape.chunk_sum`), a sparse product that never gathers h_hat
+    onto the arcs; its memory is O(arcs * (C + w)).
     """
-    src_vals = tape.row_gather(h_hat, graph.arc_src)
-    return tape.chunk_sum(scores, src_vals, graph.arc_dst, graph.n_nodes)
+    return tape.chunk_sum(scores, h_hat, graph.arc_src, graph.indptr)
 
 
 def layer_update(tape, h0: ad.Tensor, message: ad.Tensor, beta: float,

@@ -33,7 +33,8 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss stops being finite; carries the epoch."""
+    """Raised when the loss or a parameter gradient stops being finite; the
+    message names the epoch (and the parameter)."""
 
 
 @dataclass
@@ -72,7 +73,8 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
     Stops once validation accuracy has not improved for ``patience``
     epochs, restores the best-validation weights, and reports test accuracy
     from those. Fully deterministic for a fixed (graph, config, split).
-    Raises TrainingDiverged the moment the loss leaves the reals.
+    Raises TrainingDiverged the moment the loss leaves the reals, or a
+    parameter gradient does, before that gradient reaches Adam.
     """
     if len(split.train) == 0 or len(split.val) == 0 or len(split.test) == 0:
         raise ValueError("train/val/test must all be non-empty")
@@ -101,6 +103,12 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
                 f"(lr={lr}, config seed={config.seed})"
             )
         tape.backward(loss)
+        for name, tensor in params.named():
+            if tensor.grad is not None and not np.isfinite(tensor.grad).all():
+                raise TrainingDiverged(
+                    f"gradient of {name} became non-finite at epoch {epoch} "
+                    f"(lr={lr}, config seed={config.seed})"
+                )
         adam.step()
 
         eval_tape = ad.Tape(recording=False)

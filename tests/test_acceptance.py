@@ -286,8 +286,8 @@ def test_criterion_7_gradients_match_finite_differences():
         shift = ad.parameter(rng.normal(size=(3, 4)) + 3.0)  # clear of kinks
         labels = np.array([0, 2, 1])
         rows = np.array([0, 1, 2])
-        index = np.array([2, 0, 1, 1])
-        segments = np.array([0, 0, 1, 2])
+        arc_src = np.array([2, 0, 1, 1])
+        indptr = np.array([0, 2, 3, 4])
 
         def run(tape):
             s = tape.add(a, b)
@@ -296,8 +296,8 @@ def test_criterion_7_gradients_match_finite_differences():
             s = tape.scale(s, 0.7)
             m = tape.matmul(s, w)
             m = tape.relu(tape.add(m, tape.matmul(shift, w)))
-            pooled = tape.chunk_sum(tape.row_gather(col, index),
-                                    tape.row_gather(s, index), segments, 3)
+            pooled = tape.chunk_sum(tape.row_gather(col, arc_src), s, arc_src,
+                                    indptr)
             normed = tape.layer_norm(pooled, gain, bias)
             soft = tape.row_softmax(normed, temperature=0.7)
             ce = tape.cross_entropy(normed, labels, rows)

@@ -147,23 +147,39 @@ def ones_column(k):
     return constant(np.ones((k, 1)))
 
 
+def grouped_by_id(ids, n):
+    """(arc_src, indptr) that list the rows of each id in row order: the
+    stable sort of the row numbers by id, and its CSR offsets."""
+    order = np.argsort(ids, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
+    return order, indptr
+
+
 def test_chunk_sum_hand_example():
     t = Tape()
     x = constant([[1.0, 2.0], [10.0, 20.0], [5.0, 5.0]])
-    out = t.chunk_sum(ones_column(3), x, [0, 0, 1], 2)
+    out = t.chunk_sum(ones_column(3), x, [0, 1, 2], [0, 2, 3])
     np.testing.assert_array_equal(out.data, [[11.0, 22.0], [5.0, 5.0]])
 
 
 def test_chunk_sum_empty_segment_is_zero():
     t = Tape()
-    out = t.chunk_sum(ones_column(1), constant([[1.0]]), [2], 4)
+    out = t.chunk_sum(ones_column(1), constant([[1.0]]), [0], [0, 0, 0, 1, 1])
     np.testing.assert_array_equal(out.data, [[0.0], [0.0], [1.0], [0.0]])
 
 
 def test_chunk_sum_rejects_out_of_range_id():
     t = Tape()
     with pytest.raises(IndexError):
-        t.chunk_sum(ones_column(1), constant([[1.0]]), [3], 2)
+        t.chunk_sum(ones_column(1), constant([[1.0]]), [3], [0, 0, 1])
+
+
+@pytest.mark.parametrize("indptr", [[0, 2], [1, 1], [0, 1, 0], [[0, 1]]])
+def test_chunk_sum_rejects_bad_indptr(indptr):
+    t = Tape()
+    with pytest.raises(ValueError, match="indptr"):
+        t.chunk_sum(ones_column(1), constant([[1.0]]), [0], indptr)
 
 
 @settings(max_examples=30, deadline=None)
@@ -173,9 +189,11 @@ def test_chunk_sum_permutation_invariant_within_segments(perm):
     x = rng.normal(size=(6, 3))
     ids = np.array([0, 0, 1, 1, 1, 2])
     t = Tape(recording=False)
-    ref = t.chunk_sum(ones_column(6), constant(x), ids, 3).data
+    src, indptr = grouped_by_id(ids, 3)
+    ref = t.chunk_sum(ones_column(6), constant(x), src, indptr).data
     perm = np.array(perm)
-    got = t.chunk_sum(ones_column(6), constant(x[perm]), ids[perm], 3).data
+    src, indptr = grouped_by_id(ids[perm], 3)
+    got = t.chunk_sum(ones_column(6), constant(x[perm]), src, indptr).data
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
@@ -202,8 +220,9 @@ def add_at_reference(ids, values, n):
 def test_chunk_sum_and_gather_backward_match_add_at_bit_for_bit(case):
     n, ids, values = case
     expected = add_at_reference(ids, values, n)
+    src, indptr = grouped_by_id(ids, n)
     summed = Tape(recording=False).chunk_sum(ones_column(ids.size),
-                                             constant(values), ids, n)
+                                             constant(values), src, indptr)
     assert np.array_equal(summed.data, expected)
     t = Tape()
     x = parameter(np.zeros((n, values.shape[1])))
@@ -240,8 +259,60 @@ def test_chunk_sum_matches_per_chunk_add_at_bit_for_bit(case, data):
         [add_at_reference(ids, scores[:, t : t + 1] * values, n) for t in range(c)],
         axis=1,
     )
-    got = Tape(recording=False).chunk_sum(constant(scores), constant(values), ids, n)
+    src, indptr = grouped_by_id(ids, n)
+    got = Tape(recording=False).chunk_sum(constant(scores[src]), constant(values),
+                                          src, indptr)
     assert np.array_equal(got.data, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_chunk_sum_forward_and_gradients_match_per_chunk_add_at(data):
+    # the arcs gather rows of x, whose row count is its own
+    n_out, n_x = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    k, c = data.draw(st.integers(0, 14)), data.draw(st.integers(1, 4))
+    w = data.draw(st.integers(1, 3))
+    dst = np.sort(np.array(data.draw(st.lists(st.integers(0, n_out - 1), min_size=k,
+                                              max_size=k)), dtype=np.int64))
+    src = np.array(data.draw(st.lists(st.integers(0, n_x - 1), min_size=k, max_size=k)),
+                   dtype=np.int64)
+    floats = st.floats(-1e3, 1e3)
+    scores = data.draw(arrays(np.float64, (k, c), elements=floats))
+    x = data.draw(arrays(np.float64, (n_x, w), elements=floats))
+    upstream = data.draw(arrays(np.float64, (n_out, c * w), elements=floats))
+    indptr = np.zeros(n_out + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n_out), out=indptr[1:])
+
+    expected = np.concatenate(
+        [add_at_reference(dst, scores[:, t : t + 1] * x[src], n_out) for t in range(c)],
+        axis=1,
+    )
+    up3 = upstream.reshape(n_out, c, w)
+
+    def x_grad_reference(s, u3):
+        out = np.zeros_like(x)
+        for t in range(c):
+            np.add.at(out, src, s[:, t : t + 1] * u3[dst, t])
+        return out
+
+    def scores_grad_reference(u3, xs):
+        return (u3[dst] * xs[src][:, None, :]).sum(axis=2)
+
+    t = Tape()
+    s_param, xp = parameter(scores), parameter(x)
+    out = t.chunk_sum(s_param, xp, src, indptr)
+    assert np.array_equal(out.data, expected)
+    t.backward(t.sum_all(t.mul(out, constant(upstream))))
+    # the same float64 products summed in another order: each entry may move
+    # by (terms - 1) * 2**-53 times the sum of its terms' magnitudes, and a
+    # gradient entry here has at most 56 terms
+    for got, want, bound in (
+        (xp.grad, x_grad_reference(scores, up3),
+         x_grad_reference(np.abs(scores), np.abs(up3))),
+        (s_param.grad, scores_grad_reference(up3, x),
+         scores_grad_reference(np.abs(up3), np.abs(x))),
+    ):
+        assert np.all(np.abs(got - want) <= 1e-12 * bound)
 
 
 @settings(max_examples=50, deadline=None)
@@ -258,8 +329,8 @@ def test_chunk_sum_of_one_hot_scores_is_the_label_blocked_sum(data):
     g = build_graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), features,
                     labels, c)
     got = Tape(recording=False).chunk_sum(
-        constant(one_hot_arc_scores(g, labels, c)), constant(features[g.arc_src]),
-        g.arc_dst, n)
+        constant(one_hot_arc_scores(g, labels, c)), constant(features), g.arc_src,
+        g.indptr)
     assert np.array_equal(got.data, one_hop_desirable_m2m(features, g, labels, mode="sum"))
 
 
@@ -384,7 +455,6 @@ def test_gradient_accumulates_on_reuse():
 
 def _build_cases():
     rng = np.random.default_rng(7)
-    ids = np.array([0, 2, 1, 0, 2])
 
     cases = {}
 
@@ -425,8 +495,8 @@ def _build_cases():
 
     @case("chunk_sum", [(3, 4), (5, 3)])
     def _(t, a, b):
-        picked = t.row_gather(a, ids)
-        return t.l2_norm_sq(t.chunk_sum(b, picked, [0, 1, 1, 0, 1], 2))
+        # five arcs gathering rows of a: two into output row 0, three into row 1
+        return t.l2_norm_sq(t.chunk_sum(b, a, [0, 0, 2, 1, 2], [0, 2, 5]))
 
     @case("cross_entropy", [(5, 3)])
     def _(t, a):
@@ -444,6 +514,13 @@ def _build_cases():
         h = t.relu(t.matmul(x, w))
         s = t.row_softmax(h, temperature=1.3)
         return t.cross_entropy(s, [0, 1, 2, 1], [0, 1, 2, 3])
+
+    @case("arc_attention", [(4, 3), (3, 2)])
+    def _(t, h, w):
+        # arcs of the path 0-1-2 and the edge 1-3, sorted by (dst, src)
+        scores = t.arc_attention(h, w, [1, 0, 2, 3, 1, 1], [0, 1, 1, 1, 2, 3],
+                                 alpha=0.6, temperature=0.8)
+        return t.l2_norm_sq(scores)
 
     return cases
 

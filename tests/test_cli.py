@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from heterognn import autodiff
 from heterognn.cli import main
 from heterognn.graphs import load_dataset
 from heterognn.model import load_checkpoint
@@ -50,6 +51,14 @@ def test_usage_errors_exit_2(capsys):
     assert main(["definitely-not-a-command"]) == 2
     assert main([]) == 2
     assert main(["train"]) == 2  # --data is required
+    capsys.readouterr()
+
+
+def test_seed_is_offered_only_where_it_is_read(tmp_path, capsys):
+    toy = make_toy(tmp_path)
+    assert main(["dataset-info", toy, "--seed", "1"]) == 2
+    assert main(["desirability", "--demo", "--seed", "1"]) == 2
+    assert main(["theory-check", "--seed", "1"]) == 0
     capsys.readouterr()
 
 
@@ -225,6 +234,18 @@ def test_train_divergence_exits_1(tmp_path, capsys):
                                       "100000", "--max-epochs", "100"]))
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_exits_1_when_a_gradient_is_not_finite(tmp_path, monkeypatch, capsys):
+    # the forward pass and the loss stay finite; every gradient the
+    # backward pass accumulates is NaN
+    toy = make_toy(tmp_path)
+    accumulate = autodiff._accum
+    monkeypatch.setattr(autodiff, "_accum", lambda t, g: accumulate(t, g * np.nan))
+    code = main(train_args(toy, str(tmp_path / "acc.csv"), ["--max-epochs", "1"]))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "gradient of" in err and "epoch 0" in err
 
 
 def test_sweep_depth_writes_one_row_per_split_and_depth(tmp_path):

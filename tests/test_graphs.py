@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from heterognn.graphs import (
     DatasetFormatError,
+    Graph,
     Split,
     build_graph,
     edge_homophily,
@@ -66,6 +67,23 @@ def test_csr_in_neighbors(tmp_path):
     g = load_dataset(triangle(tmp_path))
     assert sorted(g.in_neighbors(0).tolist()) == [1, 2]
     assert sorted(g.in_neighbors(1).tolist()) == [0, 2]
+
+
+def test_graph_rejects_arcs_not_grouped_by_destination(tmp_path):
+    g = load_dataset(triangle(tmp_path))
+    swap = np.array([2, 1, 0, 3, 4, 5])  # arcs into node 1 before those into 0
+    with pytest.raises(ValueError, match="'arc_dst'"):
+        Graph(g.n_nodes, g.arc_src[swap], g.arc_dst[swap], g.indptr,
+              g.features, g.labels, g.n_classes)
+
+
+@pytest.mark.parametrize("field, indptr", [("indptr", [0, 2, 4]),
+                                           ("arc_dst", [0, 2, 4, 5])])
+def test_graph_rejects_indptr_that_does_not_fit(tmp_path, field, indptr):
+    g = load_dataset(triangle(tmp_path))
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        Graph(g.n_nodes, g.arc_src, g.arc_dst, np.array(indptr), g.features,
+              g.labels, g.n_classes)
 
 
 def test_comment_lines_ignored(tmp_path):

@@ -7,6 +7,7 @@ reliable way to drive the loss out of the reals.
 """
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,27 @@ def test_dropout_stream_is_independent_of_the_initial_weights(monkeypatch):
     enc_in = init_params(cfg, f, 3).enc_in.data
     agreement = np.mean(masks[0][:f] == (enc_in < 0))
     assert abs(agreement - 0.5) < 0.15
+
+
+def test_one_epoch_peak_memory_per_arc_per_layer():
+    # an arc-by-width array kept per layer, or tape records kept until the
+    # backward pass ends, pushes the traced peak past this bound
+    n, n_edges, n_classes, layers = 1000, 8000, 5, 8
+    rng = np.random.default_rng(0)
+    upper = np.stack(np.triu_indices(n, 1), axis=1)
+    edges = upper[rng.choice(len(upper), n_edges, replace=False)]
+    g = build_graph(n, edges, rng.normal(size=(n, 32)),
+                    rng.integers(0, n_classes, n), n_classes)
+    cfg = M2mConfig(hidden=80, chunks=5, layers=layers, keep_prob=0.5,
+                    reg_strength=0.5)
+    split = random_split(g, seed=0)
+    tracemalloc.start()
+    try:
+        train(g, cfg, split, max_epochs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (g.n_arcs * layers) < 1200
 
 
 def test_train_rejects_empty_split_part():
