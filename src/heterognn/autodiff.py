@@ -80,8 +80,9 @@ def _softmax_backward(g, s, temperature):
 
 def _accum(t: Tensor, g):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g.copy()  # never g itself: add passes one g to both operands
+    else:
+        t.grad += g
 
 
 class Tape:

@@ -62,7 +62,7 @@ from .training import (
     ablate,
     attention_analysis,
     depth_sweep,
-    mixing_score,
+    mixing_score_from_scores,
     train,
 )
 
@@ -406,22 +406,30 @@ def cmd_theory_check(args) -> int:
 # ---- model commands ----------------------------------------------------------
 
 
-def _train_one_split(payload):
-    g, config, split, train_kw = payload
-    return train(g, config, split, **train_kw)
+def _call_on_split(payload):
+    fn, g, config, split, kwargs = payload
+    return fn(g, config, split=split, **kwargs)
 
 
-def cmd_train(args) -> int:
+def _run_splits(args, fn, n_splits, jobs=1, **kwargs):
+    """Load a model command's dataset and config, then run, for each split s,
+    ``fn(g, config, split=split, **kwargs, **training options)`` with the
+    config's seed + s and split ``random_split(seed=--split-seed + s)``.
+    Return the graph, the dataset's name and the results in split order."""
     data_dir = _resolve_data(args.data)
     g = load_dataset(data_dir, row_normalize=args.row_normalize)
     config, train_kw = _load_run_config(args)
-    dataset = os.path.basename(os.path.normpath(data_dir))
     payloads = [
-        (g, replace(config, seed=config.seed + s),
-         random_split(g, seed=args.split_seed + s), train_kw)
-        for s in range(args.splits)
+        (fn, g, replace(config, seed=config.seed + s),
+         random_split(g, seed=args.split_seed + s), {**kwargs, **train_kw})
+        for s in range(n_splits)
     ]
-    results = _pmap(_train_one_split, payloads, args.jobs)
+    dataset = os.path.basename(os.path.normpath(data_dir))
+    return g, dataset, _pmap(_call_on_split, payloads, jobs)
+
+
+def cmd_train(args) -> int:
+    g, dataset, results = _run_splits(args, train, args.splits, args.jobs)
     rows, best = [], None
     for s, (record, params) in enumerate(results):
         rows.append((dataset, record.seed, s, record.config.layers,
@@ -445,23 +453,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sweep_one_split(payload):
-    g, config, split, k_values, train_kw = payload
-    return depth_sweep(g, config, k_values, split, **train_kw)
-
-
 def cmd_sweep_depth(args) -> int:
-    data_dir = _resolve_data(args.data)
-    g = load_dataset(data_dir, row_normalize=args.row_normalize)
-    config, train_kw = _load_run_config(args)
-    dataset = os.path.basename(os.path.normpath(data_dir))
     k_values = _int_list(args.k_list)
-    payloads = [
-        (g, replace(config, seed=config.seed + s),
-         random_split(g, seed=args.split_seed + s), k_values, train_kw)
-        for s in range(args.splits)
-    ]
-    results = _pmap(_sweep_one_split, payloads, args.jobs)
+    _, dataset, results = _run_splits(args, depth_sweep, args.splits,
+                                      args.jobs, k_values=k_values)
     rows = []
     for s, sweep in enumerate(results):
         for k, record in sweep:
@@ -475,9 +470,9 @@ def cmd_sweep_depth(args) -> int:
 
 
 def cmd_analyze_attention(args) -> int:
-    data_dir = _resolve_data(args.data)
-    g = load_dataset(data_dir, row_normalize=args.row_normalize)
     if args.checkpoint:
+        g = load_dataset(_resolve_data(args.data),
+                         row_normalize=args.row_normalize)
         config, params, n_feat, n_cls = load_checkpoint(args.checkpoint)
         if n_feat != g.n_features or n_cls != g.n_classes:
             raise ValueError(
@@ -485,9 +480,8 @@ def cmd_analyze_attention(args) -> int:
                 f"classes; dataset has {g.n_features} / {g.n_classes}"
             )
     else:
-        config, train_kw = _load_run_config(args)
-        record, params = train(g, config, random_split(g, args.split_seed),
-                               **train_kw)
+        g, _, [(record, params)] = _run_splits(args, train, 1)
+        config = record.config
         print(f"trained to test acc {record.test_accuracy:.4f} "
               f"for the analysis pass")
     summary = attention_analysis(g, params, config)
@@ -501,28 +495,15 @@ def cmd_analyze_attention(args) -> int:
     dominant = summary.diagonal_dominant_count()
     print(f"diagonal-dominant columns: {dominant} of {g.n_classes}")
     print(f"chunk permutation: {summary.permutation.tolist()}")
-    print(f"mixing score: {mixing_score(g, params, config):.4f}")
+    print(f"mixing score: {mixing_score_from_scores(g, summary.avg_scores):.4f}")
     return 0
 
 
-def _ablate_one_split(payload):
-    g, config, grid, split, k_values, train_kw = payload
-    return ablate(g, config, grid, split, k_values=k_values, **train_kw)
-
-
 def cmd_ablate(args) -> int:
-    data_dir = _resolve_data(args.data)
-    g = load_dataset(data_dir, row_normalize=args.row_normalize)
-    config, train_kw = _load_run_config(args)
     grid = [(c, l) for c in _int_list(args.chunks_list)
             for l in _float_list(args.lambda_list)]
-    k_values = _int_list(args.k_list)
-    payloads = [
-        (g, replace(config, seed=config.seed + s), grid,
-         random_split(g, seed=args.split_seed + s), k_values, train_kw)
-        for s in range(args.splits)
-    ]
-    results = _pmap(_ablate_one_split, payloads, args.jobs)
+    _, _, results = _run_splits(args, ablate, args.splits, args.jobs,
+                                grid=grid, k_values=_int_list(args.k_list))
     rows = []
     for cell in range(len(grid)):
         per_split = [result[cell] for result in results]

@@ -34,10 +34,10 @@ class Graph:
     """An undirected graph materialized as directed arcs, plus node data.
 
     arc_src[a] -> arc_dst[a] is one directed arc; both directions of every
-    undirected edge are present. Arcs are sorted by (dst, src) and indptr is
-    the CSR offset array over destinations: arcs with destination i occupy
-    slice indptr[i]:indptr[i+1]. Construction checks that arc_dst and
-    indptr agree, since the model reads destinations from either one.
+    undirected edge are present. Arcs are strictly sorted by (dst, src), so
+    none repeats, and indptr is the CSR offset array over destinations: arcs
+    with destination i occupy slice indptr[i]:indptr[i+1]. Construction
+    enforces this order and these offsets, since the model reads both.
     """
 
     n_nodes: int
@@ -60,6 +60,10 @@ class Graph:
                                                       np.diff(self.indptr))):
             raise ValueError("Graph field 'arc_dst': arcs are not grouped by "
                              "destination in the order indptr gives")
+        keys = self.arc_dst.astype(np.int64) * self.n_nodes + self.arc_src
+        if (keys[1:] <= keys[:-1]).any():
+            raise ValueError("Graph field 'arc_src': arcs are unsorted or "
+                             "repeated within a destination")
 
     @property
     def n_arcs(self) -> int:

@@ -41,8 +41,8 @@ class TrainingDiverged(RuntimeError):
 class TrainRecord:
     """Per-epoch history plus the final verdict of one training run.
 
-    ``test_accuracy`` is always measured with the weights from
-    ``best_epoch`` (highest validation accuracy), not the last epoch.
+    ``test_accuracy`` comes from the eval pass of ``best_epoch`` (highest
+    validation accuracy), whose weights `train` returns, not the last epoch.
     """
 
     train_losses: List[float]
@@ -71,8 +71,9 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
     """Adam on the masked loss with early stopping on validation accuracy.
 
     Stops once validation accuracy has not improved for ``patience``
-    epochs, restores the best-validation weights, and reports test accuracy
-    from those. Fully deterministic for a fixed (graph, config, split).
+    epochs and restores the best-validation weights. Test accuracy is read
+    from the eval logits of that same epoch, so no forward runs after the
+    loop. Fully deterministic for a fixed (graph, config, split).
     Raises TrainingDiverged the moment the loss leaves the reals, or a
     parameter gradient does, before that gradient reaches Adam.
     """
@@ -88,7 +89,7 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
         np.random.SeedSequence(config.seed).spawn(1)[0])
 
     history = ([], [], [], [])  # train loss, val loss, train acc, val acc
-    best_val, best_epoch = -np.inf, -1
+    best_val, best_epoch, best_test = -np.inf, -1, np.nan
     best_weights = None
     for epoch in range(max_epochs):
         adam.zero_grad()
@@ -121,6 +122,7 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
         if history[3][-1] > best_val:
             best_val = history[3][-1]
             best_epoch = epoch
+            best_test = _masked_accuracy(logits.data, g.labels, split.test)
             best_weights = [t.data.copy() for t in params.tensors()]
         if epoch - best_epoch >= patience:
             break
@@ -134,7 +136,7 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
         val_accuracies=history[3],
         best_epoch=best_epoch,
         patience=patience,
-        test_accuracy=evaluate(g, params, config, split.test),
+        test_accuracy=best_test,
         seed=config.seed,
         config=config,
     )
@@ -153,8 +155,8 @@ def evaluate(g: Graph, params: M2mParams, config: M2mConfig,
     node_ids = np.asarray(node_ids, dtype=np.int64)
     if node_ids.size == 0:
         raise ValueError("cannot score an empty node set")
-    pred = predict(g, params, config)
-    return float(np.mean(pred[node_ids] == g.labels[node_ids]))
+    logits = forward(ad.Tape(recording=False), params, g, config).logits.data
+    return _masked_accuracy(logits, g.labels, node_ids)
 
 
 def depth_sweep(g: Graph, config: M2mConfig, k_values: Sequence[int],
@@ -258,11 +260,21 @@ def dominant_columns(matrix: np.ndarray) -> np.ndarray:
 
 
 def _reverse_arc_index(g: Graph) -> np.ndarray:
-    """Index of each arc's opposite-direction twin."""
-    keys = g.arc_src.astype(np.int64) * g.n_nodes + g.arc_dst
-    order = np.argsort(keys, kind="stable")
-    wanted = g.arc_dst.astype(np.int64) * g.n_nodes + g.arc_src
-    return order[np.searchsorted(keys[order], wanted)]
+    """Index of each arc's opposite-direction twin.
+
+    `Graph` holds its arcs sorted by (dst, src), so sorting them by
+    (src, dst) puts the twin of arc a at position a, if every twin exists.
+    """
+    src, dst = g.arc_src, g.arc_dst
+    rev = np.argsort(src.astype(np.int64) * g.n_nodes + dst)
+    bad = np.flatnonzero((src[rev] != dst) | (dst[rev] != src))
+    if bad.size:
+        # at the first mismatch of the two sorted key lists, the smaller
+        # key is absent from the other list
+        a, b = bad[0], rev[bad[0]]
+        a = b if (dst[a], src[a]) > (src[b], dst[b]) else a
+        raise ValueError(f"arc {src[a]}->{dst[a]} has no reverse arc {dst[a]}->{src[a]}")
+    return rev
 
 
 def mixing_score_from_scores(g: Graph, avg_scores: np.ndarray) -> float:

@@ -12,10 +12,10 @@ import os
 import numpy as np
 import pytest
 
-from heterognn import autodiff
+from heterognn import autodiff, training
 from heterognn.cli import main
 from heterognn.graphs import load_dataset
-from heterognn.model import load_checkpoint
+from heterognn.model import forward, load_checkpoint
 from heterognn.signed import expected_gap
 
 SUBCOMMANDS = [
@@ -277,6 +277,26 @@ def test_analyze_attention_writes_class_matrix(tmp_path, capsys):
     values = np.array([float(l.strip().split(",")[2]) for l in lines[1:]])
     np.testing.assert_allclose(values.reshape(2, 2).sum(axis=1), 1.0,
                                atol=1e-9)
+
+
+def test_analyze_attention_runs_one_eval_forward_after_training(
+        tmp_path, capsys, monkeypatch):
+    # train's 2 forwards per epoch, then one eval forward whose scores feed
+    # both the alignment and the mixing score
+    calls = []
+
+    def counting_forward(tape, *args, **kwargs):
+        calls.append(tape.recording)
+        return forward(tape, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", counting_forward)
+    toy = make_toy(tmp_path)
+    code = main(["analyze-attention", "--data", toy, "--hidden", "8",
+                 "--chunks", "2", "--layers", "2", "--max-epochs", "5",
+                 "--patience", "5", "--out", str(tmp_path / "att.csv")])
+    assert code == 0
+    assert "mixing score:" in capsys.readouterr().out
+    assert calls == [True, False] * 5 + [False]
 
 
 def test_analyze_attention_rejects_chunk_mismatch(tmp_path, capsys):

@@ -77,6 +77,17 @@ def test_graph_rejects_arcs_not_grouped_by_destination(tmp_path):
               g.features, g.labels, g.n_classes)
 
 
+@pytest.mark.parametrize("arc_src", [[2, 1, 0, 2, 0, 1],   # shuffled into 0
+                                     [1, 1, 0, 2, 0, 1]])  # 1->0 twice
+def test_graph_rejects_arcs_unsorted_or_repeated_within_a_destination(
+        tmp_path, arc_src):
+    g = load_dataset(triangle(tmp_path))
+    assert g.arc_src.tolist() == [1, 2, 0, 2, 0, 1]
+    with pytest.raises(ValueError, match="'arc_src'"):
+        Graph(g.n_nodes, np.array(arc_src), g.arc_dst, g.indptr, g.features,
+              g.labels, g.n_classes)
+
+
 @pytest.mark.parametrize("field, indptr", [("indptr", [0, 2, 4]),
                                            ("arc_dst", [0, 2, 4, 5])])
 def test_graph_rejects_indptr_that_does_not_fit(tmp_path, field, indptr):

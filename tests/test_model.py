@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from heterognn import autodiff as ad
-from heterognn.graphs import Graph, build_graph
+from heterognn.graphs import build_graph, self_free_undirected_edges
 from heterognn.model import (
     ForwardResult,
     M2mConfig,
@@ -211,19 +211,21 @@ def test_one_hot_scores_route_mass_to_matching_block():
 
 
 def test_arc_order_within_a_node_does_not_change_forward():
+    # Graph enforces (dst, src) arc order, so a node's in-arcs are reordered
+    # by renaming the nodes; the logits must follow the renaming
     g = random_graph(seed=7, n=12, f=4, n_classes=3, p_edge=0.5)
-    rng = np.random.default_rng(2)
-    perm = np.arange(g.n_arcs)
-    for i in range(g.n_nodes):
-        lo, hi = g.indptr[i], g.indptr[i + 1]
-        perm[lo:hi] = lo + rng.permutation(hi - lo)
-    shuffled = Graph(g.n_nodes, g.arc_src[perm], g.arc_dst[perm], g.indptr,
-                     g.features, g.labels, g.n_classes)
+    new_id = np.random.default_rng(2).permutation(g.n_nodes)
+    old_id = np.argsort(new_id)
+    edges = self_free_undirected_edges(g)
+    renamed = build_graph(g.n_nodes, new_id[edges], g.features[old_id],
+                          g.labels[old_id], g.n_classes)
+    assert any(not np.array_equal(old_id[renamed.in_neighbors(new_id[i])],
+                                  g.in_neighbors(i)) for i in range(g.n_nodes))
     cfg = tiny_config(hidden=9, chunks=3, layers=2)
     params = init_params(cfg, g.n_features, g.n_classes)
     a = forward(ad.Tape(), params, g, cfg).logits.data
-    b = forward(ad.Tape(), params, shuffled, cfg).logits.data
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    b = forward(ad.Tape(), params, renamed, cfg).logits.data
+    np.testing.assert_allclose(a, b[new_id], atol=1e-12)
 
 
 def test_beta_zero_makes_output_graph_independent():

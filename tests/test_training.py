@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from heterognn import autodiff as ad
+from heterognn import training
 from heterognn.graphs import Graph, Split, build_graph, random_split
-from heterognn.model import M2mConfig, init_params, one_hot_arc_scores
+from heterognn.model import M2mConfig, forward, init_params, one_hot_arc_scores
 from heterognn.training import (
     TrainingDiverged,
     ablate,
@@ -134,6 +135,22 @@ def test_only_the_training_forward_records_a_tape(monkeypatch):
     average_scores(g, params, cfg)
     assert record.n_epochs == 6
     assert sum(flags) == record.n_epochs
+
+
+def test_train_runs_one_recording_and_one_eval_forward_per_epoch(monkeypatch):
+    # test accuracy comes from the best epoch's eval logits, so no forward
+    # runs once the loop is done
+    calls = []
+
+    def counting_forward(tape, *args, **kwargs):
+        calls.append(tape.recording)
+        return forward(tape, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", counting_forward)
+    g = separable_graph(seed=4)
+    record, _ = train(g, quick_config(), random_split(g, seed=1),
+                      max_epochs=40, patience=3)
+    assert calls == [True, False] * record.n_epochs
 
 
 def test_dropout_stream_is_independent_of_the_initial_weights(monkeypatch):
@@ -352,18 +369,29 @@ def test_mixing_without_heterophilic_edges_is_nan_with_warning():
 
 
 def test_mixing_is_direction_symmetric():
+    # handing each arc its twin's scores leaves the score unchanged, and both
+    # match a per-edge count that finds twins by (src, dst) lookup
     g = mixed_graph(seed=19, n=16, n_classes=2, p_edge=0.4)
-    rng = np.random.default_rng(2)
-    scores = rng.dirichlet(np.ones(3), size=g.n_arcs)
-    base = mixing_score_from_scores(g, scores)
+    scores = np.random.default_rng(2).dirichlet(np.ones(3), size=g.n_arcs)
+    arcs = list(zip(g.arc_src.tolist(), g.arc_dst.tolist()))
+    index = {arc: a for a, arc in enumerate(arcs)}
+    twin = np.array([index[d, s] for s, d in arcs])
+    chunk = np.argmax(scores, axis=1)
+    want = np.mean([chunk[a] != chunk[twin[a]] for a, (s, d) in enumerate(arcs)
+                    if s < d and g.labels[s] != g.labels[d]])
+    assert mixing_score_from_scores(g, scores) == want
+    assert mixing_score_from_scores(g, scores[twin]) == want
 
-    perm = np.arange(g.n_arcs)
-    for i in range(g.n_nodes):
-        lo, hi = g.indptr[i], g.indptr[i + 1]
-        perm[lo:hi] = lo + rng.permutation(hi - lo)
-    shuffled = Graph(g.n_nodes, g.arc_src[perm], g.arc_dst[perm], g.indptr,
-                     g.features, g.labels, g.n_classes)
-    assert mixing_score_from_scores(shuffled, scores[perm]) == base
+
+@pytest.mark.parametrize("arcs, indptr, missing", [
+    ([(1, 0), (0, 1), (0, 2)], [0, 1, 2, 3], "arc 0->2 has no reverse arc 2->0"),
+    ([(1, 0), (2, 0), (0, 1)], [0, 2, 3, 3], "arc 2->0 has no reverse arc 0->2"),
+])
+def test_mixing_names_a_missing_reverse_arc(arcs, indptr, missing):
+    src, dst = np.array(arcs).T
+    g = Graph(3, src, dst, np.array(indptr), np.eye(3), np.array([0, 1, 1]), 2)
+    with pytest.raises(ValueError, match=missing):
+        mixing_score_from_scores(g, np.full((3, 2), 0.5))
 
 
 # ---- ablation ----------------------------------------------------------------
