@@ -62,20 +62,62 @@ def _scatter_rows(ids, values, n):
     return sp.csr_matrix((np.ones(k), (ids, np.arange(k))), shape=(n, k)) @ values
 
 
-def _softmax(x, temperature):
-    """Row softmax of x / temperature, shifted by the row max."""
+def _softmax(z, temperature, axis):
+    """Softmax of z / temperature along axis, shifted by the max.
+
+    Works in place: z is overwritten with the result and returned.
+    """
     if not temperature > 0.0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    z = x / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    z /= temperature
+    z -= z.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
 
 
-def _softmax_backward(g, s, temperature):
+def _softmax_backward(g, s, temperature, axis):
     """Gradient of the input of _softmax from g, the gradient of its output s."""
-    inner = (g * s).sum(axis=1, keepdims=True)
-    return (g - inner) * s / temperature
+    inner = (g * s).sum(axis=axis, keepdims=True)
+    d = g - inner
+    d *= s
+    d /= temperature
+    return d
+
+
+def _layer_norm(x, gain: Tensor, bias: Tensor):
+    """LayerNorm of the rows of x: (xhat * gain + bias, xhat, inv_std).
+
+    xhat is x standardized per row, with the population variance and
+    epsilon 1e-5 under the square root; x is left untouched.
+    """
+    d = x.shape[1]
+    if gain.data.shape != (1, d) or bias.data.shape != (1, d):
+        raise ValueError("layer_norm affine parameters must be 1 x d")
+    xhat = x - x.mean(axis=1, keepdims=True)
+    var = (xhat * xhat).mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat *= inv_std
+    out = xhat * gain.data
+    out += bias.data
+    return out, xhat, inv_std
+
+
+def _layer_norm_backward(dxhat, xhat, inv_std):
+    """Gradient of the x of _layer_norm, given dxhat, the gradient of its xhat."""
+    # standard layer-norm backward, fused form
+    term = dxhat - dxhat.mean(axis=1, keepdims=True)
+    term -= xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+    term *= inv_std
+    return term
+
+
+def _affine_backward(g, xhat, gain: Tensor, bias: Tensor):
+    """Gradients of gain and bias in out = xhat * gain + bias."""
+    if gain.requires_grad:
+        _accum(gain, (g * xhat).sum(axis=0, keepdims=True))
+    if bias.requires_grad:
+        _accum(bias, g.sum(axis=0, keepdims=True))
 
 
 def _accum(t: Tensor, g):
@@ -247,10 +289,14 @@ class Tape:
         """Per-arc scores softmax(ReLU(alpha * h[arc_dst] + h[arc_src]) @ w_att).
 
         Equal bit for bit to the chain row_gather, row_gather, scale, add,
-        relu, matmul, row_softmax, recorded as one node. It keeps the
-        (arcs, w) ReLU output and the (arcs, C) scores for the backward, which
-        runs the softmax, then w_att's gradient, then the ReLU mask, and
-        returns h's gradient as one sparse product with alpha at
+        relu, matmul, row_softmax, recorded as one node, for fewer than eight
+        chunks; from eight on, numpy sums each row of the chain's softmax
+        pairwise and the two may differ in the last bits. The softmax and its
+        backward run on chunk-major (C, arcs) copies, so each reduction adds
+        C long rows instead of arcs short ones. It keeps the (arcs, w) ReLU
+        output for the backward, and reads the scores from its own output;
+        the backward runs the softmax, then w_att's gradient, then the ReLU
+        mask, and returns h's gradient as one sparse product with alpha at
         (arc_dst[a], a) and 1 at (arc_src[a], a).
         """
         src = np.asarray(arc_src, dtype=np.int64)
@@ -269,11 +315,13 @@ class Tape:
         act *= alpha
         act += h.data[src]
         np.maximum(act, 0.0, out=act)
-        s = _softmax(act @ w_att.data, temperature)
-        out = Tensor(s)
+        out = Tensor(_softmax(np.ascontiguousarray((act @ w_att.data).T),
+                              temperature, 0).T)
 
         def back(g):
-            dz = _softmax_backward(g, s, temperature)
+            dz = np.ascontiguousarray(_softmax_backward(
+                np.ascontiguousarray(g.T), np.ascontiguousarray(out.data.T),
+                temperature, 0).T)
             if w_att.requires_grad:
                 _accum(w_att, act.T @ dz)
             if h.requires_grad:
@@ -317,12 +365,12 @@ class Tape:
     # ---- normalization / regularization ops --------------------------------
 
     def row_softmax(self, x: Tensor, temperature: float = 1.0) -> Tensor:
-        s = _softmax(x.data, temperature)
+        s = _softmax(x.data.copy(), temperature, 1)
         out = Tensor(s)
 
         def back(g):
             if x.requires_grad:
-                _accum(x, _softmax_backward(g, s, temperature))
+                _accum(x, _softmax_backward(g, s, temperature, 1))
 
         return self._emit(out, (x,), back)
 
@@ -330,31 +378,47 @@ class Tape:
         """Per-row standardization followed by a learned affine map.
 
         gain and bias are 1 x d and broadcast over rows; variance uses the
-        population convention with epsilon 1e-5 under the square root.
+        population convention with epsilon 1e-5 under the square root. The
+        model's layers use `residual_norm`, which ends in the same map.
         """
-        d = x.data.shape[1]
-        if gain.data.shape != (1, d) or bias.data.shape != (1, d):
-            raise ValueError("layer_norm affine parameters must be 1 x d")
-        mu = x.data.mean(axis=1, keepdims=True)
-        centered = x.data - mu
-        var = (centered * centered).mean(axis=1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-        xhat = centered * inv_std
-        out = Tensor(xhat * gain.data + bias.data)
+        out, xhat, inv_std = _layer_norm(x.data, gain, bias)
 
         def back(g):
-            if gain.requires_grad:
-                _accum(gain, (g * xhat).sum(axis=0, keepdims=True))
-            if bias.requires_grad:
-                _accum(bias, g.sum(axis=0, keepdims=True))
+            _affine_backward(g, xhat, gain, bias)
             if x.requires_grad:
-                dxhat = g * gain.data
-                # standard layer-norm backward, fused form
-                term = dxhat - dxhat.mean(axis=1, keepdims=True)
-                term -= xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-                _accum(x, term * inv_std)
+                _accum(x, _layer_norm_backward(g * gain.data, xhat, inv_std))
 
-        return self._emit(out, (x, gain, bias), back)
+        return self._emit(Tensor(out), (x, gain, bias), back)
+
+    def residual_norm(self, h0: Tensor, message: Tensor, beta: float,
+                      gain: Tensor, bias: Tensor) -> Tensor:
+        """layer_norm(relu((1 - beta) * h0 + beta * message), gain, bias).
+
+        Equal bit for bit to the chain scale, scale, add, relu, layer_norm,
+        recorded as one node. The backward keeps the standardized rows, the
+        per-row 1/std and the ReLU mask; no other (N, d) array is kept.
+        """
+        if h0.data.shape != message.data.shape:
+            raise ValueError(f"residual_norm shape mismatch: {h0.data.shape} "
+                             f"vs {message.data.shape}")
+        beta = float(beta)
+        mix = h0.data * (1.0 - beta)
+        mix += message.data * beta
+        np.maximum(mix, 0.0, out=mix)
+        active = mix > 0.0
+        out, xhat, inv_std = _layer_norm(mix, gain, bias)
+
+        def back(g):
+            _affine_backward(g, xhat, gain, bias)
+            if h0.requires_grad or message.requires_grad:
+                d_mix = _layer_norm_backward(g * gain.data, xhat, inv_std)
+                d_mix *= active
+                if h0.requires_grad:
+                    _accum(h0, d_mix * (1.0 - beta))
+                if message.requires_grad:
+                    _accum(message, d_mix * beta)
+
+        return self._emit(Tensor(out), (h0, message, gain, bias), back)
 
     def dropout(self, x: Tensor, keep_prob: float, rng: np.random.Generator) -> Tensor:
         """Inverted dropout: surviving entries are scaled by 1/keep_prob."""

@@ -151,9 +151,15 @@ def _write_sidecar(out_path: str, args):
 
 
 def _pmap(fn, items, jobs: int):
-    if jobs <= 1:
+    """[fn(item) for item in items], in at most one process per item.
+
+    A fork-started pool launches all of its workers at the first submit, so
+    the pool is sized to the items, and one item runs in this process.
+    """
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

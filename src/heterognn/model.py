@@ -7,7 +7,9 @@ The residual always returns to the encoder output, so depth cannot wash out
 the input signal, and a chunk-balance penalty weighted by ``reg_strength``
 pushes the chunk mass toward balance across arcs. Everything runs on the
 reverse-mode tape from `heterognn.autodiff`, so a single backward call trains
-the whole stack.
+the whole stack. A training layer records five tape nodes: dropout, the
+projection, the scores (`Tape.arc_attention`), the chunk sums
+(`Tape.chunk_sum`) and the residual LayerNorm (`Tape.residual_norm`).
 """
 
 import json
@@ -165,10 +167,11 @@ def layer_update(tape, h0: ad.Tensor, message: ad.Tensor, beta: float,
     """LayerNorm(ReLU((1-beta) * h0 + beta * message)).
 
     The skip always points at the encoder output, not the previous layer, so
-    stacking layers cannot erase the input features.
+    stacking layers cannot erase the input features. One fused tape op
+    (`Tape.residual_norm`); it keeps the standardized rows, their 1/std and
+    the ReLU mask for the backward.
     """
-    mix = tape.add(tape.scale(h0, 1.0 - beta), tape.scale(message, beta))
-    return tape.layer_norm(tape.relu(mix), gain, bias)
+    return tape.residual_norm(h0, message, beta, gain, bias)
 
 
 @dataclass

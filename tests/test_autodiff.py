@@ -358,6 +358,73 @@ def test_layer_norm_standardizes_rows():
     np.testing.assert_allclose(out.data.std(axis=1), 1.0, atol=1e-3)
 
 
+def residual_norm_chain(t, h0, message, beta, gain, bias):
+    """The five-op chain that Tape.residual_norm fuses."""
+    mix = t.add(t.scale(h0, 1.0 - beta), t.scale(message, beta))
+    return t.layer_norm(t.relu(mix), gain, bias)
+
+
+@pytest.mark.parametrize("rows,width", [(3000, 80), (4, 6)])
+def test_residual_norm_matches_the_chain_bit_for_bit(rows, width):
+    rng = np.random.default_rng(rows)
+    arrays_in = [rng.normal(size=(rows, width)), rng.normal(size=(rows, width)),
+                 rng.uniform(0.5, 1.5, size=(1, width)), rng.normal(size=(1, width))]
+    upstream = constant(rng.normal(size=(rows, width)))
+    results = []
+    for op in (Tape.residual_norm, residual_norm_chain):
+        t = Tape()
+        leaves = [parameter(a.copy()) for a in arrays_in]
+        h0, message, gain, bias = leaves
+        out = op(t, h0, message, 0.6, gain, bias)
+        t.backward(t.sum_all(t.mul(out, upstream)))
+        results.append([out.data] + [p.grad for p in leaves])
+    for fused, chain in zip(*results):
+        assert np.array_equal(fused, chain)
+
+
+def test_residual_norm_rejects_mismatched_inputs():
+    t = Tape()
+    ones = constant(np.ones((1, 4)))
+    with pytest.raises(ValueError):
+        t.residual_norm(constant(np.ones((3, 4))), constant(np.ones((2, 4))), 0.5,
+                        ones, ones)
+    with pytest.raises(ValueError):
+        t.residual_norm(constant(np.ones((3, 4))), constant(np.ones((3, 4))), 0.5,
+                        constant(np.ones((1, 3))), ones)
+
+
+def arc_attention_chain(t, h, w_att, src, dst, alpha, temperature):
+    """The seven-op chain that Tape.arc_attention fuses."""
+    pre = t.add(t.scale(t.row_gather(h, dst), alpha), t.row_gather(h, src))
+    return t.row_softmax(t.matmul(t.relu(pre), w_att), temperature)
+
+
+@pytest.mark.parametrize("chunks", [3, 10])
+def test_arc_attention_forward_matches_the_chain(chunks):
+    # bit for bit below eight chunks; from eight on numpy sums a row of
+    # the chain's row_softmax pairwise, so only the last bits may differ
+    rng = np.random.default_rng(chunks)
+    h, w_att = rng.normal(size=(500, 16)), rng.normal(size=(16, chunks))
+    src, dst = rng.integers(0, 500, 3000), np.sort(rng.integers(0, 500, 3000))
+    got = Tape(recording=False).arc_attention(constant(h), constant(w_att), src,
+                                              dst, 0.5, 0.5).data
+    want = arc_attention_chain(Tape(recording=False), constant(h), constant(w_att),
+                               src, dst, 0.5, 0.5).data
+    if chunks < 8:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def test_arc_attention_forward_matches_the_chain_on_the_gradcheck_graph():
+    _, (h, w_att) = CASES["arc_attention"]
+    src, dst = [1, 0, 2, 3, 1, 1], [0, 1, 1, 1, 2, 3]
+    got = Tape().arc_attention(constant(h), constant(w_att), src, dst, 0.6, 0.8)
+    want = arc_attention_chain(Tape(), constant(h), constant(w_att), src, dst,
+                               0.6, 0.8)
+    assert np.array_equal(got.data, want.data)
+
+
 def test_dropout_keep_one_is_identity():
     t = Tape()
     x = constant([[1.0, 2.0, 3.0]])
@@ -521,6 +588,10 @@ def _build_cases():
         scores = t.arc_attention(h, w, [1, 0, 2, 3, 1, 1], [0, 1, 1, 1, 2, 3],
                                  alpha=0.6, temperature=0.8)
         return t.l2_norm_sq(scores)
+
+    @case("residual_norm", [(4, 6), (4, 6), (1, 6), (1, 6)])
+    def _(t, h0, m, g, b):
+        return t.l2_norm_sq(t.residual_norm(h0, m, 0.6, g, b))
 
     return cases
 

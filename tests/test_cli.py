@@ -8,11 +8,12 @@ leading `#` timestamp comment is dropped.
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from heterognn import autodiff, training
+from heterognn import autodiff, cli, training
 from heterognn.cli import main
 from heterognn.graphs import load_dataset
 from heterognn.model import forward, load_checkpoint
@@ -349,6 +350,36 @@ def test_parallel_train_saves_the_same_checkpoint_bytes(tmp_path):
                                ["--jobs", jobs, "--save-checkpoint", ckpt])) == 0
         blobs.append([open(ckpt + ext, "rb").read() for ext in (".json", ".bin")])
     assert blobs[0] == blobs[1]
+
+
+def test_process_pool_is_sized_to_the_items(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "futures",
+                        SimpleNamespace(ProcessPoolExecutor=RecordingPool))
+    assert cli._pmap(abs, [-1, -2, -3], 8) == [1, 2, 3]
+    assert cli._pmap(abs, [-4], 8) == [4]
+    assert cli._pmap(abs, [], 8) == []
+    assert cli._pmap(abs, [-5, -6], 1) == [5, 6]
+    assert sizes == [3]
+    toy = make_toy(tmp_path)
+    assert main(train_args(toy, str(tmp_path / "acc.csv"), ["--jobs", "8"])) == 0
+    assert sizes == [3, 2]  # two splits, two workers
 
 
 def test_ablate_writes_grid_rows(tmp_path, capsys):

@@ -403,6 +403,19 @@ def test_eval_forward_is_deterministic_and_dropout_is_not():
     assert not np.array_equal(t1, t2)
 
 
+def test_training_layer_records_five_tape_nodes():
+    # dropout, projection, scores, chunk sums and the residual LayerNorm
+    g = random_graph(seed=16)
+    counts = []
+    for layers in (2, 3):
+        cfg = tiny_config(keep_prob=0.6, layers=layers)
+        tape = ad.Tape()
+        forward(tape, init_params(cfg, g.n_features, g.n_classes), g, cfg,
+                training=True, rng=np.random.default_rng(0))
+        counts.append(len(tape._nodes))
+    assert counts[1] - counts[0] == 5
+
+
 # ---- persistence and scaling -------------------------------------------------
 
 
