@@ -1,12 +1,18 @@
 """Graph data model, TSV dataset ingestion, random splits, and homophily.
 
-On-disk format (one directory per dataset, UTF-8, tab-separated, '\\n' line
-endings, lines starting with '#' ignored):
+On-disk format (one directory per dataset, UTF-8, tab-separated, '\\n' or
+'\\r\\n' line endings). Empty lines and comment lines, those *starting* with
+'#', are skipped; a '#' later in a line is not a comment.
 
     edges.tsv     one undirected edge per line: "<u>\\t<v>"
     features.tsv  one row of d reals per node, node id = line order
     labels.tsv    one integer class id per node
     meta.json     optional, {"n_classes": C}; otherwise C = max label + 1
+
+Numbers are ASCII, optionally signed and space-padded: integers are decimal
+digits; reals also take a fraction, an exponent, "nan" and "inf" (which the
+loader then rejects as non-finite). Underscore digit groups ("6_0") and
+non-ASCII digits are rejected.
 
 The loaded graph stores every undirected edge as two directed arcs and keeps
 a CSR index over arc destinations so per-node in-neighbor slices are cheap.
@@ -16,6 +22,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -116,14 +123,42 @@ def build_graph(n_nodes, undirected_edges, features, labels, n_classes) -> Graph
     return Graph(int(n_nodes), src, dst, indptr, features, labels, int(n_classes))
 
 
-def _data_lines(path):
-    """Yield (line_number, stripped_text) for content lines of a TSV file."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.rstrip("\n")
-            if not text or text.startswith("#"):
-                continue
-            yield lineno, text
+def _read_table(path, dtype, what, width=None):
+    """Parse the content lines of a TSV file into a 2-D `dtype` array.
+
+    Returns the array and the physical line number of each of its rows.
+    width is the required column count; None takes it from the first row.
+    what ends the message for a row that does not parse as `dtype`. Every
+    malformed case raises DatasetFormatError naming the file, and the line
+    when one line is at fault.
+    """
+    try:
+        # universal newlines: "\n", "\r\n" and "\r" all end a line
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    numbers = [i for i, line in enumerate(lines, 1) if line and line[0] != "#"]
+    rows = [lines[i - 1] for i in numbers]
+    if not rows:  # loadtxt would warn that the input holds no data
+        return np.empty((0, width or 0), dtype=dtype), numbers
+    tabs = [row.count("\t") for row in rows]
+    width = width or tabs[0] + 1
+    if tabs.count(width - 1) != len(tabs):
+        bad = next(i for i, n in enumerate(tabs) if n != width - 1)
+        raise DatasetFormatError(f"{path}:{numbers[bad]}: expected {width} "
+                                 f"columns, got {tabs[bad] + 1}")
+    parse = partial(np.loadtxt, delimiter="\t", dtype=dtype, ndmin=2, comments=None)
+    try:
+        return parse(rows), numbers
+    except ValueError as exc:
+        # loadtxt counts data rows, not file lines: find the line by re-parsing
+        for number, row in zip(numbers, rows):
+            try:
+                parse([row])
+            except ValueError:
+                raise DatasetFormatError(f"{path}:{number}: {what}") from None
+        raise DatasetFormatError(f"{path}: {exc}") from None
 
 
 def load_dataset(path, row_normalize=False) -> Graph:
@@ -140,24 +175,10 @@ def load_dataset(path, row_normalize=False) -> Graph:
         if not os.path.isfile(p):
             raise DatasetFormatError(f"missing required file: {p}")
 
-    features, feature_lines = [], []
-    width = None
-    for lineno, text in _data_lines(feats_path):
-        parts = text.split("\t")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise DatasetFormatError(
-                f"{feats_path}:{lineno}: expected {width} columns, got {len(parts)}"
-            )
-        try:
-            features.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise DatasetFormatError(f"{feats_path}:{lineno}: {exc}") from None
-        feature_lines.append(lineno)
-    if not features:
+    features, feature_lines = _read_table(feats_path, np.float64,
+                                          "features must be real numbers")
+    if not len(features):
         raise DatasetFormatError(f"{feats_path}: no feature rows")
-    features = np.asarray(features, dtype=np.float64)
     finite = np.isfinite(features)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -167,25 +188,25 @@ def load_dataset(path, row_normalize=False) -> Graph:
         )
     n_nodes = features.shape[0]
 
-    labels = []
-    for lineno, text in _data_lines(labels_path):
-        try:
-            labels.append(int(text.strip()))
-        except ValueError:
-            raise DatasetFormatError(
-                f"{labels_path}:{lineno}: labels must be integers"
-            ) from None
+    labels, _ = _read_table(labels_path, np.int64, "labels must be integers", 1)
+    labels = labels[:, 0]
     if len(labels) != n_nodes:
         raise DatasetFormatError(
             f"{labels_path}: {len(labels)} labels for {n_nodes} feature rows"
         )
-    labels = np.asarray(labels, dtype=np.int64)
 
     n_classes = None
     meta_path = os.path.join(path, "meta.json")
     if os.path.isfile(meta_path):
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
+        try:
+            with open(meta_path, encoding="utf-8") as fh:
+                meta = json.load(fh)
+        except ValueError as exc:  # JSON syntax or UTF-8 decoding
+            raise DatasetFormatError(f"{meta_path}: not valid JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise DatasetFormatError(
+                f"{meta_path}: expected a JSON object, got {type(meta).__name__}"
+            )
         n_classes = meta.get("n_classes")
         if n_classes is not None and (type(n_classes) is not int or n_classes < 1):
             raise DatasetFormatError(
@@ -193,50 +214,35 @@ def load_dataset(path, row_normalize=False) -> Graph:
                 f"got {n_classes!r}"
             )
     if n_classes is None:
-        n_classes = int(labels.max()) + 1 if n_nodes else 0
+        n_classes = int(labels.max()) + 1
     if labels.min() < 0 or labels.max() >= n_classes:
         bad = int(np.argmax((labels < 0) | (labels >= n_classes)))
         raise DatasetFormatError(
             f"{labels_path}: label {labels[bad]} of node {bad} outside [0, {n_classes})"
         )
 
-    seen = set()
-    edges = []
-    n_self = 0
-    for lineno, text in _data_lines(edges_path):
-        parts = text.split("\t")
-        if len(parts) != 2:
-            raise DatasetFormatError(
-                f"{edges_path}:{lineno}: expected two columns, got {len(parts)}"
-            )
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DatasetFormatError(
-                f"{edges_path}:{lineno}: endpoints must be integers"
-            ) from None
-        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-            raise DatasetFormatError(
-                f"{edges_path}:{lineno}: endpoint outside [0, {n_nodes})"
-            )
-        if u == v:
-            n_self += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append(key)
-    if n_self:
-        warnings.warn(f"{edges_path}: dropped {n_self} self-loop line(s)")
+    edges, edge_lines = _read_table(edges_path, np.int64,
+                                    "endpoints must be integers", 2)
+    outside = ((edges < 0) | (edges >= n_nodes)).any(axis=1)
+    if outside.any():
+        raise DatasetFormatError(
+            f"{edges_path}:{edge_lines[np.argmax(outside)]}: endpoint outside "
+            f"[0, {n_nodes})"
+        )
+    loops = edges[:, 0] == edges[:, 1]
+    if loops.any():
+        warnings.warn(f"{edges_path}: dropped {loops.sum()} self-loop line(s)")
+    edges = edges[~loops]
+    # one key per undirected edge, u < v, so duplicates and reversals collapse
+    keys = np.unique(edges.min(axis=1) * n_nodes + edges.max(axis=1))
 
     if row_normalize:
         mass = np.abs(features).sum(axis=1, keepdims=True)
         nonzero = mass[:, 0] > 0
         features[nonzero] /= mass[nonzero]
 
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return build_graph(n_nodes, edges, features, labels, n_classes)
+    return build_graph(n_nodes, np.stack(np.divmod(keys, n_nodes), axis=1),
+                       features, labels, n_classes)
 
 
 def save_dataset(path, g: Graph, arc_signs=None):
@@ -252,8 +258,8 @@ def save_dataset(path, g: Graph, arc_signs=None):
         for u, v in und:
             fh.write(f"{u}\t{v}\n")
     with open(os.path.join(path, "features.tsv"), "w", encoding="utf-8", newline="") as fh:
-        for row in g.features:
-            fh.write("\t".join(repr(float(v)) for v in row) + "\n")
+        for row in g.features.tolist():
+            fh.write("\t".join(map(repr, row)) + "\n")
     with open(os.path.join(path, "labels.tsv"), "w", encoding="utf-8", newline="") as fh:
         for y in g.labels:
             fh.write(f"{int(y)}\n")

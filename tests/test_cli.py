@@ -77,6 +77,18 @@ def test_fractional_n_classes_exits_1(tmp_path, capsys):
     assert "meta.json: field 'n_classes'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, data", [("meta.json", b"{bad"),
+                                        ("meta.json", b"[3]"),
+                                        ("edges.tsv", b"0\t1\n1\t\xff2\n")])
+def test_unreadable_dataset_file_exits_1_naming_it(tmp_path, capsys, name, data):
+    toy = make_toy(tmp_path)
+    with open(os.path.join(toy, name), "wb") as fh:
+        fh.write(data)
+    capsys.readouterr()
+    assert main(["dataset-info", toy]) == 1
+    assert f"error: {os.path.join(toy, name)}: " in capsys.readouterr().err
+
+
 def test_non_finite_feature_exits_1_before_training(tmp_path, capsys):
     toy = make_toy(tmp_path)
     path = os.path.join(toy, "features.tsv")

@@ -1,5 +1,8 @@
 """Dataset loading, serialization round-trips, splits, and homophily."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,8 +37,6 @@ def write_dataset(root, edges, features, labels, meta=None, comments=False):
         "\n".join(str(y) for y in labels) + "\n", encoding="utf-8"
     )
     if meta is not None:
-        import json
-
         (root / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
     return root
 
@@ -160,6 +161,168 @@ def test_non_finite_feature_names_line(tmp_path, value):
                                        encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="features.tsv:3: feature 1"):
         load_dataset(root)
+
+
+@pytest.mark.parametrize("token", ["abc", "6_0", "１", ""])
+def test_bad_feature_token_names_its_physical_line(tmp_path, token):
+    # underscore-grouped and non-ASCII digits are rejected, as loadtxt does
+    root = triangle(tmp_path)
+    (root / "features.tsv").write_text(f"# x y\n1.0\t2.0\n\n3.0\t{token}\n4.0\t5.0\n",
+                                       encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="features.tsv:4: "):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("labels.tsv", "# y\n0\n1.5\n1\n"),
+    ("labels.tsv", "0\n\n1_0\n1\n"),
+    ("labels.tsv", "0\n\n99999999999999999999\n1\n"),  # beyond int64
+    ("edges.tsv", "# u v\n0\t1\nx\t2\n"),
+    ("edges.tsv", "0\t1\n\n1\t2.0\n"),
+])
+def test_non_integer_label_or_endpoint_names_its_line(tmp_path, name, text):
+    root = triangle(tmp_path)
+    (root / name).write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=f"{name}:3: .* must be integers"):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize("name, text", [("labels.tsv", "0\n1\t1\n1\n"),
+                                        ("edges.tsv", "0\t1\n1\t2\t0\n")])
+def test_ragged_label_or_edge_row_names_its_line(tmp_path, name, text):
+    root = triangle(tmp_path)
+    (root / name).write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=f"{name}:2: expected"):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize("text", ["", "# no edges\n", "\n# none\n\n"])
+def test_edgeless_dataset_loads_without_a_warning(tmp_path, text):
+    root = triangle(tmp_path)
+    (root / "edges.tsv").write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = load_dataset(root)
+    assert g.n_arcs == 0
+    assert g.indptr.tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("name", ["edges.tsv", "features.tsv", "labels.tsv"])
+def test_non_utf8_table_names_the_file(tmp_path, name):
+    root = triangle(tmp_path)
+    with open(root / name, "ab") as fh:
+        fh.write(b"1\t\xff\n")
+    with pytest.raises(DatasetFormatError, match=f"{name}: not UTF-8"):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize("text, match", [("{bad", "not valid JSON"),
+                                         (b"\xff", "not valid JSON"),
+                                         ("[3]", "expected a JSON object, got list"),
+                                         ("2", "expected a JSON object, got int")])
+def test_meta_that_is_not_a_json_object_names_the_file(tmp_path, text, match):
+    root = triangle(tmp_path)
+    path = root / "meta.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(DatasetFormatError, match=rf"meta\.json: {match}"):
+        load_dataset(root)
+
+
+def reference_load(root, row_normalize):
+    """Line-by-line loader: float()/int() per token, a set for duplicate
+    edges. Returns the graph and the self-loop warning text, or None."""
+
+    def content(name):
+        with open(root / name, encoding="utf-8", newline="") as fh:
+            lines = [raw.rstrip("\r\n") for raw in fh]
+        return [line for line in lines if line and not line.startswith("#")]
+
+    features = np.array([[float(v) for v in line.split("\t")]
+                         for line in content("features.tsv")])
+    labels = np.array([int(line) for line in content("labels.tsv")], dtype=np.int64)
+    n = len(labels)
+    n_classes = int(labels.max()) + 1
+    if (root / "meta.json").exists():
+        n_classes = json.loads((root / "meta.json").read_text())["n_classes"]
+    seen, n_self = set(), 0
+    for line in content("edges.tsv"):
+        u, v = (int(t) for t in line.split("\t"))
+        if u == v:
+            n_self += 1
+        else:
+            seen.add((min(u, v), max(u, v)))
+    if row_normalize:
+        mass = np.abs(features).sum(axis=1, keepdims=True)
+        nonzero = mass[:, 0] > 0
+        features[nonzero] /= mass[nonzero]
+    warning = f"dropped {n_self} self-loop line(s)" if n_self else None
+    return build_graph(n, sorted(seen), features, labels, n_classes), warning
+
+
+# bounded so that an L1 row mass cannot overflow under row_normalize
+reals = st.floats(-1e300, 1e300)
+feature_tokens = st.one_of(
+    reals.map(repr),
+    reals.map(lambda x: f"{x:.17g}"),
+    reals.map(lambda x: f"{x:.3e}"),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["-0", "+1", ".5", "5.", "1E+2", " 2.5 "]),
+)
+
+
+@st.composite
+def tsv_datasets(draw):
+    """(files, row_normalize): a dataset directory's file texts with comment
+    and blank lines, CRLF or LF endings, and raw edges that may repeat,
+    reverse or loop."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 4))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    node = st.integers(0, n - 1)
+
+    def lines(rows):
+        out = []
+        for row in rows:
+            out += draw(st.lists(st.sampled_from(["", "#", "# a\tb", "#1.0"]),
+                                 max_size=2))
+            out.append(row)
+        tail = newline if draw(st.booleans()) else ""
+        return newline.join(out) + tail
+
+    features = [
+        "\t".join(draw(st.lists(feature_tokens, min_size=d, max_size=d)))
+        for _ in range(n)
+    ]
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    files = {
+        "features.tsv": lines(features),
+        "labels.tsv": lines([str(y) for y in labels]),
+        "edges.tsv": lines([f"{u}\t{v}" for u, v in edges]),
+    }
+    if draw(st.booleans()):
+        files["meta.json"] = json.dumps({"n_classes": n_classes})
+    return files, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tsv_datasets())
+def test_load_matches_the_line_by_line_reference(tmp_path_factory, case):
+    files, row_normalize = case
+    root = tmp_path_factory.mktemp("ds")
+    for name, text in files.items():
+        (root / name).write_bytes(text.encode("utf-8"))
+    expected, warning = reference_load(root, row_normalize)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = load_dataset(root, row_normalize=row_normalize)
+    messages = [str(w.message) for w in caught]
+    assert messages == ([f"{root / 'edges.tsv'}: {warning}"] if warning else [])
+    assert np.array_equal(g.features.view(np.uint64), expected.features.view(np.uint64))
+    for field in ("labels", "arc_src", "arc_dst", "indptr"):
+        assert np.array_equal(getattr(g, field), getattr(expected, field)), field
+    assert g.n_classes == expected.n_classes
 
 
 def test_n_classes_inferred_and_overridden(tmp_path):
