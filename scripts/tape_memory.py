@@ -1,0 +1,135 @@
+"""Memory held by the training tape, and the peak RSS of one training epoch.
+
+Builds a random graph of the ``train-large`` benchmark's shape (by default
+3000 nodes, 15000 undirected edges, 200 features, 5 classes) and, with the
+shipped texas config, prints one JSON line per depth K = 2, 8, 32:
+
+* ``retained_mib``: tracemalloc bytes a training tape holds once
+  ``forward`` and ``total_loss`` have run, that is what the backward pass
+  can read;
+* ``b_per_arc_layer``: the growth of that figure per added layer and arc,
+  (retained(K) - retained(2)) / ((K - 2) * arcs), null at K = 2;
+* ``peak_rss_mib``: peak resident memory of a fresh process (imports and
+  the graph included) that runs ``training.train`` for one epoch, and
+  ``loss``, that epoch's training loss, which two versions of the code must
+  print identically.
+
+It uses the package under this checkout's ``src/``, so running it in two
+checkouts compares them:
+
+    python scripts/tape_memory.py [--nodes 3000] [--edges 15000]
+"""
+
+import argparse
+import json
+import multiprocessing
+import os
+import resource
+import sys
+import tracemalloc
+from dataclasses import fields, replace
+from importlib import resources
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from heterognn import autodiff as ad  # noqa: E402
+from heterognn.graphs import build_graph, random_split  # noqa: E402
+from heterognn.model import M2mConfig, forward, init_params, total_loss  # noqa: E402
+from heterognn.training import train  # noqa: E402
+
+DEPTHS = (2, 8, 32)
+N_FEATURES, N_CLASSES, SEED = 200, 5, 0
+
+
+def make_graph(n_nodes, n_edges):
+    """A uniform random simple graph with Gaussian class-mean features."""
+    rng = np.random.default_rng(SEED)
+    keys = np.empty(0, dtype=np.int64)
+    while keys.size < n_edges:
+        u, v = rng.integers(0, n_nodes, (2, 2 * n_edges))
+        ok = u != v
+        fresh = np.minimum(u, v)[ok] * n_nodes + np.maximum(u, v)[ok]
+        keys = np.unique(np.concatenate([keys, fresh]))
+    keys = rng.permutation(keys)[:n_edges]
+    labels = rng.integers(0, N_CLASSES, n_nodes)
+    means = 0.5 * rng.standard_normal((N_CLASSES, N_FEATURES))
+    features = means[labels] + rng.standard_normal((n_nodes, N_FEATURES))
+    return build_graph(n_nodes, np.stack(np.divmod(keys, n_nodes), axis=1),
+                       features, labels, N_CLASSES)
+
+
+def texas_config(layers):
+    """(M2mConfig, train keywords) of the shipped texas config at this depth."""
+    text = resources.files("heterognn").joinpath("configs", "texas.json").read_text()
+    spec = json.loads(text)
+    names = {f.name for f in fields(M2mConfig)}
+    config = M2mConfig(**{k: v for k, v in spec.items() if k in names})
+    return (replace(config, layers=layers, seed=SEED),
+            {"lr": spec["lr"], "weight_decay": spec["weight_decay"]})
+
+
+def retained_bytes(g, layers):
+    """Traced bytes a training tape holds after forward and total_loss."""
+    config, _ = texas_config(layers)
+    params = init_params(config, g.n_features, g.n_classes)
+    split = random_split(g, SEED)
+    tracemalloc.start()
+    try:
+        tape = ad.Tape()
+        result = forward(tape, params, g, config, training=True,
+                         rng=np.random.default_rng(SEED))
+        loss = total_loss(tape, result, g.labels, split.train, g, config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del tape, result, loss
+    return held
+
+
+def one_epoch(job):
+    """Peak RSS (MiB) and loss of one training epoch at depth K, in a
+    process of its own."""
+    n_nodes, n_edges, layers = job
+    g = make_graph(n_nodes, n_edges)
+    config, kw = texas_config(layers)
+    split = random_split(g, SEED)
+    record, _ = train(g, config, split, max_epochs=1, patience=1, **kw)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return peak, record.train_losses[0]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--nodes", type=int, default=3000)
+    parser.add_argument("--edges", type=int, default=15000)
+    args = parser.parse_args(argv)
+    if args.nodes < 2 or not 0 < args.edges <= args.nodes * (args.nodes - 1) // 2:
+        parser.error("need at least 2 nodes and 1 to N(N-1)/2 edges")
+
+    # one task per fresh worker, so each peak RSS belongs to one depth; they
+    # run first because Linux carries the peak RSS of this process, as it
+    # stood when a worker started, into the worker's own
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(processes=1, maxtasksperchild=1) as pool:
+        epochs = pool.map(one_epoch, [(args.nodes, args.edges, k) for k in DEPTHS],
+                          chunksize=1)
+    g = make_graph(args.nodes, args.edges)
+    held = {k: retained_bytes(g, k) for k in DEPTHS}
+    for k, (peak, loss) in zip(DEPTHS, epochs):
+        slope = None
+        if k > DEPTHS[0]:
+            slope = round((held[k] - held[DEPTHS[0]])
+                          / ((k - DEPTHS[0]) * g.n_arcs), 1)
+        print(json.dumps({
+            "k": k, "nodes": g.n_nodes, "arcs": g.n_arcs,
+            "retained_mib": round(held[k] / 2**20, 1), "b_per_arc_layer": slope,
+            "peak_rss_mib": round(peak, 1), "loss": loss,
+        }), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

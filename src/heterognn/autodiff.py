@@ -136,13 +136,18 @@ class Tape:
     of `training.attention_analysis`.
 
     Backward frees as it goes: each record, and the gradient of its
-    non-leaf output, is dropped as soon as its backward has run.
+    non-leaf output, is dropped as soon as its backward has run. The index
+    arrays that chunk_sum builds once per graph live on the tape until its
+    backward ends.
     """
 
     def __init__(self, recording=True):
         self.recording = recording
         self._nodes = []  # (out tensor, backward closure), in execution order
         self._consumed = False
+        # chunk_sum's stacked patterns, keyed by the ids of the arrays they
+        # were built from; each entry holds those arrays, so the ids stay theirs
+        self._patterns = {}
 
     def _emit(self, out: Tensor, parents, backward_fn):
         if self.recording and any(p.requires_grad for p in parents):
@@ -235,6 +240,38 @@ class Tape:
 
         return self._emit(out, (x,), back)
 
+    def _chunk_pattern(self, arc_src, indptr, c, n_x):
+        """(n, src, dst, tiled, stacked): chunk_sum's output row count, its
+        checked arc sources and destinations, and the column indices and
+        row offsets of its stacked (C*n, n_x) CSR matrix, in the index
+        dtype scipy picks for them.
+
+        Built and checked on the first call with these arc_src and indptr
+        objects (and this C and n_x) on this tape; every later call shares
+        them, so scipy neither scans nor copies them again.
+        """
+        key = (id(arc_src), id(indptr), c, n_x)
+        entry = self._patterns.get(key)
+        if entry is None:
+            src = np.asarray(arc_src, dtype=np.int64)
+            ptr = np.asarray(indptr, dtype=np.int64)
+            if src.ndim != 1:
+                raise ValueError("arc_src must be 1-D")
+            k, n = src.size, ptr.size - 1
+            if (ptr.ndim != 1 or n < 0 or ptr[0] != 0 or ptr[-1] != k
+                    or np.any(np.diff(ptr) < 0)):
+                raise ValueError("indptr must rise from 0 to the number of arcs")
+            if k and (src.min() < 0 or src.max() >= n_x):
+                raise IndexError("arc_src out of range")
+            tiled = np.tile(src, c)
+            stacked = np.append((ptr[:-1] + k * np.arange(c)[:, None]).ravel(), c * k)
+            dtype = sp.get_index_dtype((tiled, stacked), maxval=max(c * n, n_x),
+                                       check_contents=True)
+            entry = (arc_src, indptr, n, src, np.repeat(np.arange(n), np.diff(ptr)),
+                     tiled.astype(dtype, copy=False), stacked.astype(dtype, copy=False))
+            self._patterns[key] = entry
+        return entry[2:]
+
     def chunk_sum(self, scores: Tensor, x: Tensor, arc_src, indptr) -> Tensor:
         """Score-weighted sums of source rows, one output block per score column.
 
@@ -245,41 +282,39 @@ class Tape:
 
         The forward is one sparse product: the C chunk matrices (chunk t
         holds scores[a, t] at (i, arc_src[a])) stacked into a (C*n, len(x))
-        CSR matrix. The backward takes the x gradient as the transposed
-        product and the score gradient as a sampled dense-dense product over
-        the arcs, one chunk at a time. No (arcs, C*w) array is built, and
-        memory is O(arcs * (C + w)).
+        CSR matrix. Its index arrays are built and checked once per tape for
+        each (arc_src, indptr) pair (the first call raises on a bad one), and
+        its data is the scores, so the record keeps no array of its own: the
+        backward rebuilds the matrix from the scores, takes the x gradient
+        as the transposed product and the score gradient as a sampled
+        dense-dense product over the arcs, one chunk at a time, from the
+        one chunk-major copy of g that the x gradient makes. No (arcs, C*w)
+        array is built.
         """
-        src = np.asarray(arc_src, dtype=np.int64)
-        ptr = np.asarray(indptr, dtype=np.int64)
         k, c = scores.data.shape
         n_x, w = x.data.shape
-        n = ptr.size - 1
+        n, src, dst, tiled, stacked = self._chunk_pattern(arc_src, indptr, c, n_x)
         if src.shape != (k,):
             raise ValueError("scores and arc_src need one entry per arc")
-        if (ptr.ndim != 1 or n < 0 or ptr[0] != 0 or ptr[-1] != k
-                or np.any(np.diff(ptr) < 0)):
-            raise ValueError("indptr must rise from 0 to the number of arcs")
-        if k and (src.min() < 0 or src.max() >= n_x):
-            raise IndexError("arc_src out of range")
-        chunks = sp.csr_matrix(
-            (scores.data.T.ravel(), np.tile(src, c),
-             np.append((ptr[:-1] + k * np.arange(c)[:, None]).ravel(), c * k)),
-            shape=(c * n, n_x))
-        out = Tensor((chunks @ x.data).reshape(c, n, w).transpose(1, 0, 2)
-                     .reshape(n, c * w))
+
+        def chunks():
+            return sp.csr_matrix((scores.data.T.ravel(), tiled, stacked),
+                                 shape=(c * n, n_x))
+
+        out = Tensor((chunks() @ x.data).reshape(c, n, w)
+                     .transpose(1, 0, 2).reshape(n, c * w))
 
         def back(g):
-            g3 = g.reshape(n, c, w)
+            gt = np.ascontiguousarray(g.reshape(n, c, w).transpose(1, 0, 2))
             if x.requires_grad:
-                _accum(x, chunks.T @ g3.transpose(1, 0, 2).reshape(c * n, w))
+                _accum(x, chunks().T @ gt.reshape(c * n, w))
             if scores.requires_grad:
                 # chunk by chunk, so the transient arrays stay (arcs, w)
-                dst = np.repeat(np.arange(n), np.diff(ptr))
-                x_src = x.data[src]
+                x_src = x.data.take(src, axis=0)
                 g_scores = np.empty((k, c))
                 for t in range(c):
-                    g_scores[:, t] = np.einsum("aw,aw->a", g3[dst, t], x_src)
+                    g_scores[:, t] = np.einsum("aw,aw->a", gt[t].take(dst, axis=0),
+                                               x_src)
                 _accum(scores, g_scores)
 
         return self._emit(out, (scores, x), back)
@@ -293,9 +328,10 @@ class Tape:
         chunks; from eight on, numpy sums each row of the chain's softmax
         pairwise and the two may differ in the last bits. The softmax and its
         backward run on chunk-major (C, arcs) copies, so each reduction adds
-        C long rows instead of arcs short ones. It keeps the (arcs, w) ReLU
-        output for the backward, and reads the scores from its own output;
-        the backward runs the softmax, then w_att's gradient, then the ReLU
+        C long rows instead of arcs short ones. The record keeps no
+        (arcs, w) array: it reads the scores from its own output, and the
+        backward recomputes the ReLU output from h with the forward's
+        operations, then runs the softmax, w_att's gradient and the ReLU
         mask, and returns h's gradient as one sparse product with alpha at
         (arc_dst[a], a) and 1 at (arc_src[a], a).
         """
@@ -311,17 +347,21 @@ class Tape:
         if k and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
             raise IndexError("arc endpoint out of range")
         alpha = float(alpha)
-        act = h.data[dst]
-        act *= alpha
-        act += h.data[src]
-        np.maximum(act, 0.0, out=act)
-        out = Tensor(_softmax(np.ascontiguousarray((act @ w_att.data).T),
+
+        def activation():
+            act = h.data.take(dst, axis=0)
+            act *= alpha
+            act += h.data.take(src, axis=0)
+            return np.maximum(act, 0.0, out=act)
+
+        out = Tensor(_softmax(np.ascontiguousarray((activation() @ w_att.data).T),
                               temperature, 0).T)
 
         def back(g):
             dz = np.ascontiguousarray(_softmax_backward(
                 np.ascontiguousarray(g.T), np.ascontiguousarray(out.data.T),
                 temperature, 0).T)
+            act = activation()
             if w_att.requires_grad:
                 _accum(w_att, act.T @ dz)
             if h.requires_grad:
@@ -421,18 +461,24 @@ class Tape:
         return self._emit(Tensor(out), (h0, message, gain, bias), back)
 
     def dropout(self, x: Tensor, keep_prob: float, rng: np.random.Generator) -> Tensor:
-        """Inverted dropout: surviving entries are scaled by 1/keep_prob."""
+        """Inverted dropout: surviving entries are scaled by 1/keep_prob.
+
+        The record keeps a one-byte keep mask and the scalar scale; both
+        passes multiply by keep * scale, the float mask (r < keep_prob) /
+        keep_prob bit for bit.
+        """
         if not 0.0 < keep_prob <= 1.0:
             raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
         if keep_prob == 1.0:
-            mask = np.ones_like(x.data)
+            keep = np.ones(x.data.shape, dtype=bool)
         else:
-            mask = (rng.random(x.data.shape) < keep_prob) / keep_prob
-        out = Tensor(x.data * mask)
+            keep = rng.random(x.data.shape) < keep_prob
+        scale = 1.0 / keep_prob
+        out = Tensor(x.data * (keep * scale))
 
         def back(g):
             if x.requires_grad:
-                _accum(x, g * mask)
+                _accum(x, g * (keep * scale))
 
         return self._emit(out, (x,), back)
 
@@ -493,6 +539,7 @@ class Tape:
             if out.grad is not None:
                 back(out.grad)
                 out.grad = None
+        self._patterns.clear()
 
 
 class AdamState:

@@ -165,8 +165,9 @@ def load_dataset(path, row_normalize=False) -> Graph:
     """Load a dataset directory into a Graph.
 
     row_normalize divides each feature row by its L1 mass (rows summing to
-    zero are left untouched). Duplicate undirected edges are collapsed and
-    self-loops are dropped with a warning.
+    zero are left untouched); a row whose mass overflows float64 is first
+    divided by its largest magnitude. Duplicate undirected edges are
+    collapsed and self-loops are dropped with a warning.
     """
     edges_path = os.path.join(path, "edges.tsv")
     feats_path = os.path.join(path, "features.tsv")
@@ -237,7 +238,14 @@ def load_dataset(path, row_normalize=False) -> Graph:
     keys = np.unique(edges.min(axis=1) * n_nodes + edges.max(axis=1))
 
     if row_normalize:
-        mass = np.abs(features).sum(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            mass = np.abs(features).sum(axis=1, keepdims=True)
+        # the entries are finite, so an infinite mass overflowed; dividing
+        # the row by a positive number first leaves its normalized form as is
+        huge = np.isinf(mass[:, 0])
+        if huge.any():
+            features[huge] /= np.abs(features[huge]).max(axis=1, keepdims=True)
+            mass[huge] = np.abs(features[huge]).sum(axis=1, keepdims=True)
         nonzero = mass[:, 0] > 0
         features[nonzero] /= mass[nonzero]
 

@@ -9,7 +9,11 @@ pushes the chunk mass toward balance across arcs. Everything runs on the
 reverse-mode tape from `heterognn.autodiff`, so a single backward call trains
 the whole stack. A training layer records five tape nodes: dropout, the
 projection, the scores (`Tape.arc_attention`), the chunk sums
-(`Tape.chunk_sum`) and the residual LayerNorm (`Tape.residual_norm`).
+(`Tape.chunk_sum`) and the residual LayerNorm (`Tape.residual_norm`). Of
+arc-sized arrays the backward keeps only the (arcs, C) scores; the rest it
+keeps is node-sized (a one-byte dropout mask, the projection, the message
+and the LayerNorm's rows), and what it can rebuild from those, the
+attention's ReLU output and the chunk matrices, it rebuilds.
 """
 
 import json
@@ -142,9 +146,9 @@ def attention_scores(tape, h_hat: ad.Tensor, graph, w_att: ad.Tensor,
 
     Rows live on arcs (source scored while messaging its ego), sum to one,
     and stay nonnegative; the two directions of an undirected edge are
-    scored independently. One fused tape op (`Tape.arc_attention`); it
-    keeps O(arcs * (C + w)) for the backward: the ReLU output and the
-    scores.
+    scored independently. One fused tape op (`Tape.arc_attention`); for
+    the backward it keeps only the (arcs, C) scores, and recomputes the
+    ReLU output from h_hat.
     """
     return tape.arc_attention(h_hat, w_att, graph.arc_src, graph.arc_dst,
                               alpha, temperature)
@@ -157,7 +161,9 @@ def chunk_aggregate(tape, h_hat: ad.Tensor, scores: ad.Tensor,
     Chunk t of node i (one chunk per score column) sums s_t(i, j) * h_hat_j
     over i's in-arcs; nodes with no arcs end up with all-zero messages. One
     tape op (`Tape.chunk_sum`), a sparse product that never gathers h_hat
-    onto the arcs; its memory is O(arcs * (C + w)).
+    onto the arcs. Its record keeps no array of its own: the backward
+    rebuilds the chunk matrices from the scores and the graph's index
+    arrays, which every layer on one tape shares.
     """
     return tape.chunk_sum(scores, h_hat, graph.arc_src, graph.indptr)
 

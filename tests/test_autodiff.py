@@ -6,6 +6,7 @@ The gradient oracle throughout is central finite differences (h = 1e-5) on
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -49,6 +50,18 @@ def assert_grad_matches(build_loss, leaf_arrays, analytic_grads, rtol=FD_RTOL):
             analytic_grads[k], fd, atol=rtol * scale,
             err_msg=f"gradient mismatch on leaf {k}",
         )
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (so -0.0 != 0.0)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def backward_from(t, out, upstream):
+    """Run t's backward with `upstream` as the gradient of out, exactly: the
+    sum_all of out * upstream hands out the gradient 1.0 * upstream."""
+    t.backward(t.sum_all(t.mul(out, constant(upstream))))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +347,90 @@ def test_chunk_sum_of_one_hot_scores_is_the_label_blocked_sum(data):
     assert np.array_equal(got.data, one_hop_desirable_m2m(features, g, labels, mode="sum"))
 
 
+def random_arcs(rng, n_out, n_x, k):
+    """(arc_src, indptr) of k arcs from rows of an n_x-row x into n_out rows."""
+    dst = np.sort(rng.integers(0, n_out, k))
+    indptr = np.zeros(n_out + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n_out), out=indptr[1:])
+    return rng.integers(0, n_x, k), indptr
+
+
+@pytest.mark.parametrize("chunks", [1, 3, 5])
+def test_chunk_sum_gradients_match_the_stored_csr_formulas_bit_for_bit(chunks):
+    # the record used to keep its own stacked CSR and build the score
+    # gradient from strided g3[dst, t] rows and a fresh np.repeat of dst
+    rng = np.random.default_rng(chunks)
+    n, n_x, k, w = 300, 280, 2400, 16
+    src, indptr = random_arcs(rng, n, n_x, k)
+    scores, x = rng.random((k, chunks)), rng.normal(size=(n_x, w))
+    upstream = rng.normal(size=(n, chunks * w))
+    t = Tape()
+    s_param, x_param = parameter(scores), parameter(x)
+    out = t.chunk_sum(s_param, x_param, src, indptr)
+    backward_from(t, out, upstream)
+
+    stacked = sp.csr_matrix(
+        (scores.T.ravel(), np.tile(src, chunks),
+         np.append((indptr[:-1] + k * np.arange(chunks)[:, None]).ravel(), chunks * k)),
+        shape=(chunks * n, n_x))
+    g3 = upstream.reshape(n, chunks, w)
+    dst = np.repeat(np.arange(n), np.diff(indptr))
+    x_src = x[src]
+    g_scores = np.empty((k, chunks))
+    for c in range(chunks):
+        g_scores[:, c] = np.einsum("aw,aw->a", g3[dst, c], x_src)
+    assert same_bits(out.data, (stacked @ x).reshape(chunks, n, w)
+                     .transpose(1, 0, 2).reshape(n, chunks * w))
+    assert same_bits(x_param.grad,
+                     stacked.T @ g3.transpose(1, 0, 2).reshape(chunks * n, w))
+    assert same_bits(s_param.grad, g_scores)
+
+
+def test_one_tape_keeps_the_patterns_of_two_graphs_apart():
+    # same arc count, node count and chunk count: only the arrays differ
+    rng = np.random.default_rng(21)
+    n, k, c, w = 40, 300, 3, 4
+    graphs = [random_arcs(rng, n, n, k) for _ in range(2)]
+    graphs.append((graphs[0][0], graphs[1][1]))  # one graph's sources, the other's offsets
+    x = rng.normal(size=(n, w))
+    scores = rng.random((k, c))
+    upstream = rng.normal(size=(n, c * w))
+
+    def run(t, src, indptr):
+        s_param, x_param = parameter(scores), parameter(x)
+        return t.chunk_sum(s_param, x_param, src, indptr), s_param, x_param
+
+    shared = Tape()
+    runs = [run(shared, *g) for g in graphs + graphs[:1]]
+    total = None
+    for out, _, _ in runs:
+        term = shared.sum_all(shared.mul(out, constant(upstream)))
+        total = term if total is None else shared.add(total, term)
+    shared.backward(total)
+    for (src, indptr), (out, s_param, x_param) in zip(graphs + graphs[:1], runs):
+        t = Tape()
+        alone, s_alone, x_alone = run(t, src, indptr)
+        backward_from(t, alone, upstream)
+        assert same_bits(out.data, alone.data)
+        assert same_bits(s_param.grad, s_alone.grad)
+        assert same_bits(x_param.grad, x_alone.grad)
+
+
+@pytest.mark.parametrize("src, indptr, error", [
+    ([3], [0, 0, 1], IndexError),
+    ([0], [0, 2], ValueError),
+    ([0], [1, 1], ValueError),
+    ([0], [0, 1, 0], ValueError),
+])
+def test_chunk_sum_checks_each_new_pattern_on_a_used_tape(src, indptr, error):
+    t = Tape()
+    x = constant([[1.0]])
+    t.chunk_sum(ones_column(1), x, [0], [0, 1])
+    for _ in range(2):  # a pattern that failed its checks is not kept
+        with pytest.raises(error):
+            t.chunk_sum(ones_column(1), x, src, indptr)
+
+
 def test_row_gather_out_of_range():
     t = Tape()
     with pytest.raises(IndexError):
@@ -423,6 +520,63 @@ def test_arc_attention_forward_matches_the_chain_on_the_gradcheck_graph():
     want = arc_attention_chain(Tape(), constant(h), constant(w_att), src, dst,
                                0.6, 0.8)
     assert np.array_equal(got.data, want.data)
+
+
+def arc_attention_with_kept_activation(h, w_att, src, dst, alpha, temperature,
+                                       upstream):
+    """Scores and (h, w_att) gradients of arc_attention as computed when its
+    record kept the (arcs, w) ReLU output instead of recomputing it."""
+    act = h[dst]
+    act *= alpha
+    act += h[src]
+    np.maximum(act, 0.0, out=act)
+    z = np.ascontiguousarray((act @ w_att).T) / temperature
+    z -= z.max(axis=0, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=0, keepdims=True)
+    scores = z.T
+    g, s = np.ascontiguousarray(upstream.T), np.ascontiguousarray(scores.T)
+    d = g - (g * s).sum(axis=0, keepdims=True)
+    d *= s
+    d /= temperature
+    dz = np.ascontiguousarray(d.T)
+    d_pre = dz @ w_att.T
+    d_pre *= act > 0.0
+    k = src.size
+    ends = sp.csc_matrix((np.tile([alpha, 1.0], k), np.stack([dst, src], axis=1).ravel(),
+                          np.arange(0, 2 * k + 1, 2)), shape=(h.shape[0], k))
+    return scores, ends @ d_pre, act.T @ dz
+
+
+def test_arc_attention_gradients_match_the_kept_activation_bit_for_bit():
+    rng = np.random.default_rng(22)
+    n, k, w, c = 400, 3000, 16, 3
+    h, w_att = rng.normal(size=(n, w)), rng.normal(size=(w, c))
+    src, dst = rng.integers(0, n, k), np.sort(rng.integers(0, n, k))
+    upstream = rng.normal(size=(k, c))
+    t = Tape()
+    h_param, w_param = parameter(h), parameter(w_att)
+    scores = t.arc_attention(h_param, w_param, src, dst, 0.5, 0.5)
+    backward_from(t, scores, upstream)
+    want_scores, want_h, want_w = arc_attention_with_kept_activation(
+        h, w_att, src, dst, 0.5, 0.5, upstream)
+    assert same_bits(scores.data, want_scores)
+    assert same_bits(h_param.grad, want_h)
+    assert same_bits(w_param.grad, want_w)
+
+
+@pytest.mark.parametrize("keep_prob", [0.3, 0.7])
+def test_dropout_matches_the_float_mask_bit_for_bit(keep_prob):
+    # the record keeps a bool mask; the float mask is what it replaced
+    rng = np.random.default_rng(23)
+    x, upstream = rng.normal(size=(60, 40)), rng.normal(size=(60, 40))
+    mask = (np.random.default_rng(9).random(x.shape) < keep_prob) / keep_prob
+    t = Tape()
+    x_param = parameter(x)
+    out = t.dropout(x_param, keep_prob, np.random.default_rng(9))
+    backward_from(t, out, upstream)
+    assert same_bits(out.data, x * mask)
+    assert same_bits(x_param.grad, upstream * mask)
 
 
 def test_dropout_keep_one_is_identity():

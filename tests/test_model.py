@@ -10,6 +10,7 @@ entry against central differences.
 import json
 from dataclasses import asdict
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -525,3 +526,39 @@ def test_doubling_arcs_stays_within_linear_budget():
     small = timed_forward(base_edges)
     large = timed_forward(2 * base_edges)
     assert large <= 3.0 * small, (small, large)
+
+
+def test_training_layer_retains_at_most_250_bytes_per_arc():
+    # traced bytes a training tape holds once forward and total_loss have
+    # run, per arc per layer, as the K=6 minus K=2 difference over 4 layers;
+    # the records keep the scores and node-sized arrays, no (arcs, w) array,
+    # no CSR copy and no float dropout mask
+    rng = np.random.default_rng(18)
+    n, n_edges = 400, 4000
+    seen = set()
+    while len(seen) < n_edges:
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            seen.add((min(i, j), max(i, j)))
+    g = build_graph(n, sorted(seen), rng.normal(size=(n, 16)),
+                    rng.integers(0, 3, size=n), 3)
+    train_ids = np.arange(0, n, 2)
+
+    def held_bytes(layers):
+        cfg = M2mConfig(hidden=80, chunks=5, layers=layers, keep_prob=0.5,
+                        reg_strength=0.5, seed=0)
+        params = init_params(cfg, g.n_features, g.n_classes)
+        tracemalloc.start()
+        try:
+            tape = ad.Tape()
+            result = forward(tape, params, g, cfg, training=True,
+                             rng=np.random.default_rng(0))
+            loss = total_loss(tape, result, g.labels, train_ids, g, cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss.item())
+        return held
+
+    per_arc_layer = (held_bytes(6) - held_bytes(2)) / (4 * g.n_arcs)
+    assert per_arc_layer <= 250, per_arc_layer
