@@ -6,9 +6,17 @@ shipped texas config, prints one JSON line per depth K = 2, 8, 32:
 
 * ``retained_mib``: tracemalloc bytes a training tape holds once
   ``forward`` and ``total_loss`` have run, that is what the backward pass
-  can read;
+  can read. A record holds its output's gradient cell and only the arrays
+  its backward reads, so a layer's message and a residual output that
+  feeds a dropout are not among them;
 * ``b_per_arc_layer``: the growth of that figure per added layer and arc,
   (retained(K) - retained(2)) / ((K - 2) * arcs), null at K = 2;
+* ``retained_mib_by_function``: the same bytes grouped by the function of
+  ``heterognn.autodiff`` that allocated them, largest first: the innermost
+  frame of the allocation's traceback in that file, where an allocation in
+  ``Tensor.__init__`` counts for the op that built the tensor. ``other``
+  holds bytes allocated outside the file; entries under 0.005 MiB are left
+  out;
 * ``peak_rss_mib``: peak resident memory of a fresh process (imports and
   the graph included) that runs ``training.train`` for one epoch, and
   ``loss``, that epoch's training loss, which two versions of the code must
@@ -18,9 +26,14 @@ It uses the package under this checkout's ``src/``, so running it in two
 checkouts compares them:
 
     python scripts/tape_memory.py [--nodes 3000] [--edges 15000]
+
+On the default graph (30000 arcs, 2 vCPU Linux box, numpy 2.4, Python
+3.11) a training layer retains 198 B per arc, and K = 32 peaks at about
+303 MiB.
 """
 
 import argparse
+import ast
 import json
 import multiprocessing
 import os
@@ -42,6 +55,45 @@ from heterognn.training import train  # noqa: E402
 
 DEPTHS = (2, 8, 32)
 N_FEATURES, N_CLASSES, SEED = 200, 5, 0
+TRACE_FRAMES = 16  # deep enough to climb out of numpy and scipy into autodiff
+
+
+def function_spans(path):
+    """(def line, last line, qualified name) of every function in a file."""
+    spans = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                spans.append((child.lineno, child.end_lineno, name))
+                visit(child, name + ".<locals>.")
+
+    with open(path, encoding="utf-8") as fh:
+        visit(ast.parse(fh.read()), "")
+    return spans
+
+
+def bytes_by_function(snapshot):
+    """Traced bytes grouped by the innermost autodiff function that
+    allocated them (passing over Tensor.__init__), or ``other``."""
+    path = os.path.abspath(ad.__file__)
+    spans = function_spans(path)
+    totals = {}
+    for trace in snapshot.traces:
+        name = "other"
+        for frame in reversed(trace.traceback):  # innermost first
+            if os.path.abspath(frame.filename) == path:
+                # a def line runs in the enclosing function: it makes a closure
+                enclosing = [(last - first, fn) for first, last, fn in spans
+                             if first < frame.lineno <= last]
+                name = min(enclosing)[1]
+                if name != "Tensor.__init__":
+                    break
+        totals[name] = totals.get(name, 0) + trace.size
+    return totals
 
 
 def make_graph(n_nodes, n_edges):
@@ -72,21 +124,23 @@ def texas_config(layers):
 
 
 def retained_bytes(g, layers):
-    """Traced bytes a training tape holds after forward and total_loss."""
+    """Traced bytes a training tape holds after forward and total_loss, in
+    all and by allocating autodiff function."""
     config, _ = texas_config(layers)
     params = init_params(config, g.n_features, g.n_classes)
     split = random_split(g, SEED)
-    tracemalloc.start()
+    tracemalloc.start(TRACE_FRAMES)
     try:
         tape = ad.Tape()
         result = forward(tape, params, g, config, training=True,
                          rng=np.random.default_rng(SEED))
         loss = total_loss(tape, result, g.labels, split.train, g, config)
         held = tracemalloc.get_traced_memory()[0]
+        snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     del tape, result, loss
-    return held
+    return held, bytes_by_function(snapshot)
 
 
 def one_epoch(job):
@@ -117,16 +171,22 @@ def main(argv=None) -> int:
         epochs = pool.map(one_epoch, [(args.nodes, args.edges, k) for k in DEPTHS],
                           chunksize=1)
     g = make_graph(args.nodes, args.edges)
-    held = {k: retained_bytes(g, k) for k in DEPTHS}
+    held, by_function = {}, {}
+    for k in DEPTHS:
+        held[k], by_function[k] = retained_bytes(g, k)
     for k, (peak, loss) in zip(DEPTHS, epochs):
         slope = None
         if k > DEPTHS[0]:
             slope = round((held[k] - held[DEPTHS[0]])
                           / ((k - DEPTHS[0]) * g.n_arcs), 1)
+        functions = sorted(by_function[k].items(), key=lambda kv: -kv[1])
         print(json.dumps({
             "k": k, "nodes": g.n_nodes, "arcs": g.n_arcs,
             "retained_mib": round(held[k] / 2**20, 1), "b_per_arc_layer": slope,
             "peak_rss_mib": round(peak, 1), "loss": loss,
+            "retained_mib_by_function": {name: round(size / 2**20, 2)
+                                         for name, size in functions
+                                         if size >= 0.005 * 2**20},
         }), flush=True)
     return 0
 

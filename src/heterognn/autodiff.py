@@ -5,6 +5,9 @@ operation applied to tensors that require gradients; Tape.backward replays
 the records in reverse, accumulates gradients into the leaf tensors and
 frees each record as it goes. A tape is single-use: calling backward twice
 raises.
+
+Records hold gradient cells, never tensors (see Tape), so an op output
+that no backward reads is freed as soon as its caller drops it.
 """
 
 import numpy as np
@@ -17,9 +20,15 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Tensor:
-    """A 2-D float64 matrix with an optional gradient slot."""
+    """A 2-D float64 matrix and its gradient cell.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    The cell is a one-slot list that `grad` reads and writes. Tape records
+    and backward closures hold the cell, not the tensor, so the data of a
+    tensor whose values no backward reads dies with its last caller-side
+    reference, while backward can still fill in its gradient.
+    """
+
+    __slots__ = ("data", "requires_grad", "_cell")
 
     def __init__(self, data, requires_grad=False):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
@@ -27,7 +36,15 @@ class Tensor:
             raise ValueError(f"tensors are 2-D; got shape {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self._cell = [None]
+
+    @property
+    def grad(self):
+        return self._cell[0]
+
+    @grad.setter
+    def grad(self, value):
+        self._cell[0] = value
 
     @property
     def shape(self):
@@ -112,19 +129,33 @@ def _layer_norm_backward(dxhat, xhat, inv_std):
     return term
 
 
-def _affine_backward(g, xhat, gain: Tensor, bias: Tensor):
-    """Gradients of gain and bias in out = xhat * gain + bias."""
-    if gain.requires_grad:
-        _accum(gain, (g * xhat).sum(axis=0, keepdims=True))
-    if bias.requires_grad:
-        _accum(bias, g.sum(axis=0, keepdims=True))
+def _affine_backward(g, xhat, gain_cell, bias_cell):
+    """Gradients of gain and bias in out = xhat * gain + bias, into their
+    cells (None for one that takes no gradient)."""
+    if gain_cell is not None:
+        _accum(gain_cell, (g * xhat).sum(axis=0, keepdims=True))
+    if bias_cell is not None:
+        _accum(bias_cell, g.sum(axis=0, keepdims=True))
 
 
-def _accum(t: Tensor, g):
-    if t.grad is None:
-        t.grad = g.copy()  # never g itself: add passes one g to both operands
+def _cell(t: Tensor):
+    """t's gradient cell if t takes a gradient, else None.
+
+    A backward closure captures this at record time, in place of t.
+    """
+    return t._cell if t.requires_grad else None
+
+
+def _accum(cell, g):
+    """Add g into a gradient cell.
+
+    The first gradient is stored as it is and later ones are added into it
+    in place, so g must be a fresh array that nothing else holds.
+    """
+    if cell[0] is None:
+        cell[0] = g
     else:
-        t.grad += g
+        cell[0] += g
 
 
 class Tape:
@@ -135,7 +166,12 @@ class Tape:
     `training.predict`, `training.average_scores` and the alignment softmax
     of `training.attention_analysis`.
 
-    Backward frees as it goes: each record, and the gradient of its
+    A record is the pair (gradient cell of the output, backward closure).
+    The closure keeps the cells of the inputs that took a gradient when it
+    was recorded (None for the others) and only the arrays its backward
+    reads, so an op output that no backward reads (a layer's message, or a
+    residual output that feeds a dropout) is freed once the caller drops
+    it. Backward frees as it goes: each record, and the gradient of its
     non-leaf output, is dropped as soon as its backward has run. The index
     arrays that chunk_sum builds once per graph live on the tape until its
     backward ends.
@@ -143,7 +179,7 @@ class Tape:
 
     def __init__(self, recording=True):
         self.recording = recording
-        self._nodes = []  # (out tensor, backward closure), in execution order
+        self._nodes = []  # (out gradient cell, backward closure), in execution order
         self._consumed = False
         # chunk_sum's stacked patterns, keyed by the ids of the arrays they
         # were built from; each entry holds those arrays, so the ids stay theirs
@@ -152,7 +188,7 @@ class Tape:
     def _emit(self, out: Tensor, parents, backward_fn):
         if self.recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
-            self._nodes.append((out, backward_fn))
+            self._nodes.append((out._cell, backward_fn))
         return out
 
     # ---- elementwise / structural ops -------------------------------------
@@ -161,22 +197,23 @@ class Tape:
         if a.data.shape != b.data.shape:
             raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
         out = Tensor(a.data + b.data)
+        ga, gb = _cell(a), _cell(b)
 
         def back(g):
-            if a.requires_grad:
-                _accum(a, g)
-            if b.requires_grad:
-                _accum(b, g)
+            if ga is not None:
+                _accum(ga, g)
+            if gb is not None:
+                _accum(gb, g if ga is None else g.copy())  # one g, two cells
 
         return self._emit(out, (a, b), back)
 
     def scale(self, x: Tensor, c: float) -> Tensor:
         c = float(c)
         out = Tensor(x.data * c)
+        gx = x._cell
 
         def back(g):
-            if x.requires_grad:
-                _accum(x, g * c)
+            _accum(gx, g * c)
 
         return self._emit(out, (x,), back)
 
@@ -187,18 +224,22 @@ class Tape:
         if ra != rb or (ca != cb and 1 not in (ca, cb)):
             raise ValueError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
         out = Tensor(a.data * b.data)
+        ga, gb = _cell(a), _cell(b)
+        a_data = a.data if gb is not None else None  # read for b's gradient only
+        b_data = b.data if ga is not None else None
+        width = out.data.shape[1]
 
         def back(g):
-            if a.requires_grad:
-                ga = g * b.data
-                if ca == 1 and out.data.shape[1] > 1:
-                    ga = ga.sum(axis=1, keepdims=True)
-                _accum(a, ga)
-            if b.requires_grad:
-                gb = g * a.data
-                if cb == 1 and out.data.shape[1] > 1:
-                    gb = gb.sum(axis=1, keepdims=True)
-                _accum(b, gb)
+            if ga is not None:
+                da = g * b_data
+                if ca == 1 and width > 1:
+                    da = da.sum(axis=1, keepdims=True)
+                _accum(ga, da)
+            if gb is not None:
+                db = g * a_data
+                if cb == 1 and width > 1:
+                    db = db.sum(axis=1, keepdims=True)
+                _accum(gb, db)
 
         return self._emit(out, (a, b), back)
 
@@ -208,21 +249,25 @@ class Tape:
                 f"matmul dimension mismatch: {a.data.shape} x {b.data.shape}"
             )
         out = Tensor(a.data @ b.data)
+        ga, gb = _cell(a), _cell(b)
+        a_data = a.data if gb is not None else None  # read for b's gradient only
+        b_data = b.data if ga is not None else None
 
         def back(g):
-            if a.requires_grad:
-                _accum(a, g @ b.data.T)
-            if b.requires_grad:
-                _accum(b, a.data.T @ g)
+            if ga is not None:
+                _accum(ga, g @ b_data.T)
+            if gb is not None:
+                _accum(gb, a_data.T @ g)
 
         return self._emit(out, (a, b), back)
 
     def relu(self, x: Tensor) -> Tensor:
-        out = Tensor(np.maximum(x.data, 0.0))
+        x_data = x.data
+        out = Tensor(np.maximum(x_data, 0.0))
+        gx = x._cell
 
         def back(g):
-            if x.requires_grad:
-                _accum(x, g * (x.data > 0.0))
+            _accum(gx, g * (x_data > 0.0))
 
         return self._emit(out, (x,), back)
 
@@ -233,10 +278,10 @@ class Tape:
         if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
             raise IndexError("row_gather index out of range")
         out = Tensor(x.data[idx])
+        gx, n = x._cell, x.data.shape[0]
 
         def back(g):
-            if x.requires_grad:
-                _accum(x, _scatter_rows(idx, g, x.data.shape[0]))
+            _accum(gx, _scatter_rows(idx, g, n))
 
         return self._emit(out, (x,), back)
 
@@ -284,12 +329,13 @@ class Tape:
         holds scores[a, t] at (i, arc_src[a])) stacked into a (C*n, len(x))
         CSR matrix. Its index arrays are built and checked once per tape for
         each (arc_src, indptr) pair (the first call raises on a bad one), and
-        its data is the scores, so the record keeps no array of its own: the
-        backward rebuilds the matrix from the scores, takes the x gradient
-        as the transposed product and the score gradient as a sampled
-        dense-dense product over the arcs, one chunk at a time, from the
-        one chunk-major copy of g that the x gradient makes. No (arcs, C*w)
-        array is built.
+        its data is the scores, so the record keeps no array of its own: it
+        reads the scores (for x's gradient) and x (for the scores'), which
+        the attention before it keeps anyway. The backward rebuilds the
+        matrix from the scores, takes the x gradient as the transposed
+        product and the score gradient as a sampled dense-dense product over
+        the arcs, one chunk at a time, from the one chunk-major copy of g
+        that the x gradient makes. No (arcs, C*w) array is built.
         """
         k, c = scores.data.shape
         n_x, w = x.data.shape
@@ -297,25 +343,27 @@ class Tape:
         if src.shape != (k,):
             raise ValueError("scores and arc_src need one entry per arc")
 
-        def chunks():
-            return sp.csr_matrix((scores.data.T.ravel(), tiled, stacked),
-                                 shape=(c * n, n_x))
+        def chunks(s):
+            return sp.csr_matrix((s.T.ravel(), tiled, stacked), shape=(c * n, n_x))
 
-        out = Tensor((chunks() @ x.data).reshape(c, n, w)
+        out = Tensor((chunks(scores.data) @ x.data).reshape(c, n, w)
                      .transpose(1, 0, 2).reshape(n, c * w))
+        gs, gx = _cell(scores), _cell(x)
+        s_data = scores.data if gx is not None else None  # for x's gradient only
+        x_data = x.data if gs is not None else None
 
         def back(g):
             gt = np.ascontiguousarray(g.reshape(n, c, w).transpose(1, 0, 2))
-            if x.requires_grad:
-                _accum(x, chunks().T @ gt.reshape(c * n, w))
-            if scores.requires_grad:
+            if gx is not None:
+                _accum(gx, chunks(s_data).T @ gt.reshape(c * n, w))
+            if gs is not None:
                 # chunk by chunk, so the transient arrays stay (arcs, w)
-                x_src = x.data.take(src, axis=0)
+                x_src = x_data.take(src, axis=0)
                 g_scores = np.empty((k, c))
                 for t in range(c):
                     g_scores[:, t] = np.einsum("aw,aw->a", gt[t].take(dst, axis=0),
                                                x_src)
-                _accum(scores, g_scores)
+                _accum(gs, g_scores)
 
         return self._emit(out, (scores, x), back)
 
@@ -329,7 +377,7 @@ class Tape:
         pairwise and the two may differ in the last bits. The softmax and its
         backward run on chunk-major (C, arcs) copies, so each reduction adds
         C long rows instead of arcs short ones. The record keeps no
-        (arcs, w) array: it reads the scores from its own output, and the
+        (arcs, w) array, only h's data, w_att's and its own scores, and the
         backward recomputes the ReLU output from h with the forward's
         operations, then runs the softmax, w_att's gradient and the ReLU
         mask, and returns h's gradient as one sparse product with alpha at
@@ -347,58 +395,61 @@ class Tape:
         if k and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
             raise IndexError("arc endpoint out of range")
         alpha = float(alpha)
+        h_data, w_data = h.data, w_att.data
 
         def activation():
-            act = h.data.take(dst, axis=0)
+            act = h_data.take(dst, axis=0)
             act *= alpha
-            act += h.data.take(src, axis=0)
+            act += h_data.take(src, axis=0)
             return np.maximum(act, 0.0, out=act)
 
-        out = Tensor(_softmax(np.ascontiguousarray((activation() @ w_att.data).T),
+        out = Tensor(_softmax(np.ascontiguousarray((activation() @ w_data).T),
                               temperature, 0).T)
+        gh, gw, s = _cell(h), _cell(w_att), out.data
 
         def back(g):
             dz = np.ascontiguousarray(_softmax_backward(
-                np.ascontiguousarray(g.T), np.ascontiguousarray(out.data.T),
+                np.ascontiguousarray(g.T), np.ascontiguousarray(s.T),
                 temperature, 0).T)
             act = activation()
-            if w_att.requires_grad:
-                _accum(w_att, act.T @ dz)
-            if h.requires_grad:
-                d_pre = dz @ w_att.data.T
+            if gw is not None:
+                _accum(gw, act.T @ dz)
+            if gh is not None:
+                d_pre = dz @ w_data.T
                 d_pre *= act > 0.0
                 ends = sp.csc_matrix(
                     (np.tile([alpha, 1.0], k), np.stack([dst, src], axis=1).ravel(),
                      np.arange(0, 2 * k + 1, 2)), shape=(n, k))
-                _accum(h, ends @ d_pre)
+                _accum(gh, ends @ d_pre)
 
         return self._emit(out, (h, w_att), back)
 
     def sum_rows(self, x: Tensor) -> Tensor:
         """Collapse to a single row: out[0, j] = sum_i x[i, j]."""
         out = Tensor(x.data.sum(axis=0, keepdims=True))
+        gx, shape = x._cell, x.data.shape
 
         def back(g):
-            if x.requires_grad:
-                _accum(x, np.broadcast_to(g, x.data.shape))
+            _accum(gx, np.broadcast_to(g, shape).copy())  # a writeable gradient
 
         return self._emit(out, (x,), back)
 
     def sum_all(self, x: Tensor) -> Tensor:
         out = Tensor([[x.data.sum()]])
+        gx, shape = x._cell, x.data.shape
 
         def back(g):
-            if x.requires_grad:
-                _accum(x, np.full_like(x.data, g[0, 0]))
+            _accum(gx, np.full(shape, g[0, 0]))
 
         return self._emit(out, (x,), back)
 
     def l2_norm_sq(self, x: Tensor) -> Tensor:
-        out = Tensor([[float(np.sum(x.data * x.data))]])
+        x_data = x.data
+        out = Tensor([[float(np.sum(x_data * x_data))]])
+        gx = x._cell
 
         def back(g):
-            if x.requires_grad:
-                _accum(x, 2.0 * x.data * g[0, 0])
+            _accum(gx, 2.0 * x_data * g[0, 0])
 
         return self._emit(out, (x,), back)
 
@@ -407,10 +458,10 @@ class Tape:
     def row_softmax(self, x: Tensor, temperature: float = 1.0) -> Tensor:
         s = _softmax(x.data.copy(), temperature, 1)
         out = Tensor(s)
+        gx = x._cell
 
         def back(g):
-            if x.requires_grad:
-                _accum(x, _softmax_backward(g, s, temperature, 1))
+            _accum(gx, _softmax_backward(g, s, temperature, 1))
 
         return self._emit(out, (x,), back)
 
@@ -422,11 +473,13 @@ class Tape:
         model's layers use `residual_norm`, which ends in the same map.
         """
         out, xhat, inv_std = _layer_norm(x.data, gain, bias)
+        gx = _cell(x)
+        g_gain, g_bias, gain_data = _cell(gain), _cell(bias), gain.data
 
         def back(g):
-            _affine_backward(g, xhat, gain, bias)
-            if x.requires_grad:
-                _accum(x, _layer_norm_backward(g * gain.data, xhat, inv_std))
+            _affine_backward(g, xhat, g_gain, g_bias)
+            if gx is not None:
+                _accum(gx, _layer_norm_backward(g * gain_data, xhat, inv_std))
 
         return self._emit(Tensor(out), (x, gain, bias), back)
 
@@ -436,7 +489,9 @@ class Tape:
 
         Equal bit for bit to the chain scale, scale, add, relu, layer_norm,
         recorded as one node. The backward keeps the standardized rows, the
-        per-row 1/std and the ReLU mask; no other (N, d) array is kept.
+        per-row 1/std, the ReLU mask and the gain; it reads neither input's
+        data, so a message and an h0 that nothing else reads die with their
+        caller's names.
         """
         if h0.data.shape != message.data.shape:
             raise ValueError(f"residual_norm shape mismatch: {h0.data.shape} "
@@ -447,16 +502,18 @@ class Tape:
         np.maximum(mix, 0.0, out=mix)
         active = mix > 0.0
         out, xhat, inv_std = _layer_norm(mix, gain, bias)
+        g_h0, g_msg = _cell(h0), _cell(message)
+        g_gain, g_bias, gain_data = _cell(gain), _cell(bias), gain.data
 
         def back(g):
-            _affine_backward(g, xhat, gain, bias)
-            if h0.requires_grad or message.requires_grad:
-                d_mix = _layer_norm_backward(g * gain.data, xhat, inv_std)
+            _affine_backward(g, xhat, g_gain, g_bias)
+            if g_h0 is not None or g_msg is not None:
+                d_mix = _layer_norm_backward(g * gain_data, xhat, inv_std)
                 d_mix *= active
-                if h0.requires_grad:
-                    _accum(h0, d_mix * (1.0 - beta))
-                if message.requires_grad:
-                    _accum(message, d_mix * beta)
+                if g_h0 is not None:
+                    _accum(g_h0, d_mix * (1.0 - beta))
+                if g_msg is not None:
+                    _accum(g_msg, d_mix * beta)
 
         return self._emit(Tensor(out), (h0, message, gain, bias), back)
 
@@ -475,10 +532,10 @@ class Tape:
             keep = rng.random(x.data.shape) < keep_prob
         scale = 1.0 / keep_prob
         out = Tensor(x.data * (keep * scale))
+        gx = x._cell
 
         def back(g):
-            if x.requires_grad:
-                _accum(x, g * (keep * scale))
+            _accum(gx, g * (keep * scale))
 
         return self._emit(out, (x,), back)
 
@@ -504,13 +561,13 @@ class Tape:
         lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
         picked = z[np.arange(rows.size), y[rows]]
         out = Tensor([[float(np.mean(lse - picked))]])
+        g_logits = logits._cell
 
         def back(g):
-            if logits.requires_grad:
-                soft = np.exp(z - zmax)
-                soft /= soft.sum(axis=1, keepdims=True)
-                soft[np.arange(rows.size), y[rows]] -= 1.0
-                _accum(logits, _scatter_rows(rows, soft * (g[0, 0] / rows.size), n))
+            soft = np.exp(z - zmax)
+            soft /= soft.sum(axis=1, keepdims=True)
+            soft[np.arange(rows.size), y[rows]] -= 1.0
+            _accum(g_logits, _scatter_rows(rows, soft * (g[0, 0] / rows.size), n))
 
         return self._emit(out, (logits,), back)
 
@@ -520,10 +577,11 @@ class Tape:
         """Populate .grad on every leaf tensor the scalar loss depends on.
 
         Runs the records from last to first and drops each one once its
-        backward has run: the record's gradient (.grad of the non-leaf
-        output, loss included) is set to None and the arrays its closure
+        backward has run: the record's gradient cell (.grad of the non-leaf
+        output, loss included) is emptied and the arrays its closure
         captured are freed during the pass, not after it. Only leaf
-        gradients, those of the parameters, survive.
+        gradients, those of the parameters, survive; they add to what the
+        leaves already hold.
         """
         if loss.data.shape != (1, 1):
             raise ValueError(f"backward needs a scalar (1x1) loss, got {loss.data.shape}")
@@ -535,10 +593,11 @@ class Tape:
         loss.grad = np.ones((1, 1))
         nodes = self._nodes
         while nodes:
-            out, back = nodes.pop()
-            if out.grad is not None:
-                back(out.grad)
-                out.grad = None
+            cell, back = nodes.pop()
+            g = cell[0]
+            if g is not None:
+                cell[0] = None
+                back(g)
         self._patterns.clear()
 
 

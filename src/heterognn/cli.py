@@ -174,12 +174,24 @@ def _parse_means(text, n_classes: int) -> np.ndarray:
     return np.asarray(values)
 
 
-def _int_list(text: str):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+def _number_list(text: str, flag: str, kind):
+    """The comma-separated values of a list flag, at least one, each a kind."""
+    try:
+        values = [kind(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated {kind.__name__} "
+                         f"values, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag} needs at least one value, got {text!r}")
+    return values
 
 
-def _float_list(text: str):
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+def _check_counts(args):
+    """Every count flag the command has (--splits, --trials, --jobs) is >= 1."""
+    for name in ("splits", "trials", "jobs"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{name} must be at least 1, got {value}")
 
 
 # ---- synthetic-data commands ---------------------------------------------------
@@ -460,7 +472,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep_depth(args) -> int:
-    k_values = _int_list(args.k_list)
+    k_values = _number_list(args.k_list, "--k-list", int)
     _, dataset, results = _run_splits(args, depth_sweep, args.splits,
                                       args.jobs, k_values=k_values)
     rows = []
@@ -506,10 +518,11 @@ def cmd_analyze_attention(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    grid = [(c, l) for c in _int_list(args.chunks_list)
-            for l in _float_list(args.lambda_list)]
+    grid = [(c, l) for c in _number_list(args.chunks_list, "--chunks-list", int)
+            for l in _number_list(args.lambda_list, "--lambda-list", float)]
+    k_values = _number_list(args.k_list, "--k-list", int)
     _, _, results = _run_splits(args, ablate, args.splits, args.jobs,
-                                grid=grid, k_values=_int_list(args.k_list))
+                                grid=grid, k_values=k_values)
     rows = []
     for cell in range(len(grid)):
         per_split = [result[cell] for result in results]
@@ -740,6 +753,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
+        _check_counts(args)
         return args.func(args)
     except (ValueError, OSError, KeyError, DatasetFormatError,
             TrainingDiverged) as exc:

@@ -9,11 +9,17 @@ pushes the chunk mass toward balance across arcs. Everything runs on the
 reverse-mode tape from `heterognn.autodiff`, so a single backward call trains
 the whole stack. A training layer records five tape nodes: dropout, the
 projection, the scores (`Tape.arc_attention`), the chunk sums
-(`Tape.chunk_sum`) and the residual LayerNorm (`Tape.residual_norm`). Of
-arc-sized arrays the backward keeps only the (arcs, C) scores; the rest it
-keeps is node-sized (a one-byte dropout mask, the projection, the message
-and the LayerNorm's rows), and what it can rebuild from those, the
-attention's ReLU output and the chunk matrices, it rebuilds.
+(`Tape.chunk_sum`) and the residual LayerNorm (`Tape.residual_norm`). A
+record keeps its output's gradient cell and only the arrays its backward
+reads. Of arc-sized arrays that is the (arcs, C) scores; the rest is
+node-sized: the dropout's one-byte mask and its output (which the
+projection's backward reads), the projection, and the LayerNorm's rows,
+1/std and ReLU mask. What the backward can rebuild from those, the
+attention's ReLU output and the chunk matrices, it rebuilds. No backward
+reads the message or a residual output that feeds the next dropout, so
+both are freed as soon as `forward` moves on. Under dropout no backward
+reads the encoder output or its ReLU output either, and both are freed by
+the time `forward` returns.
 """
 
 import json

@@ -669,6 +669,56 @@ def test_gradient_accumulates_on_reuse():
     np.testing.assert_allclose(w.grad, [[6.0]])
 
 
+def test_add_hands_each_operand_its_own_gradient():
+    # the first gradient a leaf receives is stored without a copy, so add,
+    # which passes one upstream array to both operands, must copy one
+    a, b, x = (parameter(np.full((2, 2), v)) for v in (1.0, 2.0, 3.0))
+    t = Tape()
+    summed = t.add(t.add(a, b), t.add(x, x))
+    t.backward(t.sum_all(t.add(summed, t.scale(a, 2.0))))
+    assert a.grad is not b.grad
+    np.testing.assert_array_equal(a.grad, np.full((2, 2), 3.0))
+    np.testing.assert_array_equal(b.grad, np.ones((2, 2)))
+    np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
+
+
+def test_sum_rows_gradient_is_a_writeable_array():
+    x = parameter(np.arange(6.0).reshape(3, 2))
+    t = Tape()
+    t.backward(t.l2_norm_sq(t.sum_rows(x)))
+    assert x.grad.flags.writeable and x.grad.flags.owndata
+    np.testing.assert_array_equal(x.grad, np.tile([[12.0, 18.0]], (3, 1)))
+    t = Tape()
+    t.backward(t.sum_all(t.sum_rows(x)))  # accumulates into the stored array
+    np.testing.assert_array_equal(x.grad, np.tile([[13.0, 19.0]], (3, 1)))
+
+
+def test_leaf_gradients_accumulate_across_backward_calls():
+    w = parameter([[1.0, 2.0]])
+    hidden = []
+    for _ in range(2):
+        t = Tape()
+        h = t.scale(w, 3.0)
+        t.backward(t.sum_all(h))
+        hidden.append(h)
+    np.testing.assert_array_equal(w.grad, [[6.0, 6.0]])
+    assert all(h.grad is None for h in hidden)  # non-leaf gradients are freed
+
+
+def test_grad_is_settable_and_zero_grad_clears_it():
+    w = parameter([[1.0]])
+    w.grad = np.array([[5.0]])
+    t = Tape()
+    t.backward(t.sum_all(t.scale(w, 2.0)))
+    np.testing.assert_array_equal(w.grad, [[7.0]])
+    opt = AdamState([w])
+    opt.zero_grad()
+    assert w.grad is None
+    t = Tape()
+    t.backward(t.sum_all(w))
+    np.testing.assert_array_equal(w.grad, [[1.0]])
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference gradient checks, op by op
 # ---------------------------------------------------------------------------

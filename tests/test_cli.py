@@ -460,3 +460,31 @@ def test_config_file_seed_applies_unless_flag_given(tmp_path, capsys, command):
     assert recorded == {"file": 7, "flag": 7, "other": 3}
     assert (data_lines(str(tmp_path / "file.csv"))
             == data_lines(str(tmp_path / "flag.csv")))
+
+
+BAD_COUNTS_AND_LISTS = [
+    (["train", "--splits", "0"], "--splits"),
+    (["train", "--jobs", "0"], "--jobs"),
+    (["train", "--jobs", "-3"], "--jobs"),
+    (["sweep-depth", "--k-list", ""], "--k-list"),
+    (["sweep-depth", "--k-list", "2,x"], "--k-list"),
+    (["ablate", "--chunks-list", ""], "--chunks-list"),
+    (["ablate", "--lambda-list", ","], "--lambda-list"),
+    (["simulate", "--trials", "0"], "--trials"),
+    (["concentration", "--trials", "0"], "--trials"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_COUNTS_AND_LISTS,
+                         ids=[" ".join(argv) for argv, _ in BAD_COUNTS_AND_LISTS])
+def test_empty_count_or_list_flag_exits_1_naming_it(tmp_path, capsys, argv, flag):
+    toy = make_toy(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    data = ["--data", toy, "--hidden", "8", "--chunks", "2", "--max-epochs", "2"]
+    if argv[0] in ("simulate", "concentration"):
+        data = ["--nodes", "60"]
+    assert main([*argv, *data, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err, err
+    assert not out.exists()

@@ -11,6 +11,8 @@ import json
 from dataclasses import asdict
 import time
 import tracemalloc
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from heterognn.model import (
     encode,
     forward,
     init_params,
+    layer_update,
     load_checkpoint,
     one_hot_arc_scores,
     reg_loss,
@@ -562,3 +565,133 @@ def test_training_layer_retains_at_most_250_bytes_per_arc():
 
     per_arc_layer = (held_bytes(6) - held_bytes(2)) / (4 * g.n_arcs)
     assert per_arc_layer <= 250, per_arc_layer
+
+
+def held_bytes_per_arc_layer(shallow, deep):
+    """Traced bytes a training tape holds once forward and total_loss have
+    run, per arc and per layer, as (held(deep) - held(shallow)) over the
+    added layers, on a 400-node, 4000-edge graph with hidden 80, 5 chunks
+    and keep_prob 0.5."""
+    rng = np.random.default_rng(18)
+    n, n_edges = 400, 4000
+    seen = set()
+    while len(seen) < n_edges:
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            seen.add((min(i, j), max(i, j)))
+    g = build_graph(n, sorted(seen), rng.normal(size=(n, 16)),
+                    rng.integers(0, 3, size=n), 3)
+    train_ids = np.arange(0, n, 2)
+
+    def held_bytes(layers):
+        cfg = M2mConfig(hidden=80, chunks=5, layers=layers, keep_prob=0.5,
+                        reg_strength=0.5, seed=0)
+        params = init_params(cfg, g.n_features, g.n_classes)
+        tracemalloc.start()
+        try:
+            tape = ad.Tape()
+            result = forward(tape, params, g, cfg, training=True,
+                             rng=np.random.default_rng(0))
+            loss = total_loss(tape, result, g.labels, train_ids, g, cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss.item())
+        return held
+
+    return (held_bytes(deep) - held_bytes(shallow)) / ((deep - shallow) * g.n_arcs)
+
+
+def test_training_layer_retains_at_most_140_bytes_per_arc():
+    # of node-sized arrays a layer keeps its dropout output (read by the
+    # projection's backward), its one-byte mask, the projection, and the
+    # LayerNorm's rows, 1/std and ReLU mask; its message and its residual
+    # output are read by no backward, so the tape does not keep them
+    per_arc_layer = held_bytes_per_arc_layer(2, 6)
+    assert per_arc_layer <= 140, per_arc_layer
+
+
+def forward_with_refs(tape, params, g, cfg, rng):
+    """model.forward's training ops, returning the logits and weak
+    references to the data of each non-last layer's message and output."""
+    h0 = encode(tape, params, g.features, cfg, True, rng)
+    h, refs = h0, []
+    for k in range(cfg.layers):
+        h_in = tape.dropout(h, cfg.keep_prob, rng)
+        h_hat = tape.matmul(h_in, params.layer_proj[k])
+        scores = attention_scores(tape, h_hat, g, params.layer_att[k],
+                                  cfg.alpha, cfg.temperature)
+        message = chunk_aggregate(tape, h_hat, scores, g)
+        h = layer_update(tape, h0, message, cfg.beta, params.ln_gain[k],
+                         params.ln_bias[k])
+        if k < cfg.layers - 1:
+            refs += [weakref.ref(message.data), weakref.ref(h.data)]
+    return tape.matmul(h, params.head), refs
+
+
+def test_outputs_no_backward_reads_are_freed_before_backward():
+    g = random_graph(seed=12, n=8, f=3, n_classes=2, p_edge=0.5)
+    cfg = tiny_config(hidden=6, chunks=2, layers=3, keep_prob=0.5, seed=5)
+    params = init_params(cfg, g.n_features, g.n_classes)
+    mask = np.arange(g.n_nodes)
+
+    def loss_value():
+        tape = ad.Tape()
+        logits, _ = forward_with_refs(tape, params, g, cfg,
+                                      np.random.default_rng(0))
+        return tape.cross_entropy(logits, g.labels, mask).item()
+
+    tape = ad.Tape()
+    logits, refs = forward_with_refs(tape, params, g, cfg,
+                                     np.random.default_rng(0))
+    loss = tape.cross_entropy(logits, g.labels, mask)
+    del logits
+    assert len(refs) == 4
+    assert all(ref() is None for ref in refs)
+    tape.backward(loss)
+
+    step = 1e-6
+    for name, tensor in params.named():
+        analytic = tensor.grad
+        assert analytic is not None, name
+        it = np.nditer(tensor.data, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            keep = tensor.data[idx]
+            tensor.data[idx] = keep + step
+            up = loss_value()
+            tensor.data[idx] = keep - step
+            down = loss_value()
+            tensor.data[idx] = keep
+            fd = (up - down) / (2 * step)
+            an = analytic[idx]
+            err = abs(fd - an) / max(1.0, abs(fd), abs(an))
+            assert err < 1e-3, f"{name}{idx}: fd={fd} analytic={an}"
+
+
+def test_no_tape_record_holds_a_tensor():
+    # a record is (gradient cell, closure); the closure, and the helpers it
+    # calls, hold cells, flags and arrays, never a Tensor
+    g = random_graph(seed=16)
+    cfg = tiny_config(keep_prob=0.6, layers=3, reg_strength=0.5)
+    params = init_params(cfg, g.n_features, g.n_classes)
+    tape = ad.Tape()
+    result = forward(tape, params, g, cfg, training=True,
+                     rng=np.random.default_rng(0))
+    total_loss(tape, result, g.labels, np.arange(g.n_nodes), g, cfg)
+
+    def holds_tensor(fn, seen):
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, ad.Tensor):
+                return True
+            if isinstance(value, types.FunctionType) and value not in seen:
+                seen.add(value)
+                if holds_tensor(value, seen):
+                    return True
+        return False
+
+    assert tape._nodes
+    for grad_cell, back in tape._nodes:
+        assert isinstance(grad_cell, list) and grad_cell == [None]
+        assert not holds_tensor(back, set())
