@@ -102,42 +102,6 @@ def _softmax_backward(g, s, temperature, axis):
     return d
 
 
-def _layer_norm(x, gain: Tensor, bias: Tensor):
-    """LayerNorm of the rows of x: (xhat * gain + bias, xhat, inv_std).
-
-    xhat is x standardized per row, with the population variance and
-    epsilon 1e-5 under the square root; x is left untouched.
-    """
-    d = x.shape[1]
-    if gain.data.shape != (1, d) or bias.data.shape != (1, d):
-        raise ValueError("layer_norm affine parameters must be 1 x d")
-    xhat = x - x.mean(axis=1, keepdims=True)
-    var = (xhat * xhat).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat *= inv_std
-    out = xhat * gain.data
-    out += bias.data
-    return out, xhat, inv_std
-
-
-def _layer_norm_backward(dxhat, xhat, inv_std):
-    """Gradient of the x of _layer_norm, given dxhat, the gradient of its xhat."""
-    # standard layer-norm backward, fused form
-    term = dxhat - dxhat.mean(axis=1, keepdims=True)
-    term -= xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-    term *= inv_std
-    return term
-
-
-def _affine_backward(g, xhat, gain_cell, bias_cell):
-    """Gradients of gain and bias in out = xhat * gain + bias, into their
-    cells (None for one that takes no gradient)."""
-    if gain_cell is not None:
-        _accum(gain_cell, (g * xhat).sum(axis=0, keepdims=True))
-    if bias_cell is not None:
-        _accum(bias_cell, g.sum(axis=0, keepdims=True))
-
-
 def _cell(t: Tensor):
     """t's gradient cell if t takes a gradient, else None.
 
@@ -217,32 +181,6 @@ class Tape:
 
         return self._emit(out, (x,), back)
 
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        """Elementwise product; one operand may be a single column (broadcast)."""
-        ra, ca = a.data.shape
-        rb, cb = b.data.shape
-        if ra != rb or (ca != cb and 1 not in (ca, cb)):
-            raise ValueError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-        out = Tensor(a.data * b.data)
-        ga, gb = _cell(a), _cell(b)
-        a_data = a.data if gb is not None else None  # read for b's gradient only
-        b_data = b.data if ga is not None else None
-        width = out.data.shape[1]
-
-        def back(g):
-            if ga is not None:
-                da = g * b_data
-                if ca == 1 and width > 1:
-                    da = da.sum(axis=1, keepdims=True)
-                _accum(ga, da)
-            if gb is not None:
-                db = g * a_data
-                if cb == 1 and width > 1:
-                    db = db.sum(axis=1, keepdims=True)
-                _accum(gb, db)
-
-        return self._emit(out, (a, b), back)
-
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.shape[1] != b.data.shape[0]:
             raise ValueError(
@@ -268,20 +206,6 @@ class Tape:
 
         def back(g):
             _accum(gx, g * (x_data > 0.0))
-
-        return self._emit(out, (x,), back)
-
-    def row_gather(self, x: Tensor, index) -> Tensor:
-        idx = np.asarray(index, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError("row_gather index must be 1-D")
-        if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-            raise IndexError("row_gather index out of range")
-        out = Tensor(x.data[idx])
-        gx, n = x._cell, x.data.shape[0]
-
-        def back(g):
-            _accum(gx, _scatter_rows(idx, g, n))
 
         return self._emit(out, (x,), back)
 
@@ -371,12 +295,12 @@ class Tape:
                       alpha: float, temperature: float) -> Tensor:
         """Per-arc scores softmax(ReLU(alpha * h[arc_dst] + h[arc_src]) @ w_att).
 
-        Equal bit for bit to the chain row_gather, row_gather, scale, add,
-        relu, matmul, row_softmax, recorded as one node, for fewer than eight
-        chunks; from eight on, numpy sums each row of the chain's softmax
-        pairwise and the two may differ in the last bits. The softmax and its
-        backward run on chunk-major (C, arcs) copies, so each reduction adds
-        C long rows instead of arcs short ones. The record keeps no
+        Equal bit for bit, for fewer than eight chunks, to the same steps in
+        plain numpy with a row-major softmax (the reference in the tests),
+        recorded as one node; from eight on, numpy sums each row of that
+        softmax pairwise and the two may differ in the last bits. The
+        softmax and its backward run on chunk-major (C, arcs) copies, so
+        each reduction adds C long rows instead of arcs short ones. The record keeps no
         (arcs, w) array, only h's data, w_att's and its own scores, and the
         backward recomputes the ReLU output from h with the forward's
         operations, then runs the softmax, w_att's gradient and the ReLU
@@ -434,15 +358,6 @@ class Tape:
 
         return self._emit(out, (x,), back)
 
-    def sum_all(self, x: Tensor) -> Tensor:
-        out = Tensor([[x.data.sum()]])
-        gx, shape = x._cell, x.data.shape
-
-        def back(g):
-            _accum(gx, np.full(shape, g[0, 0]))
-
-        return self._emit(out, (x,), back)
-
     def l2_norm_sq(self, x: Tensor) -> Tensor:
         x_data = x.data
         out = Tensor([[float(np.sum(x_data * x_data))]])
@@ -465,50 +380,52 @@ class Tape:
 
         return self._emit(out, (x,), back)
 
-    def layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-        """Per-row standardization followed by a learned affine map.
-
-        gain and bias are 1 x d and broadcast over rows; variance uses the
-        population convention with epsilon 1e-5 under the square root. The
-        model's layers use `residual_norm`, which ends in the same map.
-        """
-        out, xhat, inv_std = _layer_norm(x.data, gain, bias)
-        gx = _cell(x)
-        g_gain, g_bias, gain_data = _cell(gain), _cell(bias), gain.data
-
-        def back(g):
-            _affine_backward(g, xhat, g_gain, g_bias)
-            if gx is not None:
-                _accum(gx, _layer_norm_backward(g * gain_data, xhat, inv_std))
-
-        return self._emit(Tensor(out), (x, gain, bias), back)
-
     def residual_norm(self, h0: Tensor, message: Tensor, beta: float,
                       gain: Tensor, bias: Tensor) -> Tensor:
-        """layer_norm(relu((1 - beta) * h0 + beta * message), gain, bias).
+        """LayerNorm of the rows of relu((1 - beta) * h0 + beta * message).
 
-        Equal bit for bit to the chain scale, scale, add, relu, layer_norm,
-        recorded as one node. The backward keeps the standardized rows, the
-        per-row 1/std, the ReLU mask and the gain; it reads neither input's
-        data, so a message and an h0 that nothing else reads die with their
-        caller's names.
+        Each row is standardized with its population variance and epsilon
+        1e-5 under the square root, then mapped by the 1 x d gain and bias.
+        Equal bit for bit to the same steps in plain numpy (the reference in
+        the tests), recorded as one node. The backward keeps the
+        standardized rows, the per-row 1/std, the ReLU mask and the gain; it
+        reads neither input's data, so a message and an h0 that nothing else
+        reads die with their caller's names.
         """
+        d = h0.data.shape[1]
         if h0.data.shape != message.data.shape:
             raise ValueError(f"residual_norm shape mismatch: {h0.data.shape} "
                              f"vs {message.data.shape}")
+        if gain.data.shape != (1, d) or bias.data.shape != (1, d):
+            raise ValueError("residual_norm gain and bias must be 1 x d")
         beta = float(beta)
         mix = h0.data * (1.0 - beta)
         mix += message.data * beta
         np.maximum(mix, 0.0, out=mix)
         active = mix > 0.0
-        out, xhat, inv_std = _layer_norm(mix, gain, bias)
+        xhat = mix - mix.mean(axis=1, keepdims=True)
+        var = (xhat * xhat).mean(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + _LN_EPS)
+        xhat *= inv_std
+        out = xhat * gain.data
+        out += bias.data
         g_h0, g_msg = _cell(h0), _cell(message)
         g_gain, g_bias, gain_data = _cell(gain), _cell(bias), gain.data
 
         def back(g):
-            _affine_backward(g, xhat, g_gain, g_bias)
+            if g_gain is not None:
+                _accum(g_gain, (g * xhat).sum(axis=0, keepdims=True))
+            if g_bias is not None:
+                _accum(g_bias, g.sum(axis=0, keepdims=True))
             if g_h0 is not None or g_msg is not None:
-                d_mix = _layer_norm_backward(g * gain_data, xhat, inv_std)
+                # standard layer-norm backward, fused form, on the gradient
+                # of xhat in place
+                d_mix = g * gain_data
+                mean_d = d_mix.mean(axis=1, keepdims=True)
+                mean_dx = (d_mix * xhat).mean(axis=1, keepdims=True)
+                d_mix -= mean_d
+                d_mix -= xhat * mean_dx
+                d_mix *= inv_std
                 d_mix *= active
                 if g_h0 is not None:
                     _accum(g_h0, d_mix * (1.0 - beta))

@@ -187,11 +187,14 @@ def _number_list(text: str, flag: str, kind):
 
 
 def _check_counts(args):
-    """Every count flag the command has (--splits, --trials, --jobs) is >= 1."""
-    for name in ("splits", "trials", "jobs"):
+    """Every count flag the command has (--splits, --trials, --jobs, --nodes,
+    --classes) is >= 1, and --show is >= 0."""
+    for name in ("splits", "trials", "jobs", "nodes", "classes"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ValueError(f"--{name} must be at least 1, got {value}")
+    if getattr(args, "show", 0) < 0:
+        raise ValueError(f"--show must be at least 0, got {args.show}")
 
 
 # ---- synthetic-data commands ---------------------------------------------------

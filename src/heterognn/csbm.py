@@ -36,6 +36,10 @@ class CsbmParams:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_classes < 1:
+            raise ValueError(f"n_classes must be at least 1, got {self.n_classes}")
+        if self.n_nodes < 1:
+            raise ValueError(f"n_nodes must be at least 1, got {self.n_nodes}")
         means = np.atleast_2d(np.asarray(self.class_means, dtype=np.float64))
         if means.shape[0] != self.n_classes:
             # allow passing a flat length-C vector for 1-D features

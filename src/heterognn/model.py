@@ -7,10 +7,12 @@ The residual always returns to the encoder output, so depth cannot wash out
 the input signal, and a chunk-balance penalty weighted by ``reg_strength``
 pushes the chunk mass toward balance across arcs. Everything runs on the
 reverse-mode tape from `heterognn.autodiff`, so a single backward call trains
-the whole stack. A training layer records five tape nodes: dropout, the
-projection, the scores (`Tape.arc_attention`), the chunk sums
-(`Tape.chunk_sum`) and the residual LayerNorm (`Tape.residual_norm`). A
-record keeps its output's gradient cell and only the arrays its backward
+the whole stack. The tape's ops are exactly those that this module and
+`heterognn.training` call, and criterion 7's finite-difference battery in
+the acceptance tests runs every one of them. A training layer records five
+tape nodes: dropout, the projection, the scores (`Tape.arc_attention`), the
+chunk sums (`Tape.chunk_sum`) and the residual LayerNorm
+(`Tape.residual_norm`). A record keeps its output's gradient cell and only the arrays its backward
 reads. Of arc-sized arrays that is the (arcs, C) scores; the rest is
 node-sized: the dropout's one-byte mask and its output (which the
 projection's backward reads), the projection, and the LayerNorm's rows,

@@ -272,44 +272,49 @@ def _fd_check(build, step=1e-6):
     return worst
 
 
+def op_battery(rng):
+    """Criterion 7's op battery: (leaves, run), where run(tape) chains every
+    public Tape op into a scalar loss that each op's every input reaches.
+
+    The leaves are rng's next seven draws, always of these shapes and
+    distributions in this order, because criterion 7's model part draws its
+    graph from the same rng next. Dropout keeps 3 of 4 entries under a
+    generator seeded inside run, so every evaluation draws the same mask.
+    """
+    a = ad.parameter(rng.normal(size=(3, 4)))
+    b = ad.parameter(rng.normal(size=(3, 4)))
+    w = ad.parameter(rng.normal(size=(4, 3)))
+    col = ad.parameter(rng.normal(size=(3, 1)))
+    gain = ad.parameter(rng.uniform(0.5, 1.5, size=(1, 4)))
+    bias = ad.parameter(rng.normal(size=(1, 4)))
+    w_att = ad.parameter(rng.normal(size=(3, 4)))
+    labels = np.array([0, 2, 1])
+    rows = np.array([0, 1, 2])
+    # arcs 2->0, 0->0, 1->1 and 1->2, sorted by destination
+    arc_src, arc_dst = np.array([2, 0, 1, 1]), np.array([0, 0, 1, 2])
+    indptr = np.array([0, 2, 3, 4])
+
+    def run(tape):
+        s = tape.scale(tape.add(a, b), 0.7)
+        kept = tape.dropout(s, 0.75, np.random.default_rng(3))
+        h = tape.relu(tape.matmul(kept, w))
+        scores = tape.arc_attention(h, w_att, arc_src, arc_dst, 0.6, 0.8)
+        message = tape.chunk_sum(scores, col, arc_src, indptr)
+        normed = tape.residual_norm(s, message, 0.6, gain, bias)
+        soft = tape.row_softmax(normed, temperature=0.7)
+        ce = tape.cross_entropy(normed, labels, rows)
+        return tape.add(
+            tape.add(tape.l2_norm_sq(soft), tape.l2_norm_sq(message)),
+            tape.add(tape.l2_norm_sq(tape.sum_rows(h)), ce),
+        )
+
+    return [a, b, w, col, gain, bias, w_att], run
+
+
 def test_criterion_7_gradients_match_finite_differences():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
-
-    def op_battery():
-        a = ad.parameter(rng.normal(size=(3, 4)))
-        b = ad.parameter(rng.normal(size=(3, 4)))
-        w = ad.parameter(rng.normal(size=(4, 3)))
-        col = ad.parameter(rng.normal(size=(3, 1)))
-        gain = ad.parameter(rng.uniform(0.5, 1.5, size=(1, 4)))
-        bias = ad.parameter(rng.normal(size=(1, 4)))
-        shift = ad.parameter(rng.normal(size=(3, 4)) + 3.0)  # clear of kinks
-        labels = np.array([0, 2, 1])
-        rows = np.array([0, 1, 2])
-        arc_src = np.array([2, 0, 1, 1])
-        indptr = np.array([0, 2, 3, 4])
-
-        def run(tape):
-            s = tape.add(a, b)
-            s = tape.mul(s, b)
-            s = tape.mul(col, s)
-            s = tape.scale(s, 0.7)
-            m = tape.matmul(s, w)
-            m = tape.relu(tape.add(m, tape.matmul(shift, w)))
-            pooled = tape.chunk_sum(tape.row_gather(col, arc_src), s, arc_src,
-                                    indptr)
-            normed = tape.layer_norm(pooled, gain, bias)
-            soft = tape.row_softmax(normed, temperature=0.7)
-            ce = tape.cross_entropy(normed, labels, rows)
-            pieces = tape.add(
-                tape.add(tape.l2_norm_sq(soft), tape.l2_norm_sq(pooled)),
-                tape.add(tape.sum_all(tape.sum_rows(m)), ce),
-            )
-            return pieces
-
-        return [a, b, w, col, gain, bias, shift], run
-
-    op_err = _fd_check(op_battery)
+    op_err = _fd_check(lambda: op_battery(rng))
 
     edges = [(i, j) for i in range(8) for j in range(i + 1, 8)
              if rng.random() < 0.5] or [(0, 1)]
@@ -333,6 +338,61 @@ def test_criterion_7_gradients_match_finite_differences():
     verdict(7, op_err < 1e-4 and model_err < 1e-3 and elapsed < 60.0,
             f"op battery max rel err {op_err:.2e} (< 1e-4), end-to-end "
             f"{model_err:.2e} (< 1e-3), dropout off, {elapsed:.1f}s")
+
+
+TAPE_OPS = {name for name, value in vars(ad.Tape).items()
+            if callable(value) and not name.startswith("_")} - {"backward"}
+
+
+def test_criterion_7_battery_runs_exactly_the_ops_shipped_code_calls(monkeypatch):
+    # a Tape op that no shipped code calls is dead weight, and one that the
+    # battery skips has its gradient checked only end to end
+    called = set()
+
+    def recorded(name, method):
+        def op(self, *args, **kwargs):
+            called.add(name)
+            return method(self, *args, **kwargs)
+
+        return op
+
+    for name in TAPE_OPS:
+        monkeypatch.setattr(ad.Tape, name, recorded(name, getattr(ad.Tape, name)))
+    rng = np.random.default_rng(12)
+    edges = [(i, j) for i in range(12) for j in range(i + 1, 12)
+             if rng.random() < 0.4]
+    g = build_graph(12, edges, rng.normal(size=(12, 3)),
+                    np.arange(12) % 2, 2)
+    config = M2mConfig(hidden=6, chunks=2, layers=2, keep_prob=0.8,
+                       reg_strength=0.3, seed=0)
+    _, params = train(g, config, random_split(g, seed=0), max_epochs=1)
+    attention_analysis(g, params, config)
+    mixing_score(g, params, config)
+    assert called == TAPE_OPS
+    called.clear()
+    _, run = op_battery(np.random.default_rng(7))
+    run(ad.Tape())
+    assert called == TAPE_OPS
+
+
+def test_criterion_7_battery_fails_a_scaled_backward_of_each_op(monkeypatch):
+    def scaled_backward(method):
+        def op(self, *args, **kwargs):
+            emit = self._emit
+            self._emit = lambda out, parents, back: emit(
+                out, parents, lambda g: back(1.01 * g))
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                del self._emit
+
+        return op
+
+    for name in sorted(TAPE_OPS):
+        with monkeypatch.context() as patch:
+            patch.setattr(ad.Tape, name, scaled_backward(getattr(ad.Tape, name)))
+            err = _fd_check(lambda: op_battery(np.random.default_rng(7)))
+        assert err > 1e-4, f"a backward of {name} fed 1.01 g passes: {err:.2e}"
 
 
 WEBKB_TARGETS = [("texas", 0.80), ("wisconsin", 0.80), ("cornell", 0.78)]

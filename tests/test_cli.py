@@ -196,6 +196,27 @@ def test_desirability_audit_finds_sign_flips_on_three_classes(tmp_path, capsys):
     assert "NOT desirable" in out
 
 
+def test_desirability_negative_show_exits_1_naming_it(tmp_path, capsys):
+    toy = make_toy(tmp_path)
+    capsys.readouterr()
+    assert main(["desirability", toy, "--show", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--show" in captured.err
+    assert captured.out == ""
+    assert main(["desirability", toy, "--show", "0"]) == 0
+    assert "... and" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["gen-csbm", "simulate", "concentration"])
+@pytest.mark.parametrize("flag", ["--nodes", "--classes"])
+def test_csbm_count_below_one_exits_1_naming_it(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    assert main([command, flag, "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err, err
+    assert not out.exists()
+
+
 def test_theory_check_passes(capsys):
     assert main(["theory-check", "--seed", "0"]) == 0
     out = capsys.readouterr().out

@@ -32,6 +32,13 @@ def test_rejects_uneven_class_blocks():
         params(n_nodes=61)
 
 
+@pytest.mark.parametrize("field", ["n_nodes", "n_classes"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_rejects_a_count_below_one_naming_it(field, value):
+    with pytest.raises(ValueError, match=field):
+        params(**{field: value})
+
+
 def test_rejects_bad_probability():
     with pytest.raises(ValueError):
         params(p=1.5)

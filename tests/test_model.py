@@ -531,42 +531,6 @@ def test_doubling_arcs_stays_within_linear_budget():
     assert large <= 3.0 * small, (small, large)
 
 
-def test_training_layer_retains_at_most_250_bytes_per_arc():
-    # traced bytes a training tape holds once forward and total_loss have
-    # run, per arc per layer, as the K=6 minus K=2 difference over 4 layers;
-    # the records keep the scores and node-sized arrays, no (arcs, w) array,
-    # no CSR copy and no float dropout mask
-    rng = np.random.default_rng(18)
-    n, n_edges = 400, 4000
-    seen = set()
-    while len(seen) < n_edges:
-        i, j = rng.integers(0, n, size=2)
-        if i != j:
-            seen.add((min(i, j), max(i, j)))
-    g = build_graph(n, sorted(seen), rng.normal(size=(n, 16)),
-                    rng.integers(0, 3, size=n), 3)
-    train_ids = np.arange(0, n, 2)
-
-    def held_bytes(layers):
-        cfg = M2mConfig(hidden=80, chunks=5, layers=layers, keep_prob=0.5,
-                        reg_strength=0.5, seed=0)
-        params = init_params(cfg, g.n_features, g.n_classes)
-        tracemalloc.start()
-        try:
-            tape = ad.Tape()
-            result = forward(tape, params, g, cfg, training=True,
-                             rng=np.random.default_rng(0))
-            loss = total_loss(tape, result, g.labels, train_ids, g, cfg)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert np.isfinite(loss.item())
-        return held
-
-    per_arc_layer = (held_bytes(6) - held_bytes(2)) / (4 * g.n_arcs)
-    assert per_arc_layer <= 250, per_arc_layer
-
-
 def held_bytes_per_arc_layer(shallow, deep):
     """Traced bytes a training tape holds once forward and total_loss have
     run, per arc and per layer, as (held(deep) - held(shallow)) over the
@@ -603,10 +567,12 @@ def held_bytes_per_arc_layer(shallow, deep):
 
 
 def test_training_layer_retains_at_most_140_bytes_per_arc():
-    # of node-sized arrays a layer keeps its dropout output (read by the
-    # projection's backward), its one-byte mask, the projection, and the
-    # LayerNorm's rows, 1/std and ReLU mask; its message and its residual
-    # output are read by no backward, so the tape does not keep them
+    # the records keep the scores and node-sized arrays, with no (arcs, w)
+    # array, no CSR copy and no float dropout mask. Of node-sized arrays a
+    # layer keeps its dropout output (read by the projection's backward),
+    # its one-byte mask, the projection, and the LayerNorm's rows, 1/std
+    # and ReLU mask; its message and its residual output are read by no
+    # backward, so the tape does not keep them
     per_arc_layer = held_bytes_per_arc_layer(2, 6)
     assert per_arc_layer <= 140, per_arc_layer
 
