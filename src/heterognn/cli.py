@@ -17,6 +17,7 @@ from concurrent import futures
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -48,12 +49,12 @@ from .multiset import (
 from .signed import (
     class_gap,
     concentration_check,
+    csbm_trajectory,
     cumulative_matrix,
     expected_gap,
     expected_trajectory,
     is_desirable,
     merge_trajectories,
-    propagate_linear,
     sign_flip_counterexample,
     z_score,
 )
@@ -217,23 +218,13 @@ def cmd_gen_csbm(args) -> int:
     return 0
 
 
-def _one_trajectory(payload):
-    n, c, p, q, means, noise, layers, seed = payload
-    params = CsbmParams(n, c, p, q, np.asarray(means), noise, seed)
-    sample = sample_csbm(params)
-    P, kept = signed_normalize(sample)
-    return propagate_linear(P, sample.features[kept], layers,
-                            sample.labels[kept], c)
-
-
 def cmd_simulate(args) -> int:
     means = _parse_means(args.means, args.classes)
-    payloads = [
-        (args.nodes, args.classes, args.p, args.q, tuple(means),
-         args.noise_var, args.layers, args.seed + t)
-        for t in range(args.trials)
-    ]
-    merged = merge_trajectories(_pmap(_one_trajectory, payloads, args.jobs))
+    trials = [CsbmParams(args.nodes, args.classes, args.p, args.q, means,
+                         args.noise_var, args.seed + t)
+              for t in range(args.trials)]
+    merged = merge_trajectories(
+        _pmap(partial(csbm_trajectory, K=args.layers), trials, args.jobs))
     rows = []
     for a in range(args.classes):
         for b in range(a + 1, args.classes):
@@ -289,6 +280,10 @@ def _print_sign_flip_demo():
 
 
 def cmd_desirability(args) -> int:
+    if args.layers < 1:
+        raise ValueError(f"--layers must be at least 1, got {args.layers}")
+    if not args.atol >= 0:
+        raise ValueError(f"--atol must be at least 0, got {args.atol}")
     if args.demo:
         _print_sign_flip_demo()
         return 0

@@ -2,12 +2,13 @@
 
 Two ways to summarize a multiset of vectors: pool everything into a single
 vector (``m2e_pool``), or partition the multiset, pool each part, and
-concatenate the parts (``m2m_pool``). The second is at least as
-discriminative as the first, and the gap is what the chunked message-passing
-model exploits. This module keeps the label-aware neighborhood summaries
-(``one_hop_desirable_m2m``, ``d_hop_oracle``) and the expected chunked-mean
-dynamics (``m2m_expected_step``) as plain-ndarray reference computations so
-tests can compare the trainable model against them.
+concatenate the parts (``m2m_pool``). The first is the second over one
+group, and the second is at least as discriminative as the first; the gap is
+what the chunked message-passing model exploits. This module keeps the
+label-aware neighborhood summaries (``one_hop_desirable_m2m``,
+``d_hop_oracle``) and the expected chunked-mean dynamics
+(``m2m_expected_step``) as plain-ndarray reference computations so tests can
+compare the trainable model against them.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "VectorMultiset", "Partition", "label_partition",
+    "VectorMultiset", "Partition",
     "m2e_pool", "m2m_pool", "one_hop_desirable_m2m",
     "stacked_one_hop", "d_hop_oracle",
     "distance_compare", "maxima_first_partition",
@@ -29,23 +30,13 @@ _ORACLE_WIDTH_LIMIT = 65536
 
 @dataclass(frozen=True)
 class VectorMultiset:
-    """A finite multiset of equal-width real vectors; duplicates preserved.
-
-    ``tags`` optionally assigns an integer class to each element, enabling
-    `label_partition`.
-    """
+    """A finite multiset of equal-width real vectors; duplicates preserved."""
 
     elements: np.ndarray
-    tags: Optional[np.ndarray] = None
 
     def __post_init__(self):
         el = np.atleast_2d(np.asarray(self.elements, dtype=np.float64))
         object.__setattr__(self, "elements", el)
-        if self.tags is not None:
-            tags = np.asarray(self.tags, dtype=np.int64)
-            if tags.shape != (el.shape[0],):
-                raise ValueError("need one tag per element")
-            object.__setattr__(self, "tags", tags)
 
     def __len__(self) -> int:
         return self.elements.shape[0]
@@ -78,71 +69,30 @@ class Partition:
         return np.nonzero(self.assignment == group)[0]
 
 
-def label_partition(ms: VectorMultiset, n_groups: Optional[int] = None) -> Partition:
-    """Group a tagged multiset strictly by class tag."""
-    if ms.tags is None:
-        raise ValueError("multiset has no class tags")
-    if n_groups is None:
-        n_groups = int(ms.tags.max()) + 1 if len(ms) else 1
-    return Partition(ms.tags, n_groups)
+def m2e_pool(ms: VectorMultiset, mode: str = "sum") -> np.ndarray:
+    """Pool the whole multiset into one vector: `m2m_pool` over one group."""
+    return m2m_pool(ms, Partition(np.zeros(len(ms), dtype=np.int64), 1), mode)
 
 
-def _transformed(ms: VectorMultiset, weight) -> np.ndarray:
-    if weight is None:
-        return ms.elements
-    return ms.elements @ np.asarray(weight, dtype=np.float64)
-
-
-def _pool(rows: np.ndarray, mode: str, denom: Optional[int] = None) -> np.ndarray:
-    """Pool the rows of a nonempty block; ``denom`` overrides the mean divisor."""
-    if mode == "sum":
-        return rows.sum(axis=0)
-    if mode == "mean":
-        return rows.sum(axis=0) / (denom if denom is not None else rows.shape[0])
-    if mode == "max":
-        return rows.max(axis=0)
-    raise ValueError(f"unknown pooling mode {mode!r}")
-
-
-def m2e_pool(ms: VectorMultiset, weight=None, mode: str = "sum") -> np.ndarray:
-    """Pool the whole multiset (after an optional linear map) into one vector."""
-    if mode not in _POOL_MODES:
-        raise ValueError(f"unknown pooling mode {mode!r}")
-    rows = _transformed(ms, weight)
-    if rows.shape[0] == 0:
-        return np.zeros(rows.shape[1])
-    return _pool(rows, mode)
-
-
-def m2m_pool(
-    ms: VectorMultiset,
-    partition: Partition,
-    weight=None,
-    mode: str = "sum",
-    full_size_mean: bool = True,
-) -> np.ndarray:
+def m2m_pool(ms: VectorMultiset, partition: Partition, mode: str = "sum") -> np.ndarray:
     """Pool each partition group separately and concatenate in group order.
 
-    With ``full_size_mean`` (the default) the mean divides every group's sum
-    by the size of the whole multiset rather than the group, so the group
-    blocks of a mean-pooled multiset add back up to its single-vector mean.
-    Empty groups contribute zero blocks.
+    The mean divides every group's sum by the size of the whole multiset,
+    not of the group, so the group blocks of a mean-pooled multiset add back
+    up to its single-vector mean. Empty groups contribute zero blocks.
     """
     if mode not in _POOL_MODES:
         raise ValueError(f"unknown pooling mode {mode!r}")
     if partition.assignment.shape[0] != len(ms):
         raise ValueError("partition does not index this multiset")
-    rows = _transformed(ms, weight)
-    f = rows.shape[1]
-    denom = len(ms) if (mode == "mean" and full_size_mean) else None
-    blocks = []
+    blocks = np.zeros((partition.n_groups, ms.width))
     for g in range(partition.n_groups):
-        members = partition.members(g)
-        if members.size == 0:
-            blocks.append(np.zeros(f))
-        else:
-            blocks.append(_pool(rows[members], mode, denom))
-    return np.concatenate(blocks)
+        rows = ms.elements[partition.members(g)]
+        if rows.shape[0]:
+            blocks[g] = rows.max(axis=0) if mode == "max" else rows.sum(axis=0)
+    if mode == "mean" and len(ms):
+        blocks /= len(ms)
+    return blocks.ravel()
 
 
 def one_hop_desirable_m2m(
@@ -152,16 +102,17 @@ def one_hop_desirable_m2m(
     weight=None,
     mode: str = "sum",
     n_classes: Optional[int] = None,
-    full_size_mean: bool = True,
 ) -> np.ndarray:
     """Label-blocked neighborhood summary: one block per class, per node.
 
-    Block t of node i pools the (transformed) features of i's in-neighbors
-    whose label is t; classes absent from the neighborhood leave zero blocks,
+    Block t of node i sums the features (mapped by ``weight`` when given) of
+    i's in-neighbors whose label is t; with ``mode="mean"`` every block is
+    divided by i's in-degree, so a node's blocks add up to its plain
+    neighbor mean. Classes absent from the neighborhood leave zero blocks,
     and isolated nodes get all-zero messages. This is the idealized,
     true-label version of what the attention layers learn to approximate.
     """
-    if mode not in _POOL_MODES:
+    if mode not in ("sum", "mean"):
         raise ValueError(f"unknown pooling mode {mode!r}")
     labels = np.asarray(labels, dtype=np.int64)
     C = n_classes if n_classes is not None else graph.n_classes
@@ -169,25 +120,14 @@ def one_hop_desirable_m2m(
     if weight is not None:
         X = X @ np.asarray(weight, dtype=np.float64)
     n, f = graph.n_nodes, X.shape[1]
-    vals = X[graph.arc_src]
-    slot = graph.arc_dst * C + labels[graph.arc_src]
-    counts = np.bincount(slot, minlength=n * C).astype(np.float64)
-    if mode == "max":
-        out = np.full((n * C, f), -np.inf)
-        np.maximum.at(out, slot, vals)
-        out[counts == 0] = 0.0
-    else:
-        out = np.zeros((n * C, f))
-        np.add.at(out, slot, vals)
-        if mode == "mean":
-            if full_size_mean:
-                indeg = np.bincount(graph.arc_dst, minlength=n).astype(np.float64)
-                div = np.repeat(indeg, C)
-            else:
-                div = counts
-            nonzero = div > 0
-            out[nonzero] /= div[nonzero, None]
-    return out.reshape(n, C * f)
+    out = np.zeros((n * C, f))
+    np.add.at(out, graph.arc_dst * C + labels[graph.arc_src], X[graph.arc_src])
+    out = out.reshape(n, C * f)
+    if mode == "mean":
+        indeg = np.bincount(graph.arc_dst, minlength=n).astype(np.float64)
+        nonzero = indeg > 0
+        out[nonzero] /= indeg[nonzero, None]
+    return out
 
 
 def _block_diagonal(blocks) -> np.ndarray:
@@ -314,25 +254,21 @@ def distance_compare(
     x_a: VectorMultiset,
     x_b: VectorMultiset,
     partition: Partition,
-    weight=None,
     mode: str = "sum",
-    full_size_mean: bool = True,
 ):
     """Distances between two index-aligned multisets, chunked vs collapsed.
 
-    Returns ``(m2m, m2e)``: the Euclidean distance between the partitioned
-    concatenations and between the single-vector poolings. The partition is
-    shared, which encodes the alignment assumption.
+    Returns ``(m2m, m2e)``: the Euclidean distance between the `m2m_pool`
+    concatenations and between the `m2e_pool` single vectors, both pooled
+    with ``mode``. The partition is shared, which encodes the alignment
+    assumption.
     """
     if len(x_a) != len(x_b):
         raise ValueError("aligned comparison needs equal multiset sizes")
     m2m = np.linalg.norm(
-        m2m_pool(x_a, partition, weight, mode, full_size_mean)
-        - m2m_pool(x_b, partition, weight, mode, full_size_mean)
+        m2m_pool(x_a, partition, mode) - m2m_pool(x_b, partition, mode)
     )
-    m2e = np.linalg.norm(
-        m2e_pool(x_a, weight, mode) - m2e_pool(x_b, weight, mode)
-    )
+    m2e = np.linalg.norm(m2e_pool(x_a, mode) - m2e_pool(x_b, mode))
     return float(m2m), float(m2e)
 
 

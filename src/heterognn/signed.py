@@ -21,11 +21,9 @@ __all__ = [
     "merge_trajectories",
     "expected_gap", "expected_mean_recursion", "expected_trajectory",
     "cumulative_matrix", "is_desirable", "sign_flip_counterexample",
-    "SignFlipExample", "concentration_check", "ConcentrationReport",
-    "concentration_kappa",
+    "SignFlipExample", "csbm_trajectory", "concentration_check",
+    "ConcentrationReport", "concentration_kappa",
 ]
-
-_DENSE_PRODUCT_LIMIT = 5000
 
 
 @dataclass
@@ -187,23 +185,20 @@ def expected_trajectory(p, q, n_classes, means0, K) -> np.ndarray:
 
 
 def cumulative_matrix(layers):
-    """Ordered product of per-layer propagation matrices.
+    """Ordered product of per-layer propagation matrices, in CSR form.
 
     layers[0] is applied first, so the result is layers[-1] @ ... @ layers[0].
-    Small problems are computed densely; above the size limit the product
-    stays in CSR form.
+    Dense or sparse layers are converted to CSR and multiplied sparsely, so
+    memory grows with the stored entries of the product, not with N^2.
     """
     if not layers:
         raise ValueError("need at least one layer matrix")
     n = layers[0].shape[0]
-    dense = n <= _DENSE_PRODUCT_LIMIT
     out = None
     for layer in layers:
-        if layer.shape[0] != n or layer.shape[1] != n:
+        if layer.shape != (n, n):
             raise ValueError("layer matrices must share a square shape")
-        mat = layer.toarray() if dense and sp.issparse(layer) else layer
-        if not dense and not sp.issparse(mat):
-            mat = sp.csr_matrix(mat)
+        mat = sp.csr_matrix(layer)
         out = mat if out is None else mat @ out
     return out
 
@@ -212,26 +207,23 @@ def is_desirable(M, labels, atol: float = 0.0):
     """Audit a propagation matrix against the class structure.
 
     Desirable means every entry is >= 0 on same-class index pairs and <= 0 on
-    cross-class pairs. Returns (verdict, violations) with violations a list
-    of (i, j, value) for offending entries; atol treats tiny magnitudes as
-    zero when auditing float products.
+    cross-class pairs. M may be dense or sparse; only its stored (nonzero)
+    entries are read, because a zero entry never violates. Returns (verdict,
+    violations) with violations a list of (i, j, value) for offending
+    entries, sorted by (i, j); atol >= 0 treats tiny magnitudes as zero when
+    auditing float products.
     """
+    if not atol >= 0:
+        raise ValueError(f"atol must be nonnegative, got {atol}")
     labels = np.asarray(labels)
-    if sp.issparse(M):
-        coo = M.tocoo()
-        rows, cols, vals = coo.row, coo.col, coo.data
-        same = labels[rows] == labels[cols]
-        bad = np.where(same, vals < -atol, vals > atol)
-        idx = np.nonzero(bad)[0]
-        violations = sorted(
-            (int(rows[i]), int(cols[i]), float(vals[i])) for i in idx
-        )
-    else:
-        M = np.asarray(M)
-        same = labels[:, None] == labels[None, :]
-        bad = np.where(same, M < -atol, M > atol)
-        rows, cols = np.nonzero(bad)
-        violations = [(int(i), int(j), float(M[i, j])) for i, j in zip(rows, cols)]
+    coo = sp.coo_matrix(M)
+    rows, cols, vals = coo.row, coo.col, coo.data
+    same = labels[rows] == labels[cols]
+    bad = np.flatnonzero(np.where(same, vals < -atol, vals > atol))
+    rows, cols, vals = rows[bad], cols[bad], vals[bad]
+    order = np.argsort(rows.astype(np.int64) * coo.shape[1] + cols, kind="stable")
+    violations = list(zip(rows[order].tolist(), cols[order].tolist(),
+                          vals[order].tolist()))
     return (len(violations) == 0), violations
 
 
@@ -262,7 +254,7 @@ def sign_flip_counterexample() -> SignFlipExample:
     ])
     labels = np.array([0, 1, 2])
     layers = [A, A]
-    T = cumulative_matrix(layers)
+    T = cumulative_matrix(layers).toarray()
     layer_ok = tuple(is_desirable(L, labels)[0] for L in layers)
     ok, violations = is_desirable(T, labels)
     return SignFlipExample(layers, labels, T, layer_ok, ok, violations)
@@ -278,6 +270,14 @@ def concentration_kappa(sigma: float, r: float) -> float:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     return max(2.0 * (r + 1) / sigma**2, (r + 1) * (8.0 + 4.0 * sigma) / sigma**2)
+
+
+def csbm_trajectory(params: CsbmParams, K: int) -> Trajectory:
+    """One trial: sample a CSBM, normalize it and propagate it K layers."""
+    s = sample_csbm(params)
+    P, kept = signed_normalize(s)
+    return propagate_linear(P, s.features[kept], K, s.labels[kept],
+                            params.n_classes)
 
 
 @dataclass
@@ -320,9 +320,7 @@ def concentration_check(params: CsbmParams, K: int, trials: int, sigma: float,
             params.n_nodes, params.n_classes, params.p, params.q,
             params.class_means, params.noise_var, seed=base_seed + t,
         )
-        s = sample_csbm(trial_params)
-        P, kept = signed_normalize(s)
-        traj = propagate_linear(P, s.features[kept], K, s.labels[kept], c)
+        traj = csbm_trajectory(trial_params, K)
         worst = 0.0
         for a in range(c):
             for b in range(a + 1, c):

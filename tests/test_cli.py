@@ -207,6 +207,18 @@ def test_desirability_negative_show_exits_1_naming_it(tmp_path, capsys):
     assert "... and" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value", [("--layers", "0"), ("--layers", "-2"),
+                                         ("--atol", "-1"), ("--atol", "nan")])
+def test_desirability_bad_layers_or_atol_exits_1_naming_it(tmp_path, capsys,
+                                                            flag, value):
+    toy = make_toy(tmp_path)
+    capsys.readouterr()
+    assert main(["desirability", toy, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and flag in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["gen-csbm", "simulate", "concentration"])
 @pytest.mark.parametrize("flag", ["--nodes", "--classes"])
 def test_csbm_count_below_one_exits_1_naming_it(tmp_path, capsys, command, flag):

@@ -14,7 +14,6 @@ from heterognn.multiset import (
     chunked_distance,
     d_hop_oracle,
     distance_compare,
-    label_partition,
     m2e_pool,
     m2m_expected_step,
     m2m_pool,
@@ -53,11 +52,9 @@ def test_unknown_mode_rejected():
         m2e_pool(ONE_THREE, mode="median")
     with pytest.raises(ValueError):
         m2m_pool(ONE_THREE, SPLIT, mode="median")
-
-
-def test_weight_applied_before_pooling():
-    w = np.array([[2.0, 0.0]])
-    np.testing.assert_array_equal(m2e_pool(ONE_THREE, w, "sum"), [8.0, 0.0])
+    g = _star_graph()
+    with pytest.raises(ValueError):
+        one_hop_desirable_m2m(g.features, g, g.labels, mode="max")
 
 
 def test_single_group_reduces_to_plain_pooling():
@@ -90,22 +87,6 @@ def test_full_size_mean_blocks_sum_to_plain_mean():
     part = Partition(rng.integers(0, 3, 7), 3)
     blocks = m2m_pool(ms, part, mode="mean").reshape(3, 2)
     np.testing.assert_allclose(blocks.sum(axis=0), m2e_pool(ms, mode="mean"))
-
-
-def test_group_size_mean_when_flagged_off():
-    ms = VectorMultiset([[1.0], [3.0], [8.0]])
-    part = Partition([0, 0, 1], 2)
-    out = m2m_pool(ms, part, mode="mean", full_size_mean=False)
-    np.testing.assert_array_equal(out, [2.0, 8.0])
-
-
-def test_label_partition_groups_by_tag():
-    ms = VectorMultiset([[1.0], [2.0], [3.0]], tags=[1, 0, 1])
-    part = label_partition(ms)
-    assert part.n_groups == 2
-    np.testing.assert_array_equal(m2m_pool(ms, part, mode="sum"), [2.0, 4.0])
-    with pytest.raises(ValueError):
-        label_partition(ONE_THREE)
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +212,6 @@ def test_one_hop_full_size_mean_divides_by_degree():
     g = _star_graph()
     msg = one_hop_desirable_m2m(g.features, g, g.labels, mode="mean")
     np.testing.assert_allclose(msg[0], [1.0, 5.0 / 3.0, 0.0])
-
-
-def test_one_hop_max_keeps_negatives_and_zeroes_empties():
-    feats = np.array([[-2.0], [-5.0], [0.0]])
-    labels = np.array([0, 0, 1])
-    g = build_graph(3, [(0, 2), (1, 2)], feats, labels, 2)
-    msg = one_hop_desirable_m2m(g.features, g, g.labels, mode="max")
-    np.testing.assert_array_equal(msg[2], [-2.0, 0.0])
 
 
 def _seq_block(seq, C, width):

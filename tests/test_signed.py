@@ -1,6 +1,7 @@
 """Signed propagation dynamics, sign audits, and the deviation bound."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -218,28 +219,53 @@ def test_binary_gap_drift_is_small():
 
 def test_cumulative_single_layer_is_identity_on_input():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(cumulative_matrix([A]), A)
+    T = cumulative_matrix([A])
+    assert sp.issparse(T) and T.format == "csr"
+    np.testing.assert_array_equal(T.toarray(), A)
 
 
 def test_cumulative_two_layer_positive_pair():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(cumulative_matrix([A, A]), np.eye(2))
+    np.testing.assert_array_equal(cumulative_matrix([A, A]).toarray(), np.eye(2))
 
 
 def test_cumulative_order_is_right_to_left():
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     B = np.array([[2.0, 0.0], [0.0, 3.0]])
     # layers [A, B] mean B is applied second: T = B @ A
-    np.testing.assert_array_equal(cumulative_matrix([A, B]), B @ A)
+    np.testing.assert_array_equal(cumulative_matrix([A, B]).toarray(), B @ A)
 
 
 def test_cumulative_sparse_inputs_match_dense():
-    rng = np.random.default_rng(4)
     mats = [sp.random(30, 30, density=0.2, random_state=i, format="csr")
             for i in range(3)]
     dense = cumulative_matrix([m.toarray() for m in mats])
     mixed = cumulative_matrix(mats)
-    np.testing.assert_allclose(mixed, dense, atol=1e-12)
+    np.testing.assert_allclose(mixed.toarray(), dense.toarray(), atol=1e-12)
+
+
+def test_cumulative_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="at least one"):
+        cumulative_matrix([])
+    with pytest.raises(ValueError, match="square"):
+        cumulative_matrix([np.eye(3), np.eye(2)])
+
+
+def test_two_layer_audit_memory_grows_with_edges_not_n_squared():
+    # a dense 4000 x 4000 product alone would take 122 MiB
+    s = sample_csbm(CsbmParams(4000, 2, 0.004, 0.002, [[0.0]] * 2, seed=7))
+    P, kept = signed_normalize(s)
+    tracemalloc.start()
+    try:
+        T = cumulative_matrix([P, P])
+        ok, violations = is_desirable(T, s.labels[kept])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"audit peaked at {peak / 2**20:.1f} MiB"
+    assert T.nnz > P.nnz
+    # two classes: two-hop sign products stay desirable
+    assert ok and violations == []
 
 
 def test_all_zero_matrix_is_desirable():
@@ -259,6 +285,13 @@ def test_desirability_violation_listing():
     ok, violations = is_desirable(M, [0, 0])
     assert not ok
     assert violations == [(0, 1, -2.0)]
+    assert is_desirable(sp.csr_matrix(M), [0, 0]) == (ok, violations)
+
+
+@pytest.mark.parametrize("atol", [-1.0, -1e-300, float("nan")])
+def test_desirability_rejects_negative_atol(atol):
+    with pytest.raises(ValueError, match="atol"):
+        is_desirable(np.zeros((2, 2)), [0, 1], atol=atol)
 
 
 def test_sign_flip_counterexample_structure():
