@@ -11,6 +11,9 @@ shipped texas config, prints one JSON line per depth K = 2, 8, 32:
   feeds a dropout are not among them;
 * ``b_per_arc_layer``: the growth of that figure per added layer and arc,
   (retained(K) - retained(2)) / ((K - 2) * arcs), null at K = 2;
+* ``records_per_layer``: the growth per added layer of the number of
+  records ``forward`` makes, (records(K) - records(2)) / (K - 2), null at
+  K = 2 (the loss adds a few more per layer for the chunk-balance penalty);
 * ``retained_mib_by_function``: the same bytes grouped by the function of
   ``heterognn.autodiff`` that allocated them, largest first: the innermost
   frame of the allocation's traceback in that file, where an allocation in
@@ -28,8 +31,8 @@ checkouts compares them:
     python scripts/tape_memory.py [--nodes 3000] [--edges 15000]
 
 On the default graph (30000 arcs, 2 vCPU Linux box, numpy 2.4, Python
-3.11) a training layer retains 198 B per arc, and K = 32 peaks at about
-303 MiB.
+3.11) a training layer makes 3 records and retains 134 B per arc, and
+K = 32 peaks at about 252 MiB.
 """
 
 import argparse
@@ -125,7 +128,7 @@ def texas_config(layers):
 
 def retained_bytes(g, layers):
     """Traced bytes a training tape holds after forward and total_loss, in
-    all and by allocating autodiff function."""
+    all and by allocating autodiff function, and the records forward made."""
     config, _ = texas_config(layers)
     params = init_params(config, g.n_features, g.n_classes)
     split = random_split(g, SEED)
@@ -134,13 +137,14 @@ def retained_bytes(g, layers):
         tape = ad.Tape()
         result = forward(tape, params, g, config, training=True,
                          rng=np.random.default_rng(SEED))
+        records = len(tape._nodes)
         loss = total_loss(tape, result, g.labels, split.train, g, config)
         held = tracemalloc.get_traced_memory()[0]
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     del tape, result, loss
-    return held, bytes_by_function(snapshot)
+    return held, bytes_by_function(snapshot), records
 
 
 def one_epoch(job):
@@ -171,18 +175,20 @@ def main(argv=None) -> int:
         epochs = pool.map(one_epoch, [(args.nodes, args.edges, k) for k in DEPTHS],
                           chunksize=1)
     g = make_graph(args.nodes, args.edges)
-    held, by_function = {}, {}
+    held, by_function, records = {}, {}, {}
     for k in DEPTHS:
-        held[k], by_function[k] = retained_bytes(g, k)
+        held[k], by_function[k], records[k] = retained_bytes(g, k)
     for k, (peak, loss) in zip(DEPTHS, epochs):
-        slope = None
+        slope = per_layer = None
         if k > DEPTHS[0]:
             slope = round((held[k] - held[DEPTHS[0]])
                           / ((k - DEPTHS[0]) * g.n_arcs), 1)
+            per_layer = (records[k] - records[DEPTHS[0]]) / (k - DEPTHS[0])
         functions = sorted(by_function[k].items(), key=lambda kv: -kv[1])
         print(json.dumps({
             "k": k, "nodes": g.n_nodes, "arcs": g.n_arcs,
             "retained_mib": round(held[k] / 2**20, 1), "b_per_arc_layer": slope,
+            "records_per_layer": per_layer,
             "peak_rss_mib": round(peak, 1), "loss": loss,
             "retained_mib_by_function": {name: round(size / 2**20, 2)
                                          for name, size in functions

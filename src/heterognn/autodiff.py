@@ -102,6 +102,21 @@ def _softmax_backward(g, s, temperature, axis):
     return d
 
 
+def _keep_mask(shape, keep_prob, rng):
+    """Inverted dropout's one-byte keep mask, rng's uniform draws below
+    keep_prob, or None at keep_prob 1, which draws nothing."""
+    if not 0.0 < keep_prob <= 1.0:
+        raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
+    return None if keep_prob == 1.0 else rng.random(shape) < keep_prob
+
+
+def _drop(a, keep, scale):
+    """a * (keep * scale) in place (a as it is if keep is None); returns a."""
+    if keep is not None:
+        a *= keep * scale
+    return a
+
+
 def _cell(t: Tensor):
     """t's gradient cell if t takes a gradient, else None.
 
@@ -133,12 +148,14 @@ class Tape:
     A record is the pair (gradient cell of the output, backward closure).
     The closure keeps the cells of the inputs that took a gradient when it
     was recorded (None for the others) and only the arrays its backward
-    reads, so an op output that no backward reads (a layer's message, or a
-    residual output that feeds a dropout) is freed once the caller drops
-    it. Backward frees as it goes: each record, and the gradient of its
-    non-leaf output, is dropped as soon as its backward has run. The index
-    arrays that chunk_sum builds once per graph live on the tape until its
-    backward ends.
+    reads, so an op output that no backward reads (a layer's message) is
+    freed once the caller drops it. A value that a backward can rebuild
+    from arrays its record keeps anyway is rebuilt rather than kept:
+    arc_attention's ReLU output, chunk_sum's chunk matrices and
+    norm_project's dropped-out rows. Backward frees as it goes: each
+    record, and the gradient of its non-leaf output, is dropped as soon as
+    its backward has run. The index arrays that chunk_sum builds once per
+    graph live on the tape until its backward ends.
     """
 
     def __init__(self, recording=True):
@@ -200,12 +217,12 @@ class Tape:
         return self._emit(out, (a, b), back)
 
     def relu(self, x: Tensor) -> Tensor:
-        x_data = x.data
-        out = Tensor(np.maximum(x_data, 0.0))
-        gx = x._cell
+        """max(x, 0); the record keeps the one-byte mask x > 0, not x."""
+        out = Tensor(np.maximum(x.data, 0.0))
+        gx, active = x._cell, x.data > 0.0
 
         def back(g):
-            _accum(gx, g * (x_data > 0.0))
+            _accum(gx, g * active)
 
         return self._emit(out, (x,), back)
 
@@ -380,24 +397,36 @@ class Tape:
 
         return self._emit(out, (x,), back)
 
-    def residual_norm(self, h0: Tensor, message: Tensor, beta: float,
-                      gain: Tensor, bias: Tensor) -> Tensor:
-        """LayerNorm of the rows of relu((1 - beta) * h0 + beta * message).
+    def norm_project(self, h0: Tensor, message: Tensor, beta: float, gain: Tensor,
+                     bias: Tensor, w: Tensor, keep_prob: float,
+                     rng: np.random.Generator) -> Tensor:
+        """dropout(LayerNorm(relu((1 - beta) * h0 + beta * message))) @ w.
 
-        Each row is standardized with its population variance and epsilon
-        1e-5 under the square root, then mapped by the 1 x d gain and bias.
-        Equal bit for bit to the same steps in plain numpy (the reference in
-        the tests), recorded as one node. The backward keeps the
-        standardized rows, the per-row 1/std, the ReLU mask and the gain; it
-        reads neither input's data, so a message and an h0 that nothing else
-        reads die with their caller's names.
+        The LayerNorm standardizes each row with its population variance and
+        epsilon 1e-5 under the square root, then maps it by the 1 x d gain
+        and bias; the dropout is `dropout`'s, its mask drawn by the same
+        helper, so keep_prob 1 draws nothing from rng. Equal bit for bit,
+        output and gradients, to LayerNorm -> dropout -> matmul in plain
+        numpy (the reference in the tests), recorded as one node.
+
+        The record keeps the standardized rows, the per-row 1/std, the ReLU
+        mask and the one-byte keep mask, beside gain, bias and w. It keeps
+        no input of the projection: the backward rebuilds the dropped-out
+        rows from those arrays with the forward's operations for w's
+        gradient, and reads neither h0's nor the message's data, so a
+        message that nothing else reads dies with its caller's name.
         """
-        d = h0.data.shape[1]
-        if h0.data.shape != message.data.shape:
-            raise ValueError(f"residual_norm shape mismatch: {h0.data.shape} "
+        n, d = h0.data.shape
+        if message.data.shape != (n, d):
+            raise ValueError(f"norm_project shape mismatch: {h0.data.shape} "
                              f"vs {message.data.shape}")
         if gain.data.shape != (1, d) or bias.data.shape != (1, d):
-            raise ValueError("residual_norm gain and bias must be 1 x d")
+            raise ValueError("norm_project gain and bias must be 1 x d")
+        if w.data.shape[0] != d:
+            raise ValueError(f"norm_project dimension mismatch: rows of width {d} "
+                             f"projected by {w.data.shape}")
+        keep = _keep_mask((n, d), keep_prob, rng)
+        scale = 1.0 / keep_prob
         beta = float(beta)
         mix = h0.data * (1.0 - beta)
         mix += message.data * beta
@@ -407,20 +436,29 @@ class Tape:
         var = (xhat * xhat).mean(axis=1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + _LN_EPS)
         xhat *= inv_std
-        out = xhat * gain.data
-        out += bias.data
+        gain_data, bias_data, w_data = gain.data, bias.data, w.data
+
+        def dropped():
+            rows = xhat * gain_data
+            rows += bias_data
+            return _drop(rows, keep, scale)
+
+        out = Tensor(dropped() @ w_data)
         g_h0, g_msg = _cell(h0), _cell(message)
-        g_gain, g_bias, gain_data = _cell(gain), _cell(bias), gain.data
+        g_gain, g_bias, g_w = _cell(gain), _cell(bias), _cell(w)
 
         def back(g):
+            if g_w is not None:
+                _accum(g_w, dropped().T @ g)
+            g_rows = _drop(g @ w_data.T, keep, scale)  # of the LayerNorm output
             if g_gain is not None:
-                _accum(g_gain, (g * xhat).sum(axis=0, keepdims=True))
+                _accum(g_gain, (g_rows * xhat).sum(axis=0, keepdims=True))
             if g_bias is not None:
-                _accum(g_bias, g.sum(axis=0, keepdims=True))
+                _accum(g_bias, g_rows.sum(axis=0, keepdims=True))
             if g_h0 is not None or g_msg is not None:
                 # standard layer-norm backward, fused form, on the gradient
                 # of xhat in place
-                d_mix = g * gain_data
+                d_mix = g_rows * gain_data
                 mean_d = d_mix.mean(axis=1, keepdims=True)
                 mean_dx = (d_mix * xhat).mean(axis=1, keepdims=True)
                 d_mix -= mean_d
@@ -432,7 +470,7 @@ class Tape:
                 if g_msg is not None:
                     _accum(g_msg, d_mix * beta)
 
-        return self._emit(Tensor(out), (h0, message, gain, bias), back)
+        return self._emit(out, (h0, message, gain, bias, w), back)
 
     def dropout(self, x: Tensor, keep_prob: float, rng: np.random.Generator) -> Tensor:
         """Inverted dropout: surviving entries are scaled by 1/keep_prob.
@@ -441,18 +479,13 @@ class Tape:
         passes multiply by keep * scale, the float mask (r < keep_prob) /
         keep_prob bit for bit.
         """
-        if not 0.0 < keep_prob <= 1.0:
-            raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
-        if keep_prob == 1.0:
-            keep = np.ones(x.data.shape, dtype=bool)
-        else:
-            keep = rng.random(x.data.shape) < keep_prob
+        keep = _keep_mask(x.data.shape, keep_prob, rng)
         scale = 1.0 / keep_prob
-        out = Tensor(x.data * (keep * scale))
+        out = Tensor(_drop(x.data.copy(), keep, scale))
         gx = x._cell
 
         def back(g):
-            _accum(gx, g * (keep * scale))
+            _accum(gx, _drop(g, keep, scale))
 
         return self._emit(out, (x,), back)
 

@@ -9,23 +9,27 @@ pushes the chunk mass toward balance across arcs. Everything runs on the
 reverse-mode tape from `heterognn.autodiff`, so a single backward call trains
 the whole stack. The tape's ops are exactly those that this module and
 `heterognn.training` call, and criterion 7's finite-difference battery in
-the acceptance tests runs every one of them. A training layer records five
-tape nodes: dropout, the projection, the scores (`Tape.arc_attention`), the
-chunk sums (`Tape.chunk_sum`) and the residual LayerNorm
-(`Tape.residual_norm`). A record keeps its output's gradient cell and only the arrays its backward
-reads. Of arc-sized arrays that is the (arcs, C) scores; the rest is
-node-sized: the dropout's one-byte mask and its output (which the
-projection's backward reads), the projection, and the LayerNorm's rows,
-1/std and ReLU mask. What the backward can rebuild from those, the
-attention's ReLU output and the chunk matrices, it rebuilds. No backward
-reads the message or a residual output that feeds the next dropout, so
-both are freed as soon as `forward` moves on. Under dropout no backward
-reads the encoder output or its ReLU output either, and both are freed by
-the time `forward` returns.
+the acceptance tests runs every one of them.
+
+The encoder output goes through dropout into layer 0's projection. A
+training layer then records three tape nodes: the scores
+(`Tape.arc_attention`), the chunk sums (`Tape.chunk_sum`) and the residual
+LayerNorm fused with the next layer's dropout and projection, or with the
+head after the last layer (`Tape.norm_project`). A record keeps its
+output's gradient cell and only the arrays its backward reads. Of
+arc-sized arrays that is the (arcs, C) scores; the rest is node-sized: the
+projection, and the LayerNorm's rows, 1/std, ReLU mask and one-byte dropout
+mask. What the backward can rebuild from those, the attention's ReLU
+output, the chunk matrices and the projection's dropped-out input, it
+rebuilds. No backward reads a layer's message, so it is freed as soon as
+`forward` moves on, and under dropout no backward reads the encoder output
+or its ReLU output either: both are freed by the time `forward` returns.
 """
 
 import json
-from dataclasses import asdict, dataclass
+import math
+import numbers
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional
 
 import numpy as np
@@ -40,6 +44,10 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class M2mConfig:
     """Hyperparameters of the chunked message-passing model.
@@ -48,7 +56,9 @@ class M2mConfig:
     divisible by ``chunks`` because every layer projects to a
     width-``hidden/chunks`` slice. ``keep_prob`` is the dropout
     keep-probability (1 disables dropout). ``reg_strength`` weighs the
-    chunk-balance penalty (0 disables it).
+    chunk-balance penalty (0 disables it). Construction rejects, with
+    ValueError, an ``int`` field that holds no integer and a ``float`` field
+    that holds no finite number, as well as out-of-range values.
     """
 
     hidden: int
@@ -62,6 +72,14 @@ class M2mConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int:
+                if not _is_int(value):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                  or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.hidden < 1 or self.chunks < 1 or self.layers < 1:
             raise ValueError("hidden, chunks, and layers must be positive")
         if self.hidden % self.chunks:
@@ -78,6 +96,8 @@ class M2mConfig:
             raise ValueError("reg_strength must be nonnegative")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     @property
     def chunk_width(self) -> int:
@@ -177,15 +197,20 @@ def chunk_aggregate(tape, h_hat: ad.Tensor, scores: ad.Tensor,
 
 
 def layer_update(tape, h0: ad.Tensor, message: ad.Tensor, beta: float,
-                 gain: ad.Tensor, bias: ad.Tensor) -> ad.Tensor:
-    """LayerNorm(ReLU((1-beta) * h0 + beta * message)).
+                 gain: ad.Tensor, bias: ad.Tensor, w: ad.Tensor,
+                 keep_prob: float, rng=None) -> ad.Tensor:
+    """dropout(LayerNorm(ReLU((1-beta) * h0 + beta * message))) @ w.
 
-    The skip always points at the encoder output, not the previous layer, so
-    stacking layers cannot erase the input features. One fused tape op
-    (`Tape.residual_norm`); it keeps the standardized rows, their 1/std and
-    the ReLU mask for the backward.
+    A layer's residual update, handed on through the projection that reads
+    it: the next layer's, after dropout at keep_prob, or the head's, with
+    keep_prob 1, which draws nothing from rng. The skip always points at
+    the encoder output, not the previous layer, so stacking layers cannot
+    erase the input features. One fused tape op (`Tape.norm_project`); it
+    keeps the standardized rows, their 1/std, the ReLU mask and the
+    one-byte dropout mask, and its backward rebuilds the projection's input
+    from them.
     """
-    return tape.residual_norm(h0, message, beta, gain, bias)
+    return tape.norm_project(h0, message, beta, gain, bias, w, keep_prob, rng)
 
 
 @dataclass
@@ -204,24 +229,27 @@ def forward(tape, params: M2mParams, graph, config: M2mConfig,
     ``ad.Tape(recording=False)``.
     """
     h0 = encode(tape, params, graph.features, config, training, rng)
+    keep_prob = config.keep_prob if training else 1.0
+    h_in = tape.dropout(h0, keep_prob, rng) if keep_prob < 1.0 else h0
+    h_hat = tape.matmul(h_in, params.layer_proj[0])
     attentions = []
-    h = h0
     for k in range(config.layers):
-        h_in = h
-        if training and config.keep_prob < 1.0:
-            h_in = tape.dropout(h_in, config.keep_prob, rng)
-        h_hat = tape.matmul(h_in, params.layer_proj[k])
         scores = attention_scores(
             tape, h_hat, graph, params.layer_att[k],
             config.alpha, config.temperature,
         )
         message = chunk_aggregate(tape, h_hat, scores, graph)
-        h = layer_update(
-            tape, h0, message, config.beta, params.ln_gain[k], params.ln_bias[k]
+        if k + 1 < config.layers:
+            w_next, keep_next = params.layer_proj[k + 1], keep_prob
+        else:
+            w_next, keep_next = params.head, 1.0
+        h_hat = layer_update(
+            tape, h0, message, config.beta, params.ln_gain[k], params.ln_bias[k],
+            w_next, keep_next, rng,
         )
         attentions.append(scores)
-    logits = tape.matmul(h, params.head)
-    return ForwardResult(logits, attentions)
+    # the last update projected onto the head: its output is the logits
+    return ForwardResult(h_hat, attentions)
 
 
 def reg_loss(tape, attentions, chunks: int, n_arcs: int) -> ad.Tensor:
@@ -292,10 +320,26 @@ def save_checkpoint(base_path: str, params: M2mParams, config: M2mConfig,
 
 
 def load_checkpoint(base_path: str):
-    """Rebuild (config, params, n_features, n_classes); reject a bad dtype or size."""
+    """Rebuild (config, params, n_features, n_classes) from save_checkpoint's files.
+
+    Every manifest field is checked before a tensor is filled: the config,
+    the dims, the dtype, and each array's name, shape and offset (a
+    multiple of 8, with no two arrays overlapping and the last ending where
+    the blob does). A bad one raises ValueError naming the file and the
+    field.
+    """
     manifest_path, blob_path = base_path + ".json", base_path + ".bin"
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    with open(manifest_path, encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: not a JSON object")
+
+    def bad(field, problem):
+        return ValueError(f"{manifest_path}: field {field!r} {problem}")
+
     for key in ("config", "n_features", "n_classes", "arrays"):
         if key not in manifest:
             raise ValueError(f"{manifest_path}: missing field {key!r}")
@@ -304,26 +348,59 @@ def load_checkpoint(base_path: str):
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: field 'config': {exc}") from None
     if manifest.get("dtype") != "float64":
-        raise ValueError(f"{manifest_path}: field 'dtype' is "
-                         f"{manifest.get('dtype')!r}; only 'float64' is supported")
+        raise bad("dtype", f"is {manifest.get('dtype')!r}; only 'float64' is supported")
+    n_features, n_classes = manifest["n_features"], manifest["n_classes"]
+    for key, value in (("n_features", n_features), ("n_classes", n_classes)):
+        if not _is_int(value) or value < 1:
+            raise bad(key, f"must be a positive integer, got {value!r}")
+    entries = manifest["arrays"]
+    if not isinstance(entries, list):
+        raise bad("arrays", f"must be a list, got {entries!r}")
+    spans = []  # (first byte, end byte, field) of each array
+    for i, entry in enumerate(entries):
+        field = f"arrays[{i}]"
+        if not isinstance(entry, dict):
+            raise bad(field, f"must be an object, got {entry!r}")
+        for key in ("name", "shape", "offset"):
+            if key not in entry:
+                raise bad(field, f"has no {key!r}")
+        shape, offset = entry["shape"], entry["offset"]
+        if not isinstance(entry["name"], str):
+            raise bad(f"{field}.name", f"must be a string, got {entry['name']!r}")
+        if not isinstance(shape, list) or not all(_is_int(s) and s >= 0 for s in shape):
+            raise bad(f"{field}.shape",
+                      f"must be a list of nonnegative integers, got {shape!r}")
+        if not _is_int(offset) or offset < 0 or offset % 8:
+            raise bad(f"{field}.offset",
+                      f"must be a nonnegative multiple of 8, got {offset!r}")
+        spans.append((offset, offset + 8 * math.prod(shape), f"{field}.offset"))
+    spans.sort()
+    for (_, end, _), (start, _, field) in zip(spans, spans[1:]):
+        if start < end:
+            raise bad(field, f"is {start}, inside the array before it, "
+                             f"which ends at byte {end}")
     blob = np.fromfile(blob_path, dtype=np.uint8)
-    implied = max((entry["offset"] + 8 * int(np.prod(entry["shape"]))
-                   for entry in manifest["arrays"]), default=0)
+    implied = max((end for _, end, _ in spans), default=0)
     if blob.size != implied:
         raise ValueError(f"{blob_path}: {blob.size} bytes, but field 'arrays' "
                          f"of {manifest_path} implies {implied}")
     blob = blob.view(np.float64)
-    arrays = {}
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
+    params = init_params(config, n_features, n_classes)
+    tensors, filled = dict(params.named()), set()
+    for i, entry in enumerate(entries):
+        name, shape = entry["name"], tuple(entry["shape"])
+        if name not in tensors:
+            raise bad(f"arrays[{i}].name", f"{name!r} is not a tensor of this config")
+        if name in filled:
+            raise bad(f"arrays[{i}].name", f"{name!r} is named twice")
+        tensor = tensors[name]
+        if shape != tensor.data.shape:
+            raise bad(f"arrays[{i}].shape", f"is {list(shape)}; tensor {name!r} of "
+                                            f"this config is {list(tensor.data.shape)}")
         start = entry["offset"] // 8
-        count = int(np.prod(shape))
-        arrays[entry["name"]] = blob[start : start + count].reshape(shape)
-    params = init_params(config, manifest["n_features"], manifest["n_classes"])
-    for name, tensor in params.named():
-        if name not in arrays:
-            raise ValueError(f"checkpoint missing tensor {name!r}")
-        if arrays[name].shape != tensor.data.shape:
-            raise ValueError(f"checkpoint shape mismatch for {name!r}")
-        tensor.data[...] = arrays[name]
-    return config, params, manifest["n_features"], manifest["n_classes"]
+        tensor.data[...] = blob[start : start + math.prod(shape)].reshape(shape)
+        filled.add(name)
+    missing = [name for name in tensors if name not in filled]
+    if missing:
+        raise bad("arrays", f"has no tensor {missing[0]!r}")
+    return config, params, n_features, n_classes

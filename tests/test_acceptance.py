@@ -278,8 +278,10 @@ def op_battery(rng):
 
     The leaves are rng's next seven draws, always of these shapes and
     distributions in this order, because criterion 7's model part draws its
-    graph from the same rng next. Dropout keeps 3 of 4 entries under a
-    generator seeded inside run, so every evaluation draws the same mask.
+    graph from the same rng next. Both dropouts (`dropout`'s and
+    `norm_project`'s) keep 3 of 4 entries under generators seeded inside
+    run, so every evaluation draws the same masks; `norm_project` reuses
+    w as its projection.
     """
     a = ad.parameter(rng.normal(size=(3, 4)))
     b = ad.parameter(rng.normal(size=(3, 4)))
@@ -300,9 +302,10 @@ def op_battery(rng):
         h = tape.relu(tape.matmul(kept, w))
         scores = tape.arc_attention(h, w_att, arc_src, arc_dst, 0.6, 0.8)
         message = tape.chunk_sum(scores, col, arc_src, indptr)
-        normed = tape.residual_norm(s, message, 0.6, gain, bias)
-        soft = tape.row_softmax(normed, temperature=0.7)
-        ce = tape.cross_entropy(normed, labels, rows)
+        projected = tape.norm_project(s, message, 0.6, gain, bias, w, 0.75,
+                                      np.random.default_rng(3))
+        soft = tape.row_softmax(projected, temperature=0.7)
+        ce = tape.cross_entropy(projected, labels, rows)
         return tape.add(
             tape.add(tape.l2_norm_sq(soft), tape.l2_norm_sq(message)),
             tape.add(tape.l2_norm_sq(tape.sum_rows(h)), ce),

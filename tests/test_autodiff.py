@@ -4,6 +4,8 @@ The gradient oracle throughout is central finite differences (h = 1e-5) on
 64-bit inputs drawn from [-2, 2], compared at relative error < 1e-4.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -166,6 +168,18 @@ def test_relu_clamps_negative():
     t = Tape()
     out = t.relu(constant([[-1.0, 0.0, 2.5]]))
     np.testing.assert_array_equal(out.data, [[0.0, 0.0, 2.5]])
+
+
+def test_relu_record_keeps_a_mask_not_its_input():
+    t = Tape()
+    w = parameter(np.eye(3))
+    pre = t.matmul(constant([[-1.0, 0.0, 2.5]]), w)
+    pre_data = weakref.ref(pre.data)
+    out = t.relu(pre)
+    del pre
+    assert pre_data() is None
+    t.backward(total(t, out))
+    np.testing.assert_array_equal(w.grad, [[0.0, 0.0, -1.0], [0.0] * 3, [0.0, 0.0, 2.5]])
 
 
 def ones_column(k):
@@ -442,9 +456,12 @@ def test_chunk_sum_checks_each_new_pattern_on_a_used_tape(src, indptr, error):
 
 
 def layer_norm(t, x, gain, bias):
-    """residual_norm's LayerNorm alone: beta = 0 and a nonnegative x, so the
-    residual mix and its ReLU hand x through unchanged."""
-    return t.residual_norm(x, constant(np.zeros(x.shape)), 0.0, gain, bias)
+    """norm_project's LayerNorm alone: beta = 0 and a nonnegative x, so the
+    residual mix and its ReLU hand x through unchanged, keep_prob 1 and an
+    identity projection."""
+    d = x.shape[1]
+    return t.norm_project(x, constant(np.zeros(x.shape)), 0.0, gain, bias,
+                          constant(np.eye(d)), 1.0, None)
 
 
 def test_layer_norm_constant_row_gives_bias():
@@ -465,53 +482,68 @@ def test_layer_norm_standardizes_rows():
     np.testing.assert_allclose(out.data.std(axis=1), 1.0, atol=1e-3)
 
 
-def residual_norm_chain(h0, message, beta, gain, bias, upstream):
-    """Output and (h0, message, gain, bias) gradients of Tape.residual_norm,
-    step by step in plain numpy, as the five-op chain it fused computed them
-    with `upstream` as the output's gradient."""
+def norm_project_chain(h0, message, beta, gain, bias, w, mask, upstream):
+    """Output and (h0, message, gain, bias, w) gradients of
+    Tape.norm_project, step by step in plain numpy, as the records it fused
+    (residual LayerNorm, dropout, matmul) computed them, with `mask` the
+    float dropout mask (None for no dropout) and `upstream` the output's
+    gradient."""
     mix = h0 * (1.0 - beta) + message * beta
     relu = np.maximum(mix, 0.0)
     xhat = relu - relu.mean(axis=1, keepdims=True)
     var = (xhat * xhat).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv_std
-    out = xhat * gain
-    out += bias
-    dxhat = upstream * gain
+    normed = xhat * gain
+    normed += bias
+    dropped = normed if mask is None else normed * mask
+    d_dropped = upstream @ w.T
+    d_normed = d_dropped if mask is None else d_dropped * mask
+    dxhat = d_normed * gain
     d_relu = dxhat - dxhat.mean(axis=1, keepdims=True)
     d_relu -= xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
     d_relu *= inv_std
     d_mix = d_relu * (mix > 0.0)
-    return (out, d_mix * (1.0 - beta), d_mix * beta,
-            (upstream * xhat).sum(axis=0, keepdims=True),
-            upstream.sum(axis=0, keepdims=True))
+    return (dropped @ w, d_mix * (1.0 - beta), d_mix * beta,
+            (d_normed * xhat).sum(axis=0, keepdims=True),
+            d_normed.sum(axis=0, keepdims=True), dropped.T @ upstream)
 
 
+@pytest.mark.parametrize("keep_prob", [0.5, 1.0])
 @pytest.mark.parametrize("rows,width", [(3000, 80), (4, 6)])
-def test_residual_norm_matches_the_chain_bit_for_bit(rows, width):
+def test_norm_project_matches_the_chain_bit_for_bit(rows, width, keep_prob):
     rng = np.random.default_rng(rows)
     arrays_in = [rng.normal(size=(rows, width)), rng.normal(size=(rows, width)),
-                 rng.uniform(0.5, 1.5, size=(1, width)), rng.normal(size=(1, width))]
-    upstream = rng.normal(size=(rows, width))
+                 rng.uniform(0.5, 1.5, size=(1, width)), rng.normal(size=(1, width)),
+                 rng.normal(size=(width, 16))]
+    upstream = rng.normal(size=(rows, 16))
+    mask = None
+    if keep_prob < 1.0:
+        mask = (np.random.default_rng(9).random((rows, width)) < keep_prob) / keep_prob
     t = Tape()
     leaves = [parameter(a.copy()) for a in arrays_in]
-    h0, message, gain, bias = leaves
-    out = t.residual_norm(h0, message, 0.6, gain, bias)
+    h0, message, gain, bias, w = leaves
+    draws = np.random.default_rng(9)
+    out = t.norm_project(h0, message, 0.6, gain, bias, w, keep_prob, draws)
     backward_from(t, upstream, out)
-    chain = residual_norm_chain(*arrays_in[:2], 0.6, *arrays_in[2:], upstream)
+    chain = norm_project_chain(*arrays_in[:2], 0.6, *arrays_in[2:], mask, upstream)
     for fused, want in zip([out.data] + [p.grad for p in leaves], chain):
-        assert np.array_equal(fused, want)
+        assert same_bits(fused, want)
+    if keep_prob == 1.0:  # nothing drawn
+        assert draws.random() == np.random.default_rng(9).random()
 
 
-def test_residual_norm_rejects_mismatched_inputs():
+def test_norm_project_rejects_mismatched_inputs():
     t = Tape()
-    ones = constant(np.ones((1, 4)))
-    with pytest.raises(ValueError):
-        t.residual_norm(constant(np.ones((3, 4))), constant(np.ones((2, 4))), 0.5,
-                        ones, ones)
-    with pytest.raises(ValueError):
-        t.residual_norm(constant(np.ones((3, 4))), constant(np.ones((3, 4))), 0.5,
-                        constant(np.ones((1, 3))), ones)
+    ones, x, w = constant(np.ones((1, 4))), constant(np.ones((3, 4))), constant(np.ones((4, 2)))
+    rng = np.random.default_rng(0)
+    for args in [(constant(np.ones((2, 4))), 0.5, ones, ones, w, 1.0),
+                 (x, 0.5, constant(np.ones((1, 3))), ones, w, 1.0),
+                 (x, 0.5, ones, ones, constant(np.ones((3, 2))), 1.0),
+                 (x, 0.5, ones, ones, w, 0.0),
+                 (x, 0.5, ones, ones, w, 1.5)]:
+        with pytest.raises(ValueError):
+            t.norm_project(x, *args, rng)
 
 
 def arc_attention_chain(h, w_att, src, dst, alpha, temperature):
@@ -823,9 +855,11 @@ def _build_cases():
                                  alpha=0.6, temperature=0.8)
         return t.l2_norm_sq(scores)
 
-    @case("residual_norm", [(4, 6), (4, 6), (1, 6), (1, 6)])
-    def _(t, h0, m, g, b):
-        return t.l2_norm_sq(t.residual_norm(h0, m, 0.6, g, b))
+    @case("norm_project", [(4, 6), (4, 6), (1, 6), (1, 6), (6, 3)])
+    def _(t, h0, m, g, b, w):
+        # the same mask on every evaluation
+        return t.l2_norm_sq(t.norm_project(h0, m, 0.6, g, b, w, 0.75,
+                                           np.random.default_rng(3)))
 
     return cases
 

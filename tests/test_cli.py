@@ -386,6 +386,31 @@ def test_analyze_attention_rejects_unknown_checkpoint_config_field(tmp_path, cap
     assert "ckpt.json: field 'config'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda m: m["arrays"][0].update(offset=3), "'arrays[0].offset'"),
+    (lambda m: m.update(n_features="abc"), "'n_features'"),
+    (lambda m: m.update(arrays=5), "'arrays'"),
+    (lambda m: m["arrays"][0].pop("offset"), "'arrays[0]' has no 'offset'"),
+], ids=["misaligned-offset", "string-n_features", "arrays-not-a-list",
+        "missing-offset"])
+def test_analyze_attention_rejects_a_malformed_checkpoint_manifest(tmp_path, capsys,
+                                                                   edit, field):
+    toy = make_toy(tmp_path)
+    ckpt = str(tmp_path / "ckpt")
+    assert main(train_args(toy, str(tmp_path / "acc.csv"),
+                           ["--save-checkpoint", ckpt])) == 0
+    with open(ckpt + ".json") as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(ckpt + ".json", "w") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    code = main(["analyze-attention", "--data", toy, "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "att.csv")])
+    assert code == 1
+    assert f"ckpt.json: field {field}" in capsys.readouterr().err
+
+
 def test_parallel_train_saves_the_same_checkpoint_bytes(tmp_path):
     toy = make_toy(tmp_path)
     blobs = []

@@ -407,8 +407,9 @@ def test_eval_forward_is_deterministic_and_dropout_is_not():
     assert not np.array_equal(t1, t2)
 
 
-def test_training_layer_records_five_tape_nodes():
-    # dropout, projection, scores, chunk sums and the residual LayerNorm
+def test_training_layer_records_three_tape_nodes():
+    # scores, chunk sums, and the residual LayerNorm fused with the next
+    # layer's dropout and projection
     g = random_graph(seed=16)
     counts = []
     for layers in (2, 3):
@@ -417,7 +418,7 @@ def test_training_layer_records_five_tape_nodes():
         forward(tape, init_params(cfg, g.n_features, g.n_classes), g, cfg,
                 training=True, rng=np.random.default_rng(0))
         counts.append(len(tape._nodes))
-    assert counts[1] - counts[0] == 5
+    assert counts[1] - counts[0] == 3
 
 
 # ---- persistence and scaling -------------------------------------------------
@@ -503,6 +504,54 @@ def test_checkpoint_rejects_missing_top_level_field(tmp_path, key):
         load_checkpoint(base)
 
 
+def _shift_offset(entry, by):
+    entry["offset"] += by
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda m: m["arrays"][0].update(offset=3), r"'arrays\[0\]\.offset'"),
+    (lambda m: _shift_offset(m["arrays"][1], -8), r"'arrays\[1\]\.offset' .*inside"),
+    (lambda m: _shift_offset(m["arrays"][-1], 8), r"model\.bin: .*'arrays'"),
+    (lambda m: m["arrays"][0].update(offset="0"), r"'arrays\[0\]\.offset'"),
+    (lambda m: m["arrays"][0].pop("offset"), r"'arrays\[0\]' has no 'offset'"),
+    (lambda m: m["arrays"][0].update(shape=[-1, 6]), r"'arrays\[0\]\.shape'"),
+    (lambda m: m["arrays"][0].update(shape=[2.5, 6]), r"'arrays\[0\]\.shape'"),
+    (lambda m: m["arrays"][0].update(shape=[6, 4]), r"'arrays\[0\]\.shape'"),
+    (lambda m: m["arrays"][0].update(name=7), r"'arrays\[0\]\.name'"),
+    (lambda m: m["arrays"][1].update(name="enc_in"), r"'arrays\[1\]\.name' .*twice"),
+    (lambda m: m["arrays"][1].update(name="enc"), r"'arrays\[1\]\.name' .*not a"),
+    (lambda m: m["arrays"].__setitem__(0, "enc_in"), r"'arrays\[0\]' must be"),
+    (lambda m: m.update(arrays=5), r"'arrays' must be a list"),
+    (lambda m: m.update(n_features="abc"), r"'n_features'"),
+    (lambda m: m.update(n_features=True), r"'n_features'"),
+    (lambda m: m.update(n_classes=0), r"'n_classes'"),
+    (lambda m: m["config"].update(hidden=4.0), r"'config': hidden must be an integer"),
+    (lambda m: m["config"].update(temperature="0.5"), r"'config': temperature"),
+    (lambda m: m["config"].update(reg_strength=float("nan")), r"'config': reg_strength"),
+], ids=["misaligned-offset", "overlapping-offset", "offset-past-the-blob",
+        "string-offset", "missing-offset", "negative-shape", "float-shape",
+        "wrong-shape", "non-string-name", "duplicate-name", "unknown-name", "entry-not-an-object",
+        "arrays-not-a-list", "string-n_features", "bool-n_features",
+        "zero-n_classes", "float-hidden", "string-temperature", "nan-reg_strength"])
+def test_checkpoint_rejects_each_malformed_manifest_field(tmp_path, edit, problem):
+    base, manifest = saved_checkpoint(tmp_path)
+    edit(manifest)
+    with open(base + ".json", "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ValueError, match=problem) as err:
+        load_checkpoint(base)
+    assert "model." in str(err.value)
+
+
+def test_checkpoint_rejects_a_manifest_that_is_not_a_json_object(tmp_path):
+    base, _ = saved_checkpoint(tmp_path)
+    for text in ("[1, 2]", "{not json"):
+        with open(base + ".json", "w") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError, match=r"model\.json: not"):
+            load_checkpoint(base)
+
+
 def test_doubling_arcs_stays_within_linear_budget():
     rng = np.random.default_rng(17)
     n, base_edges = 300, 2000
@@ -566,33 +615,34 @@ def held_bytes_per_arc_layer(shallow, deep):
     return (held_bytes(deep) - held_bytes(shallow)) / ((deep - shallow) * g.n_arcs)
 
 
-def test_training_layer_retains_at_most_140_bytes_per_arc():
+def test_training_layer_retains_at_most_100_bytes_per_arc():
     # the records keep the scores and node-sized arrays, with no (arcs, w)
-    # array, no CSR copy and no float dropout mask. Of node-sized arrays a
-    # layer keeps its dropout output (read by the projection's backward),
-    # its one-byte mask, the projection, and the LayerNorm's rows, 1/std
-    # and ReLU mask; its message and its residual output are read by no
-    # backward, so the tape does not keep them
+    # array, no CSR copy, no float dropout mask and no input of a
+    # projection. Of node-sized arrays a layer keeps the projection and the
+    # LayerNorm's rows, 1/std, ReLU mask and one-byte dropout mask; its
+    # message is read by no backward, and the next projection's input is
+    # rebuilt from the LayerNorm's arrays, so the tape keeps neither
     per_arc_layer = held_bytes_per_arc_layer(2, 6)
-    assert per_arc_layer <= 140, per_arc_layer
+    assert per_arc_layer <= 100, per_arc_layer
 
 
 def forward_with_refs(tape, params, g, cfg, rng):
     """model.forward's training ops, returning the logits and weak
-    references to the data of each non-last layer's message and output."""
+    references to the data of each layer's message."""
     h0 = encode(tape, params, g.features, cfg, True, rng)
-    h, refs = h0, []
+    h_hat = tape.matmul(tape.dropout(h0, cfg.keep_prob, rng), params.layer_proj[0])
+    refs = []
     for k in range(cfg.layers):
-        h_in = tape.dropout(h, cfg.keep_prob, rng)
-        h_hat = tape.matmul(h_in, params.layer_proj[k])
         scores = attention_scores(tape, h_hat, g, params.layer_att[k],
                                   cfg.alpha, cfg.temperature)
         message = chunk_aggregate(tape, h_hat, scores, g)
-        h = layer_update(tape, h0, message, cfg.beta, params.ln_gain[k],
-                         params.ln_bias[k])
-        if k < cfg.layers - 1:
-            refs += [weakref.ref(message.data), weakref.ref(h.data)]
-    return tape.matmul(h, params.head), refs
+        last = k == cfg.layers - 1
+        h_hat = layer_update(tape, h0, message, cfg.beta, params.ln_gain[k],
+                             params.ln_bias[k],
+                             params.head if last else params.layer_proj[k + 1],
+                             1.0 if last else cfg.keep_prob, rng)
+        refs.append(weakref.ref(message.data))
+    return h_hat, refs
 
 
 def test_outputs_no_backward_reads_are_freed_before_backward():
@@ -610,9 +660,11 @@ def test_outputs_no_backward_reads_are_freed_before_backward():
     tape = ad.Tape()
     logits, refs = forward_with_refs(tape, params, g, cfg,
                                      np.random.default_rng(0))
+    assert np.array_equal(logits.data, forward(
+        ad.Tape(), params, g, cfg, True, np.random.default_rng(0)).logits.data)
     loss = tape.cross_entropy(logits, g.labels, mask)
     del logits
-    assert len(refs) == 4
+    assert len(refs) == 3
     assert all(ref() is None for ref in refs)
     tape.backward(loss)
 
