@@ -4,21 +4,39 @@ Runs the seeded command list below in a fresh temporary directory, using the
 package under this checkout's ``src/``, and prints one ``<sha256>  <path>``
 line per output file and one per command's stdout. The ``# generated``
 timestamp line is stripped from CSVs before hashing, so two runs of the same
-code print the same lines. To check that a change keeps the seeded output
-byte-identical, run this script in both checkouts and diff the two outputs:
+code print the same lines:
 
     python scripts/seeded_outputs.py > after.txt
+
+With ``--check`` it compares the lines with the golden file committed next
+to this script, ``seeded_outputs.golden``, names each line that moved and
+exits 1 if any did. The bits of the seeded runs depend on the numpy and
+scipy builds and on the OpenBLAS kernel set the CPU selects (the same
+checkout prints other hashes for ``ck.bin`` and the attention CSVs with
+``OPENBLAS_CORETYPE=Haswell`` on an AVX-512 machine). The golden file's first
+line records all of them; when the running ones differ, ``--check`` says it
+skipped the comparison and exits 0. A change that moves seeded output on
+purpose replaces the golden file in the same commit: that first line, as
+``--check`` prints it, followed by the plain output.
 
 Exits 1 if any command fails.
 """
 
+import argparse
+import ctypes
+import glob
 import hashlib
 import os
 import subprocess
 import sys
 import tempfile
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+import numpy as np
+import scipy
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+GOLDEN = os.path.join(HERE, "seeded_outputs.golden")
 
 MODEL = ["--data", "ds", "--chunks", "3", "--hidden", "48"]
 COMMANDS = [
@@ -51,7 +69,33 @@ def digest(data: bytes, csv: bool) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
+def blas_core() -> str:
+    """The OpenBLAS kernel set numpy's bundled library runs, or "unknown"."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_corename64_",
+                     "scipy_openblas_get_corename", "openblas_get_corename"):
+            corename = getattr(lib, name, None)
+            if corename is not None:
+                corename.argtypes = []
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def environment() -> str:
+    """The golden file's first line: what the seeded bits depend on."""
+    return (f"# python {sys.version_info.major}.{sys.version_info.minor} "
+            f"numpy {np.__version__} scipy {scipy.__version__} "
+            f"openblas-core {blas_core()}")
+
+
+def seeded_lines():
+    """Run the command list; return the hash lines, or None if one fails."""
     env = dict(os.environ, PYTHONPATH=SRC)
     lines = []
     with tempfile.TemporaryDirectory() as work:
@@ -63,7 +107,7 @@ def main() -> int:
                 sys.stderr.write(done.stderr.decode(errors="replace"))
                 print(f"command {n} ({' '.join(argv)}) exited "
                       f"{done.returncode}", file=sys.stderr)
-                return 1
+                return None
             lines.append(f"{digest(done.stdout, False)}  "
                          f"stdout/{n:02d}-{argv[0]}")
         for root, dirs, files in os.walk(work):
@@ -74,7 +118,55 @@ def main() -> int:
                     data = fh.read()
                 rel = os.path.relpath(path, work)
                 lines.append(f"{digest(data, name.endswith('.csv'))}  {rel}")
-    print("\n".join(lines))
+    return lines
+
+
+def compare(golden_text: str, lines):
+    """One message per output whose hash differs from the golden text's,
+    or that only one side has; empty when the two agree line for line."""
+    def by_name(rows):
+        return dict(reversed(row.split("  ", 1)) for row in rows)
+
+    want = by_name(row for row in golden_text.splitlines()[1:] if row)
+    got = by_name(lines)
+    problems = []
+    for name in sorted(want.keys() | got.keys()):
+        if name not in got:
+            problems.append(f"missing: {name} (golden {want[name]})")
+        elif name not in want:
+            problems.append(f"new: {name} ({got[name]})")
+        elif want[name] != got[name]:
+            problems.append(f"moved: {name} (golden {want[name]}, "
+                            f"now {got[name]})")
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed golden file")
+    args = parser.parse_args(argv)
+    lines = seeded_lines()
+    if lines is None:
+        return 1
+    if not args.check:
+        print("\n".join(lines))
+        return 0
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = fh.read()
+    recorded, running = golden.splitlines()[0], environment()
+    if recorded != running:
+        print(f"skipped the comparison: {os.path.basename(GOLDEN)} was made "
+              f"with '{recorded[2:]}', this is '{running[2:]}'")
+        return 0
+    problems = compare(golden, lines)
+    for problem in problems:
+        print(problem)
+    if problems:
+        print(f"{len(problems)} seeded output(s) differ from "
+              f"{os.path.basename(GOLDEN)}; expected first line: {running}")
+        return 1
+    print(f"all {len(lines)} seeded outputs match {os.path.basename(GOLDEN)}")
     return 0
 
 

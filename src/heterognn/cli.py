@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from concurrent import futures
-from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import partial
@@ -33,7 +32,13 @@ from .graphs import (
     save_dataset,
     self_free_undirected_edges,
 )
-from .model import M2mConfig, load_checkpoint, save_checkpoint
+from .model import (
+    CONFIG_RULES,
+    M2mConfig,
+    check_hyperparameter,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .multiset import (
     Partition,
     VectorMultiset,
@@ -59,6 +64,7 @@ from .signed import (
     z_score,
 )
 from .training import (
+    TRAIN_RULES,
     TrainingDiverged,
     ablate,
     attention_analysis,
@@ -67,8 +73,9 @@ from .training import (
     train,
 )
 
-MODEL_KEYS = {f.name for f in dataclass_fields(M2mConfig)}
-TRAIN_KEYS = {"lr", "weight_decay", "max_epochs", "patience"}
+MODEL_KEYS = set(CONFIG_RULES)
+TRAIN_KEYS = set(TRAIN_RULES)
+RULES = {**CONFIG_RULES, **TRAIN_RULES}
 
 
 # ---- plumbing ----------------------------------------------------------------
@@ -105,19 +112,39 @@ def _config_text(name: str) -> str:
 def _load_run_config(args):
     """Merge shipped/user JSON with explicit flags; flags win.
 
-    Sets ``args.seed`` to the seed in use, so the sidecar records it.
+    Each value is checked on its own first, so a bad one fails naming where
+    it came from: the config file and its field, or the flag. Sets
+    ``args.seed`` to the seed in use, so the sidecar records it.
     """
-    payload = json.loads(_config_text(args.config))
+    where = f"config {args.config!r}"
+    try:
+        payload = json.loads(_config_text(args.config))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where}: not a JSON object")
     unknown = set(payload) - MODEL_KEYS - TRAIN_KEYS
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"{where}: unknown config keys: {sorted(unknown)}")
+    origin = {key: f"{where}, field {key!r}" for key in payload}
     for key in MODEL_KEYS | TRAIN_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             payload[key] = value
+            origin[key] = "--" + key.replace("_", "-")
+    for key, value in payload.items():
+        try:
+            check_hyperparameter(key, value, *RULES[key])
+        except ValueError as exc:
+            raise ValueError(f"{origin[key]}: {exc}") from None
     model = {k: v for k, v in payload.items() if k in MODEL_KEYS}
     train_kw = {k: v for k, v in payload.items() if k in TRAIN_KEYS}
-    config = M2mConfig(**model)
+    try:
+        config = M2mConfig(**model)
+    except (TypeError, ValueError) as exc:  # a missing field, or hidden % chunks
+        flags = sorted(o for o in origin.values() if o.startswith("--"))
+        source = f"{where} with {', '.join(flags)}" if flags else where
+        raise ValueError(f"{source}: {exc}") from None
     args.seed = config.seed
     return config, train_kw
 

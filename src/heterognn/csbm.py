@@ -80,11 +80,11 @@ def label_signed_sample(edges, features, labels) -> SignedGraphSample:
     holds the arcs into i, in the (dst, src) order `graphs.build_graph` uses.
     """
     n = labels.shape[0]
-    src, dst = _arcs_by_destination(edges[:, 0], edges[:, 1], n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
+    src, dst, indptr = _arcs_by_destination(edges[:, 0], edges[:, 1], n)
     dst_labels = labels[dst]
-    del dst  # three arc-sized int64 arrays alive below, not four
+    # dst is read only for its labels: from here on at most three arc-sized
+    # int64 arrays are alive (src, dst_labels and labels[src])
+    del dst
     signs = np.where(labels[src] == dst_labels, 1.0, -1.0)
     adjacency = sp.csr_matrix((signs, src, indptr), shape=(n, n))
     return SignedGraphSample(adjacency, features, labels)
@@ -161,6 +161,12 @@ def signed_normalize(sample: SignedGraphSample):
     absolute degree >= 1 and kept is the array of surviving node ids.
     Isolated nodes carry no propagation signal and are removed with a
     warning. The spectral norm of P is at most 1.
+
+    P is scaled entry by entry on A's own sparsity pattern: its data is
+    (inv_sqrt[i] * a_ij) * inv_sqrt[j], the products the two diagonal
+    matrix products compute, in the same order, so P is bit-identical to
+    ``(D @ A @ D).tocsr()`` and keeps A's index order. P shares A's
+    ``indices`` and ``indptr`` arrays.
     """
     adj = sample.adjacency
     deg = np.asarray(abs(adj).sum(axis=1)).ravel()
@@ -175,8 +181,10 @@ def signed_normalize(sample: SignedGraphSample):
         adj = adj[kept][:, kept]
         deg = deg[kept]
     inv_sqrt = 1.0 / np.sqrt(deg)
-    scale = sp.diags(inv_sqrt)
-    P = (scale @ adj @ scale).tocsr()
+    data = np.repeat(inv_sqrt, np.diff(adj.indptr))
+    data *= adj.data
+    data *= inv_sqrt[adj.indices]
+    P = sp.csr_matrix((data, adj.indices, adj.indptr), shape=adj.shape)
     return P, kept
 
 

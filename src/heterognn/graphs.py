@@ -90,15 +90,25 @@ class Graph:
 
 
 def _arcs_by_destination(u, v, n_nodes):
-    """Both directions of the undirected edges (u[e], v[e]) as (src, dst)
-    arrays sorted by (dst, src)."""
-    # one key sorts arcs by (dst, src); equal keys are equal arcs
+    """Both directions of the undirected edges (u[e], v[e]), sorted by (dst, src).
+
+    Returns (src, dst, indptr): the int64 arc endpoints and the CSR offsets
+    over destinations, arcs into node i at indptr[i]:indptr[i+1]. One int64
+    key dst * n_nodes + src sorts the arcs, so equal keys are equal arcs. The
+    per-destination counts come from one bincount of the unsorted
+    destinations; they rebuild dst as a run of repeats and src as the key
+    minus dst * n_nodes, so no division decodes the sorted keys.
+    """
     keys = np.concatenate([v, u], dtype=np.int64)
+    counts = np.bincount(keys, minlength=n_nodes)
     keys *= n_nodes
     keys += np.concatenate([u, v])
     keys.sort()
-    dst, src = np.divmod(keys, n_nodes)
-    return src, dst
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    dst = np.repeat(np.arange(n_nodes, dtype=np.int64), counts)
+    keys -= dst * n_nodes
+    return keys, dst, indptr
 
 
 def build_graph(n_nodes, undirected_edges, features, labels, n_classes) -> Graph:
@@ -117,9 +127,7 @@ def build_graph(n_nodes, undirected_edges, features, labels, n_classes) -> Graph
             raise ValueError("edge endpoint out of range")
         if (edges[:, 0] == edges[:, 1]).any():
             raise ValueError("self-loops are not represented")
-    src, dst = _arcs_by_destination(edges[:, 0], edges[:, 1], n_nodes)
-    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=n_nodes), out=indptr[1:])
+    src, dst, indptr = _arcs_by_destination(edges[:, 0], edges[:, 1], n_nodes)
     return Graph(int(n_nodes), src, dst, indptr, features, labels, int(n_classes))
 
 

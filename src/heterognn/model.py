@@ -40,12 +40,43 @@ __all__ = [
     "M2mConfig", "M2mParams", "ForwardResult", "init_params",
     "encode", "attention_scores", "chunk_aggregate", "layer_update",
     "forward", "reg_loss", "total_loss", "one_hot_arc_scores",
-    "save_checkpoint", "load_checkpoint",
+    "save_checkpoint", "load_checkpoint", "check_hyperparameter", "CONFIG_RULES",
 ]
 
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_hyperparameter(name, value, kind, in_range, requirement):
+    """Raise ValueError naming ``name`` unless ``value`` is valid on its own.
+
+    ``kind`` int asks for an integer, float for a finite real; a bool is
+    neither. ``in_range(value)`` must then hold, else the message states
+    ``requirement``.
+    """
+    if kind is int:
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
+          or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if not in_range(value):
+        raise ValueError(f"{name} {requirement}, got {value!r}")
+
+
+# (kind, in_range, requirement) of each M2mConfig field on its own
+CONFIG_RULES = {
+    "hidden": (int, lambda v: v >= 1, "must be positive"),
+    "chunks": (int, lambda v: v >= 1, "must be positive"),
+    "layers": (int, lambda v: v >= 1, "must be positive"),
+    "alpha": (float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "beta": (float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "temperature": (float, lambda v: v > 0, "must be positive"),
+    "reg_strength": (float, lambda v: v >= 0, "must be nonnegative"),
+    "keep_prob": (float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "seed": (int, lambda v: v >= 0, "must be nonnegative"),
+}
 
 
 @dataclass(frozen=True)
@@ -58,7 +89,8 @@ class M2mConfig:
     keep-probability (1 disables dropout). ``reg_strength`` weighs the
     chunk-balance penalty (0 disables it). Construction rejects, with
     ValueError, an ``int`` field that holds no integer and a ``float`` field
-    that holds no finite number, as well as out-of-range values.
+    that holds no finite number, as well as out-of-range values
+    (`CONFIG_RULES`).
     """
 
     hidden: int
@@ -73,31 +105,11 @@ class M2mConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is int:
-                if not _is_int(value):
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                  or not math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        if self.hidden < 1 or self.chunks < 1 or self.layers < 1:
-            raise ValueError("hidden, chunks, and layers must be positive")
+            check_hyperparameter(f.name, getattr(self, f.name), *CONFIG_RULES[f.name])
         if self.hidden % self.chunks:
             raise ValueError(
                 f"hidden={self.hidden} not divisible by chunks={self.chunks}"
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.reg_strength < 0:
-            raise ValueError("reg_strength must be nonnegative")
-        if not 0.0 < self.keep_prob <= 1.0:
-            raise ValueError("keep_prob must lie in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
     @property
     def chunk_width(self) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "VectorMultiset", "Partition",
@@ -111,20 +112,37 @@ def one_hop_desirable_m2m(
     neighbor mean. Classes absent from the neighborhood leave zero blocks,
     and isolated nodes get all-zero messages. This is the idealized,
     true-label version of what the attention layers learn to approximate.
+
+    The sum is one CSR product over the graph's own ``(arc_src, indptr)``:
+    row i of ``Y`` holds node i's features in block ``labels[i]`` and zeros
+    elsewhere, and row i of the output adds up the rows of ``Y`` at i's
+    in-neighbors in arc order, starting from zero. Labels must lie in
+    [0, C); a ValueError names the first node whose label does not.
     """
     if mode not in ("sum", "mean"):
         raise ValueError(f"unknown pooling mode {mode!r}")
     labels = np.asarray(labels, dtype=np.int64)
     C = n_classes if n_classes is not None else graph.n_classes
+    n = graph.n_nodes
+    if labels.shape != (n,):
+        raise ValueError(f"need one label per node: {n} nodes, labels of "
+                         f"shape {labels.shape}")
+    bad = np.flatnonzero((labels < 0) | (labels >= C))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"labels must lie in [0, {C}): node {i} has "
+                         f"label {int(labels[i])}")
     X = np.asarray(features, dtype=np.float64)
     if weight is not None:
         X = X @ np.asarray(weight, dtype=np.float64)
-    n, f = graph.n_nodes, X.shape[1]
-    out = np.zeros((n * C, f))
-    np.add.at(out, graph.arc_dst * C + labels[graph.arc_src], X[graph.arc_src])
-    out = out.reshape(n, C * f)
+    f = X.shape[1]
+    Y = np.zeros((n, C, f))
+    Y[np.arange(n), labels] = X
+    A = sp.csr_matrix((np.ones(graph.n_arcs), graph.arc_src, graph.indptr),
+                      shape=(n, n))
+    out = A @ Y.reshape(n, C * f)
     if mode == "mean":
-        indeg = np.bincount(graph.arc_dst, minlength=n).astype(np.float64)
+        indeg = np.diff(graph.indptr).astype(np.float64)
         nonzero = indeg > 0
         out[nonzero] /= indeg[nonzero, None]
     return out

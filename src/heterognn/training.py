@@ -18,6 +18,7 @@ from .graphs import Graph, Split
 from .model import (
     M2mConfig,
     M2mParams,
+    check_hyperparameter,
     forward,
     init_params,
     one_hot_arc_scores,
@@ -28,8 +29,16 @@ __all__ = [
     "TrainingDiverged", "TrainRecord", "AttentionSummary",
     "train", "predict", "evaluate", "depth_sweep",
     "attention_analysis", "dominant_columns",
-    "mixing_score", "mixing_score_from_scores", "ablate",
+    "mixing_score", "mixing_score_from_scores", "ablate", "TRAIN_RULES",
 ]
+
+# (kind, in_range, requirement) of each keyword of `train` on its own
+TRAIN_RULES = {
+    "lr": (float, lambda v: v > 0, "must be positive"),
+    "weight_decay": (float, lambda v: v >= 0, "must be nonnegative"),
+    "max_epochs": (int, lambda v: v >= 1, "must be at least 1"),
+    "patience": (int, lambda v: v >= 1, "must be at least 1"),
+}
 
 
 class TrainingDiverged(RuntimeError):
@@ -75,12 +84,17 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
     from the eval logits of that same epoch, so no forward runs after the
     loop. Fully deterministic for a fixed (graph, config, split).
     Raises TrainingDiverged the moment the loss leaves the reals, or a
-    parameter gradient does, before that gradient reaches Adam.
+    parameter gradient does, before that gradient reaches Adam. Raises
+    ValueError, before any work, for an lr that is not positive, a
+    weight_decay that is negative and for max_epochs or patience below 1
+    (`TRAIN_RULES`); non-finite or non-numeric values are rejected too.
     """
     if len(split.train) == 0 or len(split.val) == 0 or len(split.test) == 0:
         raise ValueError("train/val/test must all be non-empty")
-    if max_epochs < 1 or patience < 1:
-        raise ValueError("max_epochs and patience must be at least 1")
+    options = dict(lr=lr, weight_decay=weight_decay, max_epochs=max_epochs,
+                   patience=patience)
+    for name, value in options.items():
+        check_hyperparameter(name, value, *TRAIN_RULES[name])
     params = init_params(config, g.n_features, g.n_classes)
     adam = ad.AdamState(params.tensors(), lr=lr, weight_decay=weight_decay)
     # init_params draws from the root stream of config.seed; dropout takes a

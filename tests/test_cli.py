@@ -489,6 +489,41 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, extra, message", [
+    ({"max_epochs": "5"}, [],
+     "config '{cfg}', field 'max_epochs': max_epochs must be an integer"),
+    ({"hidden": "64"}, [],
+     "config '{cfg}', field 'hidden': hidden must be an integer, got '64'"),
+    ({"patience": 0}, [],
+     "config '{cfg}', field 'patience': patience must be at least 1"),
+    ({}, ["--lr", "-1"], "--lr: lr must be positive, got -1.0"),
+    ({}, ["--weight-decay", "nan"],
+     "--weight-decay: weight_decay must be a finite number, got nan"),
+    ({}, ["--keep-prob", "0"], "--keep-prob: keep_prob must lie in (0, 1]"),
+])
+def test_bad_run_setting_names_the_file_field_or_flag(tmp_path, capsys, fields,
+                                                      extra, message):
+    toy = make_toy(tmp_path)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"hidden": 8, "chunks": 2, "layers": 1,
+                               "max_epochs": 2, "patience": 2, **fields}))
+    code = main(["train", "--data", toy, "--config", str(cfg), "--splits", "1",
+                 "--out", str(tmp_path / "acc.csv"), *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message.format(cfg=cfg) in err
+    assert "Traceback" not in err
+
+
+def test_a_good_flag_overrides_a_bad_config_value(tmp_path, capsys):
+    toy = make_toy(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"hidden": "64", "chunks": 2, "layers": 1, "max_epochs": 2}')
+    assert main(["train", "--data", toy, "--config", str(cfg), "--hidden", "8",
+                 "--splits", "1", "--out", str(tmp_path / "acc.csv")]) == 0
+    capsys.readouterr()
+
+
 SEEDED_COMMANDS = {
     "train": ["--splits", "1"],
     "sweep-depth": ["--k-list", "1", "--splits", "1"],

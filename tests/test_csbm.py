@@ -1,6 +1,7 @@
 """Signed block-model sampling and the expected normalized operator."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from heterognn.csbm import (
     CsbmParams,
+    SignedGraphSample,
     _triangle_pairs,
     expected_operator,
     label_signed_sample,
@@ -225,6 +227,41 @@ def test_isolated_nodes_dropped_with_warning():
         P, kept = signed_normalize(s)
     assert kept.tolist() == [0, 1]
     assert P.shape == (2, 2)
+
+
+def _diagonal_product_normalize(adjacency):
+    """The former formula: D^-1/2 A D^-1/2 as two products with a diagonal
+    matrix, over the nodes of nonzero absolute degree."""
+    deg = np.asarray(abs(adjacency).sum(axis=1)).ravel()
+    kept = np.flatnonzero(deg)
+    scale = sp.diags(1.0 / np.sqrt(deg[kept]))
+    return (scale @ adjacency[kept][:, kept] @ scale).tocsr(), kept
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("n_nodes, p, q, seed", [(300, 0.004, 0.002, 0),
+                                                 (300, 0.004, 0.002, 1),
+                                                 (120, 0.2, 0.1, 2)])
+def test_signed_normalize_matches_the_diagonal_products_bit_for_bit(
+        n_nodes, p, q, seed, weighted):
+    s = sample_csbm(params(n_nodes=n_nodes, p=p, q=q, seed=seed))
+    if weighted:
+        # unit weights hide the order of the two scalings; weights in
+        # [0.5, 2) on each undirected edge expose it
+        upper = sp.triu(s.adjacency, 1).tocsr()
+        upper.data *= np.random.default_rng(seed).uniform(0.5, 2.0, upper.nnz)
+        s = SignedGraphSample((upper + upper.T).tocsr(), s.features, s.labels)
+    ref, ref_kept = _diagonal_product_normalize(s.adjacency)
+    isolated = len(ref_kept) < n_nodes
+    assert isolated == (n_nodes == 300)  # the sparse samples test the drop
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if not isolated else "ignore")
+        P, kept = signed_normalize(s)
+    assert np.array_equal(kept, ref_kept)
+    assert P.shape == ref.shape
+    assert np.array_equal(P.indptr, ref.indptr)
+    assert np.array_equal(P.indices, ref.indices)
+    assert np.array_equal(P.data, ref.data)
 
 
 def _power_iteration_norm(P, iters=200, seed=0):

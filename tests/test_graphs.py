@@ -12,6 +12,7 @@ from heterognn.graphs import (
     DatasetFormatError,
     Graph,
     Split,
+    _arcs_by_destination,
     build_graph,
     edge_homophily,
     largest_remainder,
@@ -393,6 +394,37 @@ def test_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(
         self_free_undirected_edges(g2), self_free_undirected_edges(g)
     )
+
+
+def _lexsorted_arcs(u, v, n):
+    """The former arc order: both directions sorted by np.lexsort on
+    (dst, src), with offsets from a bincount of the sorted destinations."""
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((src, dst))
+    src, dst = src[order], dst[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
+    return src, dst, indptr
+
+
+@pytest.mark.parametrize("order", ["shuffled", "csr"])
+@pytest.mark.parametrize("n, n_edges, seed", [(1, 0, 0), (7, 0, 1), (9, 5, 2),
+                                              (60, 300, 3), (500, 400, 4)])
+def test_arcs_by_destination_match_lexsort(order, n, n_edges, seed):
+    # n=500 with 400 edges leaves many nodes isolated
+    rng = np.random.default_rng(seed)
+    pairs = {tuple(sorted(rng.choice(n, 2, replace=False)))
+             for _ in range(n_edges)} if n > 1 else set()
+    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    if order == "shuffled":
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip][:, ::-1]
+        rng.shuffle(edges)
+    src, dst, indptr = _arcs_by_destination(edges[:, 0], edges[:, 1], n)
+    ref_src, ref_dst, ref_indptr = _lexsorted_arcs(edges[:, 0], edges[:, 1], n)
+    for got, want in ((src, ref_src), (dst, ref_dst), (indptr, ref_indptr)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=30, deadline=None)

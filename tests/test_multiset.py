@@ -214,6 +214,54 @@ def test_one_hop_full_size_mean_divides_by_degree():
     np.testing.assert_allclose(msg[0], [1.0, 5.0 / 3.0, 0.0])
 
 
+def _add_at_one_hop(features, g, labels, C, mode):
+    """The former scatter: np.add.at into node-major class blocks."""
+    X = np.asarray(features, dtype=np.float64)
+    out = np.zeros((g.n_nodes * C, X.shape[1]))
+    np.add.at(out, g.arc_dst * C + labels[g.arc_src], X[g.arc_src])
+    out = out.reshape(g.n_nodes, -1)
+    if mode == "mean":
+        indeg = np.bincount(g.arc_dst, minlength=g.n_nodes).astype(np.float64)
+        nonzero = indeg > 0
+        out[nonzero] /= indeg[nonzero, None]
+    return out
+
+
+@pytest.mark.parametrize("mode", ["sum", "mean"])
+@pytest.mark.parametrize("f", [1, 7])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_hop_matches_the_add_at_scatter_bit_for_bit(mode, f, seed):
+    rng = np.random.default_rng(seed)
+    n, C = 400, 3
+    # about 120 edges among the first 300 nodes: many nodes are isolated,
+    # and the last 100 always are
+    pairs = {tuple(sorted(rng.choice(300, 2, replace=False)))
+             for _ in range(120)}
+    # magnitudes over six decades, so a change of summation order shows
+    features = rng.normal(size=(n, f)) * 10.0 ** rng.integers(-3, 4, (n, f))
+    g = build_graph(n, sorted(pairs), features, rng.integers(0, C, n), C)
+    assert (np.diff(g.indptr) == 0).sum() >= 100
+    got = one_hop_desirable_m2m(g.features, g, g.labels, mode=mode)
+    want = _add_at_one_hop(g.features, g, g.labels, C, mode)
+    assert got.shape == want.shape == (n, C * f)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad, node", [([0, 2, 0, 1], 1), ([0, 1, -1, 1], 2),
+                                       ([0, 1, 0, 5], 3)])
+def test_one_hop_rejects_a_label_outside_the_classes(bad, node):
+    # on the path 0-1-2-3 with C=2, node 1's label 2 used to put node 0's
+    # neighbour into node 1's class-0 block, and a label of -1 wrapped into
+    # the block before
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)], np.ones((4, 1)),
+                    np.array([0, 1, 0, 1]), 2)
+    match = rf"\[0, 2\): node {node} has label {bad[node]}"
+    with pytest.raises(ValueError, match=match):
+        one_hop_desirable_m2m(g.features, g, np.array(bad), mode="sum")
+    with pytest.raises(ValueError, match=match):
+        stacked_one_hop(g.features, g, np.array(bad), 2)
+
+
 def _seq_block(seq, C, width):
     t = 0
     for s in seq:

@@ -118,6 +118,27 @@ def test_divergence_raises_with_epoch():
               lr=1e5, weight_decay=1e5)
 
 
+@pytest.mark.parametrize("option, value, match", [
+    ("lr", -1.0, "lr must be positive"),
+    ("lr", 0.0, "lr must be positive"),
+    ("lr", float("inf"), "lr must be a finite number"),
+    ("weight_decay", float("nan"), "weight_decay must be a finite number"),
+    ("weight_decay", -0.1, "weight_decay must be nonnegative"),
+    ("max_epochs", "5", "max_epochs must be an integer"),
+    ("max_epochs", 2.0, "max_epochs must be an integer"),
+    ("max_epochs", 0, "max_epochs must be at least 1"),
+    ("patience", True, "patience must be an integer"),
+    ("patience", -3, "patience must be at least 1"),
+])
+def test_train_rejects_a_bad_hyperparameter_naming_it(option, value, match):
+    # lr=-1 used to run gradient ascent, weight_decay=nan to end as
+    # "loss became nan", and max_epochs="5" in a TypeError
+    g = separable_graph(seed=1)
+    kwargs = {"max_epochs": 2, "patience": 2, option: value}
+    with pytest.raises(ValueError, match=match):
+        train(g, quick_config(), random_split(g, seed=0), **kwargs)
+
+
 def test_only_the_training_forward_records_a_tape(monkeypatch):
     flags = []
 
