@@ -13,11 +13,19 @@ to this script, ``seeded_outputs.golden``, names each line that moved and
 exits 1 if any did. The bits of the seeded runs depend on the numpy and
 scipy builds and on the OpenBLAS kernel set the CPU selects (the same
 checkout prints other hashes for ``ck.bin`` and the attention CSVs with
-``OPENBLAS_CORETYPE=Haswell`` on an AVX-512 machine). The golden file's first
-line records all of them; when the running ones differ, ``--check`` says it
-skipped the comparison and exits 0. A change that moves seeded output on
-purpose replaces the golden file in the same commit: that first line, as
-``--check`` prints it, followed by the plain output.
+``OPENBLAS_CORETYPE=Haswell`` on an AVX-512 machine). So the golden file
+holds one section per environment: a first line recording all of them,
+then that environment's hash lines, each exact. ``--check`` compares with
+the section whose first line is the running environment's; when none is,
+it says it skipped the comparison and exits 0. A change that moves seeded
+output on purpose replaces each section in the same commit: the first line,
+as ``--check`` prints it, followed by the plain output, run once per kernel
+set, for instance under ``OPENBLAS_CORETYPE=Haswell`` for the Haswell
+section.
+
+Before the commands run, ``write_bag_of_words`` writes a small dataset of
+binary word rows (about 2% nonzero) from a fixed numpy stream, so one seeded
+``train`` run multiplies its features as a CSR matrix.
 
 Exits 1 if any command fails.
 """
@@ -60,7 +68,28 @@ COMMANDS = [
      "--out", "attention.csv"],
     ["analyze-attention", *MODEL, "--max-epochs", "10", "--seed", "6",
      "--checkpoint", "ck", "--out", "attention_ck.csv"],
+    ["train", "--data", "bow", "--row-normalize", "--chunks", "2",
+     "--hidden", "32", "--max-epochs", "12", "--splits", "2", "--seed", "1",
+     "--save-checkpoint", "ck_bow", "--out", "train_bow.csv"],
 ]
+
+
+def write_bag_of_words(path, n=150, f=900, classes=4, seed=9):
+    """A Texas-like dataset at path: n nodes of f binary words, at least one
+    per node and about 2% nonzero, under class-dependent word rates, and
+    about 2n random edges, all drawn from one seeded numpy stream."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, classes, n)
+    rates = 0.04 * rng.random((classes, f))
+    words = rng.random((n, f)) < rates[labels]
+    words[np.arange(n), rng.integers(0, f, n)] = True
+    pairs = np.sort(rng.integers(0, n, (2 * n, 2)), axis=1)
+    edges = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    os.makedirs(path)
+    np.savetxt(os.path.join(path, "edges.tsv"), edges, fmt="%d", delimiter="\t")
+    np.savetxt(os.path.join(path, "features.tsv"), words, fmt="%d",
+               delimiter="\t")
+    np.savetxt(os.path.join(path, "labels.tsv"), labels, fmt="%d")
 
 
 def digest(data: bytes, csv: bool) -> str:
@@ -99,6 +128,7 @@ def seeded_lines():
     env = dict(os.environ, PYTHONPATH=SRC)
     lines = []
     with tempfile.TemporaryDirectory() as work:
+        write_bag_of_words(os.path.join(work, "bow"))
         for n, argv in enumerate(COMMANDS):
             done = subprocess.run(
                 [sys.executable, "-m", "heterognn.cli", *argv], cwd=work,
@@ -121,13 +151,24 @@ def seeded_lines():
     return lines
 
 
-def compare(golden_text: str, lines):
-    """One message per output whose hash differs from the golden text's,
+def sections(golden_text: str):
+    """{environment line: hash lines} of each section of the golden text."""
+    found, rows = {}, None
+    for row in golden_text.splitlines():
+        if row.startswith("# "):
+            rows = found.setdefault(row, [])
+        elif row:
+            rows.append(row)
+    return found
+
+
+def compare(golden_lines, lines):
+    """One message per output whose hash differs from the golden lines',
     or that only one side has; empty when the two agree line for line."""
     def by_name(rows):
         return dict(reversed(row.split("  ", 1)) for row in rows)
 
-    want = by_name(row for row in golden_text.splitlines()[1:] if row)
+    want = by_name(golden_lines)
     got = by_name(lines)
     problems = []
     for name in sorted(want.keys() | got.keys()):
@@ -153,20 +194,22 @@ def main(argv=None) -> int:
         print("\n".join(lines))
         return 0
     with open(GOLDEN, encoding="utf-8") as fh:
-        golden = fh.read()
-    recorded, running = golden.splitlines()[0], environment()
-    if recorded != running:
+        golden = sections(fh.read())
+    running = environment()
+    if running not in golden:
+        made = "', '".join(recorded[2:] for recorded in golden)
         print(f"skipped the comparison: {os.path.basename(GOLDEN)} was made "
-              f"with '{recorded[2:]}', this is '{running[2:]}'")
+              f"with '{made}', this is '{running[2:]}'")
         return 0
-    problems = compare(golden, lines)
+    problems = compare(golden[running], lines)
     for problem in problems:
         print(problem)
     if problems:
         print(f"{len(problems)} seeded output(s) differ from "
-              f"{os.path.basename(GOLDEN)}; expected first line: {running}")
+              f"{os.path.basename(GOLDEN)}; section's first line: {running}")
         return 1
-    print(f"all {len(lines)} seeded outputs match {os.path.basename(GOLDEN)}")
+    print(f"all {len(lines)} seeded outputs match the '{running[2:]}' section "
+          f"of {os.path.basename(GOLDEN)}")
     return 0
 
 

@@ -216,6 +216,29 @@ class Tape:
 
         return self._emit(out, (a, b), back)
 
+    def const_matmul(self, x, w: Tensor) -> Tensor:
+        """x @ w for a constant left operand x, which takes no gradient.
+
+        x is a 2-D float64 ndarray or a scipy sparse matrix, such as the
+        encoder's input (`Graph.encoder_operand`: CSR for bag-of-words
+        features). The forward is x @ w and w's gradient is x.T @ g, the
+        same two expressions for either kind: a BLAS product for an
+        ndarray, bit for bit what `matmul` computes with x as a constant
+        tensor, and a sparse product for a sparse matrix. The record keeps
+        x, which its owner holds anyway.
+        """
+        if x.shape[1] != w.data.shape[0]:
+            raise ValueError(
+                f"const_matmul dimension mismatch: {x.shape} x {w.data.shape}"
+            )
+        out = Tensor(x @ w.data)
+        gw = w._cell
+
+        def back(g):
+            _accum(gw, x.T @ g)
+
+        return self._emit(out, (w,), back)
+
     def relu(self, x: Tensor) -> Tensor:
         """max(x, 0); the record keeps the one-byte mask x > 0, not x."""
         out = Tensor(np.maximum(x.data, 0.0))

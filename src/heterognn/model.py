@@ -172,9 +172,16 @@ def init_params(config: M2mConfig, n_features: int, n_classes: int) -> M2mParams
 
 def encode(tape, params: M2mParams, features, config: M2mConfig,
            training: bool = False, rng=None) -> ad.Tensor:
-    """Two-matrix MLP with ReLU (and dropout while training) in between."""
-    x = features if isinstance(features, ad.Tensor) else ad.constant(features)
-    h = tape.relu(tape.matmul(x, params.enc_in))
+    """Two-matrix MLP with ReLU (and dropout while training) in between.
+
+    features, the input, is a float64 array or a scipy sparse matrix; it
+    takes no gradient. `forward` passes the graph's `Graph.encoder_operand`,
+    a CSR matrix for features at most 5% nonzero (bag-of-words rows) and
+    the dense array otherwise. The first product is `Tape.const_matmul`,
+    whose forward x @ enc_in and backward x.T @ g are sparse products for a
+    CSR input and the same BLAS calls as a dense `matmul` for an array.
+    """
+    h = tape.relu(tape.const_matmul(features, params.enc_in))
     if training and config.keep_prob < 1.0:
         h = tape.dropout(h, config.keep_prob, rng)
     return tape.matmul(h, params.enc_out)
@@ -235,12 +242,13 @@ def forward(tape, params: M2mParams, graph, config: M2mConfig,
             training: bool = False, rng=None) -> ForwardResult:
     """Encoder, K chunked message-passing layers, then the linear head.
 
-    Returns the logits and each layer's (n_arcs, chunks) scores. Evaluation
-    mode (training=False) is deterministic. Its callers in ``training`` (the
-    per-epoch eval of ``train``, ``predict`` and ``average_scores``) pass
-    ``ad.Tape(recording=False)``.
+    Returns the logits and each layer's (n_arcs, chunks) scores. The
+    encoder reads ``graph.encoder_operand``, which the graph builds on the
+    first call and keeps. Evaluation mode (training=False) is deterministic.
+    Its callers in ``training`` (the per-epoch eval of ``train``,
+    ``predict`` and ``average_scores``) pass ``ad.Tape(recording=False)``.
     """
-    h0 = encode(tape, params, graph.features, config, training, rng)
+    h0 = encode(tape, params, graph.encoder_operand, config, training, rng)
     keep_prob = config.keep_prob if training else 1.0
     h_in = tape.dropout(h0, keep_prob, rng) if keep_prob < 1.0 else h0
     h_hat = tape.matmul(h_in, params.layer_proj[0])

@@ -15,6 +15,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from heterognn import autodiff as ad
 from heterognn.cli import MODEL_KEYS, TRAIN_KEYS
@@ -281,7 +282,8 @@ def op_battery(rng):
     graph from the same rng next. Both dropouts (`dropout`'s and
     `norm_project`'s) keep 3 of 4 entries under generators seeded inside
     run, so every evaluation draws the same masks; `norm_project` reuses
-    w as its projection.
+    w as its projection, and `const_matmul` multiplies w_att by a fixed
+    CSR matrix with an empty row, as the encoder does bag-of-words rows.
     """
     a = ad.parameter(rng.normal(size=(3, 4)))
     b = ad.parameter(rng.normal(size=(3, 4)))
@@ -295,6 +297,7 @@ def op_battery(rng):
     # arcs 2->0, 0->0, 1->1 and 1->2, sorted by destination
     arc_src, arc_dst = np.array([2, 0, 1, 1]), np.array([0, 0, 1, 2])
     indptr = np.array([0, 2, 3, 4])
+    bag = sp.csr_matrix([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.25, 0.0, 0.75]])
 
     def run(tape):
         s = tape.scale(tape.add(a, b), 0.7)
@@ -306,9 +309,11 @@ def op_battery(rng):
                                       np.random.default_rng(3))
         soft = tape.row_softmax(projected, temperature=0.7)
         ce = tape.cross_entropy(projected, labels, rows)
+        encoded = tape.const_matmul(bag, w_att)
         return tape.add(
             tape.add(tape.l2_norm_sq(soft), tape.l2_norm_sq(message)),
-            tape.add(tape.l2_norm_sq(tape.sum_rows(h)), ce),
+            tape.add(tape.add(tape.l2_norm_sq(tape.sum_rows(h)), ce),
+                     tape.l2_norm_sq(encoded)),
         )
 
     return [a, b, w, col, gain, bias, w_att], run
@@ -366,11 +371,18 @@ def test_criterion_7_battery_runs_exactly_the_ops_shipped_code_calls(monkeypatch
              if rng.random() < 0.4]
     g = build_graph(12, edges, rng.normal(size=(12, 3)),
                     np.arange(12) % 2, 2)
+    # and bag-of-words rows, which the encoder multiplies as a CSR matrix
+    bag = (rng.random((12, 60)) < 0.02).astype(float)
+    bag[np.arange(12), rng.integers(0, 60, 12)] = 1.0
+    g_bag = build_graph(12, edges, bag, np.arange(12) % 2, 2)
     config = M2mConfig(hidden=6, chunks=2, layers=2, keep_prob=0.8,
                        reg_strength=0.3, seed=0)
-    _, params = train(g, config, random_split(g, seed=0), max_epochs=1)
-    attention_analysis(g, params, config)
-    mixing_score(g, params, config)
+    for graph in (g, g_bag):
+        _, params = train(graph, config, random_split(graph, seed=0), max_epochs=1)
+        attention_analysis(graph, params, config)
+        mixing_score(graph, params, config)
+    assert sp.issparse(g_bag.encoder_operand)
+    assert not sp.issparse(g.encoder_operand)
     assert called == TAPE_OPS
     called.clear()
     _, run = op_battery(np.random.default_rng(7))

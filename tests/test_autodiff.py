@@ -787,6 +787,48 @@ def test_grad_is_settable_and_zero_grad_clears_it():
 
 # ---------------------------------------------------------------------------
 # Finite-difference gradient checks, op by op
+def test_const_matmul_hand_example_dense_and_csr():
+    x = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, -1.0]])
+    for operand in (x, sp.csr_matrix(x)):
+        t = Tape()
+        w = parameter([[1.0, 0.5], [2.0, 0.0], [3.0, -1.0]])
+        out = t.const_matmul(operand, w)
+        np.testing.assert_array_equal(out.data, [[4.0, 0.0], [-2.0, 1.5]])
+        backward_from(t, np.array([[1.0, 0.0], [0.0, 2.0]]), out)
+        np.testing.assert_array_equal(w.grad, [[0.0, 2.0], [2.0, 0.0], [0.0, -2.0]])
+        assert type(w.grad) is np.ndarray
+
+
+def test_const_matmul_shape_error():
+    with pytest.raises(ValueError, match="const_matmul"):
+        Tape().const_matmul(sp.csr_matrix(np.ones((2, 3))), parameter(np.ones((2, 3))))
+
+
+def test_const_matmul_of_an_array_is_matmul_of_a_constant_bit_for_bit():
+    rng = np.random.default_rng(5)
+    x, w0, up = rng.normal(size=(7, 5)), rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
+    outs, grads = [], []
+    for op in (lambda t, w: t.const_matmul(x, w),
+               lambda t, w: t.matmul(constant(x), w)):
+        t, w = Tape(), parameter(w0.copy())
+        out = op(t, w)
+        backward_from(t, up, out)
+        outs.append(out.data)
+        grads.append(w.grad)
+    assert same_bits(*outs) and same_bits(*grads)
+
+
+def test_const_matmul_of_a_csr_matrix_matches_the_dense_product():
+    rng = np.random.default_rng(6)
+    x = (rng.random((9, 40)) < 0.05) * rng.normal(size=(9, 40))
+    w0, up = rng.normal(size=(40, 4)), rng.normal(size=(9, 4))
+    t, w = Tape(), parameter(w0.copy())
+    out = t.const_matmul(sp.csr_matrix(x), w)
+    backward_from(t, up, out)
+    np.testing.assert_allclose(out.data, x @ w0, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(w.grad, x.T @ up, rtol=1e-13, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -860,6 +902,12 @@ def _build_cases():
         # the same mask on every evaluation
         return t.l2_norm_sq(t.norm_project(h0, m, 0.6, g, b, w, 0.75,
                                            np.random.default_rng(3)))
+
+    @case("const_matmul", [(4, 3)])
+    def _(t, w):
+        x = sp.csr_matrix([[0.0, 1.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                           [-2.0, 0.0, 0.5, 1.0]])
+        return t.l2_norm_sq(t.const_matmul(x, w))
 
     return cases
 

@@ -12,10 +12,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from heterognn import autodiff, cli, training
 from heterognn.cli import main
-from heterognn.graphs import load_dataset
+from heterognn.graphs import build_graph, load_dataset, save_dataset
 from heterognn.model import forward, load_checkpoint
 from heterognn.signed import expected_gap
 
@@ -418,6 +419,27 @@ def test_parallel_train_saves_the_same_checkpoint_bytes(tmp_path):
         ckpt = str(tmp_path / f"ckpt{jobs}")
         assert main(train_args(toy, str(tmp_path / f"acc{jobs}.csv"),
                                ["--jobs", jobs, "--save-checkpoint", ckpt])) == 0
+        blobs.append([open(ckpt + ext, "rb").read() for ext in (".json", ".bin")])
+    assert blobs[0] == blobs[1]
+
+
+def test_parallel_train_on_bag_of_words_saves_the_same_checkpoint_bytes(tmp_path):
+    # the workers get the Graph pickled; the encoder multiplies its sparse
+    # features as a CSR matrix in each of them
+    rng = np.random.default_rng(8)
+    words = (rng.random((40, 300)) < 0.02).astype(float)
+    words[np.arange(40), rng.integers(0, 300, 40)] = 1.0
+    edges = [(i, j) for i in range(40) for j in range(i + 1, 40)
+             if rng.random() < 0.1]
+    bag = str(tmp_path / "bag")
+    save_dataset(bag, build_graph(40, edges, words, np.arange(40) % 3, 3))
+    assert sp.issparse(load_dataset(bag, row_normalize=True).encoder_operand)
+    blobs = []
+    for jobs in ("1", "2"):
+        ckpt = str(tmp_path / f"ckpt{jobs}")
+        assert main(train_args(bag, str(tmp_path / f"acc{jobs}.csv"),
+                               ["--jobs", jobs, "--row-normalize",
+                                "--save-checkpoint", ckpt])) == 0
         blobs.append([open(ckpt + ext, "rb").read() for ext in (".json", ".bin")])
     assert blobs[0] == blobs[1]
 

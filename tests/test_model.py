@@ -8,6 +8,7 @@ entry against central differences.
 """
 
 import json
+import pickle
 from dataclasses import asdict
 import time
 import tracemalloc
@@ -16,9 +17,12 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from heterognn import autodiff as ad
-from heterognn.graphs import build_graph, self_free_undirected_edges
+from heterognn import graphs
+from heterognn import model as m2m
+from heterognn.graphs import build_graph, random_split, self_free_undirected_edges
 from heterognn.model import (
     ForwardResult,
     M2mConfig,
@@ -35,6 +39,7 @@ from heterognn.model import (
     total_loss,
 )
 from heterognn.multiset import one_hop_desirable_m2m
+from heterognn.training import predict, train
 
 
 def random_graph(seed=0, n=10, f=4, n_classes=2, p_edge=0.45):
@@ -419,6 +424,119 @@ def test_training_layer_records_three_tape_nodes():
                 training=True, rng=np.random.default_rng(0))
         counts.append(len(tape._nodes))
     assert counts[1] - counts[0] == 3
+
+
+# ---- bag-of-words features ---------------------------------------------------
+
+
+def bag_of_words_graph(seed=0, n=30, f=200, density=0.02, n_classes=3):
+    """Binary word rows with at least one word per node, L1-normalized as
+    --row-normalize does, about 2.5% nonzero: below the encoder's 5% cut."""
+    rng = np.random.default_rng(seed)
+    words = rng.random((n, f)) < density
+    words[np.arange(n), rng.integers(0, f, n)] = True
+    features = words / words.sum(axis=1, keepdims=True)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.15]
+    return build_graph(n, edges, features, rng.integers(0, n_classes, n),
+                       n_classes)
+
+
+BAG_CONFIG = dict(keep_prob=0.7, reg_strength=0.3)
+
+
+def logits_and_gradients(g, cfg):
+    """One training forward, dropout on, and its backward: the logits and
+    every parameter's gradient by name."""
+    params = init_params(cfg, g.n_features, g.n_classes)
+    tape = ad.Tape()
+    result = forward(tape, params, g, cfg, training=True,
+                     rng=np.random.default_rng(4))
+    tape.backward(total_loss(tape, result, g.labels, np.arange(g.n_nodes), g, cfg))
+    return result.logits.data, {name: t.grad for name, t in params.named()}
+
+
+def test_encoder_operand_is_csr_up_to_five_percent_nonzero():
+    features = np.zeros((10, 20))
+    features.flat[::20] = 1.0  # 10 of 200 entries
+    at_cut = build_graph(10, [(0, 1)], features.copy(), np.zeros(10), 1)
+    features[0, 1] = 1.0
+    above = build_graph(10, [(0, 1)], features, np.zeros(10), 1)
+    assert sp.isspmatrix_csr(at_cut.encoder_operand)
+    assert at_cut.encoder_operand.nnz == 10
+    assert np.array_equal(at_cut.encoder_operand.toarray(), at_cut.features)
+    assert above.encoder_operand is above.features  # no copy of dense features
+
+
+def test_bag_of_words_logits_and_gradients_match_the_dense_product(monkeypatch):
+    cfg = tiny_config(**BAG_CONFIG)
+    g = bag_of_words_graph()
+    assert sp.issparse(g.encoder_operand)
+    logits, grads = logits_and_gradients(g, cfg)
+    monkeypatch.setattr(graphs, "SPARSE_FEATURE_DENSITY", -1.0)
+    dense = bag_of_words_graph()
+    assert type(dense.encoder_operand) is np.ndarray
+    ref_logits, ref_grads = logits_and_gradients(dense, cfg)
+
+    def close(got, want):
+        # 1e-12 relative per entry, and 1e-12 of the largest entry for
+        # entries that cancel to near zero
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    close(logits, ref_logits)
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        assert np.any(grad != 0.0), name
+        close(grad, ref_grads[name])
+
+
+def test_dense_features_keep_the_bits_of_a_constant_tensor_matmul(monkeypatch):
+    cfg = tiny_config(**BAG_CONFIG)
+    g = random_graph(seed=5)
+    assert g.encoder_operand is g.features
+    logits, grads = logits_and_gradients(g, cfg)
+
+    def constant_tensor_encode(tape, params, features, config, training=False,
+                               rng=None):
+        h = tape.relu(tape.matmul(ad.constant(features), params.enc_in))
+        if training and config.keep_prob < 1.0:
+            h = tape.dropout(h, config.keep_prob, rng)
+        return tape.matmul(h, params.enc_out)
+
+    monkeypatch.setattr(m2m, "encode", constant_tensor_encode)
+    ref_logits, ref_grads = logits_and_gradients(g, cfg)
+    assert np.array_equal(logits.view(np.uint64), ref_logits.view(np.uint64))
+    for name, grad in grads.items():
+        assert np.array_equal(grad.view(np.uint64), ref_grads[name].view(np.uint64)), name
+
+
+def test_training_builds_the_encoder_operand_once(monkeypatch):
+    built = []
+    csr_matrix = sp.csr_matrix
+    monkeypatch.setattr(graphs, "sp", types.SimpleNamespace(
+        csr_matrix=lambda a: built.append(a.shape) or csr_matrix(a)))
+    g = bag_of_words_graph()
+    cfg = tiny_config(**BAG_CONFIG)
+    record, params = train(g, cfg, random_split(g, seed=0), max_epochs=3,
+                           patience=3)
+    predict(g, params, cfg)
+    assert record.n_epochs == 3
+    assert built == [(30, 200)]
+    assert g.encoder_operand is g.encoder_operand
+
+
+def test_a_pickled_bag_of_words_graph_encodes_like_the_original():
+    cfg = tiny_config(**BAG_CONFIG)
+    g = bag_of_words_graph()
+    before = pickle.loads(pickle.dumps(g))  # as `--jobs` ships it, unbuilt
+    logits, _ = logits_and_gradients(g, cfg)
+    after = pickle.loads(pickle.dumps(g))  # carries the built operand
+    assert sp.issparse(vars(after)["encoder_operand"])
+    for copy in (before, after):
+        assert np.array_equal(copy.features, g.features)
+        again, _ = logits_and_gradients(copy, cfg)
+        assert np.array_equal(again.view(np.uint64), logits.view(np.uint64))
 
 
 # ---- persistence and scaling -------------------------------------------------
