@@ -79,6 +79,19 @@ def _scatter_rows(ids, values, n):
     return sp.csr_matrix((np.ones(k), (ids, np.arange(k))), shape=(n, k)) @ values
 
 
+def _lend(mat, data, rhs):
+    """mat @ rhs with data as mat's stored values for this one product.
+
+    mat is a compressed sparse matrix that keeps its index arrays between
+    calls but no data: it drops data again once the product is taken.
+    """
+    mat.data = data
+    try:
+        return mat @ rhs
+    finally:
+        mat.data = None
+
+
 def _softmax(z, temperature, axis):
     """Softmax of z / temperature along axis, shifted by the max.
 
@@ -151,20 +164,30 @@ class Tape:
     reads, so an op output that no backward reads (a layer's message) is
     freed once the caller drops it. A value that a backward can rebuild
     from arrays its record keeps anyway is rebuilt rather than kept:
-    arc_attention's ReLU output, chunk_sum's chunk matrices and
-    norm_project's dropped-out rows. Backward frees as it goes: each
-    record, and the gradient of its non-leaf output, is dropped as soon as
-    its backward has run. The index arrays that chunk_sum builds once per
-    graph live on the tape until its backward ends.
+    arc_attention's ReLU output and norm_project's dropped-out rows.
+    Backward frees as it goes: each record, and the gradient of its
+    non-leaf output, is dropped as soon as its backward has run.
+
+    A graph's sparse operators are built once per tape, not once per layer
+    call: chunk_sum's stacked chunk CSR matrix and its CSC transpose, and
+    arc_attention's range-checked arc endpoints and its endpoint CSC
+    matrix. The endpoint matrix is built by the first backward that reads
+    it, so a non-recording tape never builds it. The chunk matrices hold
+    no float data between calls: each product lends them the scores and
+    takes them back, so no copy of the scores outlives the call. None of
+    these operators keeps a layer's values. They live on the tape until
+    its backward ends.
     """
 
     def __init__(self, recording=True):
         self.recording = recording
         self._nodes = []  # (out gradient cell, backward closure), in execution order
         self._consumed = False
-        # chunk_sum's stacked patterns, keyed by the ids of the arrays they
-        # were built from; each entry holds those arrays, so the ids stay theirs
+        # chunk_sum's and arc_attention's per-graph operators, keyed by the
+        # ids of the arrays they were built from; each entry holds those
+        # arrays, so the ids stay theirs
         self._patterns = {}
+        self._arcs = {}
 
     def _emit(self, out: Tensor, parents, backward_fn):
         if self.recording and any(p.requires_grad for p in parents):
@@ -250,14 +273,16 @@ class Tape:
         return self._emit(out, (x,), back)
 
     def _chunk_pattern(self, arc_src, indptr, c, n_x):
-        """(n, src, dst, tiled, stacked): chunk_sum's output row count, its
-        checked arc sources and destinations, and the column indices and
-        row offsets of its stacked (C*n, n_x) CSR matrix, in the index
-        dtype scipy picks for them.
+        """(n, src, dst, chunks, chunks_t): chunk_sum's output row count, its
+        checked arc sources and destinations, its stacked (C*n, n_x) chunk
+        CSR matrix and that matrix's transpose, a CSC matrix on the same
+        index arrays. Neither matrix holds data: `_lend` hands it the
+        scores for one product.
 
         Built and checked on the first call with these arc_src and indptr
         objects (and this C and n_x) on this tape; every later call shares
-        them, so scipy neither scans nor copies them again.
+        them, so scipy neither scans nor copies the indices again. A pattern
+        that fails its checks is not kept.
         """
         key = (id(arc_src), id(indptr), c, n_x)
         entry = self._patterns.get(key)
@@ -272,12 +297,13 @@ class Tape:
                 raise ValueError("indptr must rise from 0 to the number of arcs")
             if k and (src.min() < 0 or src.max() >= n_x):
                 raise IndexError("arc_src out of range")
-            tiled = np.tile(src, c)
             stacked = np.append((ptr[:-1] + k * np.arange(c)[:, None]).ravel(), c * k)
-            dtype = sp.get_index_dtype((tiled, stacked), maxval=max(c * n, n_x),
-                                       check_contents=True)
+            chunks = sp.csr_matrix((np.empty(c * k), np.tile(src, c), stacked),
+                                   shape=(c * n, n_x))
+            chunks_t = chunks.T
+            chunks.data = chunks_t.data = None
             entry = (arc_src, indptr, n, src, np.repeat(np.arange(n), np.diff(ptr)),
-                     tiled.astype(dtype, copy=False), stacked.astype(dtype, copy=False))
+                     chunks, chunks_t)
             self._patterns[key] = entry
         return entry[2:]
 
@@ -291,26 +317,24 @@ class Tape:
 
         The forward is one sparse product: the C chunk matrices (chunk t
         holds scores[a, t] at (i, arc_src[a])) stacked into a (C*n, len(x))
-        CSR matrix. Its index arrays are built and checked once per tape for
-        each (arc_src, indptr) pair (the first call raises on a bad one), and
-        its data is the scores, so the record keeps no array of its own: it
-        reads the scores (for x's gradient) and x (for the scores'), which
-        the attention before it keeps anyway. The backward rebuilds the
-        matrix from the scores, takes the x gradient as the transposed
-        product and the score gradient as a sampled dense-dense product over
-        the arcs, one chunk at a time, from the one chunk-major copy of g
-        that the x gradient makes. No (arcs, C*w) array is built.
+        CSR matrix. That matrix and its CSC transpose are built and checked
+        once per tape for each (arc_src, indptr) pair (the first call raises
+        on a bad one) and keep no data between calls: each product lends
+        them the scores. So the record keeps no array of its own: it reads
+        the scores (for x's gradient) and x (for the scores'), which the
+        attention before it keeps anyway. The backward takes the x gradient
+        as the transposed product and the score gradient as a sampled
+        dense-dense product over the arcs, one chunk at a time, from the one
+        chunk-major copy of g that the x gradient makes. No (arcs, C*w)
+        array is built.
         """
         k, c = scores.data.shape
         n_x, w = x.data.shape
-        n, src, dst, tiled, stacked = self._chunk_pattern(arc_src, indptr, c, n_x)
+        n, src, dst, chunks, chunks_t = self._chunk_pattern(arc_src, indptr, c, n_x)
         if src.shape != (k,):
             raise ValueError("scores and arc_src need one entry per arc")
 
-        def chunks(s):
-            return sp.csr_matrix((s.T.ravel(), tiled, stacked), shape=(c * n, n_x))
-
-        out = Tensor((chunks(scores.data) @ x.data).reshape(c, n, w)
+        out = Tensor(_lend(chunks, scores.data.T.ravel(), x.data).reshape(c, n, w)
                      .transpose(1, 0, 2).reshape(n, c * w))
         gs, gx = _cell(scores), _cell(x)
         s_data = scores.data if gx is not None else None  # for x's gradient only
@@ -319,7 +343,7 @@ class Tape:
         def back(g):
             gt = np.ascontiguousarray(g.reshape(n, c, w).transpose(1, 0, 2))
             if gx is not None:
-                _accum(gx, chunks(s_data).T @ gt.reshape(c * n, w))
+                _accum(gx, _lend(chunks_t, s_data.T.ravel(), gt.reshape(c * n, w)))
             if gs is not None:
                 # chunk by chunk, so the transient arrays stay (arcs, w)
                 x_src = x_data.take(src, axis=0)
@@ -330,6 +354,28 @@ class Tape:
                 _accum(gs, g_scores)
 
         return self._emit(out, (scores, x), back)
+
+    def _arc_endpoints(self, arc_src, arc_dst, n):
+        """(src, dst, ends): arc_attention's checked arc endpoints and a dict,
+        empty at first, of its (n, arcs) endpoint matrices by alpha.
+
+        Checked on the first call with these arc_src and arc_dst objects
+        (and this n) on this tape; every later call shares them. Endpoints
+        that fail their checks are not kept.
+        """
+        key = (id(arc_src), id(arc_dst), n)
+        entry = self._arcs.get(key)
+        if entry is None:
+            src = np.asarray(arc_src, dtype=np.int64)
+            dst = np.asarray(arc_dst, dtype=np.int64)
+            if src.ndim != 1 or dst.shape != src.shape:
+                raise ValueError("arc_src and arc_dst must be 1-D and of equal length")
+            if src.size and (min(src.min(), dst.min()) < 0
+                             or max(src.max(), dst.max()) >= n):
+                raise IndexError("arc endpoint out of range")
+            entry = (arc_src, arc_dst, src, dst, {})
+            self._arcs[key] = entry
+        return entry[2:]
 
     def arc_attention(self, h: Tensor, w_att: Tensor, arc_src, arc_dst,
                       alpha: float, temperature: float) -> Tensor:
@@ -344,20 +390,19 @@ class Tape:
         (arcs, w) array, only h's data, w_att's and its own scores, and the
         backward recomputes the ReLU output from h with the forward's
         operations, then runs the softmax, w_att's gradient and the ReLU
-        mask, and returns h's gradient as one sparse product with alpha at
-        (arc_dst[a], a) and 1 at (arc_src[a], a).
+        mask, and returns h's gradient as one sparse product with the
+        endpoint matrix, alpha at (arc_dst[a], a) and 1 at (arc_src[a], a).
+
+        The endpoints are range-checked once per tape for each (arc_src,
+        arc_dst) pair (the first call raises on a bad one). The endpoint
+        matrix is built once per tape for each pair and alpha, by the first
+        backward that reads it, and holds only those constants.
         """
-        src = np.asarray(arc_src, dtype=np.int64)
-        dst = np.asarray(arc_dst, dtype=np.int64)
         n, w = h.data.shape
-        k = src.shape[0]
-        if src.ndim != 1 or dst.shape != (k,):
-            raise ValueError("arc_src and arc_dst must be 1-D and of equal length")
+        src, dst, ends_by_alpha = self._arc_endpoints(arc_src, arc_dst, n)
         if w_att.data.shape[0] != w:
             raise ValueError(f"arc_attention dimension mismatch: {h.data.shape} "
                              f"rows scored by {w_att.data.shape}")
-        if k and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
-            raise IndexError("arc endpoint out of range")
         alpha = float(alpha)
         h_data, w_data = h.data, w_att.data
 
@@ -381,9 +426,12 @@ class Tape:
             if gh is not None:
                 d_pre = dz @ w_data.T
                 d_pre *= act > 0.0
-                ends = sp.csc_matrix(
-                    (np.tile([alpha, 1.0], k), np.stack([dst, src], axis=1).ravel(),
-                     np.arange(0, 2 * k + 1, 2)), shape=(n, k))
+                ends = ends_by_alpha.get(alpha)
+                if ends is None:
+                    k = src.size
+                    ends = ends_by_alpha[alpha] = sp.csc_matrix(
+                        (np.tile([alpha, 1.0], k), np.stack([dst, src], axis=1).ravel(),
+                         np.arange(0, 2 * k + 1, 2)), shape=(n, k))
                 _accum(gh, ends @ d_pre)
 
         return self._emit(out, (h, w_att), back)
@@ -572,6 +620,7 @@ class Tape:
                 cell[0] = None
                 back(g)
         self._patterns.clear()
+        self._arcs.clear()
 
 
 class AdamState:

@@ -20,10 +20,18 @@ output's gradient cell and only the arrays its backward reads. Of
 arc-sized arrays that is the (arcs, C) scores; the rest is node-sized: the
 projection, and the LayerNorm's rows, 1/std, ReLU mask and one-byte dropout
 mask. What the backward can rebuild from those, the attention's ReLU
-output, the chunk matrices and the projection's dropped-out input, it
-rebuilds. No backward reads a layer's message, so it is freed as soon as
-`forward` moves on, and under dropout no backward reads the encoder output
-or its ReLU output either: both are freed by the time `forward` returns.
+output and the projection's dropped-out input, it rebuilds. No backward
+reads a layer's message, so it is freed as soon as `forward` moves on, and
+under dropout no backward reads the encoder output or its ReLU output
+either: both are freed by the time `forward` returns.
+
+Every layer reads the same graph, so a tape builds the graph's sparse
+operators once, not once per layer: the stacked chunk CSR matrix and its
+CSC transpose that `Tape.chunk_sum` multiplies by, and the endpoint CSC
+matrix of `Tape.arc_attention`'s backward (a recording tape's first
+backward builds it). They hold index arrays and the constants alpha and 1,
+never a layer's scores: each chunk product lends the matrix its scores
+for that one call.
 """
 
 import json
@@ -208,9 +216,9 @@ def chunk_aggregate(tape, h_hat: ad.Tensor, scores: ad.Tensor,
     Chunk t of node i (one chunk per score column) sums s_t(i, j) * h_hat_j
     over i's in-arcs; nodes with no arcs end up with all-zero messages. One
     tape op (`Tape.chunk_sum`), a sparse product that never gathers h_hat
-    onto the arcs. Its record keeps no array of its own: the backward
-    rebuilds the chunk matrices from the scores and the graph's index
-    arrays, which every layer on one tape shares.
+    onto the arcs. Its record keeps no array of its own: the chunk matrices
+    are built once per tape from the graph's index arrays, every layer on
+    the tape shares them, and each product hands them the scores.
     """
     return tape.chunk_sum(scores, h_hat, graph.arc_src, graph.indptr)
 

@@ -118,6 +118,9 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
                 f"(lr={lr}, config seed={config.seed})"
             )
         tape.backward(loss)
+        # the layers' (arcs, C) scores would otherwise live through the
+        # next epoch's forward and backward
+        del result, loss
         for name, tensor in params.named():
             if tensor.grad is not None and not np.isfinite(tensor.grad).all():
                 raise TrainingDiverged(
@@ -126,10 +129,12 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
                 )
         adam.step()
 
-        eval_tape = ad.Tape(recording=False)
-        logits = forward(eval_tape, params, g, config).logits
+        # fresh non-recording tapes that no name keeps, so the eval
+        # forward's chunk matrices die with it
+        logits = forward(ad.Tape(recording=False), params, g, config).logits
         history[0].append(loss_value)
-        history[1].append(eval_tape.cross_entropy(logits, g.labels, split.val).item())
+        history[1].append(ad.Tape(recording=False)
+                          .cross_entropy(logits, g.labels, split.val).item())
         history[2].append(_masked_accuracy(logits.data, g.labels, split.train))
         history[3].append(_masked_accuracy(logits.data, g.labels, split.val))
 

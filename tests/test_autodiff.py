@@ -631,6 +631,52 @@ def test_arc_attention_gradients_match_the_kept_activation_bit_for_bit():
     assert same_bits(w_param.grad, want_w)
 
 
+def test_one_tape_keeps_the_endpoint_matrices_of_two_graphs_and_alphas_apart():
+    # same node and arc count: only the arrays, or alpha, differ
+    rng = np.random.default_rng(24)
+    n, k, w, c = 40, 300, 4, 3
+    graphs = [(rng.integers(0, n, k), np.sort(rng.integers(0, n, k))) for _ in range(2)]
+    graphs.append((graphs[0][0], graphs[1][1]))  # one graph's sources, the other's ends
+    runs = [(*graph, alpha) for graph in graphs for alpha in (0.3, 0.7)]
+    runs.append(runs[0])
+    h, w_att = rng.normal(size=(n, w)), rng.normal(size=(w, c))
+    upstream = rng.normal(size=(k, c))
+
+    def run(t, src, dst, alpha):
+        h_param, w_param = parameter(h), parameter(w_att)
+        return t.arc_attention(h_param, w_param, src, dst, alpha, 0.5), h_param, w_param
+
+    shared = Tape()
+    outs = [run(shared, *r) for r in runs]
+    backward_from(shared, upstream, *(scores for scores, _, _ in outs))
+    for r, (scores, h_param, w_param) in zip(runs, outs):
+        t = Tape()
+        alone, h_alone, w_alone = run(t, *r)
+        backward_from(t, upstream, alone)
+        assert same_bits(scores.data, alone.data)
+        assert same_bits(h_param.grad, h_alone.grad)
+        assert same_bits(w_param.grad, w_alone.grad)
+
+
+KEPT_SRC, KEPT_DST = np.array([0, 3]), np.array([1, 1])
+
+
+@pytest.mark.parametrize("src, dst, rows, error", [
+    ([0, 4], [1, 1], 4, IndexError),
+    ([0, 1], [1, -1], 4, IndexError),
+    ([0, 1], [1], 4, ValueError),
+    (KEPT_SRC, KEPT_DST, 3, IndexError),  # the checked pair, on fewer rows
+])
+def test_arc_attention_checks_each_new_arc_pair_on_a_used_tape(src, dst, rows, error):
+    t = Tape()
+    w_att = constant(np.ones((2, 2)))
+    t.arc_attention(constant(np.ones((4, 2))), w_att, KEPT_SRC, KEPT_DST, 0.5, 0.5)
+    message = "out of range" if error is IndexError else "equal length"
+    for _ in range(2):  # a pair that failed its checks is not kept
+        with pytest.raises(error, match=message):
+            t.arc_attention(constant(np.ones((rows, 2))), w_att, src, dst, 0.5, 0.5)
+
+
 @pytest.mark.parametrize("keep_prob", [0.3, 0.7])
 def test_dropout_matches_the_float_mask_bit_for_bit(keep_prob):
     # the record keeps a bool mask; the float mask is what it replaced

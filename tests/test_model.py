@@ -526,6 +526,34 @@ def test_training_builds_the_encoder_operand_once(monkeypatch):
     assert g.encoder_operand is g.encoder_operand
 
 
+def test_sparse_matrices_built_per_step_do_not_grow_with_depth(monkeypatch):
+    # a tape builds each graph's chunk and endpoint matrices once, not once
+    # per layer call
+    g = bag_of_words_graph()
+    assert sp.issparse(g.encoder_operand)  # built once per graph, before counting
+    built = [0]
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built[0] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    counts = []
+    for layers in (2, 6):
+        cfg = tiny_config(layers=layers, **BAG_CONFIG)
+        params = init_params(cfg, g.n_features, g.n_classes)
+        built[0] = 0
+        tape = ad.Tape()
+        result = forward(tape, params, g, cfg, training=True,
+                         rng=np.random.default_rng(4))
+        tape.backward(total_loss(tape, result, g.labels, np.arange(g.n_nodes), g, cfg))
+        forward(ad.Tape(recording=False), params, g, cfg)
+        counts.append(built[0])
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
+
+
 def test_a_pickled_bag_of_words_graph_encodes_like_the_original():
     cfg = tiny_config(**BAG_CONFIG)
     g = bag_of_words_graph()
