@@ -16,11 +16,19 @@ import scipy.sparse as sp
 __all__ = ["Tensor", "Tape", "AdamState", "parameter", "constant"]
 
 _LN_EPS = 1e-5
+# arcs per block of chunk_sum's score-gradient gathers: 1 MiB of float64
+# rows at width 16
+_ARC_BLOCK = 8192
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Tensor:
     """A 2-D float64 matrix and its gradient cell.
+
+    A C- or F-contiguous float64 array is kept as it is, without a copy;
+    any other input is copied into a C-contiguous array. So a chunk-major
+    (C, arcs) array's `.T` view is an (arcs, C) tensor of no extra size
+    (`Tape.arc_attention`'s scores).
 
     The cell is a one-slot list that `grad` reads and writes. Tape records
     and backward closures hold the cell, not the tensor, so the data of a
@@ -31,7 +39,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_cell")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        arr = np.asarray(data, dtype=np.float64)
+        if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
+            arr = np.ascontiguousarray(arr)
         if arr.ndim != 2:
             raise ValueError(f"tensors are 2-D; got shape {arr.shape}")
         self.data = arr
@@ -141,13 +151,23 @@ def _cell(t: Tensor):
 def _accum(cell, g):
     """Add g into a gradient cell.
 
-    The first gradient is stored as it is and later ones are added into it
-    in place, so g must be a fresh array that nothing else holds.
+    g is a fresh array that nothing else holds, or a read-only broadcast
+    view (`Tape.sum_rows`'s). The first gradient is stored as it is. A
+    later one is added in place into the held array if that is writable,
+    else into g if g is, which then takes its place; two read-only views
+    make a new array. Addition commutes, so the bits are those of adding
+    into a copy of the held view.
     """
-    if cell[0] is None:
+    held = cell[0]
+    if held is None:
+        cell[0] = g
+    elif held.flags.writeable:
+        held += g
+    elif g.flags.writeable:
+        g += held
         cell[0] = g
     else:
-        cell[0] += g
+        cell[0] = held + g
 
 
 class Tape:
@@ -167,6 +187,13 @@ class Tape:
     arc_attention's ReLU output and norm_project's dropped-out rows.
     Backward frees as it goes: each record, and the gradient of its
     non-leaf output, is dropped as soon as its backward has run.
+
+    A pending gradient may be a read-only broadcast view of no size until
+    its record runs: `sum_rows` hands its input one (see `_accum`), so the
+    chunk-balance penalty's K score gradients are not K (arcs, C) copies
+    alive at once. `backward` copies such a view when its record runs, and
+    a leaf's when the pass ends, so closures and leaves always get arrays
+    of their own.
 
     A graph's sparse operators are built once per tape, not once per layer
     call: chunk_sum's stacked chunk CSR matrix and its CSC transpose, and
@@ -188,6 +215,7 @@ class Tape:
         # arrays, so the ids stay theirs
         self._patterns = {}
         self._arcs = {}
+        self._views = []  # the cells sum_rows' backward handed a broadcast view
 
     def _emit(self, out: Tensor, parents, backward_fn):
         if self.recording and any(p.requires_grad for p in parents):
@@ -204,10 +232,11 @@ class Tape:
         ga, gb = _cell(a), _cell(b)
 
         def back(g):
+            # one g, two cells: copy it before _accum may add into it
+            if gb is not None:
+                _accum(gb, g if ga is None else g.copy())
             if ga is not None:
                 _accum(ga, g)
-            if gb is not None:
-                _accum(gb, g if ga is None else g.copy())  # one g, two cells
 
         return self._emit(out, (a, b), back)
 
@@ -320,13 +349,16 @@ class Tape:
         CSR matrix. That matrix and its CSC transpose are built and checked
         once per tape for each (arc_src, indptr) pair (the first call raises
         on a bad one) and keep no data between calls: each product lends
-        them the scores. So the record keeps no array of its own: it reads
-        the scores (for x's gradient) and x (for the scores'), which the
-        attention before it keeps anyway. The backward takes the x gradient
-        as the transposed product and the score gradient as a sampled
-        dense-dense product over the arcs, one chunk at a time, from the one
-        chunk-major copy of g that the x gradient makes. No (arcs, C*w)
-        array is built.
+        them the scores, chunk-major, which costs no copy when the scores
+        are F-ordered, as `arc_attention`'s are. So the record keeps no
+        array of its own: it reads the scores (for x's gradient) and x (for
+        the scores'), which the attention before it keeps anyway. The
+        backward takes the x gradient as the transposed product and the
+        score gradient as a sampled dense-dense product over the arcs, from
+        the one chunk-major copy of g that the x gradient makes. It gathers
+        the arcs' source rows and output-gradient rows in blocks of
+        `_ARC_BLOCK` arcs, so no (arcs, w) array is built, and writes the
+        score gradient as (C, arcs) rows, handed on as its F-ordered `.T`.
         """
         k, c = scores.data.shape
         n_x, w = x.data.shape
@@ -345,13 +377,14 @@ class Tape:
             if gx is not None:
                 _accum(gx, _lend(chunks_t, s_data.T.ravel(), gt.reshape(c * n, w)))
             if gs is not None:
-                # chunk by chunk, so the transient arrays stay (arcs, w)
-                x_src = x_data.take(src, axis=0)
-                g_scores = np.empty((k, c))
-                for t in range(c):
-                    g_scores[:, t] = np.einsum("aw,aw->a", gt[t].take(dst, axis=0),
-                                               x_src)
-                _accum(gs, g_scores)
+                g_scores = np.empty((c, k))
+                for lo in range(0, k, _ARC_BLOCK):
+                    block = slice(lo, lo + _ARC_BLOCK)
+                    x_src = x_data.take(src[block], axis=0)
+                    for t in range(c):
+                        g_scores[t, block] = np.einsum(
+                            "aw,aw->a", gt[t].take(dst[block], axis=0), x_src)
+                _accum(gs, g_scores.T)
 
         return self._emit(out, (scores, x), back)
 
@@ -385,13 +418,19 @@ class Tape:
         plain numpy with a row-major softmax (the reference in the tests),
         recorded as one node; from eight on, numpy sums each row of that
         softmax pairwise and the two may differ in the last bits. The
-        softmax and its backward run on chunk-major (C, arcs) copies, so
-        each reduction adds C long rows instead of arcs short ones. The record keeps no
-        (arcs, w) array, only h's data, w_att's and its own scores, and the
-        backward recomputes the ReLU output from h with the forward's
-        operations, then runs the softmax, w_att's gradient and the ReLU
-        mask, and returns h's gradient as one sparse product with the
-        endpoint matrix, alpha at (arc_dst[a], a) and 1 at (arc_src[a], a).
+        softmax and its backward run on chunk-major (C, arcs) arrays, so
+        each reduction adds C long rows instead of arcs short ones, and the
+        scores are the F-ordered (arcs, C) `.T` view of the softmax's
+        array. The backward reads g and the scores chunk-major through
+        their `.T` (g costs a copy only if it is not F-ordered) and keeps
+        the softmax gradient chunk-major. The record keeps no (arcs, w)
+        array, only h's data, w_att's and its own scores, and the backward
+        recomputes the ReLU output from h with the forward's operations,
+        then runs the softmax, w_att's gradient and the ReLU mask, which it
+        takes as one byte per entry, dropping the ReLU output before the
+        (arcs, w) gradient is built, and returns h's gradient as one sparse
+        product with the endpoint matrix, alpha at (arc_dst[a], a) and 1 at
+        (arc_src[a], a).
 
         The endpoints are range-checked once per tape for each (arc_src,
         arc_dst) pair (the first call raises on a bad one). The endpoint
@@ -417,15 +456,18 @@ class Tape:
         gh, gw, s = _cell(h), _cell(w_att), out.data
 
         def back(g):
-            dz = np.ascontiguousarray(_softmax_backward(
-                np.ascontiguousarray(g.T), np.ascontiguousarray(s.T),
-                temperature, 0).T)
+            # chunk-major throughout: s.T, and g.T for the F-ordered g that
+            # chunk_sum hands on, are C-contiguous views, and dz is the
+            # (arcs, C) view of the (C, arcs) result
+            dz = _softmax_backward(np.ascontiguousarray(g.T), s.T, temperature, 0).T
             act = activation()
             if gw is not None:
                 _accum(gw, act.T @ dz)
             if gh is not None:
+                active = act > 0.0
+                del act  # before d_pre, an array of its size, is built
                 d_pre = dz @ w_data.T
-                d_pre *= act > 0.0
+                d_pre *= active
                 ends = ends_by_alpha.get(alpha)
                 if ends is None:
                     k = src.size
@@ -437,12 +479,22 @@ class Tape:
         return self._emit(out, (h, w_att), back)
 
     def sum_rows(self, x: Tensor) -> Tensor:
-        """Collapse to a single row: out[0, j] = sum_i x[i, j]."""
-        out = Tensor(x.data.sum(axis=0, keepdims=True))
-        gx, shape = x._cell, x.data.shape
+        """Collapse to a single row: out[0, j] = sum_i x[i, j].
+
+        The rows are added one after another, on C- and F-ordered x alike
+        (numpy would sum the contiguous axis of F-ordered data pairwise).
+        The backward hands x's cell the read-only broadcast view of g, of
+        no size; `backward` copies it only where it is still a view when
+        x's own record runs, or when the pass ends if x is a leaf.
+        """
+        rows, cols = x.data.shape
+        out = Tensor(np.cumsum(x.data, axis=0)[-1:].copy() if rows
+                     else np.zeros((1, cols)))
+        gx, views = x._cell, self._views
 
         def back(g):
-            _accum(gx, np.broadcast_to(g, shape).copy())  # a writeable gradient
+            _accum(gx, np.broadcast_to(g, (rows, cols)))
+            views.append(gx)
 
         return self._emit(out, (x,), back)
 
@@ -602,7 +654,9 @@ class Tape:
         output, loss included) is emptied and the arrays its closure
         captured are freed during the pass, not after it. Only leaf
         gradients, those of the parameters, survive; they add to what the
-        leaves already hold.
+        leaves already hold. A gradient still pending as a read-only view
+        is copied when its record runs, so each closure receives a fresh
+        writable array, and a leaf's when the pass ends.
         """
         if loss.data.shape != (1, 1):
             raise ValueError(f"backward needs a scalar (1x1) loss, got {loss.data.shape}")
@@ -618,7 +672,11 @@ class Tape:
             g = cell[0]
             if g is not None:
                 cell[0] = None
-                back(g)
+                back(g if g.flags.writeable else g.copy())
+        for cell in self._views:  # a leaf's gradient is an array of its own
+            if cell[0] is not None and not cell[0].flags.writeable:
+                cell[0] = cell[0].copy()
+        self._views.clear()
         self._patterns.clear()
         self._arcs.clear()
 

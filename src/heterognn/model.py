@@ -17,13 +17,20 @@ training layer then records three tape nodes: the scores
 LayerNorm fused with the next layer's dropout and projection, or with the
 head after the last layer (`Tape.norm_project`). A record keeps its
 output's gradient cell and only the arrays its backward reads. Of
-arc-sized arrays that is the (arcs, C) scores; the rest is node-sized: the
+arc-sized arrays that is the (arcs, C) scores, each the `.T` view of a
+chunk-major (C, arcs) array, the layout the attention's softmax and the
+chunk products read without a copy; the rest is node-sized: the
 projection, and the LayerNorm's rows, 1/std, ReLU mask and one-byte dropout
 mask. What the backward can rebuild from those, the attention's ReLU
 output and the projection's dropped-out input, it rebuilds. No backward
 reads a layer's message, so it is freed as soon as `forward` moves on, and
 under dropout no backward reads the encoder output or its ReLU output
 either: both are freed by the time `forward` returns.
+
+The backward allocates no arc-sized array that no computation needs: the
+chunk-balance penalty's gradient of each layer's scores is a broadcast
+view of one row until that layer's records run, so its transient does not
+grow with depth.
 
 Every layer reads the same graph, so a tape builds the graph's sparse
 operators once, not once per layer: the stacked chunk CSR matrix and its
@@ -202,8 +209,8 @@ def attention_scores(tape, h_hat: ad.Tensor, graph, w_att: ad.Tensor,
     Rows live on arcs (source scored while messaging its ego), sum to one,
     and stay nonnegative; the two directions of an undirected edge are
     scored independently. One fused tape op (`Tape.arc_attention`); for
-    the backward it keeps only the (arcs, C) scores, and recomputes the
-    ReLU output from h_hat.
+    the backward it keeps only the (arcs, C) scores, the `.T` view of a
+    chunk-major array, and recomputes the ReLU output from h_hat.
     """
     return tape.arc_attention(h_hat, w_att, graph.arc_src, graph.arc_dst,
                               alpha, temperature)
@@ -286,7 +293,9 @@ def reg_loss(tape, attentions, chunks: int, n_arcs: int) -> ad.Tensor:
     Per layer: scale the squared norm of the column-summed score matrix by
     sqrt(chunks)/n_arcs and subtract 1. It bottoms out at
     n_arcs/sqrt(chunks) - 1 when every row is uniform; collapsing all mass
-    onto one chunk maximizes it.
+    onto one chunk maximizes it. `Tape.sum_rows` adds the score rows in arc
+    order and hands their gradient back as a broadcast view of one row, so
+    the penalty costs no (arcs, C) array per layer in the backward.
     """
     if not attentions:
         raise ValueError("need at least one layer of scores")

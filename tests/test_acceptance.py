@@ -284,6 +284,7 @@ def op_battery(rng):
     run, so every evaluation draws the same masks; `norm_project` reuses
     w as its projection, and `const_matmul` multiplies w_att by a fixed
     CSR matrix with an empty row, as the encoder does bag-of-words rows.
+    The scores reach `chunk_sum` and `sum_rows` F-ordered, as in the model.
     """
     a = ad.parameter(rng.normal(size=(3, 4)))
     b = ad.parameter(rng.normal(size=(3, 4)))
@@ -304,6 +305,7 @@ def op_battery(rng):
         kept = tape.dropout(s, 0.75, np.random.default_rng(3))
         h = tape.relu(tape.matmul(kept, w))
         scores = tape.arc_attention(h, w_att, arc_src, arc_dst, 0.6, 0.8)
+        assert scores.data.flags.f_contiguous and not scores.data.flags.c_contiguous
         message = tape.chunk_sum(scores, col, arc_src, indptr)
         projected = tape.norm_project(s, message, 0.6, gain, bias, w, 0.75,
                                       np.random.default_rng(3))
@@ -311,7 +313,8 @@ def op_battery(rng):
         ce = tape.cross_entropy(projected, labels, rows)
         encoded = tape.const_matmul(bag, w_att)
         return tape.add(
-            tape.add(tape.l2_norm_sq(soft), tape.l2_norm_sq(message)),
+            tape.add(tape.add(tape.l2_norm_sq(soft), tape.l2_norm_sq(message)),
+                     tape.l2_norm_sq(tape.sum_rows(scores))),
             tape.add(tape.add(tape.l2_norm_sq(tape.sum_rows(h)), ce),
                      tape.l2_norm_sq(encoded)),
         )

@@ -95,6 +95,16 @@ def test_tensor_is_float64_row_major():
     assert t.data.flags["C_CONTIGUOUS"]
 
 
+def test_tensor_keeps_contiguous_data_and_copies_strided_data():
+    f_ordered = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+    assert np.shares_memory(Tensor(f_ordered).data, f_ordered)
+    assert np.shares_memory(Tensor(f_ordered.T).data, f_ordered)  # C-ordered
+    strided = np.arange(24.0).reshape(4, 6)[:, ::2]
+    kept = Tensor(strided).data
+    assert not np.shares_memory(kept, strided) and kept.flags.c_contiguous
+    assert same_bits(kept, strided)
+
+
 def test_item_requires_scalar():
     with pytest.raises(ValueError):
         Tensor([[1.0, 2.0]]).item()
@@ -803,6 +813,54 @@ def test_sum_rows_gradient_is_a_writeable_array():
     t = Tape()
     t.backward(total(t, x))  # accumulates into the stored array
     np.testing.assert_array_equal(x.grad, np.tile([[13.0, 19.0]], (3, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=arrays(np.float64, st.tuples(st.integers(0, 60), st.integers(1, 6)),
+                elements=st.floats(-1e6, 1e6)))
+def test_sum_rows_adds_rows_in_order_on_either_layout(x):
+    # numpy sums the contiguous axis of F-ordered data pairwise, which
+    # moves bits from eight rows on
+    t = Tape(recording=False)
+    by_c = t.sum_rows(Tensor(np.ascontiguousarray(x))).data
+    by_f = t.sum_rows(Tensor(np.asfortranarray(x))).data
+    want = np.zeros((1, x.shape[1]))
+    if x.shape[0]:
+        want = x[:1].copy()
+        for row in x[1:]:
+            want += row
+    assert same_bits(by_c, want)
+    assert same_bits(by_f, want)
+
+
+def test_pending_broadcast_gradients_add_up_like_copies():
+    # sum_rows hands its input's cell a read-only broadcast view: a later
+    # gradient adds into it as into a copy (add's two cells included), a
+    # record whose output still holds a view gets a writable array
+    # (dropout scales g in place), and leaves end with arrays of their
+    # own. Integer data keep every sum exact, so a product with a row of
+    # ones, which hands back a full array, is the reference
+    x = np.arange(6.0).reshape(3, 2)
+    u = np.arange(8.0).reshape(4, 2) - 3.0
+
+    def grads(rows_of):
+        xp, up = parameter(x), parameter(u)
+        t = Tape()
+        y = t.scale(xp, 3.0)
+        dropped = t.dropout(up, 0.5, np.random.default_rng(0))
+        terms = [t.add(y, y), rows_of(t, y), rows_of(t, xp), rows_of(t, xp),
+                 rows_of(t, dropped)]
+        loss = t.l2_norm_sq(terms[0])
+        for term in terms[1:]:
+            loss = t.add(loss, t.l2_norm_sq(term))
+        t.backward(loss)
+        return xp.grad, up.grad
+
+    got = grads(lambda t, v: t.sum_rows(v))
+    want = grads(lambda t, v: t.matmul(constant(np.ones((1, v.shape[0]))), v))
+    for g, w in zip(got, want):
+        assert g.flags.writeable and g.flags.owndata
+        assert same_bits(g, w)
 
 
 def test_leaf_gradients_accumulate_across_backward_calls():

@@ -726,21 +726,26 @@ def test_doubling_arcs_stays_within_linear_budget():
     assert large <= 3.0 * small, (small, large)
 
 
-def held_bytes_per_arc_layer(shallow, deep):
-    """Traced bytes a training tape holds once forward and total_loss have
-    run, per arc and per layer, as (held(deep) - held(shallow)) over the
-    added layers, on a 400-node, 4000-edge graph with hidden 80, 5 chunks
-    and keep_prob 0.5."""
-    rng = np.random.default_rng(18)
-    n, n_edges = 400, 4000
+def random_simple_graph(seed, n, n_edges, n_features, n_classes):
+    """n_edges distinct undirected edges drawn uniformly, Gaussian features
+    and uniform labels, all from one seeded stream."""
+    rng = np.random.default_rng(seed)
     seen = set()
     while len(seen) < n_edges:
         i, j = rng.integers(0, n, size=2)
         if i != j:
             seen.add((min(i, j), max(i, j)))
-    g = build_graph(n, sorted(seen), rng.normal(size=(n, 16)),
-                    rng.integers(0, 3, size=n), 3)
-    train_ids = np.arange(0, n, 2)
+    return build_graph(n, sorted(seen), rng.normal(size=(n, n_features)),
+                       rng.integers(0, n_classes, size=n), n_classes)
+
+
+def held_bytes_per_arc_layer(shallow, deep):
+    """Traced bytes a training tape holds once forward and total_loss have
+    run, per arc and per layer, as (held(deep) - held(shallow)) over the
+    added layers, on a 400-node, 4000-edge graph with hidden 80, 5 chunks
+    and keep_prob 0.5."""
+    g = random_simple_graph(18, 400, 4000, 16, 3)
+    train_ids = np.arange(0, g.n_nodes, 2)
 
     def held_bytes(layers):
         cfg = M2mConfig(hidden=80, chunks=5, layers=layers, keep_prob=0.5,
@@ -770,6 +775,42 @@ def test_training_layer_retains_at_most_100_bytes_per_arc():
     # rebuilt from the LayerNorm's arrays, so the tape keeps neither
     per_arc_layer = held_bytes_per_arc_layer(2, 6)
     assert per_arc_layer <= 100, per_arc_layer
+
+
+def backward_transient_bytes(layers):
+    """Traced peak during a training tape's backward minus the bytes traced
+    just before it, on a 600-node, 3000-edge graph (6000 arcs) with 40
+    features, 5 classes, hidden 80, 5 chunks, keep_prob 0.5 and the
+    chunk-balance penalty at 0.5."""
+    g = random_simple_graph(31, 600, 3000, 40, 5)
+    cfg = M2mConfig(hidden=80, chunks=5, layers=layers, keep_prob=0.5,
+                    reg_strength=0.5, seed=0)
+    params = init_params(cfg, g.n_features, g.n_classes)
+    tracemalloc.start()
+    try:
+        tape = ad.Tape()
+        result = forward(tape, params, g, cfg, training=True,
+                         rng=np.random.default_rng(0))
+        loss = total_loss(tape, result, g.labels, np.arange(0, g.n_nodes, 2), g, cfg)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in params.tensors())
+    return peak - before, g.n_arcs
+
+
+def test_backward_transient_does_not_grow_with_depth():
+    # a pending gradient of the scores stays a broadcast view until its
+    # layer's record runs, so the chunk-balance penalty's K gradients are
+    # not K (arcs, C) copies alive at once; six more layers may add less
+    # than one such array
+    shallow, arcs = backward_transient_bytes(2)
+    deep, _ = backward_transient_bytes(8)
+    assert arcs == 6000
+    assert deep - shallow < arcs * 5 * 8, (shallow, deep)
 
 
 def forward_with_refs(tape, params, g, cfg, rng):
