@@ -25,12 +25,12 @@ from . import __version__
 from .csbm import CsbmParams, label_signed_sample, sample_csbm, signed_normalize
 from .graphs import (
     DatasetFormatError,
+    Graph,
     build_graph,
     edge_homophily,
     load_dataset,
     random_split,
     save_dataset,
-    self_free_undirected_edges,
 )
 from .model import (
     CONFIG_RULES,
@@ -233,12 +233,10 @@ def cmd_gen_csbm(args) -> int:
     params = CsbmParams(args.nodes, args.classes, args.p, args.q, means,
                         args.noise_var, args.seed)
     sample = sample_csbm(params)
-    coo = sample.adjacency.tocoo()
-    mask = coo.row < coo.col
-    edges = np.stack([coo.row[mask], coo.col[mask]], axis=1)
-    g = build_graph(params.n_nodes, edges, sample.features, sample.labels,
-                    params.n_classes)
-    save_dataset(args.out, g, arc_signs=coo.data[mask])
+    adjacency = sample.adjacency
+    g = Graph(params.n_nodes, adjacency.indices, adjacency.indptr,
+              sample.features, sample.labels, params.n_classes)
+    save_dataset(args.out, g, arc_signs=adjacency.data[g.arc_dst < g.arc_src])
     _write_sidecar(args.out, args)
     print(f"wrote {g.n_nodes} nodes, {g.n_edges} edges, "
           f"homophily={edge_homophily(g):.2f} to {args.out}")
@@ -317,10 +315,9 @@ def cmd_desirability(args) -> int:
     if not args.data:
         raise ValueError("desirability needs a dataset directory or --demo")
     g = load_dataset(_resolve_data(args.data))
-    und = self_free_undirected_edges(g)
-    if und.shape[0] == 0:
+    if g.n_arcs == 0:
         raise ValueError("dataset has no edges to audit")
-    P, kept = signed_normalize(label_signed_sample(und, g.features, g.labels))
+    P, kept = signed_normalize(label_signed_sample(g))
     cumulative = cumulative_matrix([P] * args.layers)
     ok, violations = is_desirable(cumulative, g.labels[kept], atol=args.atol)
     per_layer_ok, _ = is_desirable(P, g.labels[kept], atol=args.atol)

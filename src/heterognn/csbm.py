@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import _arcs_by_destination
+from .graphs import Graph, build_graph
 
 __all__ = ["CsbmParams", "SignedGraphSample", "label_signed_sample", "sample_csbm",
            "signed_normalize", "expected_operator", "mean_abs_degree"]
@@ -68,26 +68,24 @@ class CsbmParams:
 
 @dataclass
 class SignedGraphSample:
+    """A signed adjacency, row i the arcs into node i as in a Graph, and node data."""
+
     adjacency: sp.csr_matrix  # entries in {-1, 0, +1}, symmetric, zero diagonal
     features: np.ndarray  # N x f
     labels: np.ndarray  # N
 
 
-def label_signed_sample(edges, features, labels) -> SignedGraphSample:
-    """Symmetric signed adjacency of (E, 2) undirected edges, each listed once.
+def label_signed_sample(graph: Graph) -> SignedGraphSample:
+    """The graph's arcs as a signed adjacency: +1 within a class, -1 across.
 
-    Edges within a class weigh +1, edges across classes -1. Row i of the CSR
-    holds the arcs into i, in the (dst, src) order `graphs.build_graph` uses.
+    The CSR wraps the graph's own arc_src and indptr, so nothing is sorted.
     """
-    n = labels.shape[0]
-    src, dst, indptr = _arcs_by_destination(edges[:, 0], edges[:, 1], n)
-    dst_labels = labels[dst]
-    # dst is read only for its labels: from here on at most three arc-sized
-    # int64 arrays are alive (src, dst_labels and labels[src])
-    del dst
-    signs = np.where(labels[src] == dst_labels, 1.0, -1.0)
-    adjacency = sp.csr_matrix((signs, src, indptr), shape=(n, n))
-    return SignedGraphSample(adjacency, features, labels)
+    labels, n = graph.labels, graph.n_nodes
+    # each arc's destination label, without building graph.arc_dst
+    dst_labels = np.repeat(labels, np.diff(graph.indptr))
+    signs = np.where(labels[graph.arc_src] == dst_labels, 1.0, -1.0)
+    adjacency = sp.csr_matrix((signs, graph.arc_src, graph.indptr), shape=(n, n))
+    return SignedGraphSample(adjacency, graph.features, labels)
 
 
 def _bernoulli_positions(rng, prob, n_pairs):
@@ -151,7 +149,8 @@ def sample_csbm(params: CsbmParams) -> SignedGraphSample:
 
     noise = rng.standard_normal((params.n_nodes, params.n_features))
     features = params.class_means[labels] + np.sqrt(params.noise_var) * noise
-    return label_signed_sample(edges, features, labels)
+    return label_signed_sample(build_graph(params.n_nodes, edges, features,
+                                           labels, c))
 
 
 def signed_normalize(sample: SignedGraphSample):

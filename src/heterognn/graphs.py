@@ -14,8 +14,9 @@ digits; reals also take a fraction, an exponent, "nan" and "inf" (which the
 loader then rejects as non-finite). Underscore digit groups ("6_0") and
 non-ASCII digits are rejected.
 
-The loaded graph stores every undirected edge as two directed arcs and keeps
-a CSR index over arc destinations so per-node in-neighbor slices are cheap.
+A Graph is a CSR index of directed arcs, two per undirected edge, sorted
+by (dst, src). This is the only module that sorts arcs: a CSR already in
+that order is a Graph as it stands.
 """
 
 import json
@@ -46,40 +47,39 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """An undirected graph materialized as directed arcs, plus node data.
+    """An undirected graph as a CSR index of directed arcs, plus node data.
 
-    arc_src[a] -> arc_dst[a] is one directed arc; both directions of every
-    undirected edge are present. Arcs are strictly sorted by (dst, src), so
-    none repeats, and indptr is the CSR offset array over destinations: arcs
-    with destination i occupy slice indptr[i]:indptr[i+1]. Construction
-    enforces this order and these offsets, since the model reads both.
+    The sources of the arcs into node i are arc_src[indptr[i]:indptr[i+1]],
+    strictly ascending, and both directions of every edge are present.
+    Construction checks the offsets, the source range and that order, which
+    the model reads; not symmetry, which would take a second sort.
 
-    `encoder_operand` is built from the features the first time the encoder
-    reads it and kept for the Graph's life, so nothing may write into
-    `features` after construction (nothing in the package does).
+    `arc_dst` (from indptr) and `encoder_operand` (from the features) are
+    built on first read and kept for the Graph's life, so nothing may write
+    into `indptr` or `features` after construction (nothing in the package does).
     """
 
     n_nodes: int
     arc_src: np.ndarray
-    arc_dst: np.ndarray
     indptr: np.ndarray
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
 
     def __post_init__(self):
-        if len(self.indptr) != self.n_nodes + 1:
-            raise ValueError(f"Graph field 'indptr': length {len(self.indptr)}, "
-                             f"expected n_nodes + 1 = {self.n_nodes + 1}")
-        if not self.indptr[-1] == self.n_arcs == len(self.arc_dst):
-            raise ValueError(f"Graph field 'arc_dst': indptr ends at {self.indptr[-1]}, "
-                             f"with {self.n_arcs} arc sources and "
-                             f"{len(self.arc_dst)} arc destinations")
-        if not np.array_equal(self.arc_dst, np.repeat(np.arange(self.n_nodes),
-                                                      np.diff(self.indptr))):
-            raise ValueError("Graph field 'arc_dst': arcs are not grouped by "
-                             "destination in the order indptr gives")
-        keys = self.arc_dst.astype(np.int64) * self.n_nodes + self.arc_src
+        n, indptr = self.n_nodes, self.indptr
+        if len(indptr) != n + 1:
+            raise ValueError(f"Graph field 'indptr': length {len(indptr)}, "
+                             f"expected n_nodes + 1 = {n + 1}")
+        counts = np.diff(indptr)
+        if indptr[0] != 0 or indptr[-1] != self.n_arcs or (counts < 0).any():
+            raise ValueError(f"Graph field 'indptr': offsets from {indptr[0]} to "
+                             f"{indptr[-1]} are not a nondecreasing run from 0 "
+                             f"to the {self.n_arcs} arc sources")
+        if self.n_arcs and (self.arc_src.min() < 0 or self.arc_src.max() >= n):
+            raise ValueError(f"Graph field 'arc_src': arc source outside [0, {n})")
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, counts)
+        keys += self.arc_src
         if (keys[1:] <= keys[:-1]).any():
             raise ValueError("Graph field 'arc_src': arcs are unsorted or "
                              "repeated within a destination")
@@ -91,6 +91,11 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return self.n_arcs // 2
+
+    @cached_property
+    def arc_dst(self) -> np.ndarray:
+        """The destination of each arc: node i repeated once per arc into it."""
+        return np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.indptr))
 
     @property
     def n_features(self) -> int:
@@ -120,30 +125,29 @@ class Graph:
 def _arcs_by_destination(u, v, n_nodes):
     """Both directions of the undirected edges (u[e], v[e]), sorted by (dst, src).
 
-    Returns (src, dst, indptr): the int64 arc endpoints and the CSR offsets
-    over destinations, arcs into node i at indptr[i]:indptr[i+1]. One int64
-    key dst * n_nodes + src sorts the arcs, so equal keys are equal arcs. The
-    per-destination counts come from one bincount of the unsorted
-    destinations; they rebuild dst as a run of repeats and src as the key
-    minus dst * n_nodes, so no division decodes the sorted keys.
+    Returns (src, indptr): the int64 arc sources and the CSR offsets over
+    destinations. One int64 key dst * n_nodes + src sorts the arcs, and a
+    repeated key (an edge listed twice, either way round) is dropped. The
+    offsets are a binary search for each row's first key, and src is the key
+    minus its row's dst * n_nodes, so no division decodes the keys.
     """
     keys = np.concatenate([v, u], dtype=np.int64)
-    counts = np.bincount(keys, minlength=n_nodes)
     keys *= n_nodes
     keys += np.concatenate([u, v])
     keys.sort()
-    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    dst = np.repeat(np.arange(n_nodes, dtype=np.int64), counts)
-    keys -= dst * n_nodes
-    return keys, dst, indptr
+    repeated = keys[1:] == keys[:-1]
+    if repeated.any():
+        keys = np.delete(keys, np.flatnonzero(repeated) + 1)
+    row_keys = np.arange(n_nodes + 1, dtype=np.int64) * n_nodes
+    indptr = np.searchsorted(keys, row_keys)
+    keys -= np.repeat(row_keys[:-1], np.diff(indptr))
+    return keys, indptr
 
 
 def build_graph(n_nodes, undirected_edges, features, labels, n_classes) -> Graph:
-    """Assemble a Graph from deduplicated undirected edges.
+    """Assemble a Graph from an (E, 2) int array of edges, u != v in every row.
 
-    undirected_edges is an (E, 2) int array with u != v for every row;
-    both arc directions are materialized here.
+    Both arc directions are materialized; duplicates and reversals collapse.
     """
     edges = np.asarray(undirected_edges, dtype=np.int64).reshape(-1, 2)
     features = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
@@ -155,8 +159,8 @@ def build_graph(n_nodes, undirected_edges, features, labels, n_classes) -> Graph
             raise ValueError("edge endpoint out of range")
         if (edges[:, 0] == edges[:, 1]).any():
             raise ValueError("self-loops are not represented")
-    src, dst, indptr = _arcs_by_destination(edges[:, 0], edges[:, 1], n_nodes)
-    return Graph(int(n_nodes), src, dst, indptr, features, labels, int(n_classes))
+    src, indptr = _arcs_by_destination(edges[:, 0], edges[:, 1], n_nodes)
+    return Graph(int(n_nodes), src, indptr, features, labels, int(n_classes))
 
 
 def _read_table(path, dtype, what, width=None):
@@ -270,8 +274,6 @@ def load_dataset(path, row_normalize=False) -> Graph:
     if loops.any():
         warnings.warn(f"{edges_path}: dropped {loops.sum()} self-loop line(s)")
     edges = edges[~loops]
-    # one key per undirected edge, u < v, so duplicates and reversals collapse
-    keys = np.unique(edges.min(axis=1) * n_nodes + edges.max(axis=1))
 
     if row_normalize:
         with np.errstate(over="ignore"):
@@ -285,8 +287,7 @@ def load_dataset(path, row_normalize=False) -> Graph:
         nonzero = mass[:, 0] > 0
         features[nonzero] /= mass[nonzero]
 
-    return build_graph(n_nodes, np.stack(np.divmod(keys, n_nodes), axis=1),
-                       features, labels, n_classes)
+    return build_graph(n_nodes, edges, features, labels, n_classes)
 
 
 def save_dataset(path, g: Graph, arc_signs=None):

@@ -208,6 +208,13 @@ def test_desirability_negative_show_exits_1_naming_it(tmp_path, capsys):
     assert "... and" not in capsys.readouterr().out
 
 
+def test_desirability_of_an_edgeless_dataset_exits_1(tmp_path, capsys):
+    bare = tmp_path / "bare"
+    save_dataset(bare, build_graph(4, [], np.zeros((4, 1)), [0, 1, 0, 1], 2))
+    assert main(["desirability", str(bare)]) == 1
+    assert "no edges to audit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--layers", "0"), ("--layers", "-2"),
                                          ("--atol", "-1"), ("--atol", "nan")])
 def test_desirability_bad_layers_or_atol_exits_1_naming_it(tmp_path, capsys,

@@ -20,6 +20,7 @@ from heterognn.csbm import (
     sample_csbm,
     signed_normalize,
 )
+from heterognn.graphs import Graph, build_graph
 
 
 def params(**kw):
@@ -176,7 +177,8 @@ def test_signed_adjacency_equals_the_coo_built_reference(n, n_classes, p_edge,
                       for u in range(n) for v in range(u + 1, n)
                       if rng.random() < p_edge], dtype=np.int64).reshape(-1, 2)
     rng.shuffle(edges)
-    adj = label_signed_sample(edges, np.zeros((n, 1)), labels).adjacency
+    g = build_graph(n, edges, np.zeros((n, 1)), labels, n_classes)
+    adj = label_signed_sample(g).adjacency
     # reference: both directions as COO triplets, converted by scipy
     ii, jj = edges[:, 0], edges[:, 1]
     signs = np.where(labels[ii] == labels[jj], 1.0, -1.0)
@@ -186,6 +188,28 @@ def test_signed_adjacency_equals_the_coo_built_reference(n, n_classes, p_edge,
     assert np.array_equal(adj.indptr, ref.indptr)
     assert np.array_equal(adj.indices, ref.indices)
     assert np.array_equal(adj.data, ref.data)
+
+
+@pytest.mark.parametrize("n, n_classes, p, q, seed", [
+    (60, 3, 0.5, 0.2, 0), (12, 4, 1.0, 1.0, 1), (300, 3, 0.02, 0.01, 2),
+    (90, 3, 0.01, 0.0, 3),  # most nodes isolated
+    (6, 2, 0.0, 0.0, 4),    # no edges at all
+])
+def test_sample_csr_is_the_graph_of_its_edges(n, n_classes, p, q, seed):
+    # the sampler's CSR, wrapped as it stands, is the Graph that build_graph
+    # makes of the sample's upper-triangle edges (as values: scipy may keep
+    # the CSR index arrays as int32)
+    s = sample_csbm(params(n_nodes=n, n_classes=n_classes, p=p, q=q, seed=seed,
+                           class_means=np.zeros((n_classes, 1))))
+    wrapped = Graph(n, s.adjacency.indices, s.adjacency.indptr, s.features,
+                    s.labels, n_classes)
+    upper = sp.triu(s.adjacency, k=1).tocoo()
+    built = build_graph(n, np.stack([upper.row, upper.col], axis=1), s.features,
+                        s.labels, n_classes)
+    for field in ("arc_src", "arc_dst", "indptr"):
+        assert np.array_equal(getattr(wrapped, field), getattr(built, field)), field
+    if p + q <= 0.01:  # the two cases with isolated nodes
+        assert (np.diff(wrapped.indptr) == 0).any()
 
 
 def test_mean_abs_degree_matches_expectation():

@@ -71,14 +71,6 @@ def test_csr_in_neighbors(tmp_path):
     assert sorted(g.in_neighbors(1).tolist()) == [0, 2]
 
 
-def test_graph_rejects_arcs_not_grouped_by_destination(tmp_path):
-    g = load_dataset(triangle(tmp_path))
-    swap = np.array([2, 1, 0, 3, 4, 5])  # arcs into node 1 before those into 0
-    with pytest.raises(ValueError, match="'arc_dst'"):
-        Graph(g.n_nodes, g.arc_src[swap], g.arc_dst[swap], g.indptr,
-              g.features, g.labels, g.n_classes)
-
-
 @pytest.mark.parametrize("arc_src", [[2, 1, 0, 2, 0, 1],   # shuffled into 0
                                      [1, 1, 0, 2, 0, 1]])  # 1->0 twice
 def test_graph_rejects_arcs_unsorted_or_repeated_within_a_destination(
@@ -86,17 +78,28 @@ def test_graph_rejects_arcs_unsorted_or_repeated_within_a_destination(
     g = load_dataset(triangle(tmp_path))
     assert g.arc_src.tolist() == [1, 2, 0, 2, 0, 1]
     with pytest.raises(ValueError, match="'arc_src'"):
-        Graph(g.n_nodes, np.array(arc_src), g.arc_dst, g.indptr, g.features,
-              g.labels, g.n_classes)
+        Graph(g.n_nodes, np.array(arc_src), g.indptr, g.features, g.labels,
+              g.n_classes)
 
 
-@pytest.mark.parametrize("field, indptr", [("indptr", [0, 2, 4]),
-                                           ("arc_dst", [0, 2, 4, 5])])
-def test_graph_rejects_indptr_that_does_not_fit(tmp_path, field, indptr):
+@pytest.mark.parametrize("arc_src, indptr", [([-4, 0, 1], [0, 3, 3, 3]),
+                                             ([1, 0, 5], [0, 1, 2, 3]),
+                                             ([1, 0, 3], [0, 1, 2, 3])])
+def test_graph_rejects_arc_sources_outside_the_nodes(arc_src, indptr):
+    # both lists ascend within each destination, so only the range is wrong
+    with pytest.raises(ValueError, match=r"'arc_src': arc source outside \[0, 3\)"):
+        Graph(3, np.array(arc_src), np.array(indptr), np.zeros((3, 1)),
+              np.zeros(3, dtype=np.int64), 1)
+
+
+@pytest.mark.parametrize("indptr", [[0, 2, 4],        # one offset short
+                                    [0, 2, 4, 5],     # ends short of 6 arcs
+                                    [0, 4, 2, 6]])    # decreasing
+def test_graph_rejects_indptr_that_does_not_fit(tmp_path, indptr):
     g = load_dataset(triangle(tmp_path))
-    with pytest.raises(ValueError, match=f"'{field}'"):
-        Graph(g.n_nodes, g.arc_src, g.arc_dst, np.array(indptr), g.features,
-              g.labels, g.n_classes)
+    with pytest.raises(ValueError, match="'indptr'"):
+        Graph(g.n_nodes, g.arc_src, np.array(indptr), g.features, g.labels,
+              g.n_classes)
 
 
 def test_comment_lines_ignored(tmp_path):
@@ -397,17 +400,17 @@ def test_round_trip_is_exact(tmp_path):
 
 
 def _lexsorted_arcs(u, v, n):
-    """The former arc order: both directions sorted by np.lexsort on
-    (dst, src), with offsets from a bincount of the sorted destinations."""
+    """The former arc order: both directions of edges listed once, sorted by
+    np.lexsort on (dst, src), with offsets from a bincount of the sorted
+    destinations."""
     src, dst = np.concatenate([u, v]), np.concatenate([v, u])
     order = np.lexsort((src, dst))
-    src, dst = src[order], dst[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
-    return src, dst, indptr
+    np.cumsum(np.bincount(dst[order], minlength=n), out=indptr[1:])
+    return src[order], indptr
 
 
-@pytest.mark.parametrize("order", ["shuffled", "csr"])
+@pytest.mark.parametrize("order", ["shuffled", "csr", "repeated"])
 @pytest.mark.parametrize("n, n_edges, seed", [(1, 0, 0), (7, 0, 1), (9, 5, 2),
                                               (60, 300, 3), (500, 400, 4)])
 def test_arcs_by_destination_match_lexsort(order, n, n_edges, seed):
@@ -416,13 +419,18 @@ def test_arcs_by_destination_match_lexsort(order, n, n_edges, seed):
     pairs = {tuple(sorted(rng.choice(n, 2, replace=False)))
              for _ in range(n_edges)} if n > 1 else set()
     edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    if order == "shuffled":
+    ref_src, ref_indptr = _lexsorted_arcs(edges[:, 0], edges[:, 1], n)
+    if order != "csr":
         flip = rng.random(len(edges)) < 0.5
         edges[flip] = edges[flip][:, ::-1]
         rng.shuffle(edges)
-    src, dst, indptr = _arcs_by_destination(edges[:, 0], edges[:, 1], n)
-    ref_src, ref_dst, ref_indptr = _lexsorted_arcs(edges[:, 0], edges[:, 1], n)
-    for got, want in ((src, ref_src), (dst, ref_dst), (indptr, ref_indptr)):
+    if order == "repeated":
+        # about half the edges listed again as given, and again reversed
+        again = edges[rng.random(len(edges)) < 0.5]
+        edges = np.concatenate([edges, again, again[:, ::-1]])
+        rng.shuffle(edges)
+    src, indptr = _arcs_by_destination(edges[:, 0], edges[:, 1], n)
+    for got, want in ((src, ref_src), (indptr, ref_indptr)):
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
 

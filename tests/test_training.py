@@ -409,8 +409,8 @@ def test_mixing_is_direction_symmetric():
     ([(1, 0), (2, 0), (0, 1)], [0, 2, 3, 3], "arc 2->0 has no reverse arc 0->2"),
 ])
 def test_mixing_names_a_missing_reverse_arc(arcs, indptr, missing):
-    src, dst = np.array(arcs).T
-    g = Graph(3, src, dst, np.array(indptr), np.eye(3), np.array([0, 1, 1]), 2)
+    src = np.array(arcs)[:, 0]
+    g = Graph(3, src, np.array(indptr), np.eye(3), np.array([0, 1, 1]), 2)
     with pytest.raises(ValueError, match=missing):
         mixing_score_from_scores(g, np.full((3, 2), 0.5))
 
