@@ -12,8 +12,9 @@ shipped texas config, prints one JSON line per depth K = 2, 8, 32:
 * ``b_per_arc_layer``: the growth of that figure per added layer and arc,
   (retained(K) - retained(2)) / ((K - 2) * arcs), null at K = 2;
 * ``records_per_layer``: the growth per added layer of the number of
-  records ``forward`` makes, (records(K) - records(2)) / (K - 2), null at
-  K = 2 (the loss adds a few more per layer for the chunk-balance penalty);
+  records on the tape once ``forward`` and ``total_loss`` have run,
+  (records(K) - records(2)) / (K - 2), null at K = 2. The chunk-balance
+  penalty is one record whatever K is, so this counts the layers' own;
 * ``backward_transient_mib``: the tracemalloc peak while that tape's
   ``backward`` runs, minus the bytes traced just before it: what the
   backward allocates on top of what the tape retains;
@@ -132,8 +133,8 @@ def texas_config(layers):
 
 def retained_bytes(g, layers):
     """Traced bytes a training tape holds after forward and total_loss, in
-    all and by allocating autodiff function, the records forward made, and
-    the traced peak of its backward above the bytes traced just before it."""
+    all and by allocating autodiff function, the records they made, and the
+    traced peak of its backward above the bytes traced just before it."""
     config, _ = texas_config(layers)
     params = init_params(config, g.n_features, g.n_classes)
     split = random_split(g, SEED)
@@ -142,8 +143,8 @@ def retained_bytes(g, layers):
         tape = ad.Tape()
         result = forward(tape, params, g, config, training=True,
                          rng=np.random.default_rng(SEED))
+        loss = total_loss(tape, result, g.labels, split.train, config)
         records = len(tape._nodes)
-        loss = total_loss(tape, result, g.labels, split.train, g, config)
         held = tracemalloc.get_traced_memory()[0]
         snapshot = tracemalloc.take_snapshot()
         tracemalloc.reset_peak()

@@ -152,7 +152,7 @@ def _accum(cell, g):
     """Add g into a gradient cell.
 
     g is a fresh array that nothing else holds, or a read-only broadcast
-    view (`Tape.sum_rows`'s). The first gradient is stored as it is. A
+    view (`Tape.chunk_balance`'s). The first gradient is stored as it is. A
     later one is added in place into the held array if that is writable,
     else into g if g is, which then takes its place; two read-only views
     make a new array. Addition commutes, so the bits are those of adding
@@ -175,8 +175,8 @@ class Tape:
 
     With recording=False the same methods compute forward values only. The
     eval passes use that: the per-epoch eval in `training.train`,
-    `training.predict`, `training.average_scores` and the alignment softmax
-    of `training.attention_analysis`.
+    `training.average_scores` and the alignment softmax of
+    `training.attention_analysis`.
 
     A record is the pair (gradient cell of the output, backward closure).
     The closure keeps the cells of the inputs that took a gradient when it
@@ -189,11 +189,11 @@ class Tape:
     non-leaf output, is dropped as soon as its backward has run.
 
     A pending gradient may be a read-only broadcast view of no size until
-    its record runs: `sum_rows` hands its input one (see `_accum`), so the
-    chunk-balance penalty's K score gradients are not K (arcs, C) copies
-    alive at once. `backward` copies such a view when its record runs, and
-    a leaf's when the pass ends, so closures and leaves always get arrays
-    of their own.
+    its record runs: `chunk_balance` hands each score tensor one (see
+    `_accum`), so the penalty's K score gradients are not K (arcs, C)
+    copies alive at once. `backward` copies such a view when its record
+    runs, and a leaf's when the pass ends, so closures and leaves always
+    get arrays of their own.
 
     A graph's sparse operators are built once per tape, not once per layer
     call: chunk_sum's stacked chunk CSR matrix and its CSC transpose, and
@@ -215,7 +215,7 @@ class Tape:
         # arrays, so the ids stay theirs
         self._patterns = {}
         self._arcs = {}
-        self._views = []  # the cells sum_rows' backward handed a broadcast view
+        self._views = []  # the cells chunk_balance's backward handed a broadcast view
 
     def _emit(self, out: Tensor, parents, backward_fn):
         if self.recording and any(p.requires_grad for p in parents):
@@ -478,37 +478,47 @@ class Tape:
 
         return self._emit(out, (h, w_att), back)
 
-    def sum_rows(self, x: Tensor) -> Tensor:
-        """Collapse to a single row: out[0, j] = sum_i x[i, j].
-
-        The rows are added one after another, on C- and F-ordered x alike
-        (numpy would sum the contiguous axis of F-ordered data pairwise).
-        The backward hands x's cell the read-only broadcast view of g, of
-        no size; `backward` copies it only where it is still a view when
-        x's own record runs, or when the pass ends if x is a leaf.
-        """
-        rows, cols = x.data.shape
-        out = Tensor(np.cumsum(x.data, axis=0)[-1:].copy() if rows
-                     else np.zeros((1, cols)))
-        gx, views = x._cell, self._views
-
-        def back(g):
-            _accum(gx, np.broadcast_to(g, (rows, cols)))
-            views.append(gx)
-
-        return self._emit(out, (x,), back)
-
-    def l2_norm_sq(self, x: Tensor) -> Tensor:
-        x_data = x.data
-        out = Tensor([[float(np.sum(x_data * x_data))]])
-        gx = x._cell
-
-        def back(g):
-            _accum(gx, 2.0 * x_data * g[0, 0])
-
-        return self._emit(out, (x,), back)
-
     # ---- normalization / regularization ops --------------------------------
+
+    def chunk_balance(self, scores) -> Tensor:
+        """The chunk-balance penalty of K (arcs, C) score tensors, as 1x1:
+        (1/K) * sum_k sqrt(C_k)/arcs_k * ||m_k||^2 - 1, with C_k and arcs_k
+        read from each shape and m_k the column sums of scores[k]. Rows are
+        added one after another on C- and F-ordered scores alike (numpy
+        would sum the contiguous axis of F-ordered data pairwise), terms in
+        layer order. No scores, or a tensor of no rows, raises.
+
+        The record keeps each one-row m_k. The backward hands each score
+        cell the read-only broadcast view, of no size, of
+        2 m_k * (g/K) * sqrt(C_k)/arcs_k; `backward` copies it only where it
+        is still a view when that tensor's own record runs, or when the pass
+        ends if it is a leaf, so the penalty allocates no (arcs, C) gradient
+        per layer.
+        """
+        if not scores:
+            raise ValueError("chunk_balance needs at least one layer of scores")
+        inv_k = float(1.0 / len(scores))
+        layers, total = [], 0.0
+        for k, s in enumerate(scores):
+            arcs, c = s.data.shape
+            if not arcs:
+                raise ValueError(f"chunk_balance needs arcs; scores[{k}] has 0 rows")
+            m = np.cumsum(s.data, axis=0)[-1:].copy()
+            coef = float(np.sqrt(c) / arcs)
+            total += float(np.sum(m * m)) * coef
+            layers.append((_cell(s), s.data.shape, m, coef))
+        out = Tensor([[total * inv_k - 1.0]])
+        views = self._views
+
+        def back(g):
+            g_avg = g * inv_k
+            for cell, shape, m, coef in layers:
+                if cell is not None:
+                    g_m = 2.0 * m * (g_avg * coef)[0, 0]
+                    _accum(cell, np.broadcast_to(g_m, shape))
+                    views.append(cell)
+
+        return self._emit(out, scores, back)
 
     def row_softmax(self, x: Tensor, temperature: float = 1.0) -> Tensor:
         s = _softmax(x.data.copy(), temperature, 1)

@@ -11,6 +11,7 @@ dataset directories named on the command line.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent import futures
@@ -194,11 +195,13 @@ def _pmap(fn, items, jobs: int):
 def _parse_means(text, n_classes: int) -> np.ndarray:
     if text is None:
         return np.linspace(-0.5, 0.5, n_classes)
-    values = [float(v) for v in text.split(",") if v.strip() != ""]
+    values = _number_list(text, "--means", float)
     if len(values) != n_classes:
         raise ValueError(
             f"--means needs {n_classes} comma-separated values, got {len(values)}"
         )
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"--means must be finite, got {text!r}")
     return np.asarray(values)
 
 
@@ -216,13 +219,20 @@ def _number_list(text: str, flag: str, kind):
 
 def _check_counts(args):
     """Every count flag the command has (--splits, --trials, --jobs, --nodes,
-    --classes) is >= 1, and --show is >= 0."""
+    --classes) is >= 1, --show is >= 0, and every float flag of the
+    analysis commands (--p, --q, --noise-var, --sigma, --r, --atol) is
+    finite."""
     for name in ("splits", "trials", "jobs", "nodes", "classes"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ValueError(f"--{name} must be at least 1, got {value}")
     if getattr(args, "show", 0) < 0:
         raise ValueError(f"--show must be at least 0, got {args.show}")
+    for name in ("p", "q", "noise_var", "sigma", "r", "atol"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be finite, got {value}")
 
 
 # ---- synthetic-data commands ---------------------------------------------------

@@ -27,10 +27,11 @@ reads a layer's message, so it is freed as soon as `forward` moves on, and
 under dropout no backward reads the encoder output or its ReLU output
 either: both are freed by the time `forward` returns.
 
-The backward allocates no arc-sized array that no computation needs: the
-chunk-balance penalty's gradient of each layer's scores is a broadcast
-view of one row until that layer's records run, so its transient does not
-grow with depth.
+The chunk-balance penalty is one record over all layers
+(`Tape.chunk_balance`), so it adds no tape node per layer. The backward
+allocates no arc-sized array that no computation needs: the penalty's
+gradient of each layer's scores is a broadcast view of one row until that
+layer's records run, so its transient does not grow with depth.
 
 Every layer reads the same graph, so a tape builds the graph's sparse
 operators once, not once per layer: the stacked chunk CSR matrix and its
@@ -54,7 +55,7 @@ from . import autodiff as ad
 __all__ = [
     "M2mConfig", "M2mParams", "ForwardResult", "init_params",
     "encode", "attention_scores", "chunk_aggregate", "layer_update",
-    "forward", "reg_loss", "total_loss", "one_hot_arc_scores",
+    "forward", "total_loss", "one_hot_arc_scores",
     "save_checkpoint", "load_checkpoint", "check_hyperparameter", "CONFIG_RULES",
 ]
 
@@ -260,8 +261,8 @@ def forward(tape, params: M2mParams, graph, config: M2mConfig,
     Returns the logits and each layer's (n_arcs, chunks) scores. The
     encoder reads ``graph.encoder_operand``, which the graph builds on the
     first call and keeps. Evaluation mode (training=False) is deterministic.
-    Its callers in ``training`` (the per-epoch eval of ``train``,
-    ``predict`` and ``average_scores``) pass ``ad.Tape(recording=False)``.
+    Its callers in ``training`` (the per-epoch eval of ``train`` and
+    ``average_scores``) pass ``ad.Tape(recording=False)``.
     """
     h0 = encode(tape, params, graph.encoder_operand, config, training, rng)
     keep_prob = config.keep_prob if training else 1.0
@@ -287,34 +288,21 @@ def forward(tape, params: M2mParams, graph, config: M2mConfig,
     return ForwardResult(h_hat, attentions)
 
 
-def reg_loss(tape, attentions, chunks: int, n_arcs: int) -> ad.Tensor:
-    """Chunk-balance penalty averaged over layers.
-
-    Per layer: scale the squared norm of the column-summed score matrix by
-    sqrt(chunks)/n_arcs and subtract 1. It bottoms out at
-    n_arcs/sqrt(chunks) - 1 when every row is uniform; collapsing all mass
-    onto one chunk maximizes it. `Tape.sum_rows` adds the score rows in arc
-    order and hands their gradient back as a broadcast view of one row, so
-    the penalty costs no (arcs, C) array per layer in the backward.
-    """
-    if not attentions:
-        raise ValueError("need at least one layer of scores")
-    total = None
-    for scores in attentions:
-        mass = tape.sum_rows(scores)
-        term = tape.scale(tape.l2_norm_sq(mass), np.sqrt(chunks) / n_arcs)
-        total = term if total is None else tape.add(total, term)
-    avg = tape.scale(total, 1.0 / len(attentions))
-    return tape.add(avg, ad.constant([[-1.0]]))
-
-
-def total_loss(tape, result: ForwardResult, labels, train_ids, graph,
+def total_loss(tape, result: ForwardResult, labels, train_ids,
                config: M2mConfig) -> ad.Tensor:
-    """Masked cross-entropy plus the weighted chunk-balance penalty."""
+    """Masked cross-entropy plus the chunk-balance penalty weighted by
+    ``config.reg_strength``.
+
+    The penalty (`Tape.chunk_balance`, one record) averages over layers
+    the squared norm of each layer's column-summed scores, scaled by
+    sqrt(chunks)/n_arcs, then subtracts 1. It bottoms out at
+    n_arcs/sqrt(chunks) - 1 when every row is uniform; collapsing all mass
+    onto one chunk maximizes it.
+    """
     task = tape.cross_entropy(result.logits, labels, train_ids)
     if config.reg_strength == 0.0:
         return task
-    reg = reg_loss(tape, result.attentions, config.chunks, graph.n_arcs)
+    reg = tape.chunk_balance(result.attentions)
     return tape.add(task, tape.scale(reg, config.reg_strength))
 
 

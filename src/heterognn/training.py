@@ -27,7 +27,7 @@ from .model import (
 
 __all__ = [
     "TrainingDiverged", "TrainRecord", "AttentionSummary",
-    "train", "predict", "evaluate", "depth_sweep",
+    "train", "depth_sweep",
     "attention_analysis", "dominant_columns",
     "mixing_score", "mixing_score_from_scores", "ablate", "TRAIN_RULES",
 ]
@@ -87,10 +87,15 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
     parameter gradient does, before that gradient reaches Adam. Raises
     ValueError, before any work, for an lr that is not positive, a
     weight_decay that is negative and for max_epochs or patience below 1
-    (`TRAIN_RULES`); non-finite or non-numeric values are rejected too.
+    (`TRAIN_RULES`); non-finite or non-numeric values are rejected too. A
+    reg_strength above 0 on a graph with no arcs raises ValueError as well:
+    the chunk-balance penalty averages over arcs.
     """
     if len(split.train) == 0 or len(split.val) == 0 or len(split.test) == 0:
         raise ValueError("train/val/test must all be non-empty")
+    if config.reg_strength > 0 and g.n_arcs == 0:
+        raise ValueError(f"reg_strength must be 0 on a graph with no arcs, "
+                         f"got {config.reg_strength}")
     options = dict(lr=lr, weight_decay=weight_decay, max_epochs=max_epochs,
                    patience=patience)
     for name, value in options.items():
@@ -110,7 +115,7 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
         tape = ad.Tape()
         result = forward(tape, params, g, config, training=True,
                          rng=dropout_rng)
-        loss = total_loss(tape, result, g.labels, split.train, g, config)
+        loss = total_loss(tape, result, g.labels, split.train, config)
         loss_value = float(loss.data[0, 0])
         if not np.isfinite(loss_value):
             raise TrainingDiverged(
@@ -160,22 +165,6 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
         config=config,
     )
     return record, params
-
-
-def predict(g: Graph, params: M2mParams, config: M2mConfig) -> np.ndarray:
-    """Eval-mode class predictions; ties go to the lowest class index."""
-    logits = forward(ad.Tape(recording=False), params, g, config).logits.data
-    return np.argmax(logits, axis=1)
-
-
-def evaluate(g: Graph, params: M2mParams, config: M2mConfig,
-             node_ids) -> float:
-    """Fraction of the given nodes whose predicted class matches the label."""
-    node_ids = np.asarray(node_ids, dtype=np.int64)
-    if node_ids.size == 0:
-        raise ValueError("cannot score an empty node set")
-    logits = forward(ad.Tape(recording=False), params, g, config).logits.data
-    return _masked_accuracy(logits, g.labels, node_ids)
 
 
 def depth_sweep(g: Graph, config: M2mConfig, k_values: Sequence[int],

@@ -284,7 +284,9 @@ def op_battery(rng):
     run, so every evaluation draws the same masks; `norm_project` reuses
     w as its projection, and `const_matmul` multiplies w_att by a fixed
     CSR matrix with an empty row, as the encoder does bag-of-words rows.
-    The scores reach `chunk_sum` and `sum_rows` F-ordered, as in the model.
+    The scores reach `chunk_sum` and `chunk_balance` F-ordered, as in the
+    model, and one `chunk_balance` over five tensors of three shapes
+    reduces them, with the cross-entropy, to the scalar.
     """
     a = ad.parameter(rng.normal(size=(3, 4)))
     b = ad.parameter(rng.normal(size=(3, 4)))
@@ -312,12 +314,7 @@ def op_battery(rng):
         soft = tape.row_softmax(projected, temperature=0.7)
         ce = tape.cross_entropy(projected, labels, rows)
         encoded = tape.const_matmul(bag, w_att)
-        return tape.add(
-            tape.add(tape.add(tape.l2_norm_sq(soft), tape.l2_norm_sq(message)),
-                     tape.l2_norm_sq(tape.sum_rows(scores))),
-            tape.add(tape.add(tape.l2_norm_sq(tape.sum_rows(h)), ce),
-                     tape.l2_norm_sq(encoded)),
-        )
+        return tape.add(tape.chunk_balance([soft, message, scores, h, encoded]), ce)
 
     return [a, b, w, col, gain, bias, w_att], run
 
@@ -340,7 +337,7 @@ def test_criterion_7_gradients_match_finite_differences():
 
         def run(tape):
             result = forward(tape, params, g, cfg)
-            return total_loss(tape, result, g.labels, mask, g, cfg)
+            return total_loss(tape, result, g.labels, mask, cfg)
 
         return params.tensors(), run
 

@@ -75,8 +75,20 @@ def backward_from(t, upstream, *outs):
 
 
 def total(t, x):
-    """The sum of x's entries, as a product that hands x exactly all-ones."""
-    return t.matmul(t.sum_rows(x), constant(np.ones((x.shape[1], 1))))
+    """The sum of x's entries, as two products with ones that hand x
+    exactly all-ones."""
+    rows, cols = x.shape
+    return t.matmul(t.matmul(constant(np.ones((1, rows))), x),
+                    constant(np.ones((cols, 1))))
+
+
+def sq_norm(t, x):
+    """The sum of x's squared entries, as one test-local record whose
+    backward hands x 2 * x * g: a scalar reducer whose gradient differs
+    entry by entry, for the gradient checks of the ops it follows."""
+    out = Tensor([[float(np.sum(x.data * x.data))]])
+    cell, data = x._cell, x.data
+    return t._emit(out, (x,), lambda g: _accum(cell, 2.0 * data * g[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -804,60 +816,95 @@ def test_add_hands_each_operand_its_own_gradient():
     np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
 
 
-def test_sum_rows_gradient_is_a_writeable_array():
+def test_chunk_balance_gradient_is_a_writeable_array():
     x = parameter(np.arange(6.0).reshape(3, 2))
     t = Tape()
-    t.backward(t.l2_norm_sq(t.sum_rows(x)))
+    t.backward(t.chunk_balance([x]))
     assert x.grad.flags.writeable and x.grad.flags.owndata
-    np.testing.assert_array_equal(x.grad, np.tile([[12.0, 18.0]], (3, 1)))
+    # column sums 6 and 9, at sqrt(C)/arcs = sqrt(2)/3
+    want = 2.0 * np.array([[6.0, 9.0]]) * float(np.sqrt(2.0) / 3)
+    np.testing.assert_array_equal(x.grad, np.tile(want, (3, 1)))
     t = Tape()
     t.backward(total(t, x))  # accumulates into the stored array
-    np.testing.assert_array_equal(x.grad, np.tile([[13.0, 19.0]], (3, 1)))
+    np.testing.assert_array_equal(x.grad, np.tile(want + 1.0, (3, 1)))
+
+
+def penalty_chain(layers, upstream):
+    """The chunk-balance penalty's value and score gradients as the op
+    chain sum_rows -> l2_norm_sq -> scale -> add, then scale(1/K) and
+    add(-1), computes them, in plain numpy with upstream as the gradient
+    of the value: rows added one after another, terms in layer order."""
+    total, parts = None, []
+    for x in layers:
+        rows, cols = x.shape
+        mass = x[:1].copy() if rows else np.zeros((1, cols))
+        for row in x[1:]:
+            mass += row
+        coef = float(np.sqrt(cols) / rows)
+        term = np.array([[float(np.sum(mass * mass))]]) * coef
+        total = term if total is None else total + term
+        parts.append((mass, coef))
+    inv_k = float(1.0 / len(layers))
+    value = total * inv_k + np.array([[-1.0]])
+    g_term = upstream * inv_k  # what each add hands each term
+    grads = [np.broadcast_to(2.0 * mass * (g_term * coef)[0, 0], x.shape)
+             for x, (mass, coef) in zip(layers, parts)]
+    return value, grads
+
+
+LAYERS = st.lists(
+    st.tuples(arrays(np.float64, st.tuples(st.integers(0, 60), st.integers(1, 6)),
+                     elements=st.floats(-1e6, 1e6)),
+              st.booleans()),
+    min_size=1, max_size=4)
 
 
 @settings(max_examples=100, deadline=None)
-@given(x=arrays(np.float64, st.tuples(st.integers(0, 60), st.integers(1, 6)),
-                elements=st.floats(-1e6, 1e6)))
-def test_sum_rows_adds_rows_in_order_on_either_layout(x):
+@given(layers=LAYERS, upstream=st.floats(-10.0, 10.0))
+def test_chunk_balance_is_the_op_chain_bit_for_bit(layers, upstream):
     # numpy sums the contiguous axis of F-ordered data pairwise, which
-    # moves bits from eight rows on
-    t = Tape(recording=False)
-    by_c = t.sum_rows(Tensor(np.ascontiguousarray(x))).data
-    by_f = t.sum_rows(Tensor(np.asfortranarray(x))).data
-    want = np.zeros((1, x.shape[1]))
-    if x.shape[0]:
-        want = x[:1].copy()
-        for row in x[1:]:
-            want += row
-    assert same_bits(by_c, want)
-    assert same_bits(by_f, want)
+    # moves bits from eight rows on; the op adds rows in order on either
+    # layout. A layer of no rows raises where the chain divides by zero
+    data = [np.asfortranarray(x) if f_order else np.ascontiguousarray(x)
+            for x, f_order in layers]
+    params = [parameter(x) for x in data]
+    t = Tape()
+    if any(x.shape[0] == 0 for x in data):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert not np.isfinite(penalty_chain(data, np.ones((1, 1)))[0][0, 0])
+        with pytest.raises(ValueError, match="0 rows"):
+            t.chunk_balance(params)
+        return
+    out = t.chunk_balance(params)
+    value, grads = penalty_chain(data, np.array([[upstream]]))
+    assert same_bits(out.data, value)
+    backward_from(t, np.array([[upstream]]), out)
+    for p, want in zip(params, grads):
+        assert same_bits(p.grad, want)
 
 
 def test_pending_broadcast_gradients_add_up_like_copies():
-    # sum_rows hands its input's cell a read-only broadcast view: a later
-    # gradient adds into it as into a copy (add's two cells included), a
-    # record whose output still holds a view gets a writable array
-    # (dropout scales g in place), and leaves end with arrays of their
-    # own. Integer data keep every sum exact, so a product with a row of
-    # ones, which hands back a full array, is the reference
+    # chunk_balance hands each score cell a read-only broadcast view: a
+    # later gradient adds into it as into a copy (add's two cells and a
+    # second view included), a record whose output still holds a view gets
+    # a writable array (dropout scales g in place), and leaves end with
+    # arrays of their own. The reference passes each input through a
+    # scale by 1.0, which is exact and hands back a full array, and its
+    # additions meet in the same pairs, so the bits agree
     x = np.arange(6.0).reshape(3, 2)
     u = np.arange(8.0).reshape(4, 2) - 3.0
 
-    def grads(rows_of):
+    def grads(through):
         xp, up = parameter(x), parameter(u)
         t = Tape()
         y = t.scale(xp, 3.0)
         dropped = t.dropout(up, 0.5, np.random.default_rng(0))
-        terms = [t.add(y, y), rows_of(t, y), rows_of(t, xp), rows_of(t, xp),
-                 rows_of(t, dropped)]
-        loss = t.l2_norm_sq(terms[0])
-        for term in terms[1:]:
-            loss = t.add(loss, t.l2_norm_sq(term))
-        t.backward(loss)
+        t.backward(t.chunk_balance([t.add(y, y), through(t, y), through(t, xp),
+                                    through(t, xp), through(t, dropped)]))
         return xp.grad, up.grad
 
-    got = grads(lambda t, v: t.sum_rows(v))
-    want = grads(lambda t, v: t.matmul(constant(np.ones((1, v.shape[0]))), v))
+    got = grads(lambda t, v: v)
+    want = grads(lambda t, v: t.scale(v, 1.0))
     for g, w in zip(got, want):
         assert g.flags.writeable and g.flags.owndata
         assert same_bits(g, w)
@@ -966,7 +1013,7 @@ def _build_cases():
 
     @case("row_softmax", [(3, 5)])
     def _(t, a):
-        return t.l2_norm_sq(t.row_softmax(a, temperature=0.7))
+        return sq_norm(t, t.row_softmax(a, temperature=0.7))
 
     # and those of the retired layer_norm case
     for shape in [(4, 6), (1, 6), (1, 6)]:
@@ -975,15 +1022,17 @@ def _build_cases():
     @case("chunk_sum", [(3, 4), (5, 3)])
     def _(t, a, b):
         # five arcs gathering rows of a: two into output row 0, three into row 1
-        return t.l2_norm_sq(t.chunk_sum(b, a, [0, 0, 2, 1, 2], [0, 2, 5]))
+        return sq_norm(t, t.chunk_sum(b, a, [0, 0, 2, 1, 2], [0, 2, 5]))
 
     @case("cross_entropy", [(5, 3)])
     def _(t, a):
         return t.cross_entropy(a, [0, 1, 2, 1, 0], [0, 2, 3])
 
-    @case("sum_rows_l2", [(4, 3)])
+    @case("chunk_balance", [(4, 3)])
     def _(t, a):
-        return t.l2_norm_sq(t.sum_rows(a))
+        # two layers of different widths
+        return t.chunk_balance([a, t.matmul(a, constant([[1.0, 0.5], [-1.0, 2.0],
+                                                         [0.0, 1.0]]))])
 
     # draw the leaf of the retired l2_norm case so later cases keep their inputs
     rng.uniform(-2, 2, (2, 3))
@@ -999,19 +1048,19 @@ def _build_cases():
         # arcs of the path 0-1-2 and the edge 1-3, sorted by (dst, src)
         scores = t.arc_attention(h, w, [1, 0, 2, 3, 1, 1], [0, 1, 1, 1, 2, 3],
                                  alpha=0.6, temperature=0.8)
-        return t.l2_norm_sq(scores)
+        return sq_norm(t, scores)
 
     @case("norm_project", [(4, 6), (4, 6), (1, 6), (1, 6), (6, 3)])
     def _(t, h0, m, g, b, w):
         # the same mask on every evaluation
-        return t.l2_norm_sq(t.norm_project(h0, m, 0.6, g, b, w, 0.75,
-                                           np.random.default_rng(3)))
+        return sq_norm(t, t.norm_project(h0, m, 0.6, g, b, w, 0.75,
+                                         np.random.default_rng(3)))
 
     @case("const_matmul", [(4, 3)])
     def _(t, w):
         x = sp.csr_matrix([[0.0, 1.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
                            [-2.0, 0.0, 0.5, 1.0]])
-        return t.l2_norm_sq(t.const_matmul(x, w))
+        return sq_norm(t, t.const_matmul(x, w))
 
     return cases
 
@@ -1047,14 +1096,14 @@ def test_gradcheck_random_inputs_many_trials():
             h = t.matmul(constant(xa), constant(wa))
             h = t.relu(h)
             s = t.row_softmax(h, temperature=0.9)
-            return t.l2_norm_sq(s).item()
+            return sq_norm(t, s).item()
 
         t = Tape()
         wp = parameter(w.copy())
         h = t.matmul(constant(x), wp)
         h = t.relu(h)
         s = t.row_softmax(h, temperature=0.9)
-        t.backward(t.l2_norm_sq(s))
+        t.backward(sq_norm(t, s))
         fd = finite_difference_grad(value, [x, w], 1)
         scale = max(np.abs(fd).max(), 1e-8)
         np.testing.assert_allclose(wp.grad, fd, atol=FD_RTOL * scale,

@@ -8,6 +8,7 @@ leading `#` timestamp comment is dropped.
 
 import json
 import os
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -216,7 +217,8 @@ def test_desirability_of_an_edgeless_dataset_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--layers", "0"), ("--layers", "-2"),
-                                         ("--atol", "-1"), ("--atol", "nan")])
+                                         ("--atol", "-1"), ("--atol", "nan"),
+                                         ("--atol", "inf")])
 def test_desirability_bad_layers_or_atol_exits_1_naming_it(tmp_path, capsys,
                                                             flag, value):
     toy = make_toy(tmp_path)
@@ -234,6 +236,30 @@ def test_csbm_count_below_one_exits_1_naming_it(tmp_path, capsys, command, flag)
     assert main([command, flag, "0", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err, err
+    assert not out.exists()
+
+
+NON_FINITE_FLAGS = [
+    (["concentration", "--sigma", "nan"], "--sigma"),
+    (["concentration", "--sigma", "inf"], "--sigma"),
+    (["concentration", "--r", "inf"], "--r"),
+    (["simulate", "--means=0,nan,1"], "--means"),
+    (["simulate", "--p", "nan"], "--p"),
+    (["simulate", "--noise-var", "inf"], "--noise-var"),
+    (["gen-csbm", "--means=0,inf,1"], "--means"),
+    (["gen-csbm", "--q=-inf"], "--q"),
+    (["gen-csbm", "--means=a,b,c"], "--means"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", NON_FINITE_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in NON_FINITE_FLAGS])
+def test_non_finite_analysis_flag_exits_1_naming_it(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main([*argv, "--nodes", "60", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and flag in captured.err, captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -288,6 +314,22 @@ def test_train_divergence_exits_1(tmp_path, capsys):
                                       "100000", "--max-epochs", "100"]))
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_on_an_edgeless_dataset_needs_reg_strength_0(tmp_path, capsys):
+    # the default config's chunk-balance penalty averages over arcs
+    rng = np.random.default_rng(0)
+    bare = tmp_path / "bare"
+    save_dataset(bare, build_graph(30, [], rng.normal(size=(30, 4)),
+                                   np.arange(30) % 3, 3))
+    argv = ["train", "--data", str(bare), "--chunks", "3", "--hidden", "12",
+            "--max-epochs", "3", "--splits", "1", "--out", str(tmp_path / "acc.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "reg_strength" in err, err
+        assert main([*argv, "--reg-strength", "0"]) == 0
 
 
 def test_train_exits_1_when_a_gradient_is_not_finite(tmp_path, monkeypatch, capsys):

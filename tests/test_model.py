@@ -34,12 +34,11 @@ from heterognn.model import (
     layer_update,
     load_checkpoint,
     one_hot_arc_scores,
-    reg_loss,
     save_checkpoint,
     total_loss,
 )
 from heterognn.multiset import one_hop_desirable_m2m
-from heterognn.training import predict, train
+from heterognn.training import train
 
 
 def random_graph(seed=0, n=10, f=4, n_classes=2, p_edge=0.45):
@@ -285,7 +284,7 @@ def test_reg_loss_reference_values():
 
     def value(scores):
         layers = [ad.constant(scores), ad.constant(scores)]
-        return float(reg_loss(tape, layers, chunks, n_arcs).data[0, 0])
+        return float(tape.chunk_balance(layers).data[0, 0])
 
     root = np.sqrt(chunks)
     np.testing.assert_allclose(value(uniform), n_arcs / root - 1.0, rtol=1e-12)
@@ -295,8 +294,10 @@ def test_reg_loss_reference_values():
 
 def test_reg_loss_rejects_bad_input():
     tape = ad.Tape()
-    with pytest.raises(ValueError):
-        reg_loss(tape, [], 2, 4)
+    with pytest.raises(ValueError, match="at least one layer"):
+        tape.chunk_balance([])
+    with pytest.raises(ValueError, match=r"scores\[1\] has 0 rows"):
+        tape.chunk_balance([ad.constant(np.ones((3, 2))), ad.constant(np.ones((0, 2)))])
 
 
 def test_total_loss_adds_weighted_regularizer():
@@ -308,9 +309,9 @@ def test_total_loss_adds_weighted_regularizer():
 
     tape = ad.Tape()
     result = forward(tape, params, g, plain_cfg)
-    ce = total_loss(tape, result, g.labels, mask, g, plain_cfg)
-    reg = reg_loss(tape, result.attentions, plain_cfg.chunks, g.n_arcs)
-    combined = total_loss(tape, result, g.labels, mask, g, reg_cfg)
+    ce = total_loss(tape, result, g.labels, mask, plain_cfg)
+    reg = tape.chunk_balance(result.attentions)
+    combined = total_loss(tape, result, g.labels, mask, reg_cfg)
     np.testing.assert_allclose(
         combined.data[0, 0],
         ce.data[0, 0] + 0.7 * reg.data[0, 0],
@@ -325,7 +326,7 @@ def test_total_loss_rejects_empty_mask():
     tape = ad.Tape()
     result = forward(tape, params, g, cfg)
     with pytest.raises(ValueError):
-        total_loss(tape, result, g.labels, np.array([], dtype=int), g, cfg)
+        total_loss(tape, result, g.labels, np.array([], dtype=int), cfg)
 
 
 # ---- gradients and training --------------------------------------------------
@@ -341,12 +342,11 @@ def test_finite_differences_match_end_to_end_gradients():
     def loss_value():
         tape = ad.Tape()
         result = forward(tape, params, g, cfg)
-        return float(total_loss(tape, result, g.labels, mask, g,
-                                cfg).data[0, 0])
+        return float(total_loss(tape, result, g.labels, mask, cfg).data[0, 0])
 
     tape = ad.Tape()
     result = forward(tape, params, g, cfg)
-    loss = total_loss(tape, result, g.labels, mask, g, cfg)
+    loss = total_loss(tape, result, g.labels, mask, cfg)
     tape.backward(loss)
 
     step = 1e-6
@@ -390,7 +390,7 @@ def test_training_reduces_loss_on_separable_toy():
         adam.zero_grad()
         tape = ad.Tape()
         result = forward(tape, params, g, cfg)
-        loss = total_loss(tape, result, g.labels, mask, g, cfg)
+        loss = total_loss(tape, result, g.labels, mask, cfg)
         tape.backward(loss)
         adam.step()
         losses.append(float(loss.data[0, 0]))
@@ -414,16 +414,20 @@ def test_eval_forward_is_deterministic_and_dropout_is_not():
 
 def test_training_layer_records_three_tape_nodes():
     # scores, chunk sums, and the residual LayerNorm fused with the next
-    # layer's dropout and projection
+    # layer's dropout and projection; the chunk-balance penalty is one
+    # record whatever the depth
     g = random_graph(seed=16)
-    counts = []
+    counts, with_loss = [], []
     for layers in (2, 3):
-        cfg = tiny_config(keep_prob=0.6, layers=layers)
+        cfg = tiny_config(keep_prob=0.6, layers=layers, reg_strength=0.5)
         tape = ad.Tape()
-        forward(tape, init_params(cfg, g.n_features, g.n_classes), g, cfg,
-                training=True, rng=np.random.default_rng(0))
+        result = forward(tape, init_params(cfg, g.n_features, g.n_classes), g,
+                         cfg, training=True, rng=np.random.default_rng(0))
         counts.append(len(tape._nodes))
+        total_loss(tape, result, g.labels, np.arange(g.n_nodes), cfg)
+        with_loss.append(len(tape._nodes))
     assert counts[1] - counts[0] == 3
+    assert with_loss[1] - with_loss[0] == 3
 
 
 # ---- bag-of-words features ---------------------------------------------------
@@ -452,7 +456,7 @@ def logits_and_gradients(g, cfg):
     tape = ad.Tape()
     result = forward(tape, params, g, cfg, training=True,
                      rng=np.random.default_rng(4))
-    tape.backward(total_loss(tape, result, g.labels, np.arange(g.n_nodes), g, cfg))
+    tape.backward(total_loss(tape, result, g.labels, np.arange(g.n_nodes), cfg))
     return result.logits.data, {name: t.grad for name, t in params.named()}
 
 
@@ -520,7 +524,7 @@ def test_training_builds_the_encoder_operand_once(monkeypatch):
     cfg = tiny_config(**BAG_CONFIG)
     record, params = train(g, cfg, random_split(g, seed=0), max_epochs=3,
                            patience=3)
-    predict(g, params, cfg)
+    forward(ad.Tape(recording=False), params, g, cfg)
     assert record.n_epochs == 3
     assert built == [(30, 200)]
     assert g.encoder_operand is g.encoder_operand
@@ -547,7 +551,7 @@ def test_sparse_matrices_built_per_step_do_not_grow_with_depth(monkeypatch):
         tape = ad.Tape()
         result = forward(tape, params, g, cfg, training=True,
                          rng=np.random.default_rng(4))
-        tape.backward(total_loss(tape, result, g.labels, np.arange(g.n_nodes), g, cfg))
+        tape.backward(total_loss(tape, result, g.labels, np.arange(g.n_nodes), cfg))
         forward(ad.Tape(recording=False), params, g, cfg)
         counts.append(built[0])
     assert counts[0] > 0
@@ -756,7 +760,7 @@ def held_bytes_per_arc_layer(shallow, deep):
             tape = ad.Tape()
             result = forward(tape, params, g, cfg, training=True,
                              rng=np.random.default_rng(0))
-            loss = total_loss(tape, result, g.labels, train_ids, g, cfg)
+            loss = total_loss(tape, result, g.labels, train_ids, cfg)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -791,7 +795,7 @@ def backward_transient_bytes(layers):
         tape = ad.Tape()
         result = forward(tape, params, g, cfg, training=True,
                          rng=np.random.default_rng(0))
-        loss = total_loss(tape, result, g.labels, np.arange(0, g.n_nodes, 2), g, cfg)
+        loss = total_loss(tape, result, g.labels, np.arange(0, g.n_nodes, 2), cfg)
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         tape.backward(loss)
@@ -883,7 +887,7 @@ def test_no_tape_record_holds_a_tensor():
     tape = ad.Tape()
     result = forward(tape, params, g, cfg, training=True,
                      rng=np.random.default_rng(0))
-    total_loss(tape, result, g.labels, np.arange(g.n_nodes), g, cfg)
+    total_loss(tape, result, g.labels, np.arange(g.n_nodes), cfg)
 
     def holds_tensor(fn, seen):
         for cell in fn.__closure__ or ():

@@ -23,9 +23,7 @@ from heterognn.training import (
     average_scores,
     depth_sweep,
     dominant_columns,
-    evaluate,
     mixing_score_from_scores,
-    predict,
     train,
 )
 
@@ -82,7 +80,9 @@ def test_train_history_and_early_stopping_bookkeeping():
     assert record.val_accuracies[record.best_epoch] == max(record.val_accuracies)
     # the returned weights are the best-validation ones, so re-scoring the
     # test set must reproduce the recorded number exactly
-    assert evaluate(g, params, record.config, split.test) == record.test_accuracy
+    logits = forward(ad.Tape(recording=False), params, g, record.config).logits.data
+    pred = np.argmax(logits[split.test], axis=1)
+    assert float(np.mean(pred == g.labels[split.test])) == record.test_accuracy
 
 
 def test_same_seed_gives_identical_record():
@@ -152,7 +152,7 @@ def test_only_the_training_forward_records_a_tape(monkeypatch):
     cfg = quick_config(keep_prob=0.7)
     record, params = train(g, cfg, random_split(g, seed=0), max_epochs=6,
                            patience=6)
-    predict(g, params, cfg)
+    forward(ad.Tape(recording=False), params, g, cfg)
     average_scores(g, params, cfg)
     assert record.n_epochs == 6
     assert sum(flags) == record.n_epochs
@@ -224,31 +224,6 @@ def test_train_rejects_empty_split_part():
                 test=np.array([2]), seed=0)
     with pytest.raises(ValueError):
         train(g, quick_config(), bad)
-
-
-# ---- evaluate ----------------------------------------------------------------
-
-
-def test_evaluate_matches_manual_argmax_and_breaks_ties_low():
-    g = mixed_graph(seed=11)
-    cfg = quick_config(chunks=2, hidden=8)
-    params = init_params(cfg, g.n_features, g.n_classes)
-    pred = predict(g, params, cfg)
-    everyone = np.arange(g.n_nodes)
-    manual = float(np.mean(pred == g.labels))
-    assert evaluate(g, params, cfg, everyone) == manual
-
-    params.head.data[:] = 0.0  # all-equal logits: every tie resolves to 0
-    assert np.all(predict(g, params, cfg) == 0)
-    assert evaluate(g, params, cfg, everyone) == float(np.mean(g.labels == 0))
-
-
-def test_evaluate_rejects_empty_node_set():
-    g = mixed_graph(seed=12)
-    cfg = quick_config()
-    params = init_params(cfg, g.n_features, g.n_classes)
-    with pytest.raises(ValueError):
-        evaluate(g, params, cfg, np.array([], dtype=int))
 
 
 def test_depth_sweep_trains_each_requested_depth():
