@@ -35,9 +35,9 @@ checkouts compares them:
     python scripts/tape_memory.py [--nodes 3000] [--edges 15000]
 
 On the default graph (30000 arcs, 2 vCPU Linux box, numpy 2.4, Python
-3.11) a training layer makes 3 records and retains 134 B per arc, the
-backward's transient is about 9.7 MiB at every depth, and K = 32 peaks at
-about 209 MiB.
+3.11) a training layer makes 3 records and retains about 119 B per arc, the
+backward's transient is about 7.1 MiB at every depth, and K = 32 peaks at
+about 190 MiB.
 """
 
 import argparse

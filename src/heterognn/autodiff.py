@@ -16,8 +16,8 @@ import scipy.sparse as sp
 __all__ = ["Tensor", "Tape", "AdamState", "parameter", "constant"]
 
 _LN_EPS = 1e-5
-# arcs per block of chunk_sum's score-gradient gathers: 1 MiB of float64
-# rows at width 16
+# arcs per block of chunk_sum's score-gradient gathers and arc_attention's
+# source-row gathers: 1 MiB of float64 rows at width 16
 _ARC_BLOCK = 8192
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -117,26 +117,48 @@ def _softmax(z, temperature, axis):
 
 
 def _softmax_backward(g, s, temperature, axis):
-    """Gradient of the input of _softmax from g, the gradient of its output s."""
+    """Gradient of the input of _softmax from g, the gradient of its output s.
+
+    Works in place: g is overwritten with the result and returned.
+    """
     inner = (g * s).sum(axis=axis, keepdims=True)
-    d = g - inner
-    d *= s
-    d /= temperature
-    return d
+    g -= inner
+    g *= s
+    g /= temperature
+    return g
 
 
 def _keep_mask(shape, keep_prob, rng):
-    """Inverted dropout's one-byte keep mask, rng's uniform draws below
-    keep_prob, or None at keep_prob 1, which draws nothing."""
+    """Inverted dropout's boolean keep mask, rng's uniform draws below
+    keep_prob, or None at keep_prob 1, which draws nothing. A record keeps
+    it packed, one bit per entry (`_pack`)."""
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
     return None if keep_prob == 1.0 else rng.random(shape) < keep_prob
 
 
+def _pack(mask):
+    """A boolean mask packed eight entries to a byte, or None for None."""
+    return None if mask is None else np.packbits(mask)
+
+
+def _unpack(bits, shape):
+    """The boolean mask of this shape that `_pack` packed into bits, or
+    None for None."""
+    if bits is None:
+        return None
+    return np.unpackbits(bits, count=shape[0] * shape[1]).view(bool).reshape(shape)
+
+
 def _drop(a, keep, scale):
-    """a * (keep * scale) in place (a as it is if keep is None); returns a."""
+    """a * keep * scale in place (a as it is if keep is None); returns a.
+
+    keep is 0 or 1, so this is a * (keep * scale) bit for bit, without
+    that float array.
+    """
     if keep is not None:
-        a *= keep * scale
+        a *= keep
+        a *= scale
     return a
 
 
@@ -184,9 +206,12 @@ class Tape:
     reads, so an op output that no backward reads (a layer's message) is
     freed once the caller drops it. A value that a backward can rebuild
     from arrays its record keeps anyway is rebuilt rather than kept:
-    arc_attention's ReLU output and norm_project's dropped-out rows.
-    Backward frees as it goes: each record, and the gradient of its
-    non-leaf output, is dropped as soon as its backward has run.
+    arc_attention's ReLU output and norm_project's dropped-out rows. The
+    dropout and ReLU masks of relu, dropout and norm_project are kept
+    packed, one bit per entry, and each backward unpacks its mask once; a
+    non-recording tape packs nothing. Backward frees as it goes: each
+    record, and the gradient of its non-leaf output, is dropped as soon as
+    its backward has run.
 
     A pending gradient may be a read-only broadcast view of no size until
     its record runs: `chunk_balance` hands each score tensor one (see
@@ -292,12 +317,15 @@ class Tape:
         return self._emit(out, (w,), back)
 
     def relu(self, x: Tensor) -> Tensor:
-        """max(x, 0); the record keeps the one-byte mask x > 0, not x."""
+        """max(x, 0); the record keeps the mask x > 0 at one bit per entry,
+        not x. A non-recording tape builds no mask."""
         out = Tensor(np.maximum(x.data, 0.0))
-        gx, active = x._cell, x.data > 0.0
+        gx, shape = x._cell, x.data.shape
+        active = _pack(x.data > 0.0) if self.recording else None
 
         def back(g):
-            _accum(gx, g * active)
+            g *= _unpack(active, shape)
+            _accum(gx, g)
 
         return self._emit(out, (x,), back)
 
@@ -422,15 +450,17 @@ class Tape:
         each reduction adds C long rows instead of arcs short ones, and the
         scores are the F-ordered (arcs, C) `.T` view of the softmax's
         array. The backward reads g and the scores chunk-major through
-        their `.T` (g costs a copy only if it is not F-ordered) and keeps
-        the softmax gradient chunk-major. The record keeps no (arcs, w)
-        array, only h's data, w_att's and its own scores, and the backward
-        recomputes the ReLU output from h with the forward's operations,
-        then runs the softmax, w_att's gradient and the ReLU mask, which it
-        takes as one byte per entry, dropping the ReLU output before the
-        (arcs, w) gradient is built, and returns h's gradient as one sparse
-        product with the endpoint matrix, alpha at (arc_dst[a], a) and 1 at
-        (arc_src[a], a).
+        their `.T` (g costs a copy only if it is not F-ordered) and turns g
+        into the softmax gradient in place, chunk-major. The record keeps
+        no (arcs, w) array, only h's data, w_att's and its own scores, and
+        the backward recomputes the ReLU output from h with the forward's
+        operations, then runs the softmax, w_att's gradient and the ReLU
+        mask, which it takes as one byte per entry, dropping the ReLU output
+        before the (arcs, w) gradient is built, and returns h's gradient as
+        one sparse product with the endpoint matrix, alpha at (arc_dst[a], a)
+        and 1 at (arc_src[a], a). Both passes add the gathered source rows
+        to the scaled destination rows in blocks of `_ARC_BLOCK` arcs, so
+        the ReLU output is the only (arcs, w) float array alive at once.
 
         The endpoints are range-checked once per tape for each (arc_src,
         arc_dst) pair (the first call raises on a bad one). The endpoint
@@ -448,7 +478,9 @@ class Tape:
         def activation():
             act = h_data.take(dst, axis=0)
             act *= alpha
-            act += h_data.take(src, axis=0)
+            for lo in range(0, src.size, _ARC_BLOCK):
+                block = slice(lo, lo + _ARC_BLOCK)
+                act[block] += h_data.take(src[block], axis=0)
             return np.maximum(act, 0.0, out=act)
 
         out = Tensor(_softmax(np.ascontiguousarray((activation() @ w_data).T),
@@ -542,12 +574,19 @@ class Tape:
         output and gradients, to LayerNorm -> dropout -> matmul in plain
         numpy (the reference in the tests), recorded as one node.
 
-        The record keeps the standardized rows, the per-row 1/std, the ReLU
-        mask and the one-byte keep mask, beside gain, bias and w. It keeps
-        no input of the projection: the backward rebuilds the dropped-out
-        rows from those arrays with the forward's operations for w's
-        gradient, and reads neither h0's nor the message's data, so a
-        message that nothing else reads dies with its caller's name.
+        The record keeps the standardized rows, the per-row 1/std, and the
+        ReLU and keep masks at one bit per entry, beside gain, bias and w;
+        a non-recording tape builds no ReLU mask. It keeps no input of the
+        projection: the backward rebuilds the dropped-out rows from those
+        arrays with the forward's operations for w's gradient, and reads
+        neither h0's nor the message's data, so a message that nothing else
+        reads dies with its caller's name.
+
+        Each pass holds at most one (n, d) float array beside the one it
+        works on in place: the forward standardizes the mix in place and
+        reuses one scratch array for the message term, the squares and the
+        dropped-out rows; the backward turns the rows' gradient into the
+        mix's in place, with one scratch array for its products.
         """
         n, d = h0.data.shape
         if message.data.shape != (n, d):
@@ -561,64 +600,76 @@ class Tape:
         keep = _keep_mask((n, d), keep_prob, rng)
         scale = 1.0 / keep_prob
         beta = float(beta)
-        mix = h0.data * (1.0 - beta)
-        mix += message.data * beta
-        np.maximum(mix, 0.0, out=mix)
-        active = mix > 0.0
-        xhat = mix - mix.mean(axis=1, keepdims=True)
-        var = (xhat * xhat).mean(axis=1, keepdims=True)
+        # row means are sum / d, what np.mean computes; scratch takes xhat's
+        # layout, so sums over it add in the order they would over xhat
+        xhat = h0.data * (1.0 - beta)  # the mix until it is standardized
+        scratch = np.multiply(message.data, beta, out=np.empty_like(xhat))
+        xhat += scratch
+        np.maximum(xhat, 0.0, out=xhat)
+        active = _pack(xhat > 0.0) if self.recording else None
+        xhat -= xhat.sum(axis=1, keepdims=True) / d
+        var = np.multiply(xhat, xhat, out=scratch).sum(axis=1, keepdims=True) / d
         inv_std = 1.0 / np.sqrt(var + _LN_EPS)
         xhat *= inv_std
         gain_data, bias_data, w_data = gain.data, bias.data, w.data
 
-        def dropped():
-            rows = xhat * gain_data
+        def dropped(mask, rows):
+            np.multiply(xhat, gain_data, out=rows)
             rows += bias_data
-            return _drop(rows, keep, scale)
+            return _drop(rows, mask, scale)
 
-        out = Tensor(dropped() @ w_data)
+        out = Tensor(dropped(keep, scratch) @ w_data)
+        keep = _pack(keep) if self.recording else None
         g_h0, g_msg = _cell(h0), _cell(message)
         g_gain, g_bias, g_w = _cell(gain), _cell(bias), _cell(w)
 
         def back(g):
+            drop_mask = _unpack(keep, (n, d))
+            scratch = np.empty_like(xhat)
             if g_w is not None:
-                _accum(g_w, dropped().T @ g)
-            g_rows = _drop(g @ w_data.T, keep, scale)  # of the LayerNorm output
+                _accum(g_w, dropped(drop_mask, scratch).T @ g)
+            g_rows = _drop(g @ w_data.T, drop_mask, scale)  # of the LayerNorm output
             if g_gain is not None:
-                _accum(g_gain, (g_rows * xhat).sum(axis=0, keepdims=True))
+                _accum(g_gain, np.multiply(g_rows, xhat, out=scratch)
+                       .sum(axis=0, keepdims=True))
             if g_bias is not None:
                 _accum(g_bias, g_rows.sum(axis=0, keepdims=True))
             if g_h0 is not None or g_msg is not None:
-                # standard layer-norm backward, fused form, on the gradient
-                # of xhat in place
-                d_mix = g_rows * gain_data
-                mean_d = d_mix.mean(axis=1, keepdims=True)
-                mean_dx = (d_mix * xhat).mean(axis=1, keepdims=True)
+                # standard layer-norm backward, fused form, turning the
+                # gradient of the rows into that of the mix in place
+                d_mix = g_rows
+                d_mix *= gain_data
+                mean_d = d_mix.sum(axis=1, keepdims=True) / d
+                mean_dx = np.multiply(d_mix, xhat, out=scratch).sum(
+                    axis=1, keepdims=True) / d
                 d_mix -= mean_d
-                d_mix -= xhat * mean_dx
+                d_mix -= np.multiply(xhat, mean_dx, out=scratch)
                 d_mix *= inv_std
-                d_mix *= active
-                if g_h0 is not None:
-                    _accum(g_h0, d_mix * (1.0 - beta))
+                d_mix *= _unpack(active, (n, d))
+                if g_h0 is not None:  # scratch is read no more
+                    _accum(g_h0, np.multiply(d_mix, 1.0 - beta, out=scratch))
                 if g_msg is not None:
-                    _accum(g_msg, d_mix * beta)
+                    d_mix *= beta
+                    _accum(g_msg, d_mix)
 
         return self._emit(out, (h0, message, gain, bias, w), back)
 
     def dropout(self, x: Tensor, keep_prob: float, rng: np.random.Generator) -> Tensor:
         """Inverted dropout: surviving entries are scaled by 1/keep_prob.
 
-        The record keeps a one-byte keep mask and the scalar scale; both
-        passes multiply by keep * scale, the float mask (r < keep_prob) /
-        keep_prob bit for bit.
+        The record keeps the keep mask at one bit per entry and the scalar
+        scale; both passes multiply by the mask, then by the scale, the
+        float mask (r < keep_prob) / keep_prob bit for bit.
         """
-        keep = _keep_mask(x.data.shape, keep_prob, rng)
+        shape = x.data.shape
+        keep = _keep_mask(shape, keep_prob, rng)
         scale = 1.0 / keep_prob
         out = Tensor(_drop(x.data.copy(), keep, scale))
         gx = x._cell
+        keep = _pack(keep) if self.recording else None
 
         def back(g):
-            _accum(gx, _drop(g, keep, scale))
+            _accum(gx, _drop(g, _unpack(keep, shape), scale))
 
         return self._emit(out, (x,), back)
 

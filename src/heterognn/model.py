@@ -20,12 +20,12 @@ output's gradient cell and only the arrays its backward reads. Of
 arc-sized arrays that is the (arcs, C) scores, each the `.T` view of a
 chunk-major (C, arcs) array, the layout the attention's softmax and the
 chunk products read without a copy; the rest is node-sized: the
-projection, and the LayerNorm's rows, 1/std, ReLU mask and one-byte dropout
-mask. What the backward can rebuild from those, the attention's ReLU
-output and the projection's dropped-out input, it rebuilds. No backward
-reads a layer's message, so it is freed as soon as `forward` moves on, and
-under dropout no backward reads the encoder output or its ReLU output
-either: both are freed by the time `forward` returns.
+projection, the LayerNorm's rows and 1/std, and its ReLU and dropout
+masks at one bit per entry. What the backward can rebuild from those, the
+attention's ReLU output and the projection's dropped-out input, it
+rebuilds. No backward reads a layer's message, so it is freed as soon as
+`forward` moves on, and under dropout no backward reads the encoder output
+or its ReLU output either: both are freed by the time `forward` returns.
 
 The chunk-balance penalty is one record over all layers
 (`Tape.chunk_balance`), so it adds no tape node per layer. The backward
@@ -241,9 +241,9 @@ def layer_update(tape, h0: ad.Tensor, message: ad.Tensor, beta: float,
     keep_prob 1, which draws nothing from rng. The skip always points at
     the encoder output, not the previous layer, so stacking layers cannot
     erase the input features. One fused tape op (`Tape.norm_project`); it
-    keeps the standardized rows, their 1/std, the ReLU mask and the
-    one-byte dropout mask, and its backward rebuilds the projection's input
-    from them.
+    keeps the standardized rows, their 1/std, and the ReLU and dropout
+    masks at one bit per entry, and its backward rebuilds the projection's
+    input from them.
     """
     return tape.norm_project(h0, message, beta, gain, bias, w, keep_prob, rng)
 

@@ -266,9 +266,16 @@ def sign_flip_counterexample() -> SignFlipExample:
 
 
 def concentration_kappa(sigma: float, r: float) -> float:
-    """Degree-requirement constant: d-bar must reach kappa * ln N."""
+    """Degree-requirement constant: d-bar must reach kappa * ln N.
+
+    r bounds the class-mean magnitudes, so it is at least 0; kappa is
+    proportional to r + 1, and r <= -1 would meet the precondition on any
+    graph.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    if r < 0:
+        raise ValueError(f"r must be at least 0, got {r}")
     return max(2.0 * (r + 1) / sigma**2, (r + 1) * (8.0 + 4.0 * sigma) / sigma**2)
 
 

@@ -4,6 +4,7 @@ The gradient oracle throughout is central finite differences (h = 1e-5) on
 64-bit inputs drawn from [-2, 2], compared at relative error < 1e-4.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -653,6 +654,40 @@ def test_arc_attention_gradients_match_the_kept_activation_bit_for_bit():
     assert same_bits(w_param.grad, want_w)
 
 
+def test_arc_attention_holds_one_arc_sized_float_array_at_a_time():
+    # the source rows are added in blocks, so each pass peaks near one
+    # (arcs, w) array: the ReLU output, or the backward's d_pre after it
+    rng = np.random.default_rng(25)
+    n, k, w, c = 2000, 40000, 32, 2
+    h, w_att = rng.normal(size=(n, w)), rng.normal(size=(w, c))
+    src, dst = rng.integers(0, n, k), np.sort(rng.integers(0, n, k))
+    upstream = rng.normal(size=(k, c))
+    g = np.asfortranarray(upstream)  # F-ordered, as chunk_sum hands it on
+    h_param, w_param = parameter(h), parameter(w_att)
+    t = Tape()
+    unit = k * w * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scores = t.arc_attention(h_param, w_param, src, dst, 0.5, 0.5)
+        forward_peak = tracemalloc.get_traced_memory()[1] - before
+        (_, back), = t._nodes
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back(g)
+        backward_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < 1.5 * unit, forward_peak / unit
+    assert backward_peak < 1.5 * unit, backward_peak / unit
+    # and the blocks, the last one partial, add up to the same bits
+    want_scores, want_h, want_w = arc_attention_with_kept_activation(
+        h, w_att, src, dst, 0.5, 0.5, upstream)
+    assert same_bits(scores.data, want_scores)
+    assert same_bits(h_param.grad, want_h)
+    assert same_bits(w_param.grad, want_w)
+
+
 def test_one_tape_keeps_the_endpoint_matrices_of_two_graphs_and_alphas_apart():
     # same node and arc count: only the arrays, or alpha, differ
     rng = np.random.default_rng(24)
@@ -701,7 +736,8 @@ def test_arc_attention_checks_each_new_arc_pair_on_a_used_tape(src, dst, rows, e
 
 @pytest.mark.parametrize("keep_prob", [0.3, 0.7])
 def test_dropout_matches_the_float_mask_bit_for_bit(keep_prob):
-    # the record keeps a bool mask; the float mask is what it replaced
+    # the record keeps the mask packed to bits; the float mask is what it
+    # replaced
     rng = np.random.default_rng(23)
     x, upstream = rng.normal(size=(60, 40)), rng.normal(size=(60, 40))
     mask = (np.random.default_rng(9).random(x.shape) < keep_prob) / keep_prob

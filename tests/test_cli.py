@@ -239,6 +239,16 @@ def test_csbm_count_below_one_exits_1_naming_it(tmp_path, capsys, command, flag)
     assert not out.exists()
 
 
+def test_concentration_negative_r_exits_1_naming_it(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["concentration", "--r", "-1", "--nodes", "60", "--trials", "2",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: r must be at least 0"), captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 NON_FINITE_FLAGS = [
     (["concentration", "--sigma", "nan"], "--sigma"),
     (["concentration", "--sigma", "inf"], "--sigma"),

@@ -770,15 +770,16 @@ def held_bytes_per_arc_layer(shallow, deep):
     return (held_bytes(deep) - held_bytes(shallow)) / ((deep - shallow) * g.n_arcs)
 
 
-def test_training_layer_retains_at_most_100_bytes_per_arc():
+def test_training_layer_retains_at_most_86_bytes_per_arc():
     # the records keep the scores and node-sized arrays, with no (arcs, w)
     # array, no CSR copy, no float dropout mask and no input of a
     # projection. Of node-sized arrays a layer keeps the projection and the
-    # LayerNorm's rows, 1/std, ReLU mask and one-byte dropout mask; its
-    # message is read by no backward, and the next projection's input is
-    # rebuilt from the LayerNorm's arrays, so the tape keeps neither
+    # LayerNorm's rows and 1/std, and its ReLU and dropout masks at one bit
+    # per entry; its message is read by no backward, and the next
+    # projection's input is rebuilt from the LayerNorm's arrays, so the
+    # tape keeps neither
     per_arc_layer = held_bytes_per_arc_layer(2, 6)
-    assert per_arc_layer <= 100, per_arc_layer
+    assert per_arc_layer <= 86, per_arc_layer
 
 
 def backward_transient_bytes(layers):
@@ -904,3 +905,31 @@ def test_no_tape_record_holds_a_tensor():
     for grad_cell, back in tape._nodes:
         assert isinstance(grad_cell, list) and grad_cell == [None]
         assert not holds_tensor(back, set())
+
+
+def test_no_tape_record_holds_a_boolean_mask():
+    # dropout and ReLU masks are kept packed, one bit per entry, so no
+    # record's closure, helper or tuple holds a bool array
+    g = random_graph(seed=17)
+    cfg = tiny_config(keep_prob=0.6, layers=3, reg_strength=0.5)
+    params = init_params(cfg, g.n_features, g.n_classes)
+    tape = ad.Tape()
+    result = forward(tape, params, g, cfg, training=True,
+                     rng=np.random.default_rng(0))
+    total_loss(tape, result, g.labels, np.arange(g.n_nodes), cfg)
+
+    def bool_arrays(value, seen):
+        if isinstance(value, np.ndarray):
+            return int(value.dtype == bool)
+        if isinstance(value, (tuple, list)):
+            return sum(bool_arrays(v, seen) for v in value)
+        if isinstance(value, types.FunctionType) and value not in seen:
+            seen.add(value)
+            return sum(bool_arrays(cell.cell_contents, seen)
+                       for cell in value.__closure__ or ())
+        return 0
+
+    masked = {f"Tape.{op}.<locals>.back" for op in ("relu", "dropout", "norm_project")}
+    assert masked <= {back.__qualname__ for _, back in tape._nodes}
+    for _, back in tape._nodes:
+        assert not bool_arrays(back, set())

@@ -370,6 +370,21 @@ def test_kappa_frozen_value():
     assert concentration_kappa(1.2, 1.0) == pytest.approx(160.0 / 9.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [-1.0, -3.0])
+def test_kappa_rejects_a_negative_r_naming_it(r):
+    # kappa is proportional to r + 1: at r <= -1 every graph would meet
+    # the degree precondition
+    with pytest.raises(ValueError, match=r"\br must be at least 0"):
+        concentration_kappa(1.2, r)
+
+
+def test_kappa_r_zero_is_the_edge():
+    # max(2/1.44, 12.8/1.44) = 12.8/1.44; anything below 0 raises
+    assert concentration_kappa(1.2, 0.0) == pytest.approx(12.8 / 1.44, rel=1e-12)
+    with pytest.raises(ValueError, match=r"\br must be at least 0"):
+        concentration_kappa(1.2, -1e-12)
+
+
 def test_concentration_bound_formula_and_outcome():
     p = CsbmParams(3000, 3, 0.003, 0.01, [[-0.5], [0.0], [0.5]], seed=0)
     report = concentration_check(p, K=5, trials=5, sigma=1.2, r=1.0)
