@@ -17,7 +17,11 @@ shipped texas config, prints one JSON line per depth K = 2, 8, 32:
   penalty is one record whatever K is, so this counts the layers' own;
 * ``backward_transient_mib``: the tracemalloc peak while that tape's
   ``backward`` runs, minus the bytes traced just before it: what the
-  backward allocates on top of what the tape retains;
+  backward allocates on top of what the tape retains. The records the pass
+  frees offset the temporaries it makes later, so a change that shrinks
+  the records can read a larger transient while the peak falls;
+* ``backward_peak_mib``: that tracemalloc peak itself, tape and
+  temporaries together, which is what a smaller tape lowers;
 * ``retained_mib_by_function``: the same bytes grouped by the function of
   ``heterognn.autodiff`` that allocated them, largest first: the innermost
   frame of the allocation's traceback in that file, where an allocation in
@@ -134,7 +138,8 @@ def texas_config(layers):
 def retained_bytes(g, layers):
     """Traced bytes a training tape holds after forward and total_loss, in
     all and by allocating autodiff function, the records they made, and the
-    traced peak of its backward above the bytes traced just before it."""
+    traced peak of its backward, absolute and above the bytes traced just
+    before it."""
     config, _ = texas_config(layers)
     params = init_params(config, g.n_features, g.n_classes)
     split = random_split(g, SEED)
@@ -150,11 +155,11 @@ def retained_bytes(g, layers):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         tape.backward(loss)
-        transient = tracemalloc.get_traced_memory()[1] - before
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     del tape, result, loss
-    return held, bytes_by_function(snapshot), records, transient
+    return held, bytes_by_function(snapshot), records, (peak - before, peak)
 
 
 def one_epoch(job):
@@ -185,9 +190,9 @@ def main(argv=None) -> int:
         epochs = pool.map(one_epoch, [(args.nodes, args.edges, k) for k in DEPTHS],
                           chunksize=1)
     g = make_graph(args.nodes, args.edges)
-    held, by_function, records, transient = {}, {}, {}, {}
+    held, by_function, records, backward = {}, {}, {}, {}
     for k in DEPTHS:
-        held[k], by_function[k], records[k], transient[k] = retained_bytes(g, k)
+        held[k], by_function[k], records[k], backward[k] = retained_bytes(g, k)
     for k, (peak, loss) in zip(DEPTHS, epochs):
         slope = per_layer = None
         if k > DEPTHS[0]:
@@ -199,7 +204,8 @@ def main(argv=None) -> int:
             "k": k, "nodes": g.n_nodes, "arcs": g.n_arcs,
             "retained_mib": round(held[k] / 2**20, 1), "b_per_arc_layer": slope,
             "records_per_layer": per_layer,
-            "backward_transient_mib": round(transient[k] / 2**20, 1),
+            "backward_transient_mib": round(backward[k][0] / 2**20, 1),
+            "backward_peak_mib": round(backward[k][1] / 2**20, 1),
             "peak_rss_mib": round(peak, 1), "loss": loss,
             "retained_mib_by_function": {name: round(size / 2**20, 2)
                                          for name, size in functions

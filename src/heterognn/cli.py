@@ -4,6 +4,8 @@ Each run is seeded, writes CSV (plus a `.config.json` sidecar recording the
 resolved options next to the output), and is byte-reproducible for a fixed
 (config, seed) apart from the single `# generated ...` timestamp line at the
 top of each CSV. Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Every flag is checked against its rule in `FLAG_RULES` before any command
+runs, and a bad value exits 1 naming the flag.
 The `HETEROGNN_DATA` environment variable supplies the default root for
 dataset directories named on the command line.
 """
@@ -11,7 +13,6 @@ dataset directories named on the command line.
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from concurrent import futures
@@ -76,7 +77,28 @@ from .training import (
 
 MODEL_KEYS = set(CONFIG_RULES)
 TRAIN_KEYS = set(TRAIN_RULES)
-RULES = {**CONFIG_RULES, **TRAIN_RULES}
+_COUNT = (int, lambda v: v >= 1, "must be at least 1")
+_AT_LEAST_0 = (float, lambda v: v >= 0, "must be at least 0")
+_PROBABILITY = (float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+# (kind, in_range, requirement) of each flag's dest, as check_hyperparameter
+# takes it: model and training flags share the config fields' rules, and
+# each value of a list flag follows the rule of the field it feeds
+FLAG_RULES = {
+    **CONFIG_RULES, **TRAIN_RULES, "split_seed": CONFIG_RULES["seed"],
+    "k_list": CONFIG_RULES["layers"], "chunks_list": CONFIG_RULES["chunks"],
+    "lambda_list": CONFIG_RULES["reg_strength"],
+    **dict.fromkeys(("nodes", "classes", "trials", "splits", "jobs"), _COUNT),
+    "show": (int, lambda v: v >= 0, "must be at least 0"),
+    **dict.fromkeys(("noise_var", "r", "atol"), _AT_LEAST_0),
+    "p": _PROBABILITY, "q": _PROBABILITY,
+    "sigma": (float, lambda v: v > 0, "must be positive"),
+    "means": (float, lambda v: True, ""),
+}
+# simulate and concentration take K = 0, the vacuous case
+COMMAND_RULES = dict.fromkeys([("simulate", "layers"), ("concentration", "layers")],
+                              (int, lambda v: v >= 0, "must be nonnegative"))
+UNCHECKED = {"command", "func", "config", "data", "out", "checkpoint",
+             "save_checkpoint", "demo", "row_normalize"}  # paths and switches
 
 
 # ---- plumbing ----------------------------------------------------------------
@@ -113,9 +135,9 @@ def _config_text(name: str) -> str:
 def _load_run_config(args):
     """Merge shipped/user JSON with explicit flags; flags win.
 
-    Each value is checked on its own first, so a bad one fails naming where
-    it came from: the config file and its field, or the flag. Sets
-    ``args.seed`` to the seed in use, so the sidecar records it.
+    Each file value that no flag overrides is checked on its own, naming the
+    config file and its field (`main` checks flags). Sets ``args.seed`` to
+    the seed in use, so the sidecar records it.
     """
     where = f"config {args.config!r}"
     try:
@@ -127,25 +149,22 @@ def _load_run_config(args):
     unknown = set(payload) - MODEL_KEYS - TRAIN_KEYS
     if unknown:
         raise ValueError(f"{where}: unknown config keys: {sorted(unknown)}")
-    origin = {key: f"{where}, field {key!r}" for key in payload}
-    for key in MODEL_KEYS | TRAIN_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            payload[key] = value
-            origin[key] = "--" + key.replace("_", "-")
+    flags = {key: getattr(args, key) for key in MODEL_KEYS | TRAIN_KEYS
+             if getattr(args, key, None) is not None}
     for key, value in payload.items():
-        try:
-            check_hyperparameter(key, value, *RULES[key])
-        except ValueError as exc:
-            raise ValueError(f"{origin[key]}: {exc}") from None
+        if key not in flags:
+            try:
+                check_hyperparameter(key, value, *FLAG_RULES[key])
+            except ValueError as exc:
+                raise ValueError(f"{where}, field {key!r}: {exc}") from None
+    payload.update(flags)
     model = {k: v for k, v in payload.items() if k in MODEL_KEYS}
     train_kw = {k: v for k, v in payload.items() if k in TRAIN_KEYS}
     try:
         config = M2mConfig(**model)
     except (TypeError, ValueError) as exc:  # a missing field, or hidden % chunks
-        flags = sorted(o for o in origin.values() if o.startswith("--"))
-        source = f"{where} with {', '.join(flags)}" if flags else where
-        raise ValueError(f"{source}: {exc}") from None
+        given = f" with {', '.join(sorted(map(_flag, flags)))}" if flags else ""
+        raise ValueError(f"{where}{given}: {exc}") from None
     args.seed = config.seed
     return config, train_kw
 
@@ -197,11 +216,8 @@ def _parse_means(text, n_classes: int) -> np.ndarray:
         return np.linspace(-0.5, 0.5, n_classes)
     values = _number_list(text, "--means", float)
     if len(values) != n_classes:
-        raise ValueError(
-            f"--means needs {n_classes} comma-separated values, got {len(values)}"
-        )
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"--means must be finite, got {text!r}")
+        raise ValueError(f"--means needs {n_classes} comma-separated values, "
+                         f"got {len(values)}")
     return np.asarray(values)
 
 
@@ -217,22 +233,24 @@ def _number_list(text: str, flag: str, kind):
     return values
 
 
-def _check_counts(args):
-    """Every count flag the command has (--splits, --trials, --jobs, --nodes,
-    --classes) is >= 1, --show is >= 0, and every float flag of the
-    analysis commands (--p, --q, --noise-var, --sigma, --r, --atol) is
-    finite."""
-    for name in ("splits", "trials", "jobs", "nodes", "classes"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise ValueError(f"--{name} must be at least 1, got {value}")
-    if getattr(args, "show", 0) < 0:
-        raise ValueError(f"--show must be at least 0, got {args.show}")
-    for name in ("p", "q", "noise_var", "sigma", "r", "atol"):
-        value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be finite, got {value}")
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _check_flags(args):
+    """Check each flag against its rule, each value of a list flag (text) on
+    its own, and raise ValueError naming the flag; ``args`` stays as parsed."""
+    for dest, value in vars(args).items():
+        if dest in UNCHECKED or value is None:
+            continue
+        flag = _flag(dest)
+        rule = COMMAND_RULES.get((args.command, dest), FLAG_RULES[dest])
+        values = _number_list(value, flag, rule[0]) if isinstance(value, str) else [value]
+        try:
+            for v in values:
+                check_hyperparameter(dest, v, *rule)
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
 
 
 # ---- synthetic-data commands ---------------------------------------------------
@@ -315,10 +333,6 @@ def _print_sign_flip_demo():
 
 
 def cmd_desirability(args) -> int:
-    if args.layers < 1:
-        raise ValueError(f"--layers must be at least 1, got {args.layers}")
-    if not args.atol >= 0:
-        raise ValueError(f"--atol must be at least 0, got {args.atol}")
     if args.demo:
         _print_sign_flip_demo()
         return 0
@@ -608,6 +622,8 @@ def _add_csbm_flags(sub, with_noise=True):
 
 
 def _add_model_flags(sub):
+    sub.add_argument("--data", type=str, required=True,
+                     help="dataset directory or name under HETEROGNN_DATA")
     sub.add_argument("--config", type=str, default="default",
                      help="config JSON path or shipped name "
                           "(default/texas/wisconsin/cornell/cora)")
@@ -712,8 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command("train", cmd_train,
                   "train on a dataset over several random splits")
-    sub.add_argument("--data", type=str, required=True,
-                     help="dataset directory or name under HETEROGNN_DATA")
     _add_model_flags(sub)
     sub.add_argument("--splits", type=int, default=10,
                      help="number of random splits")
@@ -726,8 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command("sweep-depth", cmd_sweep_depth,
                   "retrain at several depths and record accuracy per K")
-    sub.add_argument("--data", type=str, required=True,
-                     help="dataset directory or name under HETEROGNN_DATA")
     _add_model_flags(sub)
     sub.add_argument("--k-list", type=str, default="2,4,8,16,32",
                      help="comma-separated layer counts")
@@ -741,8 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = command("analyze-attention", cmd_analyze_attention,
                   "align layer-averaged arc scores with classes "
                   "(needs chunks == classes)")
-    sub.add_argument("--data", type=str, required=True,
-                     help="dataset directory or name under HETEROGNN_DATA")
     _add_model_flags(sub)
     sub.add_argument("--checkpoint", type=str, default=None,
                      help="reuse trained weights instead of training")
@@ -752,8 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = command("ablate", cmd_ablate,
                   "sweep (chunks, penalty weight) cells and record mixing "
                   "and accuracy")
-    sub.add_argument("--data", type=str, required=True,
-                     help="dataset directory or name under HETEROGNN_DATA")
     _add_model_flags(sub)
     sub.add_argument("--chunks-list", type=str, default="1,5",
                      help="comma-separated chunk counts")
@@ -785,7 +793,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
-        _check_counts(args)
+        _check_flags(args)
         return args.func(args)
     except (ValueError, OSError, KeyError, DatasetFormatError,
             TrainingDiverged) as exc:

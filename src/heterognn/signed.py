@@ -169,6 +169,8 @@ def expected_mean_recursion(p, q, n_classes, prev_means) -> np.ndarray:
 
 def expected_trajectory(p, q, n_classes, means0, K) -> np.ndarray:
     """Iterate the expected-mean recursion; shape (K+1, C, f)."""
+    if K < 0:
+        raise ValueError("K must be nonnegative")
     m = np.atleast_2d(np.asarray(means0, dtype=np.float64))
     if m.shape[0] == 1 and n_classes > 1 and m.shape[1] == n_classes:
         m = m.T

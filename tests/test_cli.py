@@ -6,6 +6,7 @@ promises it: identical (config, seed) gives byte-identical CSVs once the
 leading `#` timestamp comment is dropped.
 """
 
+import argparse
 import json
 import os
 import warnings
@@ -244,9 +245,85 @@ def test_concentration_negative_r_exits_1_naming_it(tmp_path, capsys):
     assert main(["concentration", "--r", "-1", "--nodes", "60", "--trials", "2",
                  "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: r must be at least 0"), captured.err
+    assert captured.err.startswith("error: --r: r must be at least 0"), captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_every_flag_has_a_rule_or_is_unchecked():
+    # a new flag must name its rule in FLAG_RULES, or be a path or a switch
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert (action.dest in cli.FLAG_RULES
+                        or action.dest in cli.UNCHECKED), (name, action.dest)
+
+
+BAD_FLAG_VALUES = [
+    (["concentration", "--layers", "-1", "-N", "60", "--trials", "1"], "--layers"),
+    (["desirability", "--demo", "--layers", "0"], "--layers"),
+    (["simulate", "--seed", "-1"], "--seed"),
+    (["gen-csbm", "--seed", "-1", "--out", "ds"], "--seed"),
+    (["theory-check", "--seed", "-1"], "--seed"),
+    (["train", "--data", "ds", "--split-seed", "-1"], "--split-seed"),
+    (["simulate", "--p", "1.5"], "--p"),
+    (["concentration", "--sigma", "0"], "--sigma"),
+    (["gen-csbm", "--noise-var", "-1", "--out", "ds"], "--noise-var"),
+    (["ablate", "--data", "ds", "--chunks-list", "2,0"], "--chunks-list"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_FLAG_VALUES,
+                         ids=[" ".join(argv) for argv, _ in BAD_FLAG_VALUES])
+def test_out_of_range_flag_exits_1_naming_it_before_any_output(tmp_path, monkeypatch,
+                                                               capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag}: "), captured.err
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+EDGE_FLAG_VALUES = [
+    ["concentration", "--r", "0", "-K", "1", "--p", "0.2", "--q", "0.2"],
+    ["simulate", "--p", "0", "--q", "0.2", "-K", "1"],
+    ["simulate", "--p", "1", "-K", "1"],
+    ["simulate", "--layers", "0", "--p", "0.2", "--q", "0.2"],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_FLAG_VALUES, ids=" ".join)
+def test_edge_flag_values_pass(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "-N", "60", "--trials", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.exists()
+
+
+@pytest.mark.parametrize("argv, flag, good", [
+    (["sweep-depth", "--k-list"], "2,0", "1"),
+    (["ablate", "--chunks-list", "2", "--k-list", "1", "--lambda-list"], "0,-1", "0"),
+], ids=["sweep-depth", "ablate"])
+def test_a_bad_list_value_exits_1_before_any_training(tmp_path, monkeypatch, capsys,
+                                                      argv, flag, good):
+    calls = []
+    real_train = training.train
+    monkeypatch.setattr(training, "train",
+                        lambda *a, **kw: calls.append(1) or real_train(*a, **kw))
+    toy = make_toy(tmp_path)
+    out = tmp_path / "out.csv"
+    common = ["--data", toy, "--hidden", "8", "--chunks", "2", "--max-epochs", "2",
+              "--out", str(out)]
+    capsys.readouterr()
+    assert main([*argv, flag, *common]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {argv[-1]}: ")
+    assert calls == [] and not out.exists()
+    assert main([*argv, good, *common]) == 0
+    capsys.readouterr()
+    assert calls  # the count sees a good run train
 
 
 NON_FINITE_FLAGS = [

@@ -397,6 +397,16 @@ def test_concentration_bound_formula_and_outcome():
     assert report.fraction_within == 1.0
 
 
+@pytest.mark.parametrize("run", [
+    lambda: expected_trajectory(0.1, 0.1, 3, [[-0.5], [0.0], [0.5]], -1),
+    lambda: concentration_check(CsbmParams(60, 3, 0.1, 0.1, [[-0.5], [0.0], [0.5]]),
+                                K=-1, trials=1, sigma=1.2, r=1.0),
+], ids=["expected_trajectory", "concentration_check"])
+def test_negative_depth_is_rejected_naming_k(run):
+    with pytest.raises(ValueError, match=r"\bK must be nonnegative"):
+        run()
+
+
 def test_concentration_k0_vacuous():
     p = CsbmParams(300, 3, 0.03, 0.1, [[-0.5], [0.0], [0.5]], seed=0)
     report = concentration_check(p, K=0, trials=3, sigma=1.2, r=1.0)
