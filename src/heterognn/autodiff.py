@@ -514,18 +514,20 @@ class Tape:
 
     def chunk_balance(self, scores) -> Tensor:
         """The chunk-balance penalty of K (arcs, C) score tensors, as 1x1:
-        (1/K) * sum_k sqrt(C_k)/arcs_k * ||m_k||^2 - 1, with C_k and arcs_k
-        read from each shape and m_k the column sums of scores[k]. Rows are
-        added one after another on C- and F-ordered scores alike (numpy
-        would sum the contiguous axis of F-ordered data pairwise), terms in
-        layer order. No scores, or a tensor of no rows, raises.
+        (1/K) * sum_k sqrt(C_k)/arcs_k * ||m_k|| - 1, with C_k and arcs_k
+        read from each shape and m_k the column sums of scores[k]. On
+        softmax rows it is 0 at uniform scores and sqrt(C) - 1 when every
+        arc picks one chunk, whatever the number of arcs. Rows are added one
+        after another on C- and F-ordered scores alike (numpy would sum the
+        contiguous axis of F-ordered data pairwise), terms in layer order.
+        No scores, a tensor of no rows, or an m_k of norm 0 raises.
 
-        The record keeps each one-row m_k. The backward hands each score
-        cell the read-only broadcast view, of no size, of
-        2 m_k * (g/K) * sqrt(C_k)/arcs_k; `backward` copies it only where it
-        is still a view when that tensor's own record runs, or when the pass
-        ends if it is a leaf, so the penalty allocates no (arcs, C) gradient
-        per layer.
+        The record keeps each one-row m_k and its norm. The backward hands
+        each score cell the read-only broadcast view, of no size, of
+        m_k/||m_k|| * (g/K) * sqrt(C_k)/arcs_k; `backward` copies it only
+        where it is still a view when that tensor's own record runs, or when
+        the pass ends if it is a leaf, so the penalty allocates no (arcs, C)
+        gradient per layer.
         """
         if not scores:
             raise ValueError("chunk_balance needs at least one layer of scores")
@@ -536,17 +538,21 @@ class Tape:
             if not arcs:
                 raise ValueError(f"chunk_balance needs arcs; scores[{k}] has 0 rows")
             m = np.cumsum(s.data, axis=0)[-1:].copy()
+            norm = float(np.sqrt(np.sum(m * m)))
+            if not norm:
+                raise ValueError(f"chunk_balance needs scores of nonzero column "
+                                 f"sums; scores[{k}] has ||m|| = 0")
             coef = float(np.sqrt(c) / arcs)
-            total += float(np.sum(m * m)) * coef
-            layers.append((_cell(s), s.data.shape, m, coef))
+            total += norm * coef
+            layers.append((_cell(s), s.data.shape, m, norm, coef))
         out = Tensor([[total * inv_k - 1.0]])
         views = self._views
 
         def back(g):
             g_avg = g * inv_k
-            for cell, shape, m, coef in layers:
+            for cell, shape, m, norm, coef in layers:
                 if cell is not None:
-                    g_m = 2.0 * m * (g_avg * coef)[0, 0]
+                    g_m = m / norm * (g_avg * coef)[0, 0]
                     _accum(cell, np.broadcast_to(g_m, shape))
                     views.append(cell)
 

@@ -294,10 +294,11 @@ def total_loss(tape, result: ForwardResult, labels, train_ids,
     ``config.reg_strength``.
 
     The penalty (`Tape.chunk_balance`, one record) averages over layers
-    the squared norm of each layer's column-summed scores, scaled by
-    sqrt(chunks)/n_arcs, then subtracts 1. It bottoms out at
-    n_arcs/sqrt(chunks) - 1 when every row is uniform; collapsing all mass
-    onto one chunk maximizes it.
+    the norm of each layer's column-summed scores, scaled by
+    sqrt(chunks)/n_arcs, then subtracts 1. It is 0 when every row is
+    uniform and sqrt(chunks) - 1, its maximum, when all mass sits on one
+    chunk, whatever the number of arcs, so it stays on the scale of the
+    cross-entropy.
     """
     task = tape.cross_entropy(result.logits, labels, train_ids)
     if config.reg_strength == 0.0:

@@ -286,7 +286,11 @@ def op_battery(rng):
     CSR matrix with an empty row, as the encoder does bag-of-words rows.
     The scores reach `chunk_sum` and `chunk_balance` F-ordered, as in the
     model, and one `chunk_balance` over five tensors of three shapes
-    reduces them, with the cross-entropy, to the scalar.
+    reduces them, with the cross-entropy, to the scalar. The penalty is
+    weighted by 10, as `total_loss` weights it by reg_strength: its score
+    gradients shrink with the arc count, and unweighted on these 4 arcs a
+    1% error in `arc_attention`'s backward would move the gradients by
+    less than criterion 7's tolerance.
     """
     a = ad.parameter(rng.normal(size=(3, 4)))
     b = ad.parameter(rng.normal(size=(3, 4)))
@@ -314,7 +318,8 @@ def op_battery(rng):
         soft = tape.row_softmax(projected, temperature=0.7)
         ce = tape.cross_entropy(projected, labels, rows)
         encoded = tape.const_matmul(bag, w_att)
-        return tape.add(tape.chunk_balance([soft, message, scores, h, encoded]), ce)
+        penalty = tape.chunk_balance([soft, message, scores, h, encoded])
+        return tape.add(tape.scale(penalty, 10.0), ce)
 
     return [a, b, w, col, gain, bias, w_att], run
 

@@ -857,34 +857,41 @@ def test_chunk_balance_gradient_is_a_writeable_array():
     t = Tape()
     t.backward(t.chunk_balance([x]))
     assert x.grad.flags.writeable and x.grad.flags.owndata
-    # column sums 6 and 9, at sqrt(C)/arcs = sqrt(2)/3
-    want = 2.0 * np.array([[6.0, 9.0]]) * float(np.sqrt(2.0) / 3)
+    # column sums m = (6, 9) of norm sqrt(117), at sqrt(C)/arcs = sqrt(2)/3
+    want = np.array([[6.0, 9.0]]) / np.sqrt(117.0) * float(np.sqrt(2.0) / 3)
     np.testing.assert_array_equal(x.grad, np.tile(want, (3, 1)))
     t = Tape()
     t.backward(total(t, x))  # accumulates into the stored array
     np.testing.assert_array_equal(x.grad, np.tile(want + 1.0, (3, 1)))
 
 
+def column_mass(x):
+    """The one-row column sums of x, its rows added one after another."""
+    mass = x[:1].copy() if x.shape[0] else np.zeros((1, x.shape[1]))
+    for row in x[1:]:
+        mass += row
+    return mass
+
+
 def penalty_chain(layers, upstream):
     """The chunk-balance penalty's value and score gradients as the op
-    chain sum_rows -> l2_norm_sq -> scale -> add, then scale(1/K) and
+    chain sum_rows -> l2_norm -> scale -> add, then scale(1/K) and
     add(-1), computes them, in plain numpy with upstream as the gradient
     of the value: rows added one after another, terms in layer order."""
     total, parts = None, []
     for x in layers:
         rows, cols = x.shape
-        mass = x[:1].copy() if rows else np.zeros((1, cols))
-        for row in x[1:]:
-            mass += row
+        mass = column_mass(x)
+        norm = float(np.sqrt(np.sum(mass * mass)))
         coef = float(np.sqrt(cols) / rows)
-        term = np.array([[float(np.sum(mass * mass))]]) * coef
+        term = np.array([[norm]]) * coef
         total = term if total is None else total + term
-        parts.append((mass, coef))
+        parts.append((mass, norm, coef))
     inv_k = float(1.0 / len(layers))
     value = total * inv_k + np.array([[-1.0]])
     g_term = upstream * inv_k  # what each add hands each term
-    grads = [np.broadcast_to(2.0 * mass * (g_term * coef)[0, 0], x.shape)
-             for x, (mass, coef) in zip(layers, parts)]
+    grads = [np.broadcast_to(mass / norm * (g_term * coef)[0, 0], x.shape)
+             for x, (mass, norm, coef) in zip(layers, parts)]
     return value, grads
 
 
@@ -900,15 +907,22 @@ LAYERS = st.lists(
 def test_chunk_balance_is_the_op_chain_bit_for_bit(layers, upstream):
     # numpy sums the contiguous axis of F-ordered data pairwise, which
     # moves bits from eight rows on; the op adds rows in order on either
-    # layout. A layer of no rows raises where the chain divides by zero
+    # layout. The first layer of no rows, or of column sums of norm 0,
+    # raises where the chain divides by zero
     data = [np.asfortranarray(x) if f_order else np.ascontiguousarray(x)
             for x, f_order in layers]
     params = [parameter(x) for x in data]
     t = Tape()
-    if any(x.shape[0] == 0 for x in data):
+    for x in data:
+        mass = column_mass(x)
+        if x.shape[0] and np.sum(mass * mass):
+            continue
         with np.errstate(divide="ignore", invalid="ignore"):
-            assert not np.isfinite(penalty_chain(data, np.ones((1, 1)))[0][0, 0])
-        with pytest.raises(ValueError, match="0 rows"):
+            value, grads = penalty_chain(data, np.ones((1, 1)))
+        assert not (np.isfinite(value).all()
+                    and all(np.isfinite(g).all() for g in grads))
+        match = "0 rows" if not x.shape[0] else r"\|\|m\|\| = 0"
+        with pytest.raises(ValueError, match=match):
             t.chunk_balance(params)
         return
     out = t.chunk_balance(params)

@@ -286,9 +286,13 @@ def test_reg_loss_reference_values():
         layers = [ad.constant(scores), ad.constant(scores)]
         return float(tape.chunk_balance(layers).data[0, 0])
 
+    # 0 at uniform scores, sqrt(C) - 1 at collapse, at any number of arcs
     root = np.sqrt(chunks)
-    np.testing.assert_allclose(value(uniform), n_arcs / root - 1.0, rtol=1e-12)
-    np.testing.assert_allclose(value(collapsed), root * n_arcs - 1.0, rtol=1e-12)
+    for arcs in (n_arcs, 100 * n_arcs):
+        np.testing.assert_allclose(value(uniform[:1].repeat(arcs, 0)), 0.0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(value(collapsed[:1].repeat(arcs, 0)),
+                                   root - 1.0, rtol=1e-12)
     assert value(uniform) < value(collapsed)
 
 
@@ -298,6 +302,8 @@ def test_reg_loss_rejects_bad_input():
         tape.chunk_balance([])
     with pytest.raises(ValueError, match=r"scores\[1\] has 0 rows"):
         tape.chunk_balance([ad.constant(np.ones((3, 2))), ad.constant(np.ones((0, 2)))])
+    with pytest.raises(ValueError, match=r"scores\[0\] has \|\|m\|\| = 0"):
+        tape.chunk_balance([ad.constant(np.array([[1.0, -2.0], [-1.0, 2.0]]))])
 
 
 def test_total_loss_adds_weighted_regularizer():
