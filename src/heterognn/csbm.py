@@ -11,6 +11,12 @@ The sampler runs in O(N + E + C^2) time and memory: each of the C(C+1)/2
 class-pair blocks draws the positions of its edges by geometric skipping
 (Batagelj & Brandes, *Efficient generation of large random networks*,
 Phys. Rev. E 71, 036113, 2005) instead of flipping one coin per pair.
+
+Memory, measured with tracemalloc at N = 6000 and 120000 (d-bar about 23 and
+20): a sample's output is about 12 B per arc (float64 signs, int32 indices),
+and sampling peaks at 22-23 B per arc, under twice that, because each stage
+holds at most one arc-length temporary beside its output. signed_normalize
+then peaks at about 10 B per arc beyond its input, P's data included.
 """
 
 import warnings
@@ -23,6 +29,10 @@ from .graphs import Graph, build_graph
 
 __all__ = ["CsbmParams", "SignedGraphSample", "label_signed_sample", "sample_csbm",
            "signed_normalize", "expected_operator", "mean_abs_degree"]
+
+# signed_normalize gathers the column scales this many arcs at a time
+# (512 KiB of float64), not as one arc-length array
+_GATHER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,12 +88,19 @@ class SignedGraphSample:
 def label_signed_sample(graph: Graph) -> SignedGraphSample:
     """The graph's arcs as a signed adjacency: +1 within a class, -1 across.
 
-    The CSR wraps the graph's own arc_src and indptr, so nothing is sorted.
+    The CSR takes the graph's arc_src and indptr in their (dst, src) order,
+    so nothing is sorted; scipy keeps them as int32 copies where they fit.
+    Integer labels are compared in the narrowest integer dtype that holds
+    their range, one byte per arc end for fewer than 128 classes.
     """
     labels, n = graph.labels, graph.n_nodes
+    narrow = labels
+    if labels.dtype.kind in "iu" and labels.size:
+        narrow = labels.astype(np.result_type(np.min_scalar_type(labels.min()),
+                                              np.min_scalar_type(labels.max())))
     # each arc's destination label, without building graph.arc_dst
-    dst_labels = np.repeat(labels, np.diff(graph.indptr))
-    signs = np.where(labels[graph.arc_src] == dst_labels, 1.0, -1.0)
+    dst_labels = np.repeat(narrow, np.diff(graph.indptr))
+    signs = np.where(narrow[graph.arc_src] == dst_labels, 1.0, -1.0)
     adjacency = sp.csr_matrix((signs, graph.arc_src, graph.indptr), shape=(n, n))
     return SignedGraphSample(adjacency, graph.features, labels)
 
@@ -146,11 +163,15 @@ def sample_csbm(params: CsbmParams) -> SignedGraphSample:
             i, j = np.divmod(_bernoulli_positions(rng, params.q, s * s), s)
             blocks.append(np.stack([a * s + i, b * s + j], axis=1))
     edges = np.concatenate(blocks)
+    # each arc-length array goes as soon as its successor exists, so the
+    # sort keys and the signs are not built beside it
+    del blocks, positions, i, j
 
     noise = rng.standard_normal((params.n_nodes, params.n_features))
     features = params.class_means[labels] + np.sqrt(params.noise_var) * noise
-    return label_signed_sample(build_graph(params.n_nodes, edges, features,
-                                           labels, c))
+    graph = build_graph(params.n_nodes, edges, features, labels, c)
+    del edges
+    return label_signed_sample(graph)
 
 
 def signed_normalize(sample: SignedGraphSample):
@@ -166,9 +187,21 @@ def signed_normalize(sample: SignedGraphSample):
     matrix products compute, in the same order, so P is bit-identical to
     ``(D @ A @ D).tocsr()`` and keeps A's index order. P shares A's
     ``indices`` and ``indptr`` arrays.
+
+    The degrees are scipy's row sums of ``abs(A)`` computed without its copy
+    of A: one ``np.add.reduceat`` over |data| of the non-empty rows. The
+    column scaling gathers ``inv_sqrt`` in blocks of ``_GATHER_BLOCK``
+    arcs. So the call holds P's data plus one arc-length temporary, about
+    10 B per arc of A in all.
     """
     adj = sample.adjacency
-    deg = np.asarray(abs(adj).sum(axis=1)).ravel()
+    adj.sum_duplicates()  # as abs(adj) did: canonical rows, in place
+    magnitudes = np.abs(adj.data)
+    deg = np.zeros(adj.shape[0])
+    rows = np.flatnonzero(np.diff(adj.indptr))
+    if rows.size:
+        deg[rows] = np.add.reduceat(magnitudes, adj.indptr[rows])
+    del magnitudes
     isolated = deg == 0
     kept = np.nonzero(~isolated)[0]
     if isolated.any():
@@ -182,7 +215,9 @@ def signed_normalize(sample: SignedGraphSample):
     inv_sqrt = 1.0 / np.sqrt(deg)
     data = np.repeat(inv_sqrt, np.diff(adj.indptr))
     data *= adj.data
-    data *= inv_sqrt[adj.indices]
+    for start in range(0, len(data), _GATHER_BLOCK):
+        block = slice(start, start + _GATHER_BLOCK)
+        data[block] *= inv_sqrt[adj.indices[block]]
     P = sp.csr_matrix((data, adj.indices, adj.indptr), shape=adj.shape)
     return P, kept
 

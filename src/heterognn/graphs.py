@@ -52,7 +52,9 @@ class Graph:
     The sources of the arcs into node i are arc_src[indptr[i]:indptr[i+1]],
     strictly ascending, and both directions of every edge are present.
     Construction checks the offsets, the source range and that order, which
-    the model reads; not symmetry, which would take a second sort.
+    the model reads; not symmetry, which would take a second sort. The order
+    check compares each source with the one before it, except at a row
+    start, so it holds one byte per arc and no copy of `arc_src`.
 
     `arc_dst` (from indptr) and `encoder_operand` (from the features) are
     built on first read and kept for the Graph's life, so nothing may write
@@ -78,9 +80,12 @@ class Graph:
                              f"to the {self.n_arcs} arc sources")
         if self.n_arcs and (self.arc_src.min() < 0 or self.arc_src.max() >= n):
             raise ValueError(f"Graph field 'arc_src': arc source outside [0, {n})")
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n, counts)
-        keys += self.arc_src
-        if (keys[1:] <= keys[:-1]).any():
+        # descent[k] compares arcs k and k + 1; a pair that straddles a row
+        # start lies in two rows, so it may descend
+        descent = self.arc_src[1:] <= self.arc_src[:-1]
+        starts = indptr[1:-1]
+        descent[starts[(starts > 0) & (starts < self.n_arcs)] - 1] = False
+        if descent.any():
             raise ValueError("Graph field 'arc_src': arcs are unsorted or "
                              "repeated within a destination")
 
@@ -126,39 +131,52 @@ def _arcs_by_destination(u, v, n_nodes):
     """Both directions of the undirected edges (u[e], v[e]), sorted by (dst, src).
 
     Returns (src, indptr): the int64 arc sources and the CSR offsets over
-    destinations. One int64 key dst * n_nodes + src sorts the arcs, and a
-    repeated key (an edge listed twice, either way round) is dropped. The
-    offsets are a binary search for each row's first key, and src is the key
-    minus its row's dst * n_nodes, so no division decodes the keys.
+    destinations. u and v may be any integer arrays, int32 included. One
+    int64 key dst * n_nodes + src sorts the arcs; the keys are filled in
+    place, the products taken in int64 so that no endpoint dtype can
+    overflow, and a repeated key (an edge listed twice, either way round) is
+    dropped. The offsets are a binary search for each row's first key, and
+    the keys become the sources in place, as their remainder modulo n_nodes.
     """
-    keys = np.concatenate([v, u], dtype=np.int64)
-    keys *= n_nodes
-    keys += np.concatenate([u, v])
+    n_edges = len(u)
+    keys = np.empty(2 * n_edges, dtype=np.int64)
+    for dst, src, half in ((v, u, keys[:n_edges]), (u, v, keys[n_edges:])):
+        np.multiply(dst, n_nodes, out=half, dtype=np.int64)
+        half += src
     keys.sort()
     repeated = keys[1:] == keys[:-1]
     if repeated.any():
         keys = np.delete(keys, np.flatnonzero(repeated) + 1)
-    row_keys = np.arange(n_nodes + 1, dtype=np.int64) * n_nodes
-    indptr = np.searchsorted(keys, row_keys)
-    keys -= np.repeat(row_keys[:-1], np.diff(indptr))
+    indptr = np.searchsorted(keys, np.arange(n_nodes + 1, dtype=np.int64) * n_nodes)
+    np.remainder(keys, n_nodes, out=keys)
     return keys, indptr
 
 
 def build_graph(n_nodes, undirected_edges, features, labels, n_classes) -> Graph:
-    """Assemble a Graph from an (E, 2) int array of edges, u != v in every row.
+    """Assemble a Graph from an (E, 2) array of edges, u != v in every row.
 
     Both arc directions are materialized; duplicates and reversals collapse.
+    Integer edges of any width are read as they are, without an int64 copy;
+    other edges must hold whole numbers (an empty list, whose numpy dtype is
+    float, is the edgeless graph).
     """
-    edges = np.asarray(undirected_edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(undirected_edges).reshape(-1, 2)
     features = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     if features.shape[0] != n_nodes or labels.shape[0] != n_nodes:
         raise ValueError("features and labels must have one row per node")
     if edges.size:
+        if edges.dtype.kind == "f":
+            fractional = edges != np.floor(edges)  # NaN included
+            if fractional.any():
+                raise ValueError(f"undirected_edges: endpoint "
+                                 f"{edges[fractional][0]} is not a whole number")
         if edges.min() < 0 or edges.max() >= n_nodes:
             raise ValueError("edge endpoint out of range")
         if (edges[:, 0] == edges[:, 1]).any():
             raise ValueError("self-loops are not represented")
+    if edges.dtype.kind not in "iu":
+        edges = edges.astype(np.int64)
     src, indptr = _arcs_by_destination(edges[:, 0], edges[:, 1], n_nodes)
     return Graph(int(n_nodes), src, indptr, features, labels, int(n_classes))
 

@@ -163,7 +163,20 @@ def test_large_sparse_sample_memory_is_linear_in_edges():
     n_edges = s.adjacency.nnz // 2
     expected = (p.block_size - 1) * p.block_size / 2 * 3 * p.p + 3 * p.block_size**2 * p.q
     assert abs(n_edges / expected - 1) < 0.01
-    assert peak < 256 * n_edges + 64 * p.n_nodes
+    assert peak < 64 * n_edges + 64 * p.n_nodes
+
+
+def test_signed_normalize_holds_at_most_12_bytes_per_arc():
+    # P's own data is 8 B per arc; the rest is one temporary at a time
+    s = sample_csbm(params(n_nodes=120_000, p=3e-4, q=1e-4, seed=1))
+    tracemalloc.start()
+    try:
+        P, kept = signed_normalize(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.nnz == s.adjacency.nnz
+    assert peak < 12 * s.adjacency.nnz
 
 
 @settings(max_examples=40, deadline=None)
@@ -188,6 +201,24 @@ def test_signed_adjacency_equals_the_coo_built_reference(n, n_classes, p_edge,
     assert np.array_equal(adj.indptr, ref.indptr)
     assert np.array_equal(adj.indices, ref.indices)
     assert np.array_equal(adj.data, ref.data)
+
+
+@pytest.mark.parametrize("low, high", [(0, 2), (0, 255), (0, 256), (-1, 255),
+                                       (-300, 300), (-2**40, 2**40)])
+def test_signs_match_the_int64_label_comparison(low, high):
+    # the labels are compared in the narrowest dtype holding [low, high];
+    # values that differ only above its width must still differ
+    rng = np.random.default_rng(high)
+    n = 200
+    values = np.array([low, high, low + 1, high - 1, (low + high) // 2])
+    labels = rng.choice(values, n)
+    edges = rng.integers(0, n, size=(600, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    g = build_graph(n, edges, np.zeros((n, 1)), labels, 1)
+    adj = label_signed_sample(g).adjacency
+    want = np.where(labels[g.arc_src] == labels[g.arc_dst], 1.0, -1.0)
+    assert np.array_equal(adj.data, want)
+    assert (want == 1.0).any() and (want == -1.0).any()
 
 
 @pytest.mark.parametrize("n, n_classes, p, q, seed", [
@@ -283,6 +314,27 @@ def test_signed_normalize_matches_the_diagonal_products_bit_for_bit(
         P, kept = signed_normalize(s)
     assert np.array_equal(kept, ref_kept)
     assert P.shape == ref.shape
+    assert np.array_equal(P.indptr, ref.indptr)
+    assert np.array_equal(P.indices, ref.indices)
+    assert np.array_equal(P.data, ref.data)
+
+
+@pytest.mark.parametrize("isolated", [(0,), (39,), (0, 39), (0, 1, 20, 38, 39)])
+def test_signed_normalize_is_bit_identical_with_isolated_end_nodes(isolated):
+    # empty first and last rows are where reduceat over all row starts would
+    # go wrong; degrees up to about 30 take numpy's pairwise summation
+    n = 40
+    rng = np.random.default_rng(len(isolated))
+    dense = np.triu(rng.random((n, n)) < 0.8, 1) * rng.uniform(0.5, 2.0, (n, n))
+    dense *= np.where(rng.random((n, n)) < 0.5, 1.0, -1.0)
+    dense[list(isolated), :] = 0.0
+    dense[:, list(isolated)] = 0.0
+    adjacency = sp.csr_matrix(dense + dense.T)
+    ref, ref_kept = _diagonal_product_normalize(adjacency)
+    s = SignedGraphSample(adjacency, np.zeros((n, 1)), np.zeros(n, dtype=np.int64))
+    with pytest.warns(UserWarning, match=f"dropping {len(isolated)} isolated"):
+        P, kept = signed_normalize(s)
+    assert np.array_equal(kept, ref_kept)
     assert np.array_equal(P.indptr, ref.indptr)
     assert np.array_equal(P.indices, ref.indices)
     assert np.array_equal(P.data, ref.data)

@@ -92,6 +92,63 @@ def test_graph_rejects_arc_sources_outside_the_nodes(arc_src, indptr):
               np.zeros(3, dtype=np.int64), 1)
 
 
+def _key_order_holds(arc_src, indptr, n):
+    """The former order check: one int64 key dst * n + src per arc, strictly
+    ascending over the whole arc list."""
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
+    keys += arc_src
+    return not (keys[1:] <= keys[:-1]).any()
+
+
+@st.composite
+def csr_rows(draw):
+    """A CSR of sources in [0, n): each row sorted and unique, or left as
+    drawn (unsorted or repeated); empty rows anywhere."""
+    n = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(n):
+        row = draw(st.lists(st.integers(0, n - 1), max_size=4))
+        rows.append(sorted(set(row)) if draw(st.booleans()) else row)
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return n, np.array([v for r in rows for v in r], dtype=np.int64), indptr
+
+
+def _graph_accepts(n, arc_src, indptr):
+    try:
+        Graph(n, arc_src, indptr, np.zeros((n, 1)), np.zeros(n, dtype=np.int64), 1)
+    except ValueError as exc:
+        assert "'arc_src': arcs are unsorted" in str(exc)
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(csr=csr_rows())
+def test_graph_order_check_agrees_with_the_int64_key_check(csr):
+    n, arc_src, indptr = csr
+    assert _graph_accepts(n, arc_src, indptr) == _key_order_holds(arc_src, indptr, n)
+
+
+@pytest.mark.parametrize("rows, ok", [
+    ([[], [0, 2], [1]], True),          # empty first row
+    ([[1], [], [0, 1]], True),          # empty middle row
+    ([[1, 2], [0], []], True),          # empty last row
+    ([[], [], []], True),               # no arcs
+    ([[2], [0], [0, 1]], True),         # descents across each row boundary
+    ([[2], [], [0, 1]], True),          # a descent across an empty row
+    ([[1, 2], [0, 0], []], False),      # a repeat within a row
+    ([[], [2, 0], []], False),          # a descent within a middle row
+    ([[0, 1], [2, 2], [0]], False),     # a repeat just before a row start
+])
+def test_graph_order_check_on_row_boundaries(rows, ok):
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    arc_src = np.array([v for r in rows for v in r], dtype=np.int64)
+    assert _key_order_holds(arc_src, indptr, 3) == ok
+    assert _graph_accepts(3, arc_src, indptr) == ok
+    # scipy keeps CSR index arrays as int32, which a Graph takes as they are
+    assert _graph_accepts(3, arc_src.astype(np.int32), indptr.astype(np.int32)) == ok
+
+
 @pytest.mark.parametrize("indptr", [[0, 2, 4],        # one offset short
                                     [0, 2, 4, 5],     # ends short of 6 arcs
                                     [0, 4, 2, 6]])    # decreasing
@@ -433,6 +490,42 @@ def test_arcs_by_destination_match_lexsort(order, n, n_edges, seed):
     for got, want in ((src, ref_src), (indptr, ref_indptr)):
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+
+def test_int32_endpoints_whose_keys_pass_int32_match_the_int64_reference():
+    # N^2 = 4.9e9 > 2^31: an int32 product dst * N + src would wrap
+    n = 70_000
+    rng = np.random.default_rng(0)
+    edges = rng.integers(0, n, size=(5000, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    edges = np.concatenate([edges, [[n - 1, n - 2], [0, n - 1], [n - 2, n - 1]]])
+    edges32 = edges.astype(np.int32)
+    src, indptr = _arcs_by_destination(edges32[:, 0], edges32[:, 1], n)
+    assert src.dtype == np.int64
+    # the reference collapses the one repeated pair as the keys do
+    pairs = np.unique(np.sort(edges, axis=1), axis=0)
+    ref_src, ref_indptr = _lexsorted_arcs(pairs[:, 0], pairs[:, 1], n)
+    assert np.array_equal(src, ref_src)
+    assert np.array_equal(indptr, ref_indptr)
+    labels = np.zeros(n, dtype=np.int64)
+    g32 = build_graph(n, edges32, np.zeros((n, 1)), labels, 1)
+    g64 = build_graph(n, edges, np.zeros((n, 1)), labels, 1)
+    assert np.array_equal(g32.arc_src, g64.arc_src)
+    assert np.array_equal(g32.indptr, g64.indptr)
+
+
+@pytest.mark.parametrize("edges", [[[0.0, 1.7], [1.2, 2.9]], [[0, 1], [1, 2.5]],
+                                   [[0.0, float("nan")]]])
+def test_build_graph_rejects_endpoints_that_are_not_whole_numbers(edges):
+    with pytest.raises(ValueError, match="undirected_edges: endpoint"):
+        build_graph(3, edges, np.zeros((3, 1)), [0, 0, 0], 1)
+
+
+@pytest.mark.parametrize("edges", [[], [[0.0, 1.0], [2.0, 1.0]], [[0, 1], [1, 2]]])
+def test_build_graph_takes_whole_endpoints_of_any_dtype(edges):
+    g = build_graph(3, edges, np.zeros((3, 1)), [0, 0, 0], 1)
+    assert g.arc_src.dtype == np.int64
+    assert g.n_edges == len(edges)
 
 
 @settings(max_examples=30, deadline=None)
