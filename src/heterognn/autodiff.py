@@ -13,6 +13,8 @@ that no backward reads is freed as soon as its caller drops it.
 import numpy as np
 import scipy.sparse as sp
 
+from .graphs import arc_index_dtype
+
 __all__ = ["Tensor", "Tape", "AdamState", "parameter", "constant"]
 
 _LN_EPS = 1e-5
@@ -87,6 +89,14 @@ def _scatter_rows(ids, values, n):
     """
     k = ids.shape[0]
     return sp.csr_matrix((np.ones(k), (ids, np.arange(k))), shape=(n, k)) @ values
+
+
+def _index_array(ids):
+    """ids as an array of integer indices: an integer array as it is (a
+    Graph's int32 or int64 arc index, without a copy), anything else (a
+    list of ids) read as int64."""
+    ids = np.asarray(ids)
+    return ids if ids.dtype.kind in "iu" else ids.astype(np.int64)
 
 
 def _lend(mat, data, rhs):
@@ -223,12 +233,15 @@ class Tape:
     A graph's sparse operators are built once per tape, not once per layer
     call: chunk_sum's stacked chunk CSR matrix and its CSC transpose, and
     arc_attention's range-checked arc endpoints and its endpoint CSC
-    matrix. The endpoint matrix is built by the first backward that reads
-    it, so a non-recording tape never builds it. The chunk matrices hold
-    no float data between calls: each product lends them the scores and
-    takes them back, so no copy of the scores outlives the call. None of
-    these operators keeps a layer's values. They live on the tape until
-    its backward ends.
+    matrix. The endpoints are the caller's integer arrays as they are, a
+    Graph's int32 or int64 arc index, never an int64 copy; the operators'
+    index arrays are built in `graphs.arc_index_dtype`, so scipy keeps them
+    without an int32 copy. The endpoint matrix is built by the first
+    backward that reads it, so a non-recording tape never builds it. The
+    chunk matrices hold no float data between calls: each product lends
+    them the scores and takes them back, so no copy of the scores outlives
+    the call. None of these operators keeps a layer's values. They live on
+    the tape until its backward ends.
     """
 
     def __init__(self, recording=True):
@@ -344,23 +357,25 @@ class Tape:
         key = (id(arc_src), id(indptr), c, n_x)
         entry = self._patterns.get(key)
         if entry is None:
-            src = np.asarray(arc_src, dtype=np.int64)
-            ptr = np.asarray(indptr, dtype=np.int64)
+            src, ptr = _index_array(arc_src), _index_array(indptr)
             if src.ndim != 1:
                 raise ValueError("arc_src must be 1-D")
             k, n = src.size, ptr.size - 1
             if (ptr.ndim != 1 or n < 0 or ptr[0] != 0 or ptr[-1] != k
-                    or np.any(np.diff(ptr) < 0)):
+                    or np.any(ptr[1:] < ptr[:-1])):
                 raise ValueError("indptr must rise from 0 to the number of arcs")
             if k and (src.min() < 0 or src.max() >= n_x):
                 raise IndexError("arc_src out of range")
+            idx = arc_index_dtype(max(c * n, n_x), c * k)
+            cols = np.empty((c, k), dtype=idx)
+            cols[:] = src
             stacked = np.append((ptr[:-1] + k * np.arange(c)[:, None]).ravel(), c * k)
-            chunks = sp.csr_matrix((np.empty(c * k), np.tile(src, c), stacked),
+            chunks = sp.csr_matrix((np.empty(c * k), cols.ravel(), stacked.astype(idx)),
                                    shape=(c * n, n_x))
             chunks_t = chunks.T
             chunks.data = chunks_t.data = None
-            entry = (arc_src, indptr, n, src, np.repeat(np.arange(n), np.diff(ptr)),
-                     chunks, chunks_t)
+            dst = np.repeat(np.arange(n, dtype=arc_index_dtype(n, k)), np.diff(ptr))
+            entry = (arc_src, indptr, n, src, dst, chunks, chunks_t)
             self._patterns[key] = entry
         return entry[2:]
 
@@ -427,8 +442,7 @@ class Tape:
         key = (id(arc_src), id(arc_dst), n)
         entry = self._arcs.get(key)
         if entry is None:
-            src = np.asarray(arc_src, dtype=np.int64)
-            dst = np.asarray(arc_dst, dtype=np.int64)
+            src, dst = _index_array(arc_src), _index_array(arc_dst)
             if src.ndim != 1 or dst.shape != src.shape:
                 raise ValueError("arc_src and arc_dst must be 1-D and of equal length")
             if src.size and (min(src.min(), dst.min()) < 0
@@ -503,9 +517,12 @@ class Tape:
                 ends = ends_by_alpha.get(alpha)
                 if ends is None:
                     k = src.size
+                    idx = arc_index_dtype(n, 2 * k)
+                    rows = np.empty((k, 2), dtype=idx)
+                    rows[:, 0], rows[:, 1] = dst, src
                     ends = ends_by_alpha[alpha] = sp.csc_matrix(
-                        (np.tile([alpha, 1.0], k), np.stack([dst, src], axis=1).ravel(),
-                         np.arange(0, 2 * k + 1, 2)), shape=(n, k))
+                        (np.tile([alpha, 1.0], k), rows.ravel(),
+                         np.arange(0, 2 * k + 1, 2, dtype=idx)), shape=(n, k))
                 _accum(gh, ends @ d_pre)
 
         return self._emit(out, (h, w_att), back)

@@ -13,10 +13,14 @@ class-pair blocks draws the positions of its edges by geometric skipping
 Phys. Rev. E 71, 036113, 2005) instead of flipping one coin per pair.
 
 Memory, measured with tracemalloc at N = 6000 and 120000 (d-bar about 23 and
-20): a sample's output is about 12 B per arc (float64 signs, int32 indices),
-and sampling peaks at 22-23 B per arc, under twice that, because each stage
-holds at most one arc-length temporary beside its output. signed_normalize
-then peaks at about 10 B per arc beyond its input, P's data included.
+20): a sample's output is about 12 B per arc (float64 signs, int32 indices
+that the Graph and the CSR share), and sampling peaks at 14.7 and 17.8 B per
+arc, because the edges, the sort keys and the sources are int32 where they
+fit (int64 keys from N**2 >= 2**31) and each stage holds at most one
+arc-length temporary beside its output. signed_normalize then peaks at about
+10 B per arc beyond its input, P's data included, and at 17.1 on a sample
+with isolated nodes (N = 120000, d-bar about 8, 44 of them), whose drop
+renumbers the column ids into P's own index array instead of copying A.
 """
 
 import warnings
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, arc_index_dtype, build_graph
 
 __all__ = ["CsbmParams", "SignedGraphSample", "label_signed_sample", "sample_csbm",
            "signed_normalize", "expected_operator", "mean_abs_degree"]
@@ -89,7 +93,8 @@ def label_signed_sample(graph: Graph) -> SignedGraphSample:
     """The graph's arcs as a signed adjacency: +1 within a class, -1 across.
 
     The CSR takes the graph's arc_src and indptr in their (dst, src) order,
-    so nothing is sorted; scipy keeps them as int32 copies where they fit.
+    so nothing is sorted, and shares them: a Graph keeps them in scipy's
+    index dtype (`arc_index_dtype`), so scipy copies neither.
     Integer labels are compared in the narrowest integer dtype that holds
     their range, one byte per arc end for fewer than 128 classes.
     """
@@ -153,15 +158,17 @@ def sample_csbm(params: CsbmParams) -> SignedGraphSample:
     rng = np.random.default_rng(params.seed)
     c, s = params.n_classes, params.block_size
     labels = np.repeat(np.arange(c), s)
+    # node ids, in the Graph's index dtype: int32 below 2**31 nodes
+    ids = arc_index_dtype(params.n_nodes)
 
     blocks = []
     for a in range(c):
         positions = _bernoulli_positions(rng, params.p, s * (s - 1) // 2)
         i, j = _triangle_pairs(positions, s)
-        blocks.append(np.stack([a * s + i, a * s + j], axis=1))
+        blocks.append(np.stack([a * s + i, a * s + j], axis=1, dtype=ids))
         for b in range(a + 1, c):
             i, j = np.divmod(_bernoulli_positions(rng, params.q, s * s), s)
-            blocks.append(np.stack([a * s + i, b * s + j], axis=1))
+            blocks.append(np.stack([a * s + i, b * s + j], axis=1, dtype=ids))
     edges = np.concatenate(blocks)
     # each arc-length array goes as soon as its successor exists, so the
     # sort keys and the signs are not built beside it
@@ -172,6 +179,29 @@ def sample_csbm(params: CsbmParams) -> SignedGraphSample:
     graph = build_graph(params.n_nodes, edges, features, labels, c)
     del edges
     return label_signed_sample(graph)
+
+
+def _without_isolated(adj, isolated, kept):
+    """adj's (indices, indptr) over the kept nodes, or None when an isolated
+    node has a stored entry (an explicit zero, or an asymmetric pattern).
+
+    Otherwise an isolated node's row and column are both empty, so the kept
+    rows keep their arcs in order: the offsets are indptr[kept] followed by
+    nnz, and the columns are renumbered into one new index array, gathered
+    in blocks of `_GATHER_BLOCK` arcs. adj itself is not written to.
+    """
+    indptr = adj.indptr
+    if (indptr[1:] != indptr[:-1])[isolated].any():
+        return None
+    new_id = np.full(adj.shape[0], -1, dtype=adj.indices.dtype)
+    new_id[kept] = np.arange(len(kept))
+    indices = np.empty_like(adj.indices)
+    for start in range(0, len(indices), _GATHER_BLOCK):
+        block = slice(start, start + _GATHER_BLOCK)
+        indices[block] = new_id[adj.indices[block]]
+    if indices.size and indices.min() < 0:
+        return None
+    return indices, np.concatenate([indptr[kept], indptr[-1:]])
 
 
 def signed_normalize(sample: SignedGraphSample):
@@ -185,14 +215,16 @@ def signed_normalize(sample: SignedGraphSample):
     P is scaled entry by entry on A's own sparsity pattern: its data is
     (inv_sqrt[i] * a_ij) * inv_sqrt[j], the products the two diagonal
     matrix products compute, in the same order, so P is bit-identical to
-    ``(D @ A @ D).tocsr()`` and keeps A's index order. P shares A's
-    ``indices`` and ``indptr`` arrays.
+    ``(D @ A[kept][:, kept] @ D).tocsr()`` and keeps A's index order.
+    Without isolated nodes P shares A's ``indices`` and ``indptr`` arrays;
+    with them, P gets renumbered copies and A is left as it is.
 
     The degrees are scipy's row sums of ``abs(A)`` computed without its copy
     of A: one ``np.add.reduceat`` over |data| of the non-empty rows. The
     column scaling gathers ``inv_sqrt`` in blocks of ``_GATHER_BLOCK``
     arcs. So the call holds P's data plus one arc-length temporary, about
-    10 B per arc of A in all.
+    10 B per arc of A in all, and 12 with isolated nodes, whose renumbered
+    column ids are P's own.
     """
     adj = sample.adjacency
     adj.sum_duplicates()  # as abs(adj) did: canonical rows, in place
@@ -201,24 +233,28 @@ def signed_normalize(sample: SignedGraphSample):
     rows = np.flatnonzero(np.diff(adj.indptr))
     if rows.size:
         deg[rows] = np.add.reduceat(magnitudes, adj.indptr[rows])
-    del magnitudes
+    del magnitudes, rows
     isolated = deg == 0
     kept = np.nonzero(~isolated)[0]
+    indices, indptr = adj.indices, adj.indptr
     if isolated.any():
         warnings.warn(
             f"dropping {int(isolated.sum())} isolated node(s) before normalization"
         )
-        # the adjacency is symmetric, so an isolated node's column is empty
-        # too and the kept rows keep their degrees
-        adj = adj[kept][:, kept]
+        # the adjacency is symmetric, so the kept rows keep their degrees
+        pattern = _without_isolated(adj, isolated, kept)
+        if pattern is None:
+            adj = adj[kept][:, kept]
+            pattern = adj.indices, adj.indptr
+        indices, indptr = pattern
         deg = deg[kept]
     inv_sqrt = 1.0 / np.sqrt(deg)
-    data = np.repeat(inv_sqrt, np.diff(adj.indptr))
+    data = np.repeat(inv_sqrt, np.diff(indptr))
     data *= adj.data
     for start in range(0, len(data), _GATHER_BLOCK):
         block = slice(start, start + _GATHER_BLOCK)
-        data[block] *= inv_sqrt[adj.indices[block]]
-    P = sp.csr_matrix((data, adj.indices, adj.indptr), shape=adj.shape)
+        data[block] *= inv_sqrt[indices[block]]
+    P = sp.csr_matrix((data, indices, indptr), shape=(len(kept), len(kept)))
     return P, kept
 
 

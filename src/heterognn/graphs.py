@@ -16,7 +16,10 @@ non-ASCII digits are rejected.
 
 A Graph is a CSR index of directed arcs, two per undirected edge, sorted
 by (dst, src). This is the only module that sorts arcs: a CSR already in
-that order is a Graph as it stands.
+that order is a Graph as it stands. Its arc indices are int32 when the node
+and arc counts are both below 2**31 and int64 otherwise (`arc_index_dtype`),
+which is scipy's rule for CSR index arrays, so a CSR matrix built on a
+Graph's arrays shares them instead of copying them.
 """
 
 import json
@@ -29,7 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["Graph", "Split", "DatasetFormatError", "load_dataset",
-           "save_dataset", "edge_homophily", "random_split", "largest_remainder"]
+           "save_dataset", "edge_homophily", "random_split", "largest_remainder",
+           "arc_index_dtype"]
 
 SPLIT_FRACTIONS = (0.48, 0.32, 0.20)
 
@@ -45,6 +49,17 @@ class DatasetFormatError(ValueError):
     """Raised when an on-disk dataset violates the documented format."""
 
 
+def arc_index_dtype(n_nodes, n_arcs=0) -> np.dtype:
+    """The dtype of a graph's arc indices: int32 when max(n_nodes, n_arcs)
+    < 2**31, else int64.
+
+    This is the rule scipy applies to the index arrays of an n_nodes-square
+    CSR matrix with n_arcs entries, so such a matrix keeps arrays of this
+    dtype as they are. It reads the two numbers alone and allocates nothing.
+    """
+    return np.dtype(np.int32 if max(n_nodes, n_arcs) < 2**31 else np.int64)
+
+
 @dataclass(frozen=True)
 class Graph:
     """An undirected graph as a CSR index of directed arcs, plus node data.
@@ -55,6 +70,12 @@ class Graph:
     the model reads; not symmetry, which would take a second sort. The order
     check compares each source with the one before it, except at a row
     start, so it holds one byte per arc and no copy of `arc_src`.
+
+    `arc_src` and `indptr` must have an integer dtype. They are stored in
+    `arc_index_dtype(n_nodes, n_arcs)`, as they are when they already have
+    it (a scipy CSR's int32 arrays) and converted once otherwise, and
+    `arc_dst` has the dtype of `indptr`. A Graph unpickled from an older
+    build may hold int64 arrays; every reader takes either.
 
     `arc_dst` (from indptr) and `encoder_operand` (from the features) are
     built on first read and kept for the Graph's life, so nothing may write
@@ -69,22 +90,35 @@ class Graph:
     n_classes: int
 
     def __post_init__(self):
-        n, indptr = self.n_nodes, self.indptr
+        n = self.n_nodes
+        arc_src, indptr = np.asarray(self.arc_src), np.asarray(self.indptr)
+        for name, array in (("arc_src", arc_src), ("indptr", indptr)):
+            if array.dtype.kind not in "iu":
+                raise ValueError(f"Graph field {name!r}: dtype {array.dtype} is "
+                                 f"not an integer dtype")
+        n_arcs = len(arc_src)
         if len(indptr) != n + 1:
             raise ValueError(f"Graph field 'indptr': length {len(indptr)}, "
                              f"expected n_nodes + 1 = {n + 1}")
-        counts = np.diff(indptr)
-        if indptr[0] != 0 or indptr[-1] != self.n_arcs or (counts < 0).any():
+        # compared, not differenced: np.diff of unsigned offsets wraps
+        if (indptr[0] != 0 or indptr[-1] != n_arcs
+                or (indptr[1:] < indptr[:-1]).any()):
             raise ValueError(f"Graph field 'indptr': offsets from {indptr[0]} to "
                              f"{indptr[-1]} are not a nondecreasing run from 0 "
-                             f"to the {self.n_arcs} arc sources")
-        if self.n_arcs and (self.arc_src.min() < 0 or self.arc_src.max() >= n):
+                             f"to the {n_arcs} arc sources")
+        if n_arcs and (arc_src.min() < 0 or arc_src.max() >= n):
             raise ValueError(f"Graph field 'arc_src': arc source outside [0, {n})")
+        # both are in range now, so the conversion cannot wrap
+        dtype = arc_index_dtype(n, n_arcs)
+        arc_src = arc_src.astype(dtype, copy=False)
+        indptr = indptr.astype(dtype, copy=False)
+        object.__setattr__(self, "arc_src", arc_src)
+        object.__setattr__(self, "indptr", indptr)
         # descent[k] compares arcs k and k + 1; a pair that straddles a row
         # start lies in two rows, so it may descend
-        descent = self.arc_src[1:] <= self.arc_src[:-1]
+        descent = arc_src[1:] <= arc_src[:-1]
         starts = indptr[1:-1]
-        descent[starts[(starts > 0) & (starts < self.n_arcs)] - 1] = False
+        descent[starts[(starts > 0) & (starts < n_arcs)] - 1] = False
         if descent.any():
             raise ValueError("Graph field 'arc_src': arcs are unsorted or "
                              "repeated within a destination")
@@ -99,8 +133,10 @@ class Graph:
 
     @cached_property
     def arc_dst(self) -> np.ndarray:
-        """The destination of each arc: node i repeated once per arc into it."""
-        return np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.indptr))
+        """The destination of each arc: node i repeated once per arc into it,
+        in the dtype of `indptr`."""
+        return np.repeat(np.arange(self.n_nodes, dtype=self.indptr.dtype),
+                         np.diff(self.indptr))
 
     @property
     def n_features(self) -> int:
@@ -130,35 +166,42 @@ class Graph:
 def _arcs_by_destination(u, v, n_nodes):
     """Both directions of the undirected edges (u[e], v[e]), sorted by (dst, src).
 
-    Returns (src, indptr): the int64 arc sources and the CSR offsets over
-    destinations. u and v may be any integer arrays, int32 included. One
-    int64 key dst * n_nodes + src sorts the arcs; the keys are filled in
-    place, the products taken in int64 so that no endpoint dtype can
-    overflow, and a repeated key (an edge listed twice, either way round) is
+    Returns (src, indptr): the arc sources and the CSR offsets over
+    destinations, both in `arc_index_dtype(n_nodes, n_arcs)`. u and v may be
+    any integer arrays. One key dst * n_nodes + src per arc sorts the arcs:
+    int32 keys when n_nodes**2 < 2**31 and int64 keys otherwise, filled in
+    place with the products taken in the key dtype, so no endpoint dtype can
+    overflow. A repeated key (an edge listed twice, either way round) is
     dropped. The offsets are a binary search for each row's first key, and
-    the keys become the sources in place, as their remainder modulo n_nodes.
+    the sources are the keys' remainders modulo n_nodes, written in place
+    over int32 keys and straight into an int32 array from int64 keys.
     """
-    n_edges = len(u)
-    keys = np.empty(2 * n_edges, dtype=np.int64)
+    n_nodes, n_edges = int(n_nodes), len(u)
+    key_dtype = np.int32 if n_nodes * n_nodes < 2**31 else np.int64
+    keys = np.empty(2 * n_edges, dtype=key_dtype)
     for dst, src, half in ((v, u, keys[:n_edges]), (u, v, keys[n_edges:])):
-        np.multiply(dst, n_nodes, out=half, dtype=np.int64)
-        half += src
+        np.multiply(dst, n_nodes, out=half, dtype=key_dtype)
+        np.add(half, src, out=half, dtype=key_dtype)
     keys.sort()
     repeated = keys[1:] == keys[:-1]
     if repeated.any():
         keys = np.delete(keys, np.flatnonzero(repeated) + 1)
-    indptr = np.searchsorted(keys, np.arange(n_nodes + 1, dtype=np.int64) * n_nodes)
-    np.remainder(keys, n_nodes, out=keys)
-    return keys, indptr
+    del repeated
+    dtype = arc_index_dtype(n_nodes, len(keys))
+    indptr = np.searchsorted(keys, np.arange(n_nodes + 1, dtype=key_dtype) * n_nodes)
+    src = keys if keys.dtype == dtype else np.empty(len(keys), dtype=dtype)
+    np.remainder(keys, n_nodes, out=src)
+    return src, indptr.astype(dtype)
 
 
 def build_graph(n_nodes, undirected_edges, features, labels, n_classes) -> Graph:
     """Assemble a Graph from an (E, 2) array of edges, u != v in every row.
 
     Both arc directions are materialized; duplicates and reversals collapse.
-    Integer edges of any width are read as they are, without an int64 copy;
-    other edges must hold whole numbers (an empty list, whose numpy dtype is
-    float, is the edgeless graph).
+    Integer edges of any width are read as they are, without a copy; other
+    edges must hold whole numbers (an empty list, whose numpy dtype is
+    float, is the edgeless graph). The Graph's arc indices are in
+    `arc_index_dtype`, int32 below 2**31 nodes and arcs.
     """
     edges = np.asarray(undirected_edges).reshape(-1, 2)
     features = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
@@ -176,7 +219,7 @@ def build_graph(n_nodes, undirected_edges, features, labels, n_classes) -> Graph
         if (edges[:, 0] == edges[:, 1]).any():
             raise ValueError("self-loops are not represented")
     if edges.dtype.kind not in "iu":
-        edges = edges.astype(np.int64)
+        edges = edges.astype(arc_index_dtype(n_nodes))
     src, indptr = _arcs_by_destination(edges[:, 0], edges[:, 1], n_nodes)
     return Graph(int(n_nodes), src, indptr, features, labels, int(n_classes))
 

@@ -1218,3 +1218,43 @@ def test_adam_moment_shapes_follow_params():
     p.grad = np.zeros((2, 3))
     with pytest.raises(ValueError):
         opt.step()
+
+
+def test_tape_takes_a_graphs_int32_arc_index_without_a_copy():
+    # the endpoints and the chunk pattern's sources are the Graph's own
+    # arrays; the operators' index arrays are int32, so scipy copies none
+    rng = np.random.default_rng(31)
+    n = 60
+    edges = rng.integers(0, n, size=(200, 2))
+    g = build_graph(n, edges[edges[:, 0] != edges[:, 1]], np.zeros((n, 1)),
+                    np.zeros(n, dtype=np.int64), 1)
+    assert g.arc_src.dtype == np.int32
+    t = Tape()
+    src, dst, _ = t._arc_endpoints(g.arc_src, g.arc_dst, n)
+    assert np.shares_memory(src, g.arc_src) and np.shares_memory(dst, g.arc_dst)
+    rows, src, dst, chunks, chunks_t = t._chunk_pattern(g.arc_src, g.indptr, 3, n)
+    assert rows == n and np.shares_memory(src, g.arc_src)
+    assert dst.dtype == chunks.indices.dtype == chunks.indptr.dtype == np.int32
+    assert np.shares_memory(chunks_t.indices, chunks.indices)
+
+
+def test_tape_gives_the_same_bits_on_int32_and_int64_arc_indices():
+    # an int64 arc index is what a Graph unpickled from an older build holds
+    rng = np.random.default_rng(32)
+    n, w, c = 50, 8, 3
+    edges = rng.integers(0, n, size=(300, 2))
+    g = build_graph(n, edges[edges[:, 0] != edges[:, 1]], np.zeros((n, 1)),
+                    np.zeros(n, dtype=np.int64), 1)
+    h, w_att = rng.normal(size=(n, w)), rng.normal(size=(w, c))
+    upstream = rng.normal(size=(n, c * w))
+    results = []
+    for dtype in (np.int32, np.int64):
+        src, dst, indptr = (a.astype(dtype) for a in (g.arc_src, g.arc_dst, g.indptr))
+        t = Tape()
+        h_param, w_param = parameter(h), parameter(w_att)
+        scores = t.arc_attention(h_param, w_param, src, dst, 0.5, 0.5)
+        out = t.chunk_sum(scores, h_param, src, indptr)
+        backward_from(t, upstream, out)
+        results.append((out.data, h_param.grad, w_param.grad))
+    for a, b in zip(*results):
+        assert same_bits(a, b)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from heterognn.graphs import (
     Graph,
     Split,
     _arcs_by_destination,
+    arc_index_dtype,
     build_graph,
     edge_homophily,
     largest_remainder,
@@ -157,6 +159,56 @@ def test_graph_rejects_indptr_that_does_not_fit(tmp_path, indptr):
     with pytest.raises(ValueError, match="'indptr'"):
         Graph(g.n_nodes, g.arc_src, np.array(indptr), g.features, g.labels,
               g.n_classes)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, bool])
+@pytest.mark.parametrize("field", ["arc_src", "indptr"])
+def test_graph_rejects_index_arrays_that_are_not_integers(field, dtype):
+    # the triangle's arcs; as floats they would index, as bools they are 0/1
+    arrays = {"arc_src": np.array([1, 2, 0, 2, 0, 1]),
+              "indptr": np.array([0, 2, 4, 6])}
+    arrays[field] = arrays[field].astype(dtype)
+    with pytest.raises(ValueError, match=f"'{field}': dtype .* not an integer"):
+        Graph(3, arrays["arc_src"], arrays["indptr"], np.zeros((3, 1)),
+              np.zeros(3, dtype=np.int64), 1)
+
+
+def test_graph_rejects_a_decreasing_unsigned_indptr():
+    # np.diff of unsigned offsets wraps instead of going negative
+    with pytest.raises(ValueError, match="'indptr'"):
+        Graph(3, np.array([1, 2, 0, 2, 0, 1]), np.array([0, 4, 2, 6], dtype=np.uint64),
+              np.zeros((3, 1)), np.zeros(3, dtype=np.int64), 1)
+
+
+def test_graph_checks_the_source_range_before_narrowing_it():
+    # 2**32 + 1 would wrap to 1 in int32, a valid source of node 0
+    with pytest.raises(ValueError, match="arc source outside"):
+        Graph(3, np.array([2**32 + 1, 2, 0, 2, 0, 1]), np.array([0, 2, 4, 6]),
+              np.zeros((3, 1)), np.zeros(3, dtype=np.int64), 1)
+
+
+@pytest.mark.parametrize("n_nodes, n_arcs, want", [
+    (0, 0, np.int32), (2**31 - 1, 2**31 - 1, np.int32), (2**31, 0, np.int64),
+    (5, 2**31, np.int64), (2**40, 2**40, np.int64)])
+def test_arc_index_dtype_is_scipys_rule(n_nodes, n_arcs, want):
+    # the numbers alone: nothing of this size is allocated
+    assert arc_index_dtype(n_nodes, n_arcs) == want
+    # scipy's choice for an n_nodes-square CSR whose indptr ends at n_arcs
+    assert sp.get_index_dtype(maxval=max(n_nodes, n_arcs)) == want
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+def test_graph_stores_its_arc_index_in_the_rule_dtype(dtype):
+    arc_src = np.array([1, 2, 0, 2, 0, 1], dtype=dtype)
+    indptr = np.array([0, 2, 4, 6], dtype=dtype)
+    g = Graph(3, arc_src, indptr, np.zeros((3, 1)), np.zeros(3, dtype=np.int64), 1)
+    for got, passed in ((g.arc_src, arc_src), (g.indptr, indptr)):
+        assert got.dtype == np.int32
+        assert np.array_equal(got, passed)
+        # an array already in the dtype is kept, not copied
+        assert np.shares_memory(got, passed) == (dtype == np.int32)
+    assert g.arc_dst.dtype == np.int32
+    assert g.arc_dst.tolist() == [0, 0, 1, 1, 2, 2]
 
 
 def test_comment_lines_ignored(tmp_path):
@@ -488,7 +540,7 @@ def test_arcs_by_destination_match_lexsort(order, n, n_edges, seed):
         rng.shuffle(edges)
     src, indptr = _arcs_by_destination(edges[:, 0], edges[:, 1], n)
     for got, want in ((src, ref_src), (indptr, ref_indptr)):
-        assert got.dtype == np.int64
+        assert got.dtype == arc_index_dtype(n, len(src))
         assert np.array_equal(got, want)
 
 
@@ -501,7 +553,7 @@ def test_int32_endpoints_whose_keys_pass_int32_match_the_int64_reference():
     edges = np.concatenate([edges, [[n - 1, n - 2], [0, n - 1], [n - 2, n - 1]]])
     edges32 = edges.astype(np.int32)
     src, indptr = _arcs_by_destination(edges32[:, 0], edges32[:, 1], n)
-    assert src.dtype == np.int64
+    assert src.dtype == arc_index_dtype(n, len(src))
     # the reference collapses the one repeated pair as the keys do
     pairs = np.unique(np.sort(edges, axis=1), axis=0)
     ref_src, ref_indptr = _lexsorted_arcs(pairs[:, 0], pairs[:, 1], n)
@@ -524,8 +576,41 @@ def test_build_graph_rejects_endpoints_that_are_not_whole_numbers(edges):
 @pytest.mark.parametrize("edges", [[], [[0.0, 1.0], [2.0, 1.0]], [[0, 1], [1, 2]]])
 def test_build_graph_takes_whole_endpoints_of_any_dtype(edges):
     g = build_graph(3, edges, np.zeros((3, 1)), [0, 0, 0], 1)
-    assert g.arc_src.dtype == np.int64
+    assert g.arc_src.dtype == arc_index_dtype(3, g.n_arcs)
     assert g.n_edges == len(edges)
+
+
+def _large_graph():
+    """A graph on N = 70,000 nodes (N^2 > 2^31, so an int32 key or product
+    dst * N + src would wrap) with edges among the highest ids, its int64
+    endpoints and its labels."""
+    n = 70_000
+    rng = np.random.default_rng(7)
+    edges = rng.integers(0, n, size=(4000, 2))
+    edges = np.concatenate([edges, rng.integers(n - 50, n, size=(400, 2)),
+                            [[n - 1, n - 2], [0, n - 1]]])
+    edges = np.unique(np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1), axis=0)
+    labels = rng.integers(0, 3, n)
+    return build_graph(n, edges, np.zeros((n, 1)), labels, 3), edges, labels
+
+
+def test_int64_keys_write_int32_sources_that_match_the_lexsort_reference():
+    g, edges, _ = _large_graph()
+    n = g.n_nodes
+    src, indptr = _arcs_by_destination(edges[:, 0], edges[:, 1], n)
+    ref_src, ref_indptr = _lexsorted_arcs(edges[:, 0], edges[:, 1], n)
+    assert src.dtype == indptr.dtype == np.int32
+    assert np.array_equal(src, ref_src)
+    assert np.array_equal(indptr, ref_indptr)
+    assert g.arc_src.dtype == g.arc_dst.dtype == g.indptr.dtype == np.int32
+
+
+def test_edge_views_of_a_large_int32_graph_match_the_int64_reference():
+    g, edges, labels = _large_graph()
+    assert np.array_equal(self_free_undirected_edges(g), edges)
+    ends = np.concatenate([edges, edges[:, ::-1]])
+    want = np.mean(labels[ends[:, 0]] == labels[ends[:, 1]])
+    assert edge_homophily(g) == want
 
 
 @settings(max_examples=30, deadline=None)

@@ -401,6 +401,27 @@ def test_mixing_is_direction_symmetric():
     assert mixing_score_from_scores(g, scores[twin]) == want
 
 
+def test_mixing_on_a_large_int32_graph_finds_every_twin():
+    # N = 70,000: N^2 > 2^31, so a key src * N + dst in int32 would wrap;
+    # the twins are checked against a (src, dst) lookup in Python ints
+    n = 70_000
+    rng = np.random.default_rng(23)
+    edges = np.concatenate([rng.integers(0, n, size=(3000, 2)),
+                            rng.integers(n - 40, n, size=(300, 2))])
+    g = build_graph(n, edges[edges[:, 0] != edges[:, 1]], np.zeros((n, 1)),
+                    rng.integers(0, 2, n), 2)
+    assert g.arc_src.dtype == g.arc_dst.dtype == np.int32
+    arcs = list(zip(g.arc_src.tolist(), g.arc_dst.tolist()))
+    index = {arc: a for a, arc in enumerate(arcs)}
+    twin = np.array([index[d, s] for s, d in arcs])
+    assert np.array_equal(training._reverse_arc_index(g), twin)
+    scores = rng.dirichlet(np.ones(3), size=g.n_arcs)
+    chunk = np.argmax(scores, axis=1)
+    want = np.mean([chunk[a] != chunk[twin[a]] for a, (s, d) in enumerate(arcs)
+                    if s < d and g.labels[s] != g.labels[d]])
+    assert mixing_score_from_scores(g, scores) == want
+
+
 @pytest.mark.parametrize("arcs, indptr, missing", [
     ([(1, 0), (0, 1), (0, 2)], [0, 1, 2, 3], "arc 0->2 has no reverse arc 2->0"),
     ([(1, 0), (2, 0), (0, 1)], [0, 2, 3, 3], "arc 2->0 has no reverse arc 0->2"),
