@@ -10,16 +10,18 @@ Records hold gradient cells, never tensors (see Tape), so an op output
 that no backward reads is freed as soon as its caller drops it.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import arc_index_dtype
+from .graphs import arc_index_dtype, check_arc_index
 
-__all__ = ["Tensor", "Tape", "AdamState", "parameter", "constant"]
+__all__ = ["Tensor", "Tape", "Arcs", "AdamState", "parameter", "constant"]
 
 _LN_EPS = 1e-5
 # arcs per block of chunk_sum's score-gradient gathers and arc_attention's
-# source-row gathers: 1 MiB of float64 rows at width 16
+# row gathers: 1 MiB of float64 rows at width 16
 _ARC_BLOCK = 8192
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -89,14 +91,6 @@ def _scatter_rows(ids, values, n):
     """
     k = ids.shape[0]
     return sp.csr_matrix((np.ones(k), (ids, np.arange(k))), shape=(n, k)) @ values
-
-
-def _index_array(ids):
-    """ids as an array of integer indices: an integer array as it is (a
-    Graph's int32 or int64 arc index, without a copy), anything else (a
-    list of ids) read as int64."""
-    ids = np.asarray(ids)
-    return ids if ids.dtype.kind in "iu" else ids.astype(np.int64)
 
 
 def _lend(mat, data, rhs):
@@ -202,6 +196,69 @@ def _accum(cell, g):
         cell[0] = held + g
 
 
+class Arcs:
+    """A checked CSR arc index and the sparse operators the tape builds on it.
+
+    The arcs a in indptr[i]:indptr[i+1] point at row i of the n =
+    len(indptr) - 1 output rows and come from row arc_src[a] of n_sources
+    input rows. Construction checks the index once (`check_arc_index`,
+    which raises ValueError naming the field) and keeps arrays already in
+    `arc_index_dtype`, such as a Graph's, without a copy.
+
+    `dst`, each arc's destination, and the operators are built on first use
+    and kept: `chunk_sum`'s stacked chunk CSR matrix and its CSC transpose
+    for each chunk count, and `arc_attention`'s endpoint CSC matrix for each
+    alpha. Their index arrays are in `arc_index_dtype`, so scipy keeps them
+    without an int32 copy. The chunk matrices hold no float data between
+    calls: each product lends them the scores (`_lend`). A record that
+    reads an operator holds this object, so the operators are freed with
+    the last such record.
+    """
+
+    def __init__(self, arc_src, indptr, n_sources):
+        self.src, self.indptr = check_arc_index(arc_src, indptr, n_sources)
+        self.n, self.n_sources = len(self.indptr) - 1, int(n_sources)
+        self._chunks, self._ends = {}, {}
+
+    @cached_property
+    def dst(self):
+        return np.repeat(np.arange(self.n, dtype=self.indptr.dtype),
+                         np.diff(self.indptr))
+
+    def chunk_matrices(self, c):
+        """(chunks, chunks_t): the (c*n, n_sources) CSR matrix whose block t
+        has arc a at (dst[a], src[a]), and its CSC transpose on the same
+        index arrays. Neither holds data."""
+        pair = self._chunks.get(c)
+        if pair is None:
+            k, n = self.src.size, self.n
+            idx = arc_index_dtype(max(c * n, self.n_sources), c * k)
+            cols = np.empty((c, k), dtype=idx)
+            cols[:] = self.src
+            stacked = np.append((self.indptr[:-1] + k * np.arange(c)[:, None]).ravel(),
+                                c * k)
+            chunks = sp.csr_matrix((np.empty(c * k), cols.ravel(), stacked.astype(idx)),
+                                   shape=(c * n, self.n_sources))
+            chunks_t = chunks.T
+            chunks.data = chunks_t.data = None
+            pair = self._chunks[c] = (chunks, chunks_t)
+        return pair
+
+    def endpoint_matrix(self, alpha):
+        """The (n, arcs) CSC matrix with alpha at (dst[a], a) and 1 at
+        (src[a], a)."""
+        ends = self._ends.get(alpha)
+        if ends is None:
+            k = self.src.size
+            idx = arc_index_dtype(self.n, 2 * k)
+            rows = np.empty((k, 2), dtype=idx)
+            rows[:, 0], rows[:, 1] = self.dst, self.src
+            ends = self._ends[alpha] = sp.csc_matrix(
+                (np.tile([alpha, 1.0], k), rows.ravel(),
+                 np.arange(0, 2 * k + 1, 2, dtype=idx)), shape=(self.n, k))
+        return ends
+
+
 class Tape:
     """Operation recorder. All ops are methods so the recording scope is explicit.
 
@@ -230,29 +287,18 @@ class Tape:
     runs, and a leaf's when the pass ends, so closures and leaves always
     get arrays of their own.
 
-    A graph's sparse operators are built once per tape, not once per layer
-    call: chunk_sum's stacked chunk CSR matrix and its CSC transpose, and
-    arc_attention's range-checked arc endpoints and its endpoint CSC
-    matrix. The endpoints are the caller's integer arrays as they are, a
-    Graph's int32 or int64 arc index, never an int64 copy; the operators'
-    index arrays are built in `graphs.arc_index_dtype`, so scipy keeps them
-    without an int32 copy. The endpoint matrix is built by the first
-    backward that reads it, so a non-recording tape never builds it. The
-    chunk matrices hold no float data between calls: each product lends
-    them the scores and takes them back, so no copy of the scores outlives
-    the call. None of these operators keeps a layer's values. They live on
-    the tape until its backward ends.
+    The two arc ops, chunk_sum and arc_attention, read their arcs and
+    sparse operators from an `Arcs` object, which builds each operator once
+    however many calls share it. A record that reads one holds the Arcs, so
+    the operators live as long as the records do. The endpoint matrix is
+    built by the first backward that reads it, so a non-recording tape
+    never builds it. None of these operators keeps a layer's values.
     """
 
     def __init__(self, recording=True):
         self.recording = recording
         self._nodes = []  # (out gradient cell, backward closure), in execution order
         self._consumed = False
-        # chunk_sum's and arc_attention's per-graph operators, keyed by the
-        # ids of the arrays they were built from; each entry holds those
-        # arrays, so the ids stay theirs
-        self._patterns = {}
-        self._arcs = {}
         self._views = []  # the cells chunk_balance's backward handed a broadcast view
 
     def _emit(self, out: Tensor, parents, backward_fn):
@@ -342,72 +388,37 @@ class Tape:
 
         return self._emit(out, (x,), back)
 
-    def _chunk_pattern(self, arc_src, indptr, c, n_x):
-        """(n, src, dst, chunks, chunks_t): chunk_sum's output row count, its
-        checked arc sources and destinations, its stacked (C*n, n_x) chunk
-        CSR matrix and that matrix's transpose, a CSC matrix on the same
-        index arrays. Neither matrix holds data: `_lend` hands it the
-        scores for one product.
-
-        Built and checked on the first call with these arc_src and indptr
-        objects (and this C and n_x) on this tape; every later call shares
-        them, so scipy neither scans nor copies the indices again. A pattern
-        that fails its checks is not kept.
-        """
-        key = (id(arc_src), id(indptr), c, n_x)
-        entry = self._patterns.get(key)
-        if entry is None:
-            src, ptr = _index_array(arc_src), _index_array(indptr)
-            if src.ndim != 1:
-                raise ValueError("arc_src must be 1-D")
-            k, n = src.size, ptr.size - 1
-            if (ptr.ndim != 1 or n < 0 or ptr[0] != 0 or ptr[-1] != k
-                    or np.any(ptr[1:] < ptr[:-1])):
-                raise ValueError("indptr must rise from 0 to the number of arcs")
-            if k and (src.min() < 0 or src.max() >= n_x):
-                raise IndexError("arc_src out of range")
-            idx = arc_index_dtype(max(c * n, n_x), c * k)
-            cols = np.empty((c, k), dtype=idx)
-            cols[:] = src
-            stacked = np.append((ptr[:-1] + k * np.arange(c)[:, None]).ravel(), c * k)
-            chunks = sp.csr_matrix((np.empty(c * k), cols.ravel(), stacked.astype(idx)),
-                                   shape=(c * n, n_x))
-            chunks_t = chunks.T
-            chunks.data = chunks_t.data = None
-            dst = np.repeat(np.arange(n, dtype=arc_index_dtype(n, k)), np.diff(ptr))
-            entry = (arc_src, indptr, n, src, dst, chunks, chunks_t)
-            self._patterns[key] = entry
-        return entry[2:]
-
-    def chunk_sum(self, scores: Tensor, x: Tensor, arc_src, indptr) -> Tensor:
+    def chunk_sum(self, scores: Tensor, x: Tensor, arcs: Arcs) -> Tensor:
         """Score-weighted sums of source rows, one output block per score column.
 
-        The arcs a in indptr[i]:indptr[i+1] point at output row i, and block t
-        of out[i] sums scores[a, t] * x[arc_src[a]] over them in arc order,
-        the order np.add.at would use. One all-ones score column is a plain
-        segment sum of gathered rows.
+        The arcs a in arcs.indptr[i]:arcs.indptr[i+1] point at output row i,
+        and block t of out[i] sums scores[a, t] * x[arcs.src[a]] over them in
+        arc order, the order np.add.at would use. x has arcs.n_sources rows.
+        One all-ones score column is a plain segment sum of gathered rows.
 
         The forward is one sparse product: the C chunk matrices (chunk t
-        holds scores[a, t] at (i, arc_src[a])) stacked into a (C*n, len(x))
-        CSR matrix. That matrix and its CSC transpose are built and checked
-        once per tape for each (arc_src, indptr) pair (the first call raises
-        on a bad one) and keep no data between calls: each product lends
-        them the scores, chunk-major, which costs no copy when the scores
-        are F-ordered, as `arc_attention`'s are. So the record keeps no
-        array of its own: it reads the scores (for x's gradient) and x (for
-        the scores'), which the attention before it keeps anyway. The
-        backward takes the x gradient as the transposed product and the
-        score gradient as a sampled dense-dense product over the arcs, from
-        the one chunk-major copy of g that the x gradient makes. It gathers
-        the arcs' source rows and output-gradient rows in blocks of
-        `_ARC_BLOCK` arcs, so no (arcs, w) array is built, and writes the
-        score gradient as (C, arcs) rows, handed on as its F-ordered `.T`.
+        holds scores[a, t] at (i, arcs.src[a])) stacked into a (C*n, len(x))
+        CSR matrix, `Arcs.chunk_matrices`. That matrix and its CSC transpose
+        keep no data between calls: each product lends them the scores,
+        chunk-major, which costs no copy when the scores are F-ordered, as
+        `arc_attention`'s are. So the record keeps no array of its own: it
+        reads the scores (for x's gradient) and x (for the scores'), which
+        the attention before it keeps anyway. The backward takes the x
+        gradient as the transposed product and the score gradient as a
+        sampled dense-dense product over the arcs, from the one chunk-major
+        copy of g that the x gradient makes. It gathers the arcs' source rows
+        and output-gradient rows in blocks of `_ARC_BLOCK` arcs, so no
+        (arcs, w) array is built, and writes the score gradient as (C, arcs)
+        rows, handed on as its F-ordered `.T`.
         """
         k, c = scores.data.shape
         n_x, w = x.data.shape
-        n, src, dst, chunks, chunks_t = self._chunk_pattern(arc_src, indptr, c, n_x)
-        if src.shape != (k,):
-            raise ValueError("scores and arc_src need one entry per arc")
+        if k != arcs.src.size or n_x != arcs.n_sources:
+            raise ValueError(f"chunk_sum shape mismatch: scores {scores.data.shape} "
+                             f"and x {x.data.shape} on {arcs.src.size} arcs from "
+                             f"{arcs.n_sources} rows")
+        n, src = arcs.n, arcs.src
+        chunks, chunks_t = arcs.chunk_matrices(c)
 
         out = Tensor(_lend(chunks, scores.data.T.ravel(), x.data).reshape(c, n, w)
                      .transpose(1, 0, 2).reshape(n, c * w))
@@ -420,6 +431,7 @@ class Tape:
             if gx is not None:
                 _accum(gx, _lend(chunks_t, s_data.T.ravel(), gt.reshape(c * n, w)))
             if gs is not None:
+                dst = arcs.dst
                 g_scores = np.empty((c, k))
                 for lo in range(0, k, _ARC_BLOCK):
                     block = slice(lo, lo + _ARC_BLOCK)
@@ -431,30 +443,11 @@ class Tape:
 
         return self._emit(out, (scores, x), back)
 
-    def _arc_endpoints(self, arc_src, arc_dst, n):
-        """(src, dst, ends): arc_attention's checked arc endpoints and a dict,
-        empty at first, of its (n, arcs) endpoint matrices by alpha.
-
-        Checked on the first call with these arc_src and arc_dst objects
-        (and this n) on this tape; every later call shares them. Endpoints
-        that fail their checks are not kept.
-        """
-        key = (id(arc_src), id(arc_dst), n)
-        entry = self._arcs.get(key)
-        if entry is None:
-            src, dst = _index_array(arc_src), _index_array(arc_dst)
-            if src.ndim != 1 or dst.shape != src.shape:
-                raise ValueError("arc_src and arc_dst must be 1-D and of equal length")
-            if src.size and (min(src.min(), dst.min()) < 0
-                             or max(src.max(), dst.max()) >= n):
-                raise IndexError("arc endpoint out of range")
-            entry = (arc_src, arc_dst, src, dst, {})
-            self._arcs[key] = entry
-        return entry[2:]
-
-    def arc_attention(self, h: Tensor, w_att: Tensor, arc_src, arc_dst,
+    def arc_attention(self, h: Tensor, w_att: Tensor, arcs: Arcs,
                       alpha: float, temperature: float) -> Tensor:
-        """Per-arc scores softmax(ReLU(alpha * h[arc_dst] + h[arc_src]) @ w_att).
+        """Per-arc scores softmax(ReLU(alpha * h[arcs.dst] + h[arcs.src]) @ w_att).
+
+        h has arcs.n == arcs.n_sources rows: the arcs run between its rows.
 
         Equal bit for bit, for fewer than eight chunks, to the same steps in
         plain numpy with a row-major softmax (the reference in the tests),
@@ -471,30 +464,28 @@ class Tape:
         operations, then runs the softmax, w_att's gradient and the ReLU
         mask, which it takes as one byte per entry, dropping the ReLU output
         before the (arcs, w) gradient is built, and returns h's gradient as
-        one sparse product with the endpoint matrix, alpha at (arc_dst[a], a)
-        and 1 at (arc_src[a], a). Both passes add the gathered source rows
-        to the scaled destination rows in blocks of `_ARC_BLOCK` arcs, so
-        the ReLU output is the only (arcs, w) float array alive at once.
-
-        The endpoints are range-checked once per tape for each (arc_src,
-        arc_dst) pair (the first call raises on a bad one). The endpoint
-        matrix is built once per tape for each pair and alpha, by the first
-        backward that reads it, and holds only those constants.
+        one sparse product with `Arcs.endpoint_matrix`, alpha at (dst[a], a)
+        and 1 at (src[a], a). Both passes gather the destination and source
+        rows in blocks of `_ARC_BLOCK` arcs, so the ReLU output is the only
+        (arcs, w) float array alive at once and no arc-sized copy of an
+        int32 index is made.
         """
         n, w = h.data.shape
-        src, dst, ends_by_alpha = self._arc_endpoints(arc_src, arc_dst, n)
-        if w_att.data.shape[0] != w:
+        if not n == arcs.n == arcs.n_sources or w_att.data.shape[0] != w:
             raise ValueError(f"arc_attention dimension mismatch: {h.data.shape} "
-                             f"rows scored by {w_att.data.shape}")
+                             f"rows on arcs from {arcs.n_sources} into {arcs.n} "
+                             f"rows, scored by {w_att.data.shape}")
         alpha = float(alpha)
+        src, dst = arcs.src, arcs.dst
         h_data, w_data = h.data, w_att.data
 
         def activation():
-            act = h_data.take(dst, axis=0)
-            act *= alpha
+            act = np.empty((src.size, w))
             for lo in range(0, src.size, _ARC_BLOCK):
                 block = slice(lo, lo + _ARC_BLOCK)
-                act[block] += h_data.take(src[block], axis=0)
+                rows = act[block]
+                np.multiply(h_data.take(dst[block], axis=0), alpha, out=rows)
+                rows += h_data.take(src[block], axis=0)
             return np.maximum(act, 0.0, out=act)
 
         out = Tensor(_softmax(np.ascontiguousarray((activation() @ w_data).T),
@@ -514,16 +505,7 @@ class Tape:
                 del act  # before d_pre, an array of its size, is built
                 d_pre = dz @ w_data.T
                 d_pre *= active
-                ends = ends_by_alpha.get(alpha)
-                if ends is None:
-                    k = src.size
-                    idx = arc_index_dtype(n, 2 * k)
-                    rows = np.empty((k, 2), dtype=idx)
-                    rows[:, 0], rows[:, 1] = dst, src
-                    ends = ends_by_alpha[alpha] = sp.csc_matrix(
-                        (np.tile([alpha, 1.0], k), rows.ravel(),
-                         np.arange(0, 2 * k + 1, 2, dtype=idx)), shape=(n, k))
-                _accum(gh, ends @ d_pre)
+                _accum(gh, arcs.endpoint_matrix(alpha) @ d_pre)
 
         return self._emit(out, (h, w_att), back)
 
@@ -721,8 +703,7 @@ class Tape:
         g_logits = logits._cell
 
         def back(g):
-            soft = np.exp(z - zmax)
-            soft /= soft.sum(axis=1, keepdims=True)
+            soft = _softmax(z.copy(), 1.0, 1)
             soft[np.arange(rows.size), y[rows]] -= 1.0
             _accum(g_logits, _scatter_rows(rows, soft * (g[0, 0] / rows.size), n))
 
@@ -761,8 +742,6 @@ class Tape:
             if cell[0] is not None and not cell[0].flags.writeable:
                 cell[0] = cell[0].copy()
         self._views.clear()
-        self._patterns.clear()
-        self._arcs.clear()
 
 
 class AdamState:

@@ -15,11 +15,12 @@ loader then rejects as non-finite). Underscore digit groups ("6_0") and
 non-ASCII digits are rejected.
 
 A Graph is a CSR index of directed arcs, two per undirected edge, sorted
-by (dst, src). This is the only module that sorts arcs: a CSR already in
-that order is a Graph as it stands. Its arc indices are int32 when the node
-and arc counts are both below 2**31 and int64 otherwise (`arc_index_dtype`),
-which is scipy's rule for CSR index arrays, so a CSR matrix built on a
-Graph's arrays shares them instead of copying them.
+by (dst, src). This module sorts arcs into that order, and a CSR already in
+it is a Graph as it stands; `training._reverse_arc_index` argsorts them by
+(src, dst) to pair each arc with its twin. Its arc indices are int32 when
+the node and arc counts are both below 2**31 and int64 otherwise
+(`arc_index_dtype`), which is scipy's rule for CSR index arrays, so a CSR
+matrix built on a Graph's arrays shares them instead of copying them.
 """
 
 import json
@@ -33,7 +34,7 @@ import scipy.sparse as sp
 
 __all__ = ["Graph", "Split", "DatasetFormatError", "load_dataset",
            "save_dataset", "edge_homophily", "random_split", "largest_remainder",
-           "arc_index_dtype"]
+           "arc_index_dtype", "check_arc_index"]
 
 SPLIT_FRACTIONS = (0.48, 0.32, 0.20)
 
@@ -60,22 +61,53 @@ def arc_index_dtype(n_nodes, n_arcs=0) -> np.dtype:
     return np.dtype(np.int32 if max(n_nodes, n_arcs) < 2**31 else np.int64)
 
 
+def check_arc_index(arc_src, indptr, n_sources):
+    """(arc_src, indptr) checked as the CSR index of arcs from n_sources
+    nodes, in `arc_index_dtype`.
+
+    Both must be 1-D integer arrays (a list of ints reads as int64), the
+    offsets must rise from 0 to the number of arcs and every source must lie
+    in [0, n_sources). Each violation raises ValueError naming its field.
+    An array already in the dtype is kept as it is; other integer input is
+    converted once, after the checks, so nothing wraps.
+    """
+    arc_src, indptr = np.asarray(arc_src), np.asarray(indptr)
+    for name, array in (("arc_src", arc_src), ("indptr", indptr)):
+        if array.dtype.kind not in "iu":
+            raise ValueError(f"arc index field {name!r}: dtype {array.dtype} is "
+                             f"not an integer dtype")
+        if array.ndim != 1:
+            raise ValueError(f"arc index field {name!r}: {array.ndim}-D, not 1-D")
+    n_arcs = len(arc_src)
+    # compared, not differenced: np.diff of unsigned offsets wraps
+    if (not len(indptr) or indptr[0] != 0 or indptr[-1] != n_arcs
+            or (indptr[1:] < indptr[:-1]).any()):
+        raise ValueError(f"arc index field 'indptr': offsets are not a "
+                         f"nondecreasing run from 0 to the {n_arcs} arc sources")
+    if n_arcs and (arc_src.min() < 0 or arc_src.max() >= n_sources):
+        raise ValueError(f"arc index field 'arc_src': arc source outside "
+                         f"[0, {n_sources})")
+    dtype = arc_index_dtype(max(n_sources, len(indptr) - 1), n_arcs)
+    return arc_src.astype(dtype, copy=False), indptr.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class Graph:
     """An undirected graph as a CSR index of directed arcs, plus node data.
 
     The sources of the arcs into node i are arc_src[indptr[i]:indptr[i+1]],
     strictly ascending, and both directions of every edge are present.
-    Construction checks the offsets, the source range and that order, which
-    the model reads; not symmetry, which would take a second sort. The order
+    Construction checks the index as `check_arc_index` does, with n_nodes
+    sources, then the length of `indptr` and that order, which the model
+    reads; not symmetry, which would take a second sort. The order
     check compares each source with the one before it, except at a row
     start, so it holds one byte per arc and no copy of `arc_src`.
 
-    `arc_src` and `indptr` must have an integer dtype. They are stored in
-    `arc_index_dtype(n_nodes, n_arcs)`, as they are when they already have
-    it (a scipy CSR's int32 arrays) and converted once otherwise, and
-    `arc_dst` has the dtype of `indptr`. A Graph unpickled from an older
-    build may hold int64 arrays; every reader takes either.
+    `arc_src` and `indptr` are stored in `arc_index_dtype(n_nodes, n_arcs)`,
+    as they are when they already have it (a scipy CSR's int32 arrays) and
+    converted once otherwise, and `arc_dst` has the dtype of `indptr`. A
+    Graph unpickled from an older build may hold int64 arrays; every reader
+    takes either.
 
     `arc_dst` (from indptr) and `encoder_operand` (from the features) are
     built on first read and kept for the Graph's life, so nothing may write
@@ -91,29 +123,13 @@ class Graph:
 
     def __post_init__(self):
         n = self.n_nodes
-        arc_src, indptr = np.asarray(self.arc_src), np.asarray(self.indptr)
-        for name, array in (("arc_src", arc_src), ("indptr", indptr)):
-            if array.dtype.kind not in "iu":
-                raise ValueError(f"Graph field {name!r}: dtype {array.dtype} is "
-                                 f"not an integer dtype")
-        n_arcs = len(arc_src)
+        arc_src, indptr = check_arc_index(self.arc_src, self.indptr, n)
         if len(indptr) != n + 1:
             raise ValueError(f"Graph field 'indptr': length {len(indptr)}, "
                              f"expected n_nodes + 1 = {n + 1}")
-        # compared, not differenced: np.diff of unsigned offsets wraps
-        if (indptr[0] != 0 or indptr[-1] != n_arcs
-                or (indptr[1:] < indptr[:-1]).any()):
-            raise ValueError(f"Graph field 'indptr': offsets from {indptr[0]} to "
-                             f"{indptr[-1]} are not a nondecreasing run from 0 "
-                             f"to the {n_arcs} arc sources")
-        if n_arcs and (arc_src.min() < 0 or arc_src.max() >= n):
-            raise ValueError(f"Graph field 'arc_src': arc source outside [0, {n})")
-        # both are in range now, so the conversion cannot wrap
-        dtype = arc_index_dtype(n, n_arcs)
-        arc_src = arc_src.astype(dtype, copy=False)
-        indptr = indptr.astype(dtype, copy=False)
         object.__setattr__(self, "arc_src", arc_src)
         object.__setattr__(self, "indptr", indptr)
+        n_arcs = len(arc_src)
         # descent[k] compares arcs k and k + 1; a pair that straddles a row
         # start lies in two rows, so it may descend
         descent = arc_src[1:] <= arc_src[:-1]

@@ -33,13 +33,13 @@ allocates no arc-sized array that no computation needs: the penalty's
 gradient of each layer's scores is a broadcast view of one row until that
 layer's records run, so its transient does not grow with depth.
 
-Every layer reads the same graph, so a tape builds the graph's sparse
-operators once, not once per layer: the stacked chunk CSR matrix and its
-CSC transpose that `Tape.chunk_sum` multiplies by, and the endpoint CSC
-matrix of `Tape.arc_attention`'s backward (a recording tape's first
-backward builds it). They hold index arrays and the constants alpha and 1,
-never a layer's scores: each chunk product lends the matrix its scores
-for that one call.
+Every layer reads the same graph, so `forward` wraps its arc index in one
+`autodiff.Arcs` per call, and all layers share the sparse operators it
+builds once: the stacked chunk CSR matrix and its CSC transpose that
+`Tape.chunk_sum` multiplies by, and the endpoint CSC matrix of
+`Tape.arc_attention`'s backward (a recording tape's first backward builds
+it). They hold index arrays and the constants alpha and 1, never a
+layer's scores, and are freed with the records that read them.
 """
 
 import json
@@ -203,32 +203,32 @@ def encode(tape, params: M2mParams, features, config: M2mConfig,
     return tape.matmul(h, params.enc_out)
 
 
-def attention_scores(tape, h_hat: ad.Tensor, graph, w_att: ad.Tensor,
+def attention_scores(tape, h_hat: ad.Tensor, arcs: ad.Arcs, w_att: ad.Tensor,
                      alpha: float, temperature: float) -> ad.Tensor:
     """Per-arc chunk scores: softmax of ReLU(alpha*ego + source) @ w_att.
 
-    Rows live on arcs (source scored while messaging its ego), sum to one,
-    and stay nonnegative; the two directions of an undirected edge are
-    scored independently. One fused tape op (`Tape.arc_attention`); for
-    the backward it keeps only the (arcs, C) scores, the `.T` view of a
+    arcs is the graph's arc index as an `autodiff.Arcs`. Rows live on arcs
+    (source scored while messaging its ego), sum to one, and stay
+    nonnegative; the two directions of an undirected edge are scored
+    independently. One fused tape op (`Tape.arc_attention`); for the
+    backward it keeps only the (arcs, C) scores, the `.T` view of a
     chunk-major array, and recomputes the ReLU output from h_hat.
     """
-    return tape.arc_attention(h_hat, w_att, graph.arc_src, graph.arc_dst,
-                              alpha, temperature)
+    return tape.arc_attention(h_hat, w_att, arcs, alpha, temperature)
 
 
 def chunk_aggregate(tape, h_hat: ad.Tensor, scores: ad.Tensor,
-                    graph) -> ad.Tensor:
+                    arcs: ad.Arcs) -> ad.Tensor:
     """Score-weighted per-chunk sums of source projections, concatenated.
 
     Chunk t of node i (one chunk per score column) sums s_t(i, j) * h_hat_j
     over i's in-arcs; nodes with no arcs end up with all-zero messages. One
     tape op (`Tape.chunk_sum`), a sparse product that never gathers h_hat
     onto the arcs. Its record keeps no array of its own: the chunk matrices
-    are built once per tape from the graph's index arrays, every layer on
-    the tape shares them, and each product hands them the scores.
+    are built once by arcs (an `autodiff.Arcs`), every layer that shares
+    arcs shares them, and each product hands them the scores.
     """
-    return tape.chunk_sum(scores, h_hat, graph.arc_src, graph.indptr)
+    return tape.chunk_sum(scores, h_hat, arcs)
 
 
 def layer_update(tape, h0: ad.Tensor, message: ad.Tensor, beta: float,
@@ -260,10 +260,12 @@ def forward(tape, params: M2mParams, graph, config: M2mConfig,
 
     Returns the logits and each layer's (n_arcs, chunks) scores. The
     encoder reads ``graph.encoder_operand``, which the graph builds on the
-    first call and keeps. Evaluation mode (training=False) is deterministic.
+    first call and keeps; the layers share one `autodiff.Arcs` of the
+    graph's arc index, built per call. Evaluation mode (training=False) is deterministic.
     Its callers in ``training`` (the per-epoch eval of ``train`` and
     ``average_scores``) pass ``ad.Tape(recording=False)``.
     """
+    arcs = ad.Arcs(graph.arc_src, graph.indptr, graph.n_nodes)
     h0 = encode(tape, params, graph.encoder_operand, config, training, rng)
     keep_prob = config.keep_prob if training else 1.0
     h_in = tape.dropout(h0, keep_prob, rng) if keep_prob < 1.0 else h0
@@ -271,10 +273,10 @@ def forward(tape, params: M2mParams, graph, config: M2mConfig,
     attentions = []
     for k in range(config.layers):
         scores = attention_scores(
-            tape, h_hat, graph, params.layer_att[k],
+            tape, h_hat, arcs, params.layer_att[k],
             config.alpha, config.temperature,
         )
-        message = chunk_aggregate(tape, h_hat, scores, graph)
+        message = chunk_aggregate(tape, h_hat, scores, arcs)
         if k + 1 < config.layers:
             w_next, keep_next = params.layer_proj[k + 1], keep_prob
         else:

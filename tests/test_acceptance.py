@@ -302,17 +302,17 @@ def op_battery(rng):
     labels = np.array([0, 2, 1])
     rows = np.array([0, 1, 2])
     # arcs 2->0, 0->0, 1->1 and 1->2, sorted by destination
-    arc_src, arc_dst = np.array([2, 0, 1, 1]), np.array([0, 0, 1, 2])
-    indptr = np.array([0, 2, 3, 4])
+    arc_src, indptr = np.array([2, 0, 1, 1]), np.array([0, 2, 3, 4])
+    arcs = ad.Arcs(arc_src, indptr, 3)
     bag = sp.csr_matrix([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.25, 0.0, 0.75]])
 
     def run(tape):
         s = tape.scale(tape.add(a, b), 0.7)
         kept = tape.dropout(s, 0.75, np.random.default_rng(3))
         h = tape.relu(tape.matmul(kept, w))
-        scores = tape.arc_attention(h, w_att, arc_src, arc_dst, 0.6, 0.8)
+        scores = tape.arc_attention(h, w_att, arcs, 0.6, 0.8)
         assert scores.data.flags.f_contiguous and not scores.data.flags.c_contiguous
-        message = tape.chunk_sum(scores, col, arc_src, indptr)
+        message = tape.chunk_sum(scores, col, arcs)
         projected = tape.norm_project(s, message, 0.6, gain, bias, w, 0.75,
                                       np.random.default_rng(3))
         soft = tape.row_softmax(projected, temperature=0.7)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from heterognn.autodiff import AdamState, Tape, Tensor, _accum, constant, parameter
+from heterognn.autodiff import (AdamState, Arcs, Tape, Tensor, _accum, constant,
+                                parameter)
 from heterognn.graphs import build_graph
 from heterognn.model import one_hot_arc_scores
 from heterognn.multiset import one_hop_desirable_m2m
@@ -211,38 +212,43 @@ def ones_column(k):
 
 
 def grouped_by_id(ids, n):
-    """(arc_src, indptr) that list the rows of each id in row order: the
-    stable sort of the row numbers by id, and its CSR offsets."""
+    """The Arcs that list the rows of each id in row order: the stable sort
+    of the row numbers by id, and its CSR offsets."""
     order = np.argsort(ids, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
-    return order, indptr
+    return Arcs(order, indptr, ids.size)
+
+
+def arcs_to(src, dst, n):
+    """The Arcs of the arcs src[a] -> dst[a] between n rows, dst sorted."""
+    return Arcs(src, np.searchsorted(dst, np.arange(n + 1)), n)
 
 
 def test_chunk_sum_hand_example():
     t = Tape()
     x = constant([[1.0, 2.0], [10.0, 20.0], [5.0, 5.0]])
-    out = t.chunk_sum(ones_column(3), x, [0, 1, 2], [0, 2, 3])
+    out = t.chunk_sum(ones_column(3), x, Arcs([0, 1, 2], [0, 2, 3], 3))
     np.testing.assert_array_equal(out.data, [[11.0, 22.0], [5.0, 5.0]])
 
 
 def test_chunk_sum_empty_segment_is_zero():
     t = Tape()
-    out = t.chunk_sum(ones_column(1), constant([[1.0]]), [0], [0, 0, 0, 1, 1])
+    out = t.chunk_sum(ones_column(1), constant([[1.0]]), Arcs([0], [0, 0, 0, 1, 1], 1))
     np.testing.assert_array_equal(out.data, [[0.0], [0.0], [1.0], [0.0]])
 
 
 def test_chunk_sum_rejects_out_of_range_id():
-    t = Tape()
-    with pytest.raises(IndexError):
-        t.chunk_sum(ones_column(1), constant([[1.0]]), [3], [0, 0, 1])
+    with pytest.raises(ValueError, match="'arc_src': arc source outside"):
+        Tape().chunk_sum(ones_column(1), constant([[1.0]]), Arcs([3], [0, 0, 1], 1))
+    with pytest.raises(ValueError, match="chunk_sum shape mismatch"):
+        Tape().chunk_sum(ones_column(1), constant([[1.0]]), Arcs([3], [0, 0, 1], 4))
 
 
 @pytest.mark.parametrize("indptr", [[0, 2], [1, 1], [0, 1, 0], [[0, 1]]])
 def test_chunk_sum_rejects_bad_indptr(indptr):
-    t = Tape()
-    with pytest.raises(ValueError, match="indptr"):
-        t.chunk_sum(ones_column(1), constant([[1.0]]), [0], indptr)
+    with pytest.raises(ValueError, match="'indptr'"):
+        Tape().chunk_sum(ones_column(1), constant([[1.0]]), Arcs([0], indptr, 1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -252,11 +258,9 @@ def test_chunk_sum_permutation_invariant_within_segments(perm):
     x = rng.normal(size=(6, 3))
     ids = np.array([0, 0, 1, 1, 1, 2])
     t = Tape(recording=False)
-    src, indptr = grouped_by_id(ids, 3)
-    ref = t.chunk_sum(ones_column(6), constant(x), src, indptr).data
+    ref = t.chunk_sum(ones_column(6), constant(x), grouped_by_id(ids, 3)).data
     perm = np.array(perm)
-    src, indptr = grouped_by_id(ids[perm], 3)
-    got = t.chunk_sum(ones_column(6), constant(x[perm]), src, indptr).data
+    got = t.chunk_sum(ones_column(6), constant(x[perm]), grouped_by_id(ids[perm], 3)).data
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
@@ -283,14 +287,14 @@ def add_at_reference(ids, values, n):
 def test_chunk_sum_and_gather_backward_match_add_at_bit_for_bit(case):
     n, ids, values = case
     expected = add_at_reference(ids, values, n)
-    src, indptr = grouped_by_id(ids, n)
     summed = Tape(recording=False).chunk_sum(ones_column(ids.size),
-                                             constant(values), src, indptr)
+                                             constant(values), grouped_by_id(ids, n))
     assert np.array_equal(summed.data, expected)
     t = Tape()
     x = parameter(np.zeros((n, values.shape[1])))
     # one arc per output row gathers the rows of x; their gradient is `values`
-    gathered = t.chunk_sum(ones_column(ids.size), x, ids, np.arange(ids.size + 1))
+    gathered = t.chunk_sum(ones_column(ids.size), x,
+                           Arcs(ids, np.arange(ids.size + 1), n))
     backward_from(t, values, gathered)
     assert np.array_equal(x.grad, expected)
 
@@ -323,9 +327,9 @@ def test_chunk_sum_matches_per_chunk_add_at_bit_for_bit(case, data):
         [add_at_reference(ids, scores[:, t : t + 1] * values, n) for t in range(c)],
         axis=1,
     )
-    src, indptr = grouped_by_id(ids, n)
-    got = Tape(recording=False).chunk_sum(constant(scores[src]), constant(values),
-                                          src, indptr)
+    arcs = grouped_by_id(ids, n)
+    got = Tape(recording=False).chunk_sum(constant(scores[arcs.src]), constant(values),
+                                          arcs)
     assert np.array_equal(got.data, expected)
 
 
@@ -364,7 +368,7 @@ def test_chunk_sum_forward_and_gradients_match_per_chunk_add_at(data):
 
     t = Tape()
     s_param, xp = parameter(scores), parameter(x)
-    out = t.chunk_sum(s_param, xp, src, indptr)
+    out = t.chunk_sum(s_param, xp, Arcs(src, indptr, n_x))
     assert np.array_equal(out.data, expected)
     backward_from(t, upstream, out)
     # the same float64 products summed in another order: each entry may move
@@ -393,8 +397,8 @@ def test_chunk_sum_of_one_hot_scores_is_the_label_blocked_sum(data):
     g = build_graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), features,
                     labels, c)
     got = Tape(recording=False).chunk_sum(
-        constant(one_hot_arc_scores(g, labels, c)), constant(features), g.arc_src,
-        g.indptr)
+        constant(one_hot_arc_scores(g, labels, c)), constant(features),
+        Arcs(g.arc_src, g.indptr, n))
     assert np.array_equal(got.data, one_hop_desirable_m2m(features, g, labels, mode="sum"))
 
 
@@ -417,7 +421,7 @@ def test_chunk_sum_gradients_match_the_stored_csr_formulas_bit_for_bit(chunks):
     upstream = rng.normal(size=(n, chunks * w))
     t = Tape()
     s_param, x_param = parameter(scores), parameter(x)
-    out = t.chunk_sum(s_param, x_param, src, indptr)
+    out = t.chunk_sum(s_param, x_param, Arcs(src, indptr, n_x))
     backward_from(t, upstream, out)
 
     stacked = sp.csr_matrix(
@@ -435,47 +439,6 @@ def test_chunk_sum_gradients_match_the_stored_csr_formulas_bit_for_bit(chunks):
     assert same_bits(x_param.grad,
                      stacked.T @ g3.transpose(1, 0, 2).reshape(chunks * n, w))
     assert same_bits(s_param.grad, g_scores)
-
-
-def test_one_tape_keeps_the_patterns_of_two_graphs_apart():
-    # same arc count, node count and chunk count: only the arrays differ
-    rng = np.random.default_rng(21)
-    n, k, c, w = 40, 300, 3, 4
-    graphs = [random_arcs(rng, n, n, k) for _ in range(2)]
-    graphs.append((graphs[0][0], graphs[1][1]))  # one graph's sources, the other's offsets
-    x = rng.normal(size=(n, w))
-    scores = rng.random((k, c))
-    upstream = rng.normal(size=(n, c * w))
-
-    def run(t, src, indptr):
-        s_param, x_param = parameter(scores), parameter(x)
-        return t.chunk_sum(s_param, x_param, src, indptr), s_param, x_param
-
-    shared = Tape()
-    runs = [run(shared, *g) for g in graphs + graphs[:1]]
-    backward_from(shared, upstream, *(out for out, _, _ in runs))
-    for (src, indptr), (out, s_param, x_param) in zip(graphs + graphs[:1], runs):
-        t = Tape()
-        alone, s_alone, x_alone = run(t, src, indptr)
-        backward_from(t, upstream, alone)
-        assert same_bits(out.data, alone.data)
-        assert same_bits(s_param.grad, s_alone.grad)
-        assert same_bits(x_param.grad, x_alone.grad)
-
-
-@pytest.mark.parametrize("src, indptr, error", [
-    ([3], [0, 0, 1], IndexError),
-    ([0], [0, 2], ValueError),
-    ([0], [1, 1], ValueError),
-    ([0], [0, 1, 0], ValueError),
-])
-def test_chunk_sum_checks_each_new_pattern_on_a_used_tape(src, indptr, error):
-    t = Tape()
-    x = constant([[1.0]])
-    t.chunk_sum(ones_column(1), x, [0], [0, 1])
-    for _ in range(2):  # a pattern that failed its checks is not kept
-        with pytest.raises(error):
-            t.chunk_sum(ones_column(1), x, src, indptr)
 
 
 def layer_norm(t, x, gain, bias):
@@ -587,8 +550,8 @@ def test_arc_attention_forward_matches_the_chain(chunks):
     rng = np.random.default_rng(chunks)
     h, w_att = rng.normal(size=(500, 16)), rng.normal(size=(16, chunks))
     src, dst = rng.integers(0, 500, 3000), np.sort(rng.integers(0, 500, 3000))
-    got = Tape(recording=False).arc_attention(constant(h), constant(w_att), src,
-                                              dst, 0.5, 0.5).data
+    got = Tape(recording=False).arc_attention(constant(h), constant(w_att),
+                                              arcs_to(src, dst, 500), 0.5, 0.5).data
     want = arc_attention_chain(h, w_att, src, dst, 0.5, 0.5)
     if chunks < 8:
         assert np.array_equal(got, want)
@@ -599,16 +562,19 @@ def test_arc_attention_forward_matches_the_chain(chunks):
 def test_arc_attention_forward_matches_the_chain_on_the_gradcheck_graph():
     _, (h, w_att) = CASES["arc_attention"]
     src, dst = np.array([1, 0, 2, 3, 1, 1]), np.array([0, 1, 1, 1, 2, 3])
-    got = Tape().arc_attention(constant(h), constant(w_att), src, dst, 0.6, 0.8)
+    got = Tape().arc_attention(constant(h), constant(w_att), arcs_to(src, dst, 4),
+                               0.6, 0.8)
     assert np.array_equal(got.data, arc_attention_chain(h, w_att, src, dst, 0.6, 0.8))
 
 
 def test_arc_attention_rejects_out_of_range_endpoint():
-    t = Tape()
     h, w_att = constant(np.ones((3, 2))), constant(np.ones((2, 2)))
-    for src, dst in (([0, 3], [1, 1]), ([0, 1], [1, -1])):
-        with pytest.raises(IndexError):
-            t.arc_attention(h, w_att, src, dst, 0.5, 0.5)
+    with pytest.raises(ValueError, match="'arc_src': arc source outside"):
+        Tape().arc_attention(h, w_att, Arcs([0, 3], [0, 0, 2, 2], 3), 0.5, 0.5)
+    # arcs into row 3, or from row 3, of an h with rows 0 to 2
+    for arcs in (Arcs([0, 1], [0, 0, 1, 1, 2], 3), Arcs([0, 3], [0, 0, 2, 2], 4)):
+        with pytest.raises(ValueError, match="arc_attention dimension mismatch"):
+            Tape().arc_attention(h, w_att, arcs, 0.5, 0.5)
 
 
 def arc_attention_with_kept_activation(h, w_att, src, dst, alpha, temperature,
@@ -645,7 +611,7 @@ def test_arc_attention_gradients_match_the_kept_activation_bit_for_bit():
     upstream = rng.normal(size=(k, c))
     t = Tape()
     h_param, w_param = parameter(h), parameter(w_att)
-    scores = t.arc_attention(h_param, w_param, src, dst, 0.5, 0.5)
+    scores = t.arc_attention(h_param, w_param, arcs_to(src, dst, n), 0.5, 0.5)
     backward_from(t, upstream, scores)
     want_scores, want_h, want_w = arc_attention_with_kept_activation(
         h, w_att, src, dst, 0.5, 0.5, upstream)
@@ -664,12 +630,12 @@ def test_arc_attention_holds_one_arc_sized_float_array_at_a_time():
     upstream = rng.normal(size=(k, c))
     g = np.asfortranarray(upstream)  # F-ordered, as chunk_sum hands it on
     h_param, w_param = parameter(h), parameter(w_att)
-    t = Tape()
+    t, arcs = Tape(), arcs_to(src, dst, n)
     unit = k * w * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        scores = t.arc_attention(h_param, w_param, src, dst, 0.5, 0.5)
+        scores = t.arc_attention(h_param, w_param, arcs, 0.5, 0.5)
         forward_peak = tracemalloc.get_traced_memory()[1] - before
         (_, back), = t._nodes
         tracemalloc.reset_peak()
@@ -688,50 +654,50 @@ def test_arc_attention_holds_one_arc_sized_float_array_at_a_time():
     assert same_bits(w_param.grad, want_w)
 
 
-def test_one_tape_keeps_the_endpoint_matrices_of_two_graphs_and_alphas_apart():
-    # same node and arc count: only the arrays, or alpha, differ
+def test_arc_attention_gathers_int32_destination_rows_in_blocks():
+    # numpy copies int32 indices to intp for a take, 8 B per arc if the
+    # destination rows are gathered at once: at width 2 the backward would
+    # peak at 24 B per arc (the ReLU output's 16 and that copy), not at the
+    # 18 of the ReLU output and its mask
+    rng = np.random.default_rng(26)
+    n, k, w, c = 3000, 300_000, 2, 1
+    h, w_att = rng.normal(size=(n, w)), rng.normal(size=(w, c))
+    dst = np.sort(rng.integers(0, n, k))
+    arcs = arcs_to(rng.integers(0, n, k), dst, n)
+    assert arcs.src.dtype == arcs.dst.dtype == np.int32
+    arcs.endpoint_matrix(0.5)  # built once, whatever the backward allocates
+    t = Tape()
+    scores = t.arc_attention(parameter(h), parameter(w_att), arcs, 0.5, 0.5)
+    (_, back), = t._nodes
+    g = np.asfortranarray(rng.normal(size=scores.shape))
+    tracemalloc.start()
+    try:
+        back(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 21 * k, peak / k
+
+
+def test_one_arcs_at_two_alphas_gives_the_bits_of_two_fresh_ones():
+    # the endpoint matrix is kept per alpha, so the second alpha gets its own
     rng = np.random.default_rng(24)
     n, k, w, c = 40, 300, 4, 3
-    graphs = [(rng.integers(0, n, k), np.sort(rng.integers(0, n, k))) for _ in range(2)]
-    graphs.append((graphs[0][0], graphs[1][1]))  # one graph's sources, the other's ends
-    runs = [(*graph, alpha) for graph in graphs for alpha in (0.3, 0.7)]
-    runs.append(runs[0])
+    src, dst = rng.integers(0, n, k), np.sort(rng.integers(0, n, k))
     h, w_att = rng.normal(size=(n, w)), rng.normal(size=(w, c))
     upstream = rng.normal(size=(k, c))
 
-    def run(t, src, dst, alpha):
-        h_param, w_param = parameter(h), parameter(w_att)
-        return t.arc_attention(h_param, w_param, src, dst, alpha, 0.5), h_param, w_param
+    def run(arcs, alpha):
+        t, h_param, w_param = Tape(), parameter(h), parameter(w_att)
+        scores = t.arc_attention(h_param, w_param, arcs, alpha, 0.5)
+        backward_from(t, upstream, scores)
+        return scores.data, h_param.grad, w_param.grad
 
-    shared = Tape()
-    outs = [run(shared, *r) for r in runs]
-    backward_from(shared, upstream, *(scores for scores, _, _ in outs))
-    for r, (scores, h_param, w_param) in zip(runs, outs):
-        t = Tape()
-        alone, h_alone, w_alone = run(t, *r)
-        backward_from(t, upstream, alone)
-        assert same_bits(scores.data, alone.data)
-        assert same_bits(h_param.grad, h_alone.grad)
-        assert same_bits(w_param.grad, w_alone.grad)
-
-
-KEPT_SRC, KEPT_DST = np.array([0, 3]), np.array([1, 1])
-
-
-@pytest.mark.parametrize("src, dst, rows, error", [
-    ([0, 4], [1, 1], 4, IndexError),
-    ([0, 1], [1, -1], 4, IndexError),
-    ([0, 1], [1], 4, ValueError),
-    (KEPT_SRC, KEPT_DST, 3, IndexError),  # the checked pair, on fewer rows
-])
-def test_arc_attention_checks_each_new_arc_pair_on_a_used_tape(src, dst, rows, error):
-    t = Tape()
-    w_att = constant(np.ones((2, 2)))
-    t.arc_attention(constant(np.ones((4, 2))), w_att, KEPT_SRC, KEPT_DST, 0.5, 0.5)
-    message = "out of range" if error is IndexError else "equal length"
-    for _ in range(2):  # a pair that failed its checks is not kept
-        with pytest.raises(error, match=message):
-            t.arc_attention(constant(np.ones((rows, 2))), w_att, src, dst, 0.5, 0.5)
+    shared = arcs_to(src, dst, n)
+    for alpha in (0.3, 0.7, 0.3):
+        for got, want in zip(run(shared, alpha), run(arcs_to(src, dst, n), alpha)):
+            assert same_bits(got, want)
+    assert sorted(shared._ends) == [0.3, 0.7]
 
 
 @pytest.mark.parametrize("keep_prob", [0.3, 0.7])
@@ -1072,7 +1038,7 @@ def _build_cases():
     @case("chunk_sum", [(3, 4), (5, 3)])
     def _(t, a, b):
         # five arcs gathering rows of a: two into output row 0, three into row 1
-        return sq_norm(t, t.chunk_sum(b, a, [0, 0, 2, 1, 2], [0, 2, 5]))
+        return sq_norm(t, t.chunk_sum(b, a, Arcs([0, 0, 2, 1, 2], [0, 2, 5], 3)))
 
     @case("cross_entropy", [(5, 3)])
     def _(t, a):
@@ -1096,7 +1062,7 @@ def _build_cases():
     @case("arc_attention", [(4, 3), (3, 2)])
     def _(t, h, w):
         # arcs of the path 0-1-2 and the edge 1-3, sorted by (dst, src)
-        scores = t.arc_attention(h, w, [1, 0, 2, 3, 1, 1], [0, 1, 1, 1, 2, 3],
+        scores = t.arc_attention(h, w, Arcs([1, 0, 2, 3, 1, 1], [0, 1, 4, 5, 6], 4),
                                  alpha=0.6, temperature=0.8)
         return sq_norm(t, scores)
 
@@ -1221,21 +1187,23 @@ def test_adam_moment_shapes_follow_params():
 
 
 def test_tape_takes_a_graphs_int32_arc_index_without_a_copy():
-    # the endpoints and the chunk pattern's sources are the Graph's own
-    # arrays; the operators' index arrays are int32, so scipy copies none
+    # the Arcs hold the Graph's own arrays; the operators' index arrays are
+    # int32, so scipy copies none
     rng = np.random.default_rng(31)
     n = 60
     edges = rng.integers(0, n, size=(200, 2))
     g = build_graph(n, edges[edges[:, 0] != edges[:, 1]], np.zeros((n, 1)),
                     np.zeros(n, dtype=np.int64), 1)
     assert g.arc_src.dtype == np.int32
-    t = Tape()
-    src, dst, _ = t._arc_endpoints(g.arc_src, g.arc_dst, n)
-    assert np.shares_memory(src, g.arc_src) and np.shares_memory(dst, g.arc_dst)
-    rows, src, dst, chunks, chunks_t = t._chunk_pattern(g.arc_src, g.indptr, 3, n)
-    assert rows == n and np.shares_memory(src, g.arc_src)
-    assert dst.dtype == chunks.indices.dtype == chunks.indptr.dtype == np.int32
+    arcs = Arcs(g.arc_src, g.indptr, n)
+    assert np.shares_memory(arcs.src, g.arc_src)
+    assert np.shares_memory(arcs.indptr, g.indptr)
+    assert arcs.n == n and np.array_equal(arcs.dst, g.arc_dst)
+    chunks, chunks_t = arcs.chunk_matrices(3)
+    assert arcs.dst.dtype == chunks.indices.dtype == chunks.indptr.dtype == np.int32
     assert np.shares_memory(chunks_t.indices, chunks.indices)
+    ends = arcs.endpoint_matrix(0.5)
+    assert ends.indices.dtype == ends.indptr.dtype == np.int32
 
 
 def test_tape_gives_the_same_bits_on_int32_and_int64_arc_indices():
@@ -1249,11 +1217,11 @@ def test_tape_gives_the_same_bits_on_int32_and_int64_arc_indices():
     upstream = rng.normal(size=(n, c * w))
     results = []
     for dtype in (np.int32, np.int64):
-        src, dst, indptr = (a.astype(dtype) for a in (g.arc_src, g.arc_dst, g.indptr))
+        arcs = Arcs(g.arc_src.astype(dtype), g.indptr.astype(dtype), n)
         t = Tape()
         h_param, w_param = parameter(h), parameter(w_att)
-        scores = t.arc_attention(h_param, w_param, src, dst, 0.5, 0.5)
-        out = t.chunk_sum(scores, h_param, src, indptr)
+        scores = t.arc_attention(h_param, w_param, arcs, 0.5, 0.5)
+        out = t.chunk_sum(scores, h_param, arcs)
         backward_from(t, upstream, out)
         results.append((out.data, h_param.grad, w_param.grad))
     for a, b in zip(*results):

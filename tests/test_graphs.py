@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heterognn.autodiff import Arcs
 from heterognn.graphs import (
     DatasetFormatError,
     Graph,
@@ -171,6 +172,36 @@ def test_graph_rejects_index_arrays_that_are_not_integers(field, dtype):
     with pytest.raises(ValueError, match=f"'{field}': dtype .* not an integer"):
         Graph(3, arrays["arc_src"], arrays["indptr"], np.zeros((3, 1)),
               np.zeros(3, dtype=np.int64), 1)
+
+
+TRIANGLE_SRC, TRIANGLE_PTR = np.array([1, 2, 0, 2, 0, 1]), np.array([0, 2, 4, 6])
+
+
+@pytest.mark.parametrize("arc_src, indptr, field, problem", [
+    ([0], [0, 2], "indptr", "offsets"),
+    ([0], [1, 1], "indptr", "offsets"),
+    ([0], [0, 1, 0], "indptr", "offsets"),
+    ([0], [[0, 1]], "indptr", "2-D"),
+    ([3], [0, 0, 1], "arc_src", "outside"),
+    ([0, 4], [0, 0, 2, 2, 2], "arc_src", "outside"),
+    ([0, 3], [0, 0, 2, 2], "arc_src", "outside"),
+    (TRIANGLE_SRC.astype(float), TRIANGLE_PTR, "arc_src", "not an integer"),
+    (TRIANGLE_SRC.astype(bool), TRIANGLE_PTR, "arc_src", "not an integer"),
+    (TRIANGLE_SRC, TRIANGLE_PTR.astype(float), "indptr", "not an integer"),
+    (TRIANGLE_SRC, TRIANGLE_PTR.astype(bool), "indptr", "not an integer"),
+], ids=["indptr-past-the-arcs", "indptr-from-1", "indptr-falling", "indptr-2-D",
+        "chunk-source-outside", "attention-source-outside",
+        "attention-source-outside-fewer-rows", "float-arc_src", "bool-arc_src",
+        "float-indptr", "bool-indptr"])
+def test_graph_and_arcs_reject_a_malformed_index_alike(arc_src, indptr, field, problem):
+    # one check (check_arc_index) serves both, with as many sources as rows
+    n = len(indptr) - 1
+    with pytest.raises(ValueError, match=f"'{field}': .*{problem}") as graph_error:
+        Graph(n, np.array(arc_src), np.array(indptr), np.zeros((n, 1)),
+              np.zeros(n, dtype=np.int64), 1)
+    with pytest.raises(ValueError) as arcs_error:
+        Arcs(arc_src, indptr, n)
+    assert str(arcs_error.value) == str(graph_error.value)
 
 
 def test_graph_rejects_a_decreasing_unsigned_indptr():

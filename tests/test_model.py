@@ -56,6 +56,11 @@ def random_graph(seed=0, n=10, f=4, n_classes=2, p_edge=0.45):
     return build_graph(n, edges, features, labels, n_classes)
 
 
+def arcs_of(g):
+    """The graph's arc index as the tape reads it."""
+    return ad.Arcs(g.arc_src, g.indptr, g.n_nodes)
+
+
 def tiny_config(**overrides):
     base = dict(hidden=8, chunks=2, layers=2, alpha=0.4, beta=0.6,
                 temperature=0.7, seed=3)
@@ -141,7 +146,7 @@ def test_zero_mixing_weights_give_uniform_scores():
     tape = ad.Tape()
     h0 = encode(tape, params, g.features, cfg)
     h_hat = tape.matmul(h0, params.layer_proj[0])
-    scores = attention_scores(tape, h_hat, g, params.layer_att[0],
+    scores = attention_scores(tape, h_hat, arcs_of(g), params.layer_att[0],
                               cfg.alpha, cfg.temperature)
     np.testing.assert_allclose(scores.data, 1.0 / 3.0, rtol=0, atol=1e-15)
 
@@ -152,8 +157,8 @@ def test_low_temperature_sharpens_scores():
     h_hat = ad.constant(np.abs(rng.normal(size=(9, 4))) + 0.1)
     w_att = ad.constant(rng.normal(size=(4, 3)))
     tape = ad.Tape()
-    warm = attention_scores(tape, h_hat, g, w_att, 0.5, 1.0).data
-    cold = attention_scores(tape, h_hat, g, w_att, 0.5, 0.02).data
+    warm = attention_scores(tape, h_hat, arcs_of(g), w_att, 0.5, 1.0).data
+    cold = attention_scores(tape, h_hat, arcs_of(g), w_att, 0.5, 0.02).data
     assert np.array_equal(np.argmax(warm, axis=1), np.argmax(cold, axis=1))
     assert np.all(cold.max(axis=1) >= warm.max(axis=1) - 1e-12)
     assert np.all(cold.max(axis=1) > 0.95)
@@ -167,12 +172,44 @@ def test_equal_blend_scores_arc_pairs_equally():
     h_hat = ad.constant(rng.normal(size=(8, 4)))
     w_att = ad.constant(rng.normal(size=(4, 2)))
     tape = ad.Tape()
-    scores = attention_scores(tape, h_hat, g, w_att, alpha=1.0,
+    scores = attention_scores(tape, h_hat, arcs_of(g), w_att, alpha=1.0,
                               temperature=0.7).data
     for a in range(g.n_arcs):
         i, j = g.arc_src[a], g.arc_dst[a]
         rev = np.flatnonzero((g.arc_src == j) & (g.arc_dst == i))[0]
         np.testing.assert_allclose(scores[a], scores[rev], atol=1e-12)
+
+
+def test_one_forward_builds_one_chunk_pattern_and_one_endpoint_matrix(monkeypatch):
+    # every layer's chunk_sum and arc_attention backward get the very
+    # operators the first layer's call built
+    built = []
+
+    class CountingArcs(ad.Arcs):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.handed = {"chunks": [], "ends": []}
+            built.append(self)
+
+        def chunk_matrices(self, c):
+            self.handed["chunks"].append(super().chunk_matrices(c))
+            return self.handed["chunks"][-1]
+
+        def endpoint_matrix(self, alpha):
+            self.handed["ends"].append(super().endpoint_matrix(alpha))
+            return self.handed["ends"][-1]
+
+    monkeypatch.setattr(ad, "Arcs", CountingArcs)
+    g = random_graph(seed=13, n=16, f=3)
+    cfg = tiny_config(layers=8, reg_strength=0.3)
+    params = init_params(cfg, g.n_features, g.n_classes)
+    tape = ad.Tape()
+    result = forward(tape, params, g, cfg, True, np.random.default_rng(0))
+    tape.backward(total_loss(tape, result, g.labels, np.arange(g.n_nodes), cfg))
+    (arcs,) = built
+    for handed in arcs.handed.values():
+        assert len(handed) == 8
+        assert all(op is handed[0] for op in handed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -198,7 +235,7 @@ def test_single_chunk_reduces_to_plain_neighbor_sum():
     scores = forward(ad.Tape(), params, g, cfg).attentions[0]
     assert np.all(scores.data == 1.0)
     h_hat = encode(ad.Tape(), params, g.features, cfg).data @ params.layer_proj[0].data
-    message = chunk_aggregate(ad.Tape(), ad.constant(h_hat), scores, g)
+    message = chunk_aggregate(ad.Tape(), ad.constant(h_hat), scores, arcs_of(g))
     expected = np.zeros((g.n_nodes, 6))
     np.add.at(expected, g.arc_dst, h_hat[g.arc_src])
     np.testing.assert_allclose(message.data, expected, atol=1e-12)
@@ -211,7 +248,7 @@ def test_one_hot_scores_route_mass_to_matching_block():
     scores = np.zeros((g.n_arcs, 2))
     scores[:, 1] = 1.0
     tape = ad.Tape()
-    message = chunk_aggregate(tape, h_hat, ad.constant(scores), g).data
+    message = chunk_aggregate(tape, h_hat, ad.constant(scores), arcs_of(g)).data
     assert np.all(message[:, :3] == 0.0)
     expected = np.zeros((7, 3))
     np.add.at(expected, g.arc_dst, h_hat.data[g.arc_src])
@@ -267,7 +304,7 @@ def test_label_oracle_scores_reproduce_reference_aggregation():
     oracle = ad.constant(one_hot_arc_scores(g, g.labels, 3))
     h0 = encode(ad.Tape(), params, g.features, cfg).data
     h_hat = h0 @ params.layer_proj[0].data
-    message = chunk_aggregate(ad.Tape(), ad.constant(h_hat), oracle, g)
+    message = chunk_aggregate(ad.Tape(), ad.constant(h_hat), oracle, arcs_of(g))
     reference = one_hop_desirable_m2m(h_hat, g, g.labels, mode="sum")
     np.testing.assert_allclose(message.data, reference, atol=1e-9)
 
@@ -829,11 +866,11 @@ def forward_with_refs(tape, params, g, cfg, rng):
     references to the data of each layer's message."""
     h0 = encode(tape, params, g.features, cfg, True, rng)
     h_hat = tape.matmul(tape.dropout(h0, cfg.keep_prob, rng), params.layer_proj[0])
-    refs = []
+    refs, arcs = [], arcs_of(g)
     for k in range(cfg.layers):
-        scores = attention_scores(tape, h_hat, g, params.layer_att[k],
+        scores = attention_scores(tape, h_hat, arcs, params.layer_att[k],
                                   cfg.alpha, cfg.temperature)
-        message = chunk_aggregate(tape, h_hat, scores, g)
+        message = chunk_aggregate(tape, h_hat, scores, arcs)
         last = k == cfg.layers - 1
         h_hat = layer_update(tape, h0, message, cfg.beta, params.ln_gain[k],
                              params.ln_bias[k],
