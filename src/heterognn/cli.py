@@ -343,8 +343,9 @@ def cmd_desirability(args) -> int:
         raise ValueError("dataset has no edges to audit")
     P, kept = signed_normalize(label_signed_sample(g))
     cumulative = cumulative_matrix([P] * args.layers)
-    ok, violations = is_desirable(cumulative, g.labels[kept], atol=args.atol)
-    per_layer_ok, _ = is_desirable(P, g.labels[kept], atol=args.atol)
+    labels = g.labels[kept]
+    ok, violations = is_desirable(cumulative, labels, atol=args.atol)
+    per_layer_ok, _ = is_desirable(P, labels, atol=args.atol)
     print(f"single-layer signs from labels: "
           f"{'desirable' if per_layer_ok else 'NOT desirable'}")
     print(f"{args.layers}-layer cumulative: "
@@ -352,7 +353,7 @@ def cmd_desirability(args) -> int:
           f"({len(violations)} violating entries)")
     for i, j, value in violations[: args.show]:
         print(f"  ({i}, {j}) = {value:+.3e} "
-              f"[classes {g.labels[kept][i]} vs {g.labels[kept][j]}]")
+              f"[classes {labels[i]} vs {labels[j]}]")
     if len(violations) > args.show:
         print(f"  ... and {len(violations) - args.show} more")
     return 0

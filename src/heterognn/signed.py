@@ -9,7 +9,7 @@ a Monte-Carlo check of the deviation bound for the expected dynamics.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,13 +31,13 @@ class Trajectory:
     """Per-layer class statistics of a linear propagation run.
 
     means and variances have shape (K+1, C, f); layer 0 is the input. The
-    variance is the unbiased within-class estimator, per dimension.
+    variance is the unbiased within-class estimator, per dimension. No
+    embedding is kept, so a trajectory's size does not grow with N.
     """
 
     means: np.ndarray
     variances: np.ndarray
     counts: np.ndarray
-    final: np.ndarray
 
     @property
     def n_layers(self) -> int:
@@ -54,7 +54,7 @@ def _class_stats(H, labels, indicator, counts):
 
 
 def propagate_linear(P, X, K: int, labels, n_classes: int) -> Trajectory:
-    """Run H^(k) = P H^(k-1) for K layers from H^(0) = X, recording stats."""
+    """Run H^(k) = P H^(k-1) for K layers from H^(0) = X; keep class stats only."""
     if K < 0:
         raise ValueError("K must be nonnegative")
     H = np.asarray(X, dtype=np.float64)
@@ -74,7 +74,7 @@ def propagate_linear(P, X, K: int, labels, n_classes: int) -> Trajectory:
     for k in range(1, K + 1):
         H = P @ H
         means[k], variances[k] = _class_stats(H, labels, indicator, counts)
-    return Trajectory(means, variances, counts, H)
+    return Trajectory(means, variances, counts)
 
 
 def class_gap(traj: Trajectory, class_a: int, class_b: int) -> np.ndarray:
@@ -112,8 +112,7 @@ def merge_trajectories(trajectories) -> Trajectory:
     reconstructing the pooled mean and unbiased variance from the per-run
     summaries. Class counts may differ between runs (isolated-node removal
     makes them ragged); layer count, class count, and feature width must
-    match. The pooled `final` is the row-concatenation of the runs' final
-    embeddings, which is only meaningful when widths agree (always checked).
+    match.
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -131,8 +130,7 @@ def merge_trajectories(trajectories) -> Trajectory:
     # within-run sum of squares plus between-run mean shift
     ss = ((n - 1) * variances + n * (means - pooled_mean) ** 2).sum(axis=0)
     pooled_var = ss / (total - 1)
-    final = np.concatenate([t.final for t in trajectories], axis=0)
-    return Trajectory(pooled_mean, pooled_var, total[0, :, 0], final)
+    return Trajectory(pooled_mean, pooled_var, total[0, :, 0])
 
 
 def _ratio(p: float, q: float, n_classes: int) -> float:
@@ -211,9 +209,10 @@ def is_desirable(M, labels, atol: float = 0.0):
     Desirable means every entry is >= 0 on same-class index pairs and <= 0 on
     cross-class pairs. M may be dense or sparse; only its stored (nonzero)
     entries are read, because a zero entry never violates. Returns (verdict,
-    violations) with violations a list of (i, j, value) for offending
-    entries, sorted by (i, j); atol >= 0 treats tiny magnitudes as zero when
-    auditing float products.
+    violations) with violations one structured array of the offending
+    entries, fields i, j and value, sorted by (i, j); a row unpacks as
+    (i, j, value). atol >= 0 treats tiny magnitudes as zero when auditing
+    float products.
     """
     if not atol >= 0:
         raise ValueError(f"atol must be nonnegative, got {atol}")
@@ -222,11 +221,14 @@ def is_desirable(M, labels, atol: float = 0.0):
     rows, cols, vals = coo.row, coo.col, coo.data
     same = labels[rows] == labels[cols]
     bad = np.flatnonzero(np.where(same, vals < -atol, vals > atol))
-    rows, cols, vals = rows[bad], cols[bad], vals[bad]
-    order = np.argsort(rows.astype(np.int64) * coo.shape[1] + cols, kind="stable")
-    violations = list(zip(rows[order].tolist(), cols[order].tolist(),
-                          vals[order].tolist()))
-    return (len(violations) == 0), violations
+    key = rows[bad].astype(np.int64) * coo.shape[1] + cols[bad]
+    bad = bad[np.argsort(key, kind="stable")]
+    violations = np.empty(bad.size, [("i", rows.dtype), ("j", cols.dtype),
+                                     ("value", vals.dtype)])
+    violations["i"] = rows[bad]
+    violations["j"] = cols[bad]
+    violations["value"] = vals[bad]
+    return (bad.size == 0), violations
 
 
 @dataclass
@@ -238,7 +240,7 @@ class SignFlipExample:
     cumulative: np.ndarray
     layers_desirable: tuple
     cumulative_desirable: bool
-    violations: list
+    violations: np.ndarray  # the product's audit: is_desirable's (i, j, value) rows
 
 
 def sign_flip_counterexample() -> SignFlipExample:
@@ -325,11 +327,7 @@ def concentration_check(params: CsbmParams, K: int, trials: int, sigma: float,
     c = params.n_classes
     deviations = np.zeros(trials)
     for t in range(trials):
-        trial_params = CsbmParams(
-            params.n_nodes, params.n_classes, params.p, params.q,
-            params.class_means, params.noise_var, seed=base_seed + t,
-        )
-        traj = csbm_trajectory(trial_params, K)
+        traj = csbm_trajectory(replace(params, seed=base_seed + t), K)
         worst = 0.0
         for a in range(c):
             for b in range(a + 1, c):

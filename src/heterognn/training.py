@@ -185,15 +185,14 @@ def depth_sweep(g: Graph, config: M2mConfig, k_values: Sequence[int],
 class AttentionSummary:
     """How the layer-averaged arc scores line up with node classes.
 
-    ``avg_scores`` is the per-arc mean over layers; ``arc_labels`` one-hots
-    the class of each arc's routed node (the source, whose features the
-    scores distribute); ``alignment`` is the row-softmaxed class-by-chunk
-    mass matrix with its columns permuted so matched chunks sit on the
-    diagonal; ``permutation[c]`` names the chunk assigned to class c.
+    ``avg_scores`` is the per-arc mean over layers; ``alignment`` is the
+    row-softmaxed class-by-chunk mass matrix with its columns permuted so
+    matched chunks sit on the diagonal; ``permutation[c]`` names the chunk
+    assigned to class c. An arc's class is that of its routed node (the
+    source, whose features the scores distribute).
     """
 
     avg_scores: np.ndarray
-    arc_labels: np.ndarray
     alignment: np.ndarray
     permutation: np.ndarray
 
@@ -239,16 +238,15 @@ def attention_analysis(g: Graph, params: M2mParams, config: M2mConfig,
         )
     if avg_scores is None:
         avg_scores = average_scores(g, params, config)
-    arc_labels = one_hot_arc_scores(g, g.labels, g.n_classes)
-    mass = arc_labels.T @ avg_scores
-    arc_counts = arc_labels.sum(axis=0)
+    one_hot = one_hot_arc_scores(g, g.labels, g.n_classes)
+    mass = one_hot.T @ avg_scores
+    arc_counts = one_hot.sum(axis=0)
     norm = np.divide(mass, arc_counts[:, None],
                      out=np.zeros_like(mass), where=arc_counts[:, None] > 0)
     perm = _greedy_match(norm)
     aligned = norm[:, perm]
     return AttentionSummary(
         avg_scores=avg_scores,
-        arc_labels=arc_labels,
         alignment=ad.Tape(recording=False).row_softmax(ad.constant(aligned)).data,
         permutation=perm,
     )

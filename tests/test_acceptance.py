@@ -154,8 +154,9 @@ def test_criterion_3_sign_flip_counterexample_is_exact():
     layers_ok = ex.layers_desirable == (True, True)
     entry_ok = (not ex.cumulative_desirable
                 and ex.cumulative[2, 0] == 1.0
-                and ex.violations == [(0, 2, 1.0), (2, 0, 1.0)])
-    audit_ok = is_desirable(ex.cumulative, ex.labels)[1] == ex.violations
+                and ex.violations.tolist() == [(0, 2, 1.0), (2, 0, 1.0)])
+    audit_ok = np.array_equal(is_desirable(ex.cumulative, ex.labels)[1],
+                              ex.violations)
     verdict(3, layers_ok and entry_ok and audit_ok,
             "both layers desirable, cumulative entry (2, 0) = +1 is exactly "
             "the flagged cross-class pair (with its transpose)")

@@ -9,6 +9,7 @@ leading `#` timestamp comment is dropped.
 import argparse
 import json
 import os
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -166,6 +167,25 @@ def test_simulate_columns_carry_the_closed_form(tmp_path):
         want = expected_gap(0.05, 0.15, 2, layer, [-0.5], [0.5])
         assert float(row[4]) == pytest.approx(want, rel=1e-12)
         assert np.isfinite(float(row[5]))
+
+
+@pytest.mark.filterwarnings("ignore:dropping:UserWarning")  # d-bar about 5
+def test_simulate_memory_does_not_grow_with_trials(tmp_path, capsys):
+    # trials are pooled into per-class statistics, so eight trials peak
+    # where one does; a kept N x f embedding per trial adds 0.23 MiB each
+    def peak_mib(trials):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "-N", "30000", "--p", "0.0003",
+                         "--q", "0.0001", "-K", "2", "--trials", str(trials),
+                         "--out", str(tmp_path / f"t{trials}.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    one, eight = peak_mib(1), peak_mib(8)
+    capsys.readouterr()
+    assert eight - one < 0.25, f"8 trials peak {eight - one:+.2f} MiB over 1"
 
 
 def test_concentration_reports_per_trial_rows(tmp_path, capsys):

@@ -26,12 +26,23 @@ from heterognn.signed import (
 )
 
 
+def _assert_layer_stats(traj, P, X, y, n_classes, **tol):
+    """Each layer's class means and unbiased variances are those of P^k X."""
+    for k in range(traj.n_layers + 1):
+        H = np.linalg.matrix_power(P, k) @ X
+        for c in range(n_classes):
+            members = H[y == c]
+            np.testing.assert_allclose(traj.means[k, c], members.mean(axis=0), **tol)
+            np.testing.assert_allclose(traj.variances[k, c],
+                                       members.var(axis=0, ddof=1), **tol)
+
+
 def test_zero_layers_returns_input_stats():
     X = np.array([[1.0], [3.0], [2.0], [6.0]])
     y = np.array([0, 0, 1, 1])
     traj = propagate_linear(sp.eye(4, format="csr"), X, 0, y, 2)
     assert traj.n_layers == 0
-    np.testing.assert_allclose(traj.final, X)
+    _assert_layer_stats(traj, np.eye(4), X, y, 2)
     np.testing.assert_allclose(traj.means[0, :, 0], [2.0, 4.0])
 
 
@@ -56,8 +67,8 @@ def test_propagation_matches_matrix_power():
     # make both classes populated
     y[:2] = [0, 1]
     traj = propagate_linear(sp.csr_matrix(P), X, 5, y, 2)
-    np.testing.assert_allclose(traj.final, np.linalg.matrix_power(P, 5) @ X,
-                               atol=1e-10)
+    assert traj.n_layers == 5
+    _assert_layer_stats(traj, P, X, y, 2, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +276,29 @@ def test_two_layer_audit_memory_grows_with_edges_not_n_squared():
     assert peak < 32 * 2**20, f"audit peaked at {peak / 2**20:.1f} MiB"
     assert T.nnz > P.nnz
     # two classes: two-hop sign products stay desirable
-    assert ok and violations == []
+    assert ok and violations.size == 0
+
+
+def test_audit_of_many_violations_holds_under_40_bytes_per_stored_entry():
+    # three classes at q = 2p: about a third of the two-hop product's
+    # entries violate, and the audit's result is one 16-byte record each
+    s = sample_csbm(CsbmParams(1500, 3, 0.02, 0.04, [[0.0]] * 3, seed=3))
+    P, kept = signed_normalize(s)
+    T = cumulative_matrix([P, P])
+    labels = s.labels[kept]
+    tracemalloc.start()
+    try:
+        ok, violations = is_desirable(T, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not ok and violations.size > T.nnz // 4
+    assert peak / T.nnz < 40, f"audit peaked at {peak / T.nnz:.1f} B per stored entry"
 
 
 def test_all_zero_matrix_is_desirable():
     ok, violations = is_desirable(np.zeros((4, 4)), [0, 1, 0, 1])
-    assert ok and violations == []
+    assert ok and violations.size == 0
 
 
 def test_csbm_sample_is_desirable_by_construction():
@@ -284,8 +312,9 @@ def test_desirability_violation_listing():
     M = np.array([[0.0, -2.0], [3.0, 0.0]])
     ok, violations = is_desirable(M, [0, 0])
     assert not ok
-    assert violations == [(0, 1, -2.0)]
-    assert is_desirable(sp.csr_matrix(M), [0, 0]) == (ok, violations)
+    assert violations.tolist() == [(0, 1, -2.0)]
+    sparse_ok, sparse_violations = is_desirable(sp.csr_matrix(M), [0, 0])
+    assert sparse_ok == ok and np.array_equal(sparse_violations, violations)
 
 
 @pytest.mark.parametrize("atol", [-1.0, -1e-300, float("nan")])
