@@ -20,8 +20,8 @@ from .graphs import arc_index_dtype, check_arc_index
 __all__ = ["Tensor", "Tape", "Arcs", "AdamState", "parameter", "constant"]
 
 _LN_EPS = 1e-5
-# arcs per block of chunk_sum's score-gradient gathers and arc_attention's
-# row gathers: 1 MiB of float64 rows at width 16
+# arcs per block of aggregate_update's score-gradient gathers and
+# arc_attention's row gathers: 1 MiB of float64 rows at width 16
 _ARC_BLOCK = 8192
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -206,13 +206,15 @@ class Arcs:
     `arc_index_dtype`, such as a Graph's, without a copy.
 
     `dst`, each arc's destination, and the operators are built on first use
-    and kept: `chunk_sum`'s stacked chunk CSR matrix and its CSC transpose
-    for each chunk count, and `arc_attention`'s endpoint CSC matrix for each
-    alpha. Their index arrays are in `arc_index_dtype`, so scipy keeps them
+    and kept: the stacked chunk CSR matrix and its CSC transpose for each
+    chunk count, and `arc_attention`'s endpoint CSC matrix for each alpha.
+    Their index arrays are in `arc_index_dtype`, so scipy keeps them
     without an int32 copy. The chunk matrices hold no float data between
-    calls: each product lends them the scores (`_lend`). A record that
-    reads an operator holds this object, so the operators are freed with
-    the last such record.
+    calls: each product lends them the scores (`_lend`). `chunk_sums` is
+    the forward chunk product; `Tape.aggregate_update` runs the same
+    product (`_chunk_blocks`) in its forward and again in its backward. A
+    record that reads an operator holds this object, so the operators are
+    freed with the last such record.
     """
 
     def __init__(self, arc_src, indptr, n_sources):
@@ -244,6 +246,35 @@ class Arcs:
             pair = self._chunks[c] = (chunks, chunks_t)
         return pair
 
+    def chunk_sums(self, scores, x):
+        """Score-weighted sums of source rows, one output block per score column.
+
+        scores is an (arcs, C) array and x an (n_sources, w) one. Block t of
+        row i of the (n, C*w) result sums scores[a, t] * x[src[a]] over the
+        arcs a into i, in arc order, the order np.add.at would use. One
+        all-ones score column is a plain segment sum of gathered rows.
+
+        The blocks are `_chunk_blocks`'s, laid side by side in a fresh
+        C-ordered array.
+        """
+        blocks = self._chunk_blocks(scores, x)
+        c, n, w = blocks.shape
+        return blocks.transpose(1, 0, 2).reshape(n, c * w)
+
+    def _chunk_blocks(self, scores, x):
+        """The chunk sums as a fresh (C, n, w) array, block t for score
+        column t: one sparse product of the stacked chunk matrix of
+        `chunk_matrices`, lent the scores chunk-major, which costs no copy
+        when they are F-ordered, as `Tape.arc_attention`'s are."""
+        k, c = scores.shape
+        n_x, w = x.shape
+        if k != self.src.size or n_x != self.n_sources:
+            raise ValueError(f"chunk_sums shape mismatch: scores {scores.shape} "
+                             f"and x {x.shape} on {self.src.size} arcs from "
+                             f"{self.n_sources} rows")
+        chunks, _ = self.chunk_matrices(c)
+        return _lend(chunks, scores.T.ravel(), x).reshape(c, self.n, w)
+
     def endpoint_matrix(self, alpha):
         """The (n, arcs) CSC matrix with alpha at (dst[a], a) and 1 at
         (src[a], a)."""
@@ -273,12 +304,13 @@ class Tape:
     reads, so an op output that no backward reads (a layer's message) is
     freed once the caller drops it. A value that a backward can rebuild
     from arrays its record keeps anyway is rebuilt rather than kept:
-    arc_attention's ReLU output and norm_project's dropped-out rows. The
-    dropout and ReLU masks of relu, dropout and norm_project are kept
-    packed, one bit per entry, and each backward unpacks its mask once; a
-    non-recording tape packs nothing. Backward frees as it goes: each
-    record, and the gradient of its non-leaf output, is dropped as soon as
-    its backward has run.
+    arc_attention's ReLU output, and aggregate_update's message, ReLU
+    mask, standardized rows and dropped-out rows. The masks of
+    relu, dropout and aggregate_update's dropout are kept packed, one bit
+    per entry, and each backward unpacks its mask once; a non-recording
+    tape packs nothing. Backward frees as it goes: each record, and the
+    gradient of its non-leaf output, is dropped as soon as its backward
+    has run.
 
     A pending gradient may be a read-only broadcast view of no size until
     its record runs: `chunk_balance` hands each score tensor one (see
@@ -287,8 +319,8 @@ class Tape:
     runs, and a leaf's when the pass ends, so closures and leaves always
     get arrays of their own.
 
-    The two arc ops, chunk_sum and arc_attention, read their arcs and
-    sparse operators from an `Arcs` object, which builds each operator once
+    The two arc ops, arc_attention and aggregate_update, read their arcs
+    and sparse operators from an `Arcs` object, which builds each operator once
     however many calls share it. A record that reads one holds the Arcs, so
     the operators live as long as the records do. The endpoint matrix is
     built by the first backward that reads it, so a non-recording tape
@@ -388,61 +420,6 @@ class Tape:
 
         return self._emit(out, (x,), back)
 
-    def chunk_sum(self, scores: Tensor, x: Tensor, arcs: Arcs) -> Tensor:
-        """Score-weighted sums of source rows, one output block per score column.
-
-        The arcs a in arcs.indptr[i]:arcs.indptr[i+1] point at output row i,
-        and block t of out[i] sums scores[a, t] * x[arcs.src[a]] over them in
-        arc order, the order np.add.at would use. x has arcs.n_sources rows.
-        One all-ones score column is a plain segment sum of gathered rows.
-
-        The forward is one sparse product: the C chunk matrices (chunk t
-        holds scores[a, t] at (i, arcs.src[a])) stacked into a (C*n, len(x))
-        CSR matrix, `Arcs.chunk_matrices`. That matrix and its CSC transpose
-        keep no data between calls: each product lends them the scores,
-        chunk-major, which costs no copy when the scores are F-ordered, as
-        `arc_attention`'s are. So the record keeps no array of its own: it
-        reads the scores (for x's gradient) and x (for the scores'), which
-        the attention before it keeps anyway. The backward takes the x
-        gradient as the transposed product and the score gradient as a
-        sampled dense-dense product over the arcs, from the one chunk-major
-        copy of g that the x gradient makes. It gathers the arcs' source rows
-        and output-gradient rows in blocks of `_ARC_BLOCK` arcs, so no
-        (arcs, w) array is built, and writes the score gradient as (C, arcs)
-        rows, handed on as its F-ordered `.T`.
-        """
-        k, c = scores.data.shape
-        n_x, w = x.data.shape
-        if k != arcs.src.size or n_x != arcs.n_sources:
-            raise ValueError(f"chunk_sum shape mismatch: scores {scores.data.shape} "
-                             f"and x {x.data.shape} on {arcs.src.size} arcs from "
-                             f"{arcs.n_sources} rows")
-        n, src = arcs.n, arcs.src
-        chunks, chunks_t = arcs.chunk_matrices(c)
-
-        out = Tensor(_lend(chunks, scores.data.T.ravel(), x.data).reshape(c, n, w)
-                     .transpose(1, 0, 2).reshape(n, c * w))
-        gs, gx = _cell(scores), _cell(x)
-        s_data = scores.data if gx is not None else None  # for x's gradient only
-        x_data = x.data if gs is not None else None
-
-        def back(g):
-            gt = np.ascontiguousarray(g.reshape(n, c, w).transpose(1, 0, 2))
-            if gx is not None:
-                _accum(gx, _lend(chunks_t, s_data.T.ravel(), gt.reshape(c * n, w)))
-            if gs is not None:
-                dst = arcs.dst
-                g_scores = np.empty((c, k))
-                for lo in range(0, k, _ARC_BLOCK):
-                    block = slice(lo, lo + _ARC_BLOCK)
-                    x_src = x_data.take(src[block], axis=0)
-                    for t in range(c):
-                        g_scores[t, block] = np.einsum(
-                            "aw,aw->a", gt[t].take(dst[block], axis=0), x_src)
-                _accum(gs, g_scores.T)
-
-        return self._emit(out, (scores, x), back)
-
     def arc_attention(self, h: Tensor, w_att: Tensor, arcs: Arcs,
                       alpha: float, temperature: float) -> Tensor:
         """Per-arc scores softmax(ReLU(alpha * h[arcs.dst] + h[arcs.src]) @ w_att).
@@ -494,7 +471,7 @@ class Tape:
 
         def back(g):
             # chunk-major throughout: s.T, and g.T for the F-ordered g that
-            # chunk_sum hands on, are C-contiguous views, and dz is the
+            # aggregate_update hands on, are C-contiguous views, and dz is the
             # (arcs, C) view of the (C, arcs) result
             dz = _softmax_backward(np.ascontiguousarray(g.T), s.T, temperature, 0).T
             act = activation()
@@ -508,6 +485,138 @@ class Tape:
                 _accum(gh, arcs.endpoint_matrix(alpha) @ d_pre)
 
         return self._emit(out, (h, w_att), back)
+
+    def aggregate_update(self, scores: Tensor, x: Tensor, arcs: Arcs, h0: Tensor,
+                         beta: float, gain: Tensor, bias: Tensor, w: Tensor,
+                         keep_prob: float, rng: np.random.Generator) -> Tensor:
+        """dropout(LayerNorm(relu((1 - beta) * h0 + beta * message))) @ w,
+        where message = arcs.chunk_sums(scores, x): a layer's chunk sums,
+        residual update and the projection that reads it, as one node.
+
+        h0 has arcs.n rows of width C * w_x, for the (arcs, C) scores and
+        the arcs.n_sources rows of x of width w_x. The LayerNorm
+        standardizes each row with its population variance and epsilon 1e-5
+        under the square root, then maps it by the 1 x d gain and bias; the
+        dropout is `dropout`'s, its mask drawn by the same helper, so
+        keep_prob 1 draws nothing from rng. Equal bit for bit, output and
+        gradients, to the chunk sums followed by LayerNorm -> dropout ->
+        matmul in plain numpy (the reference in the tests).
+
+        Of its own the record keeps the keep mask at one bit per entry and
+        the rows' means and 1/std; it reads the scores and x, which the
+        attention before it keeps, h0, one array for every layer, and gain,
+        bias and w. The backward rebuilds the message with the same chunk
+        product, and from it the mix, its ReLU mask and the standardized
+        rows with the forward's operations. The chunk sums' backward takes
+        x's gradient as the transposed chunk product and the scores' as a
+        sampled dense-dense product over the arcs, gathering rows in blocks
+        of `_ARC_BLOCK` arcs, and hands it on as the F-ordered `.T` of
+        (C, arcs) rows. Keeping the means and 1/std, 16 bytes a row, spares
+        the backward two row reductions and a pass over the rows.
+
+        Each pass holds at most three (n, d) float arrays: the mix,
+        standardized in place, the chunk product's own array, scratch once
+        it is added in, and in the backward the rows' gradient, turned into
+        the mix's and then the message's in place and copied chunk-major
+        into the standardized rows' array once they are read no more.
+        """
+        k, c = scores.data.shape
+        n, d = h0.data.shape
+        width = x.data.shape[1]
+        if n != arcs.n or d != c * width:
+            raise ValueError(f"aggregate_update shape mismatch: h0 {h0.data.shape} "
+                             f"for {c} chunks of width {width} into {arcs.n} rows")
+        if gain.data.shape != (1, d) or bias.data.shape != (1, d):
+            raise ValueError("aggregate_update gain and bias must be 1 x d")
+        if w.data.shape[0] != d:
+            raise ValueError(f"aggregate_update dimension mismatch: rows of width "
+                             f"{d} projected by {w.data.shape}")
+        s_data, x_data, h0_data = scores.data, x.data, h0.data
+        gain_data, bias_data, w_data = gain.data, bias.data, w.data
+        keep = _keep_mask((n, d), keep_prob, rng)
+        scale = 1.0 / keep_prob
+        beta = float(beta)
+
+        def relu_mix():
+            """relu((1 - beta) * h0 + beta * message), C-ordered, so sums
+            over rows add in the same order in both passes, and the chunk
+            product's own array, free for scratch, as an (n, d) array."""
+            blocks = arcs._chunk_blocks(s_data, x_data)
+            blocks *= beta
+            mix = np.multiply(h0_data, 1.0 - beta, out=np.empty((n, d)))
+            by_chunk = mix.reshape(n, c, width)  # a view of mix
+            by_chunk += blocks.transpose(1, 0, 2)
+            return np.maximum(mix, 0.0, out=mix), blocks.reshape(n, d)
+
+        def dropped(xhat, mask, rows):
+            np.multiply(xhat, gain_data, out=rows)
+            rows += bias_data
+            return _drop(rows, mask, scale)
+
+        xhat, scratch = relu_mix()
+        # row means are sum / d, what np.mean computes
+        mean = xhat.sum(axis=1, keepdims=True) / d
+        xhat -= mean
+        var = np.multiply(xhat, xhat, out=scratch).sum(axis=1, keepdims=True) / d
+        inv_std = 1.0 / np.sqrt(var + _LN_EPS)
+        xhat *= inv_std
+        out = Tensor(dropped(xhat, keep, scratch) @ w_data)
+        del xhat, scratch
+        keep = _pack(keep) if self.recording else None
+        g_s, g_x, g_h0 = _cell(scores), _cell(x), _cell(h0)
+        g_gain, g_bias, g_w = _cell(gain), _cell(bias), _cell(w)
+
+        def back(g):
+            xhat, scratch = relu_mix()
+            active = xhat > 0.0
+            xhat -= mean
+            xhat *= inv_std
+            drop_mask = _unpack(keep, (n, d))
+            if g_w is not None:
+                _accum(g_w, dropped(xhat, drop_mask, scratch).T @ g)
+            g_rows = _drop(g @ w_data.T, drop_mask, scale)  # of the LayerNorm output
+            if g_gain is not None:
+                _accum(g_gain, np.multiply(g_rows, xhat, out=scratch)
+                       .sum(axis=0, keepdims=True))
+            if g_bias is not None:
+                _accum(g_bias, g_rows.sum(axis=0, keepdims=True))
+            if g_h0 is None and g_s is None and g_x is None:
+                return
+            # standard layer-norm backward, fused form, turning the gradient
+            # of the rows into that of the mix in place
+            d_mix = g_rows
+            d_mix *= gain_data
+            mean_d = d_mix.sum(axis=1, keepdims=True) / d
+            mean_dx = np.multiply(d_mix, xhat, out=scratch).sum(
+                axis=1, keepdims=True) / d
+            d_mix -= mean_d
+            d_mix -= np.multiply(xhat, mean_dx, out=scratch)
+            d_mix *= inv_std
+            d_mix *= active
+            if g_h0 is not None:  # scratch is read no more
+                _accum(g_h0, np.multiply(d_mix, 1.0 - beta, out=scratch))
+            del scratch
+            if g_s is None and g_x is None:
+                return
+            d_mix *= beta  # the message's gradient, copied chunk-major into
+            gt = xhat.reshape(c, n, width)  # the rows' array, read no more
+            np.copyto(gt, d_mix.reshape(n, c, width).transpose(1, 0, 2))
+            del d_mix, g_rows
+            if g_x is not None:
+                chunks_t = arcs.chunk_matrices(c)[1]
+                _accum(g_x, _lend(chunks_t, s_data.T.ravel(), gt.reshape(c * n, width)))
+            if g_s is not None:
+                src, dst = arcs.src, arcs.dst
+                g_scores = np.empty((c, k))
+                for lo in range(0, k, _ARC_BLOCK):
+                    block = slice(lo, lo + _ARC_BLOCK)
+                    x_src = x_data.take(src[block], axis=0)
+                    for t in range(c):
+                        g_scores[t, block] = np.einsum(
+                            "aw,aw->a", gt[t].take(dst[block], axis=0), x_src)
+                _accum(g_s, g_scores.T)
+
+        return self._emit(out, (scores, x, h0, gain, bias, w), back)
 
     # ---- normalization / regularization ops --------------------------------
 
@@ -566,98 +675,6 @@ class Tape:
             _accum(gx, _softmax_backward(g, s, temperature, 1))
 
         return self._emit(out, (x,), back)
-
-    def norm_project(self, h0: Tensor, message: Tensor, beta: float, gain: Tensor,
-                     bias: Tensor, w: Tensor, keep_prob: float,
-                     rng: np.random.Generator) -> Tensor:
-        """dropout(LayerNorm(relu((1 - beta) * h0 + beta * message))) @ w.
-
-        The LayerNorm standardizes each row with its population variance and
-        epsilon 1e-5 under the square root, then maps it by the 1 x d gain
-        and bias; the dropout is `dropout`'s, its mask drawn by the same
-        helper, so keep_prob 1 draws nothing from rng. Equal bit for bit,
-        output and gradients, to LayerNorm -> dropout -> matmul in plain
-        numpy (the reference in the tests), recorded as one node.
-
-        The record keeps the standardized rows, the per-row 1/std, and the
-        ReLU and keep masks at one bit per entry, beside gain, bias and w;
-        a non-recording tape builds no ReLU mask. It keeps no input of the
-        projection: the backward rebuilds the dropped-out rows from those
-        arrays with the forward's operations for w's gradient, and reads
-        neither h0's nor the message's data, so a message that nothing else
-        reads dies with its caller's name.
-
-        Each pass holds at most one (n, d) float array beside the one it
-        works on in place: the forward standardizes the mix in place and
-        reuses one scratch array for the message term, the squares and the
-        dropped-out rows; the backward turns the rows' gradient into the
-        mix's in place, with one scratch array for its products.
-        """
-        n, d = h0.data.shape
-        if message.data.shape != (n, d):
-            raise ValueError(f"norm_project shape mismatch: {h0.data.shape} "
-                             f"vs {message.data.shape}")
-        if gain.data.shape != (1, d) or bias.data.shape != (1, d):
-            raise ValueError("norm_project gain and bias must be 1 x d")
-        if w.data.shape[0] != d:
-            raise ValueError(f"norm_project dimension mismatch: rows of width {d} "
-                             f"projected by {w.data.shape}")
-        keep = _keep_mask((n, d), keep_prob, rng)
-        scale = 1.0 / keep_prob
-        beta = float(beta)
-        # row means are sum / d, what np.mean computes; scratch takes xhat's
-        # layout, so sums over it add in the order they would over xhat
-        xhat = h0.data * (1.0 - beta)  # the mix until it is standardized
-        scratch = np.multiply(message.data, beta, out=np.empty_like(xhat))
-        xhat += scratch
-        np.maximum(xhat, 0.0, out=xhat)
-        active = _pack(xhat > 0.0) if self.recording else None
-        xhat -= xhat.sum(axis=1, keepdims=True) / d
-        var = np.multiply(xhat, xhat, out=scratch).sum(axis=1, keepdims=True) / d
-        inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-        xhat *= inv_std
-        gain_data, bias_data, w_data = gain.data, bias.data, w.data
-
-        def dropped(mask, rows):
-            np.multiply(xhat, gain_data, out=rows)
-            rows += bias_data
-            return _drop(rows, mask, scale)
-
-        out = Tensor(dropped(keep, scratch) @ w_data)
-        keep = _pack(keep) if self.recording else None
-        g_h0, g_msg = _cell(h0), _cell(message)
-        g_gain, g_bias, g_w = _cell(gain), _cell(bias), _cell(w)
-
-        def back(g):
-            drop_mask = _unpack(keep, (n, d))
-            scratch = np.empty_like(xhat)
-            if g_w is not None:
-                _accum(g_w, dropped(drop_mask, scratch).T @ g)
-            g_rows = _drop(g @ w_data.T, drop_mask, scale)  # of the LayerNorm output
-            if g_gain is not None:
-                _accum(g_gain, np.multiply(g_rows, xhat, out=scratch)
-                       .sum(axis=0, keepdims=True))
-            if g_bias is not None:
-                _accum(g_bias, g_rows.sum(axis=0, keepdims=True))
-            if g_h0 is not None or g_msg is not None:
-                # standard layer-norm backward, fused form, turning the
-                # gradient of the rows into that of the mix in place
-                d_mix = g_rows
-                d_mix *= gain_data
-                mean_d = d_mix.sum(axis=1, keepdims=True) / d
-                mean_dx = np.multiply(d_mix, xhat, out=scratch).sum(
-                    axis=1, keepdims=True) / d
-                d_mix -= mean_d
-                d_mix -= np.multiply(xhat, mean_dx, out=scratch)
-                d_mix *= inv_std
-                d_mix *= _unpack(active, (n, d))
-                if g_h0 is not None:  # scratch is read no more
-                    _accum(g_h0, np.multiply(d_mix, 1.0 - beta, out=scratch))
-                if g_msg is not None:
-                    d_mix *= beta
-                    _accum(g_msg, d_mix)
-
-        return self._emit(out, (h0, message, gain, bias, w), back)
 
     def dropout(self, x: Tensor, keep_prob: float, rng: np.random.Generator) -> Tensor:
         """Inverted dropout: surviving entries are scaled by 1/keep_prob.

@@ -11,21 +11,23 @@ the whole stack. The tape's ops are exactly those that this module and
 `heterognn.training` call, and criterion 7's finite-difference battery in
 the acceptance tests runs every one of them.
 
-The encoder output goes through dropout into layer 0's projection. A
-training layer then records three tape nodes: the scores
-(`Tape.arc_attention`), the chunk sums (`Tape.chunk_sum`) and the residual
-LayerNorm fused with the next layer's dropout and projection, or with the
-head after the last layer (`Tape.norm_project`). A record keeps its
-output's gradient cell and only the arrays its backward reads. Of
-arc-sized arrays that is the (arcs, C) scores, each the `.T` view of a
-chunk-major (C, arcs) array, the layout the attention's softmax and the
-chunk products read without a copy; the rest is node-sized: the
-projection, the LayerNorm's rows and 1/std, and its ReLU and dropout
-masks at one bit per entry. What the backward can rebuild from those, the
-attention's ReLU output and the projection's dropped-out input, it
-rebuilds. No backward reads a layer's message, so it is freed as soon as
-`forward` moves on, and under dropout no backward reads the encoder output
-or its ReLU output either: both are freed by the time `forward` returns.
+The encoder output h0 goes through dropout into layer 0's projection. A
+training layer then records two tape nodes: the scores
+(`Tape.arc_attention`), and the chunk sums, the residual LayerNorm and the
+next layer's dropout and projection, or the head after the last layer, as
+one node (`Tape.aggregate_update`). A record keeps its output's gradient
+cell and only the arrays its backward reads. The attention keeps the
+projection and the (arcs, C) scores, each the `.T` view of a chunk-major
+(C, arcs) array, the layout the attention's softmax and the chunk products
+read without a copy. The update keeps its dropout mask at one bit per
+entry and its LayerNorm's row means and 1/std, two floats a node, and
+beside them reads only arrays that other records hold: the scores, the
+projection, and h0, one array that every layer's update shares. What a
+backward can rebuild from those it rebuilds: the attention's ReLU output,
+and the update's message, ReLU mask, LayerNorm rows and the next
+projection's input. So no record keeps a layer's message or a LayerNorm's
+rows, and under dropout no backward reads the encoder's ReLU output: it
+is freed by the time `forward` returns.
 
 The chunk-balance penalty is one record over all layers
 (`Tape.chunk_balance`), so it adds no tape node per layer. The backward
@@ -36,7 +38,7 @@ layer's records run, so its transient does not grow with depth.
 Every layer reads the same graph, so `forward` wraps its arc index in one
 `autodiff.Arcs` per call, and all layers share the sparse operators it
 builds once: the stacked chunk CSR matrix and its CSC transpose that
-`Tape.chunk_sum` multiplies by, and the endpoint CSC matrix of
+`Tape.aggregate_update` multiplies by, and the endpoint CSC matrix of
 `Tape.arc_attention`'s backward (a recording tape's first backward builds
 it). They hold index arrays and the constants alpha and 1, never a
 layer's scores, and are freed with the records that read them.
@@ -54,7 +56,7 @@ from . import autodiff as ad
 
 __all__ = [
     "M2mConfig", "M2mParams", "ForwardResult", "init_params",
-    "encode", "attention_scores", "chunk_aggregate", "layer_update",
+    "encode", "attention_scores", "layer_update",
     "forward", "total_loss", "one_hot_arc_scores",
     "save_checkpoint", "load_checkpoint", "check_hyperparameter", "CONFIG_RULES",
 ]
@@ -217,35 +219,30 @@ def attention_scores(tape, h_hat: ad.Tensor, arcs: ad.Arcs, w_att: ad.Tensor,
     return tape.arc_attention(h_hat, w_att, arcs, alpha, temperature)
 
 
-def chunk_aggregate(tape, h_hat: ad.Tensor, scores: ad.Tensor,
-                    arcs: ad.Arcs) -> ad.Tensor:
-    """Score-weighted per-chunk sums of source projections, concatenated.
-
-    Chunk t of node i (one chunk per score column) sums s_t(i, j) * h_hat_j
-    over i's in-arcs; nodes with no arcs end up with all-zero messages. One
-    tape op (`Tape.chunk_sum`), a sparse product that never gathers h_hat
-    onto the arcs. Its record keeps no array of its own: the chunk matrices
-    are built once by arcs (an `autodiff.Arcs`), every layer that shares
-    arcs shares them, and each product hands them the scores.
-    """
-    return tape.chunk_sum(scores, h_hat, arcs)
-
-
-def layer_update(tape, h0: ad.Tensor, message: ad.Tensor, beta: float,
-                 gain: ad.Tensor, bias: ad.Tensor, w: ad.Tensor,
-                 keep_prob: float, rng=None) -> ad.Tensor:
+def layer_update(tape, scores: ad.Tensor, h_hat: ad.Tensor, arcs: ad.Arcs,
+                 h0: ad.Tensor, beta: float, gain: ad.Tensor, bias: ad.Tensor,
+                 w: ad.Tensor, keep_prob: float, rng=None) -> ad.Tensor:
     """dropout(LayerNorm(ReLU((1-beta) * h0 + beta * message))) @ w.
 
-    A layer's residual update, handed on through the projection that reads
-    it: the next layer's, after dropout at keep_prob, or the head's, with
-    keep_prob 1, which draws nothing from rng. The skip always points at
-    the encoder output, not the previous layer, so stacking layers cannot
-    erase the input features. One fused tape op (`Tape.norm_project`); it
-    keeps the standardized rows, their 1/std, and the ReLU and dropout
-    masks at one bit per entry, and its backward rebuilds the projection's
-    input from them.
+    The message concatenates the per-chunk sums of source projections:
+    chunk t of node i (one chunk per score column) sums s_t(i, j) * h_hat_j
+    over i's in-arcs, so nodes with no arcs get all-zero messages. The
+    update is handed on through the projection that reads it: the next
+    layer's, after dropout at keep_prob, or the head's, with keep_prob 1,
+    which draws nothing from rng. The skip always points at the encoder
+    output, not the previous layer, so stacking layers cannot erase the
+    input features.
+
+    One fused tape op (`Tape.aggregate_update`). Of its own its record
+    keeps only the dropout mask at one bit per entry and the LayerNorm's
+    row means and 1/std: it reads the scores and h_hat, which the
+    attention's record keeps, and h0, one array for all layers. Its
+    backward rebuilds the message with the forward's chunk product, the
+    one `autodiff.Arcs.chunk_sums` computes, and from it the LayerNorm's
+    rows, so neither is kept.
     """
-    return tape.norm_project(h0, message, beta, gain, bias, w, keep_prob, rng)
+    return tape.aggregate_update(scores, h_hat, arcs, h0, beta, gain, bias, w,
+                                 keep_prob, rng)
 
 
 @dataclass
@@ -276,14 +273,13 @@ def forward(tape, params: M2mParams, graph, config: M2mConfig,
             tape, h_hat, arcs, params.layer_att[k],
             config.alpha, config.temperature,
         )
-        message = chunk_aggregate(tape, h_hat, scores, arcs)
         if k + 1 < config.layers:
             w_next, keep_next = params.layer_proj[k + 1], keep_prob
         else:
             w_next, keep_next = params.head, 1.0
         h_hat = layer_update(
-            tape, h0, message, config.beta, params.ln_gain[k], params.ln_bias[k],
-            w_next, keep_next, rng,
+            tape, scores, h_hat, arcs, h0, config.beta, params.ln_gain[k],
+            params.ln_bias[k], w_next, keep_next, rng,
         )
         attentions.append(scores)
     # the last update projected onto the head: its output is the logits

@@ -281,13 +281,15 @@ def op_battery(rng):
     The leaves are rng's next seven draws, always of these shapes and
     distributions in this order, because criterion 7's model part draws its
     graph from the same rng next. Both dropouts (`dropout`'s and
-    `norm_project`'s) keep 3 of 4 entries under generators seeded inside
-    run, so every evaluation draws the same masks; `norm_project` reuses
-    w as its projection, and `const_matmul` multiplies w_att by a fixed
-    CSR matrix with an empty row, as the encoder does bag-of-words rows.
-    The scores reach `chunk_sum` and `chunk_balance` F-ordered, as in the
-    model, and one `chunk_balance` over five tensors of three shapes
-    reduces them, with the cross-entropy, to the scalar. The penalty is
+    `aggregate_update`'s) keep 3 of 4 entries under generators seeded
+    inside run, so every evaluation draws the same masks;
+    `aggregate_update` sums col over the arcs in four chunks, takes s as
+    its residual and reuses w as its projection, and `const_matmul`
+    multiplies w_att by a fixed CSR matrix with an empty row, as the
+    encoder does bag-of-words rows. The scores reach `aggregate_update`
+    and `chunk_balance` F-ordered, as in the model, and one
+    `chunk_balance` over four tensors of three shapes reduces them, with
+    the cross-entropy, to the scalar. The penalty is
     weighted by 10, as `total_loss` weights it by reg_strength: its score
     gradients shrink with the arc count, and unweighted on these 4 arcs a
     1% error in `arc_attention`'s backward would move the gradients by
@@ -313,13 +315,12 @@ def op_battery(rng):
         h = tape.relu(tape.matmul(kept, w))
         scores = tape.arc_attention(h, w_att, arcs, 0.6, 0.8)
         assert scores.data.flags.f_contiguous and not scores.data.flags.c_contiguous
-        message = tape.chunk_sum(scores, col, arcs)
-        projected = tape.norm_project(s, message, 0.6, gain, bias, w, 0.75,
-                                      np.random.default_rng(3))
+        projected = tape.aggregate_update(scores, col, arcs, s, 0.6, gain, bias, w,
+                                          0.75, np.random.default_rng(3))
         soft = tape.row_softmax(projected, temperature=0.7)
         ce = tape.cross_entropy(projected, labels, rows)
         encoded = tape.const_matmul(bag, w_att)
-        penalty = tape.chunk_balance([soft, message, scores, h, encoded])
+        penalty = tape.chunk_balance([soft, scores, h, encoded])
         return tape.add(tape.scale(penalty, 10.0), ce)
 
     return [a, b, w, col, gain, bias, w_att], run

@@ -207,8 +207,8 @@ def test_relu_record_keeps_a_mask_not_its_input():
 
 
 def ones_column(k):
-    """Scores that turn chunk_sum into a plain segment sum."""
-    return constant(np.ones((k, 1)))
+    """Scores that turn the chunk sums into a plain segment sum."""
+    return np.ones((k, 1))
 
 
 def grouped_by_id(ids, n):
@@ -226,29 +226,27 @@ def arcs_to(src, dst, n):
 
 
 def test_chunk_sum_hand_example():
-    t = Tape()
-    x = constant([[1.0, 2.0], [10.0, 20.0], [5.0, 5.0]])
-    out = t.chunk_sum(ones_column(3), x, Arcs([0, 1, 2], [0, 2, 3], 3))
-    np.testing.assert_array_equal(out.data, [[11.0, 22.0], [5.0, 5.0]])
+    x = np.array([[1.0, 2.0], [10.0, 20.0], [5.0, 5.0]])
+    out = Arcs([0, 1, 2], [0, 2, 3], 3).chunk_sums(ones_column(3), x)
+    np.testing.assert_array_equal(out, [[11.0, 22.0], [5.0, 5.0]])
 
 
 def test_chunk_sum_empty_segment_is_zero():
-    t = Tape()
-    out = t.chunk_sum(ones_column(1), constant([[1.0]]), Arcs([0], [0, 0, 0, 1, 1], 1))
-    np.testing.assert_array_equal(out.data, [[0.0], [0.0], [1.0], [0.0]])
+    out = Arcs([0], [0, 0, 0, 1, 1], 1).chunk_sums(ones_column(1), np.array([[1.0]]))
+    np.testing.assert_array_equal(out, [[0.0], [0.0], [1.0], [0.0]])
 
 
 def test_chunk_sum_rejects_out_of_range_id():
     with pytest.raises(ValueError, match="'arc_src': arc source outside"):
-        Tape().chunk_sum(ones_column(1), constant([[1.0]]), Arcs([3], [0, 0, 1], 1))
-    with pytest.raises(ValueError, match="chunk_sum shape mismatch"):
-        Tape().chunk_sum(ones_column(1), constant([[1.0]]), Arcs([3], [0, 0, 1], 4))
+        Arcs([3], [0, 0, 1], 1).chunk_sums(ones_column(1), np.array([[1.0]]))
+    with pytest.raises(ValueError, match="chunk_sums shape mismatch"):
+        Arcs([3], [0, 0, 1], 4).chunk_sums(ones_column(1), np.array([[1.0]]))
 
 
 @pytest.mark.parametrize("indptr", [[0, 2], [1, 1], [0, 1, 0], [[0, 1]]])
 def test_chunk_sum_rejects_bad_indptr(indptr):
     with pytest.raises(ValueError, match="'indptr'"):
-        Tape().chunk_sum(ones_column(1), constant([[1.0]]), Arcs([0], indptr, 1))
+        Arcs([0], indptr, 1).chunk_sums(ones_column(1), np.array([[1.0]]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -257,10 +255,9 @@ def test_chunk_sum_permutation_invariant_within_segments(perm):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(6, 3))
     ids = np.array([0, 0, 1, 1, 1, 2])
-    t = Tape(recording=False)
-    ref = t.chunk_sum(ones_column(6), constant(x), grouped_by_id(ids, 3)).data
+    ref = grouped_by_id(ids, 3).chunk_sums(ones_column(6), x)
     perm = np.array(perm)
-    got = t.chunk_sum(ones_column(6), constant(x[perm]), grouped_by_id(ids[perm], 3)).data
+    got = grouped_by_id(ids[perm], 3).chunk_sums(ones_column(6), x[perm])
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
@@ -282,21 +279,36 @@ def add_at_reference(ids, values, n):
     return out
 
 
+def update(t, scores, x, arcs, h0, beta, gain, bias, w, keep_prob=1.0, rng=None):
+    """Tape.aggregate_update on arrays or tensors: arrays become constants."""
+    def tensor(v):
+        return v if isinstance(v, Tensor) else constant(v)
+
+    return t.aggregate_update(tensor(scores), tensor(x), arcs, tensor(h0), beta,
+                              tensor(gain), tensor(bias), tensor(w), keep_prob, rng)
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=scatter_cases())
 def test_chunk_sum_and_gather_backward_match_add_at_bit_for_bit(case):
     n, ids, values = case
     expected = add_at_reference(ids, values, n)
-    summed = Tape(recording=False).chunk_sum(ones_column(ids.size),
-                                             constant(values), grouped_by_id(ids, n))
-    assert np.array_equal(summed.data, expected)
+    summed = grouped_by_id(ids, n).chunk_sums(ones_column(ids.size), values)
+    assert np.array_equal(summed, expected)
+    # one arc per output row gathers the rows of x, zero here, so the mix is
+    # (1 - beta) * values; x's gradient scatters the message's gradient
+    # that the chain computes from the upstream `values`
+    k, width = values.shape
     t = Tape()
-    x = parameter(np.zeros((n, values.shape[1])))
-    # one arc per output row gathers the rows of x; their gradient is `values`
-    gathered = t.chunk_sum(ones_column(ids.size), x,
-                           Arcs(ids, np.arange(ids.size + 1), n))
-    backward_from(t, values, gathered)
-    assert np.array_equal(x.grad, expected)
+    x = parameter(np.zeros((n, width)))
+    eye = np.eye(width)
+    out = update(t, ones_column(k), x, Arcs(ids, np.arange(k + 1), n), values, 0.4,
+                 np.ones((1, width)), np.zeros((1, width)), eye)
+    backward_from(t, values, out)
+    g_message = norm_project_chain(values, np.zeros((k, width)), 0.4,
+                                   np.ones((1, width)), np.zeros((1, width)), eye,
+                                   None, values)[2]
+    assert np.array_equal(x.grad, add_at_reference(ids, g_message, n))
 
 
 @settings(max_examples=100, deadline=None)
@@ -328,15 +340,15 @@ def test_chunk_sum_matches_per_chunk_add_at_bit_for_bit(case, data):
         axis=1,
     )
     arcs = grouped_by_id(ids, n)
-    got = Tape(recording=False).chunk_sum(constant(scores[arcs.src]), constant(values),
-                                          arcs)
-    assert np.array_equal(got.data, expected)
+    assert np.array_equal(arcs.chunk_sums(scores[arcs.src], values), expected)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_chunk_sum_forward_and_gradients_match_per_chunk_add_at(data):
-    # the arcs gather rows of x, whose row count is its own
+    # the arcs gather rows of x, whose row count is its own; the update
+    # after the chunk sums projects by the identity, so its upstream
+    # gradient and the message's have one shape
     n_out, n_x = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     k, c = data.draw(st.integers(0, 14)), data.draw(st.integers(1, 4))
     w = data.draw(st.integers(1, 3))
@@ -348,6 +360,7 @@ def test_chunk_sum_forward_and_gradients_match_per_chunk_add_at(data):
     scores = data.draw(arrays(np.float64, (k, c), elements=floats))
     x = data.draw(arrays(np.float64, (n_x, w), elements=floats))
     upstream = data.draw(arrays(np.float64, (n_out, c * w), elements=floats))
+    h0 = data.draw(arrays(np.float64, (n_out, c * w), elements=floats))
     indptr = np.zeros(n_out + 1, dtype=np.int64)
     np.cumsum(np.bincount(dst, minlength=n_out), out=indptr[1:])
 
@@ -355,7 +368,9 @@ def test_chunk_sum_forward_and_gradients_match_per_chunk_add_at(data):
         [add_at_reference(dst, scores[:, t : t + 1] * x[src], n_out) for t in range(c)],
         axis=1,
     )
-    up3 = upstream.reshape(n_out, c, w)
+    gain, bias, eye = np.ones((1, c * w)), np.zeros((1, c * w)), np.eye(c * w)
+    chain = norm_project_chain(h0, expected, 0.6, gain, bias, eye, None, upstream)
+    up3 = chain[2].reshape(n_out, c, w)  # the message's gradient
 
     def x_grad_reference(s, u3):
         out = np.zeros_like(x)
@@ -366,10 +381,12 @@ def test_chunk_sum_forward_and_gradients_match_per_chunk_add_at(data):
     def scores_grad_reference(u3, xs):
         return (u3[dst] * xs[src][:, None, :]).sum(axis=2)
 
+    arcs = Arcs(src, indptr, n_x)
+    assert np.array_equal(arcs.chunk_sums(scores, x), expected)
     t = Tape()
     s_param, xp = parameter(scores), parameter(x)
-    out = t.chunk_sum(s_param, xp, Arcs(src, indptr, n_x))
-    assert np.array_equal(out.data, expected)
+    out = update(t, s_param, xp, arcs, h0, 0.6, gain, bias, eye)
+    assert np.array_equal(out.data, chain[0])
     backward_from(t, upstream, out)
     # the same float64 products summed in another order: each entry may move
     # by (terms - 1) * 2**-53 times the sum of its terms' magnitudes, and a
@@ -396,10 +413,9 @@ def test_chunk_sum_of_one_hot_scores_is_the_label_blocked_sum(data):
                                          max_size=n)), dtype=np.int64)
     g = build_graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), features,
                     labels, c)
-    got = Tape(recording=False).chunk_sum(
-        constant(one_hot_arc_scores(g, labels, c)), constant(features),
-        Arcs(g.arc_src, g.indptr, n))
-    assert np.array_equal(got.data, one_hop_desirable_m2m(features, g, labels, mode="sum"))
+    got = Arcs(g.arc_src, g.indptr, n).chunk_sums(one_hot_arc_scores(g, labels, c),
+                                                  features)
+    assert np.array_equal(got, one_hop_desirable_m2m(features, g, labels, mode="sum"))
 
 
 def random_arcs(rng, n_out, n_x, k):
@@ -412,42 +428,47 @@ def random_arcs(rng, n_out, n_x, k):
 
 @pytest.mark.parametrize("chunks", [1, 3, 5])
 def test_chunk_sum_gradients_match_the_stored_csr_formulas_bit_for_bit(chunks):
-    # the record used to keep its own stacked CSR and build the score
-    # gradient from strided g3[dst, t] rows and a fresh np.repeat of dst
+    # the chunk sums' record used to keep its own stacked CSR and build the
+    # score gradient from strided g3[dst, t] rows and a fresh np.repeat of
+    # dst; here the update after them hands them the chain's gradient
     rng = np.random.default_rng(chunks)
     n, n_x, k, w = 300, 280, 2400, 16
     src, indptr = random_arcs(rng, n, n_x, k)
     scores, x = rng.random((k, chunks)), rng.normal(size=(n_x, w))
-    upstream = rng.normal(size=(n, chunks * w))
+    upstream = rng.normal(size=(n, 8))
+    h0, proj = rng.normal(size=(n, chunks * w)), rng.normal(size=(chunks * w, 8))
+    gain, bias = rng.uniform(0.5, 1.5, size=(1, chunks * w)), rng.normal(size=(1, chunks * w))
     t = Tape()
     s_param, x_param = parameter(scores), parameter(x)
-    out = t.chunk_sum(s_param, x_param, Arcs(src, indptr, n_x))
+    out = update(t, s_param, x_param, Arcs(src, indptr, n_x), h0, 0.6, gain, bias, proj)
     backward_from(t, upstream, out)
 
     stacked = sp.csr_matrix(
         (scores.T.ravel(), np.tile(src, chunks),
          np.append((indptr[:-1] + k * np.arange(chunks)[:, None]).ravel(), chunks * k)),
         shape=(chunks * n, n_x))
-    g3 = upstream.reshape(n, chunks, w)
+    message = (stacked @ x).reshape(chunks, n, w).transpose(1, 0, 2).reshape(n, chunks * w)
+    chain = norm_project_chain(h0, message, 0.6, gain, bias, proj, None, upstream)
+    g3 = chain[2].reshape(n, chunks, w)
     dst = np.repeat(np.arange(n), np.diff(indptr))
     x_src = x[src]
     g_scores = np.empty((k, chunks))
     for c in range(chunks):
         g_scores[:, c] = np.einsum("aw,aw->a", g3[dst, c], x_src)
-    assert same_bits(out.data, (stacked @ x).reshape(chunks, n, w)
-                     .transpose(1, 0, 2).reshape(n, chunks * w))
+    assert same_bits(out.data, chain[0])
     assert same_bits(x_param.grad,
                      stacked.T @ g3.transpose(1, 0, 2).reshape(chunks * n, w))
     assert same_bits(s_param.grad, g_scores)
 
 
 def layer_norm(t, x, gain, bias):
-    """norm_project's LayerNorm alone: beta = 0 and a nonnegative x, so the
-    residual mix and its ReLU hand x through unchanged, keep_prob 1 and an
-    identity projection."""
-    d = x.shape[1]
-    return t.norm_project(x, constant(np.zeros(x.shape)), 0.0, gain, bias,
-                          constant(np.eye(d)), 1.0, None)
+    """aggregate_update's LayerNorm alone: no arcs, beta = 0 and a
+    nonnegative x, so the residual mix and its ReLU hand x through
+    unchanged, keep_prob 1 and an identity projection."""
+    n, d = x.shape
+    return update(t, np.zeros((0, 1)), np.zeros((1, d)),
+                  Arcs(np.zeros(0, dtype=np.int64), np.zeros(n + 1, dtype=np.int64), 1),
+                  x, 0.0, gain, bias, np.eye(d))
 
 
 def test_layer_norm_constant_row_gives_bias():
@@ -469,11 +490,11 @@ def test_layer_norm_standardizes_rows():
 
 
 def norm_project_chain(h0, message, beta, gain, bias, w, mask, upstream):
-    """Output and (h0, message, gain, bias, w) gradients of
-    Tape.norm_project, step by step in plain numpy, as the records it fused
-    (residual LayerNorm, dropout, matmul) computed them, with `mask` the
-    float dropout mask (None for no dropout) and `upstream` the output's
-    gradient."""
+    """Output and (h0, message, gain, bias, w) gradients of the update after
+    the chunk sums in Tape.aggregate_update, step by step in plain numpy, as
+    the records it fused (residual LayerNorm, dropout, matmul) computed
+    them, with `mask` the float dropout mask (None for no dropout) and
+    `upstream` the output's gradient."""
     mix = h0 * (1.0 - beta) + message * beta
     relu = np.maximum(mix, 0.0)
     xhat = relu - relu.mean(axis=1, keepdims=True)
@@ -498,6 +519,8 @@ def norm_project_chain(h0, message, beta, gain, bias, w, mask, upstream):
 @pytest.mark.parametrize("keep_prob", [0.5, 1.0])
 @pytest.mark.parametrize("rows,width", [(3000, 80), (4, 6)])
 def test_norm_project_matches_the_chain_bit_for_bit(rows, width, keep_prob):
+    # one arc into each row gathers the row of the message array under an
+    # all-ones score column, so the chunk sums hand it through unchanged
     rng = np.random.default_rng(rows)
     arrays_in = [rng.normal(size=(rows, width)), rng.normal(size=(rows, width)),
                  rng.uniform(0.5, 1.5, size=(1, width)), rng.normal(size=(1, width)),
@@ -509,27 +532,35 @@ def test_norm_project_matches_the_chain_bit_for_bit(rows, width, keep_prob):
     t = Tape()
     leaves = [parameter(a.copy()) for a in arrays_in]
     h0, message, gain, bias, w = leaves
+    scores = parameter(ones_column(rows))
     draws = np.random.default_rng(9)
-    out = t.norm_project(h0, message, 0.6, gain, bias, w, keep_prob, draws)
+    out = t.aggregate_update(scores, message, Arcs(np.arange(rows), np.arange(rows + 1), rows),
+                             h0, 0.6, gain, bias, w, keep_prob, draws)
     backward_from(t, upstream, out)
-    chain = norm_project_chain(*arrays_in[:2], 0.6, *arrays_in[2:], mask, upstream)
+    chain = list(norm_project_chain(*arrays_in[:2], 0.6, *arrays_in[2:], mask, upstream))
+    g_message = chain[2]
+    chain[2] = add_at_reference(np.arange(rows), g_message, rows)  # the gather's
     for fused, want in zip([out.data] + [p.grad for p in leaves], chain):
         assert same_bits(fused, want)
+    assert same_bits(scores.grad, np.einsum("aw,aw->a", g_message, arrays_in[1])[:, None])
     if keep_prob == 1.0:  # nothing drawn
         assert draws.random() == np.random.default_rng(9).random()
 
 
 def test_norm_project_rejects_mismatched_inputs():
     t = Tape()
-    ones, x, w = constant(np.ones((1, 4))), constant(np.ones((3, 4))), constant(np.ones((4, 2)))
+    ones, x, w = np.ones((1, 4)), np.ones((3, 4)), np.ones((4, 2))
+    arcs = Arcs([0, 1, 2], [0, 1, 2, 3], 3)
     rng = np.random.default_rng(0)
-    for args in [(constant(np.ones((2, 4))), 0.5, ones, ones, w, 1.0),
-                 (x, 0.5, constant(np.ones((1, 3))), ones, w, 1.0),
-                 (x, 0.5, ones, ones, constant(np.ones((3, 2))), 1.0),
-                 (x, 0.5, ones, ones, w, 0.0),
-                 (x, 0.5, ones, ones, w, 1.5)]:
+    for args in [(ones_column(3), x, arcs, np.ones((2, 4)), 0.5, ones, ones, w, 1.0),
+                 (ones_column(3), x, arcs, x, 0.5, np.ones((1, 3)), ones, w, 1.0),
+                 (ones_column(3), x, arcs, x, 0.5, ones, ones, np.ones((3, 2)), 1.0),
+                 (ones_column(3), x, arcs, x, 0.5, ones, ones, w, 0.0),
+                 (ones_column(3), x, arcs, x, 0.5, ones, ones, w, 1.5),
+                 (np.ones((3, 2)), x, arcs, x, 0.5, ones, ones, w, 1.0),
+                 (ones_column(2), x, arcs, x, 0.5, ones, ones, w, 1.0)]:
         with pytest.raises(ValueError):
-            t.norm_project(x, *args, rng)
+            update(t, *args, rng)
 
 
 def arc_attention_chain(h, w_att, src, dst, alpha, temperature):
@@ -628,7 +659,7 @@ def test_arc_attention_holds_one_arc_sized_float_array_at_a_time():
     h, w_att = rng.normal(size=(n, w)), rng.normal(size=(w, c))
     src, dst = rng.integers(0, n, k), np.sort(rng.integers(0, n, k))
     upstream = rng.normal(size=(k, c))
-    g = np.asfortranarray(upstream)  # F-ordered, as chunk_sum hands it on
+    g = np.asfortranarray(upstream)  # F-ordered, as aggregate_update hands it on
     h_param, w_param = parameter(h), parameter(w_att)
     t, arcs = Tape(), arcs_to(src, dst, n)
     unit = k * w * 8
@@ -1037,8 +1068,13 @@ def _build_cases():
 
     @case("chunk_sum", [(3, 4), (5, 3)])
     def _(t, a, b):
-        # five arcs gathering rows of a: two into output row 0, three into row 1
-        return sq_norm(t, t.chunk_sum(b, a, Arcs([0, 0, 2, 1, 2], [0, 2, 5], 3)))
+        # five arcs gathering rows of a: two into output row 0, three into row 1;
+        # h0 lifts every mixed entry above the ReLU's kink, and no dropout
+        return sq_norm(t, t.aggregate_update(
+            b, a, Arcs([0, 0, 2, 1, 2], [0, 2, 5], 3), constant(np.full((2, 12), 20.0)),
+            0.5, constant(np.ones((1, 12))), constant(np.zeros((1, 12))),
+            constant(np.linspace(-1.0, 1.0, 36).reshape(12, 3)), 1.0,
+            np.random.default_rng(0)))
 
     @case("cross_entropy", [(5, 3)])
     def _(t, a):
@@ -1068,15 +1104,25 @@ def _build_cases():
 
     @case("norm_project", [(4, 6), (4, 6), (1, 6), (1, 6), (6, 3)])
     def _(t, h0, m, g, b, w):
-        # the same mask on every evaluation
-        return sq_norm(t, t.norm_project(h0, m, 0.6, g, b, w, 0.75,
-                                         np.random.default_rng(3)))
+        # one arc of score 1 from each row of m into the same row, so the
+        # message is m itself, and the same mask on every evaluation
+        return sq_norm(t, t.aggregate_update(
+            constant(np.ones((4, 1))), m, Arcs([0, 1, 2, 3], [0, 1, 2, 3, 4], 4), h0,
+            0.6, g, b, w, 0.75, np.random.default_rng(3)))
 
     @case("const_matmul", [(4, 3)])
     def _(t, w):
         x = sp.csr_matrix([[0.0, 1.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
                            [-2.0, 0.0, 0.5, 1.0]])
         return sq_norm(t, t.const_matmul(x, w))
+
+    @case("aggregate_update", [(6, 3), (4, 2), (4, 6), (1, 6), (1, 6), (6, 3)])
+    def _(t, s, x, h0, g, b, w):
+        # three chunks of width 2 summed over the arc_attention case's arcs,
+        # and the same mask on every evaluation
+        return sq_norm(t, t.aggregate_update(
+            s, x, Arcs([1, 0, 2, 3, 1, 1], [0, 1, 4, 5, 6], 4), h0, 0.6, g, b, w,
+            0.75, np.random.default_rng(3)))
 
     return cases
 
@@ -1214,14 +1260,17 @@ def test_tape_gives_the_same_bits_on_int32_and_int64_arc_indices():
     g = build_graph(n, edges[edges[:, 0] != edges[:, 1]], np.zeros((n, 1)),
                     np.zeros(n, dtype=np.int64), 1)
     h, w_att = rng.normal(size=(n, w)), rng.normal(size=(w, c))
-    upstream = rng.normal(size=(n, c * w))
+    upstream = rng.normal(size=(n, 4))
+    h0, proj = rng.normal(size=(n, c * w)), constant(rng.normal(size=(c * w, 4)))
+    gain, bias = constant(np.ones((1, c * w))), constant(np.zeros((1, c * w)))
     results = []
     for dtype in (np.int32, np.int64):
         arcs = Arcs(g.arc_src.astype(dtype), g.indptr.astype(dtype), n)
         t = Tape()
         h_param, w_param = parameter(h), parameter(w_att)
         scores = t.arc_attention(h_param, w_param, arcs, 0.5, 0.5)
-        out = t.chunk_sum(scores, h_param, arcs)
+        out = t.aggregate_update(scores, h_param, arcs, constant(h0), 0.6, gain,
+                                 bias, proj, 1.0, None)
         backward_from(t, upstream, out)
         results.append((out.data, h_param.grad, w_param.grad))
     for a, b in zip(*results):
