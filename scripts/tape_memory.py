@@ -11,8 +11,9 @@ shipped texas config, prints one JSON line per depth K = 2, 8, 32:
   feeds a dropout are not among them;
 * ``b_per_arc_layer``: the growth of that figure per added layer and arc,
   (retained(K) - retained(2)) / ((K - 2) * arcs), null at K = 2;
-* ``records_per_layer``: the growth per added layer of the number of
-  records on the tape once ``forward`` and ``total_loss`` have run,
+* ``records``: the number of records on the tape once ``forward`` and
+  ``total_loss`` have run, the encoder's and the loss's included;
+* ``records_per_layer``: the growth of that number per added layer,
   (records(K) - records(2)) / (K - 2), null at K = 2. The chunk-balance
   penalty is one record whatever K is, so this counts the layers' own;
 * ``backward_transient_mib``: the tracemalloc peak while that tape's
@@ -39,12 +40,15 @@ checkouts compares them:
     python scripts/tape_memory.py [--nodes 3000] [--edges 15000]
 
 On the default graph (30000 arcs, 2 vCPU Linux box, numpy 2.4, Python
-3.11) a training layer makes 2 records and retains about 55 B per arc, the
-backward's transient is about 8.6 MiB at every depth, its peak is 18.3,
-27.8 and 65.9 MiB at K = 2, 8 and 32, and K = 32 peaks at about 136 MiB
-of RSS. While the LayerNorm's rows were kept, a layer made 3 records and
-retained about 119 B per arc, the transient was 7.1 MiB, the backward
-peaked at 18.6, 39.2 and 121.4 MiB, and K = 32 at about 190 MiB.
+3.11) the tape holds 11 records at K = 2 and retains 7.8, 17.3 and 55.5
+MiB at K = 2, 8 and 32; a training layer makes 2 records and retains
+about 55 B per arc, the backward's transient is about 8.6 MiB at every
+depth, its peak is 16.4, 26.0 and 64.1 MiB, and K = 32 peaks at about
+134 MiB of RSS. While dropout and the product after it were two records
+and the product kept the dropped-out copy of its input, the tape held 14
+records at K = 2 and retained 9.7, 19.2 and 57.3 MiB, and the backward
+peaked at 18.3, 27.8 and 65.9 MiB. While the LayerNorm's rows were kept,
+a layer made 3 records and retained about 119 B per arc.
 """
 
 import argparse
@@ -206,7 +210,7 @@ def main(argv=None) -> int:
         print(json.dumps({
             "k": k, "nodes": g.n_nodes, "arcs": g.n_arcs,
             "retained_mib": round(held[k] / 2**20, 1), "b_per_arc_layer": slope,
-            "records_per_layer": per_layer,
+            "records": records[k], "records_per_layer": per_layer,
             "backward_transient_mib": round(backward[k][0] / 2**20, 1),
             "backward_peak_mib": round(backward[k][1] / 2**20, 1),
             "peak_rss_mib": round(peak, 1), "loss": loss,

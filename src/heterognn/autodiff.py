@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .graphs import arc_index_dtype, check_arc_index
 
-__all__ = ["Tensor", "Tape", "Arcs", "AdamState", "parameter", "constant"]
+__all__ = ["Tensor", "Tape", "Arcs", "AdamState", "parameter", "constant", "softmax"]
 
 _LN_EPS = 1e-5
 # arcs per block of aggregate_update's score-gradient gathers and
@@ -106,7 +106,7 @@ def _lend(mat, data, rhs):
         mat.data = None
 
 
-def _softmax(z, temperature, axis):
+def softmax(z, temperature, axis):
     """Softmax of z / temperature along axis, shifted by the max.
 
     Works in place: z is overwritten with the result and returned.
@@ -121,7 +121,7 @@ def _softmax(z, temperature, axis):
 
 
 def _softmax_backward(g, s, temperature, axis):
-    """Gradient of the input of _softmax from g, the gradient of its output s.
+    """Gradient of the input of softmax from g, the gradient of its output s.
 
     Works in place: g is overwritten with the result and returned.
     """
@@ -294,9 +294,8 @@ class Tape:
     """Operation recorder. All ops are methods so the recording scope is explicit.
 
     With recording=False the same methods compute forward values only. The
-    eval passes use that: the per-epoch eval in `training.train`,
-    `training.average_scores` and the alignment softmax of
-    `training.attention_analysis`.
+    eval passes use that: the per-epoch eval in `training.train` and
+    `training.average_scores`.
 
     A record is the pair (gradient cell of the output, backward closure).
     The closure keeps the cells of the inputs that took a gradient when it
@@ -304,13 +303,13 @@ class Tape:
     reads, so an op output that no backward reads (a layer's message) is
     freed once the caller drops it. A value that a backward can rebuild
     from arrays its record keeps anyway is rebuilt rather than kept:
-    arc_attention's ReLU output, and aggregate_update's message, ReLU
-    mask, standardized rows and dropped-out rows. The masks of
-    relu, dropout and aggregate_update's dropout are kept packed, one bit
-    per entry, and each backward unpacks its mask once; a non-recording
-    tape packs nothing. Backward frees as it goes: each record, and the
-    gradient of its non-leaf output, is dropped as soon as its backward
-    has run.
+    project's dropped-out input, arc_attention's ReLU output, and
+    aggregate_update's message, ReLU mask, standardized rows and
+    dropped-out rows. The masks of relu and of the dropouts of project and
+    aggregate_update are kept packed, one bit per entry, and each backward
+    unpacks its mask once; a non-recording tape packs nothing. Backward
+    frees as it goes: each record, and the gradient of its non-leaf
+    output, is dropped as soon as its backward has run.
 
     A pending gradient may be a read-only broadcast view of no size until
     its record runs: `chunk_balance` hands each score tensor one (see
@@ -356,34 +355,6 @@ class Tape:
 
         return self._emit(out, (a, b), back)
 
-    def scale(self, x: Tensor, c: float) -> Tensor:
-        c = float(c)
-        out = Tensor(x.data * c)
-        gx = x._cell
-
-        def back(g):
-            _accum(gx, g * c)
-
-        return self._emit(out, (x,), back)
-
-    def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.data.shape[1] != b.data.shape[0]:
-            raise ValueError(
-                f"matmul dimension mismatch: {a.data.shape} x {b.data.shape}"
-            )
-        out = Tensor(a.data @ b.data)
-        ga, gb = _cell(a), _cell(b)
-        a_data = a.data if gb is not None else None  # read for b's gradient only
-        b_data = b.data if ga is not None else None
-
-        def back(g):
-            if ga is not None:
-                _accum(ga, g @ b_data.T)
-            if gb is not None:
-                _accum(gb, a_data.T @ g)
-
-        return self._emit(out, (a, b), back)
-
     def const_matmul(self, x, w: Tensor) -> Tensor:
         """x @ w for a constant left operand x, which takes no gradient.
 
@@ -391,9 +362,9 @@ class Tape:
         encoder's input (`Graph.encoder_operand`: CSR for bag-of-words
         features). The forward is x @ w and w's gradient is x.T @ g, the
         same two expressions for either kind: a BLAS product for an
-        ndarray, bit for bit what `matmul` computes with x as a constant
-        tensor, and a sparse product for a sparse matrix. The record keeps
-        x, which its owner holds anyway.
+        ndarray, bit for bit what `project` computes at keep_prob 1 with x
+        as a constant tensor, and a sparse product for a sparse matrix. The
+        record keeps x, which its owner holds anyway.
         """
         if x.shape[1] != w.data.shape[0]:
             raise ValueError(
@@ -419,6 +390,45 @@ class Tape:
             _accum(gx, g)
 
         return self._emit(out, (x,), back)
+
+    def project(self, x: Tensor, w: Tensor, keep_prob: float,
+                rng: np.random.Generator) -> Tensor:
+        """dropout(x) @ w, inverted dropout then the product, as one node.
+
+        Its mask is drawn as `aggregate_update`'s is, so keep_prob 1 draws
+        nothing from rng and multiplies x itself. Surviving entries are
+        scaled by 1/keep_prob: both passes multiply by the mask, then by the
+        scale, the float mask (r < keep_prob) / keep_prob bit for bit. The
+        record keeps the mask at one bit per entry and the data of x and w,
+        which their owners hold anyway, not the dropped-out copy of x: the
+        backward rebuilds that for w's gradient and frees it before x's
+        gradient is built.
+        """
+        if x.data.shape[1] != w.data.shape[0]:
+            raise ValueError(
+                f"project dimension mismatch: {x.data.shape} x {w.data.shape}"
+            )
+        shape = x.data.shape
+        keep = _keep_mask(shape, keep_prob, rng)
+        scale = 1.0 / keep_prob
+
+        def dropped(a, mask):
+            return a if mask is None else _drop(a.copy(), mask, scale)
+
+        out = Tensor(dropped(x.data, keep) @ w.data)
+        keep = _pack(keep) if self.recording else None
+        gx, gw = _cell(x), _cell(w)
+        x_data = x.data if gw is not None else None  # read for w's gradient only
+        w_data = w.data if gx is not None else None
+
+        def back(g):
+            mask = _unpack(keep, shape)
+            if gw is not None:
+                _accum(gw, dropped(x_data, mask).T @ g)
+            if gx is not None:
+                _accum(gx, _drop(g @ w_data.T, mask, scale))
+
+        return self._emit(out, (x, w), back)
 
     def arc_attention(self, h: Tensor, w_att: Tensor, arcs: Arcs,
                       alpha: float, temperature: float) -> Tensor:
@@ -465,8 +475,8 @@ class Tape:
                 rows += h_data.take(src[block], axis=0)
             return np.maximum(act, 0.0, out=act)
 
-        out = Tensor(_softmax(np.ascontiguousarray((activation() @ w_data).T),
-                              temperature, 0).T)
+        out = Tensor(softmax(np.ascontiguousarray((activation() @ w_data).T),
+                             temperature, 0).T)
         gh, gw, s = _cell(h), _cell(w_att), out.data
 
         def back(g):
@@ -497,10 +507,10 @@ class Tape:
         the arcs.n_sources rows of x of width w_x. The LayerNorm
         standardizes each row with its population variance and epsilon 1e-5
         under the square root, then maps it by the 1 x d gain and bias; the
-        dropout is `dropout`'s, its mask drawn by the same helper, so
+        dropout is `project`'s, its mask drawn by the same helper, so
         keep_prob 1 draws nothing from rng. Equal bit for bit, output and
-        gradients, to the chunk sums followed by LayerNorm -> dropout ->
-        matmul in plain numpy (the reference in the tests).
+        gradients, to the chunk sums followed by LayerNorm, dropout and the
+        product in plain numpy (the reference in the tests).
 
         Of its own the record keeps the keep mask at one bit per entry and
         the rows' means and 1/std; it reads the scores and x, which the
@@ -620,26 +630,27 @@ class Tape:
 
     # ---- normalization / regularization ops --------------------------------
 
-    def chunk_balance(self, scores) -> Tensor:
-        """The chunk-balance penalty of K (arcs, C) score tensors, as 1x1:
-        (1/K) * sum_k sqrt(C_k)/arcs_k * ||m_k|| - 1, with C_k and arcs_k
-        read from each shape and m_k the column sums of scores[k]. On
-        softmax rows it is 0 at uniform scores and sqrt(C) - 1 when every
-        arc picks one chunk, whatever the number of arcs. Rows are added one
-        after another on C- and F-ordered scores alike (numpy would sum the
-        contiguous axis of F-ordered data pairwise), terms in layer order.
-        No scores, a tensor of no rows, or an m_k of norm 0 raises.
+    def chunk_balance(self, scores, weight: float) -> Tensor:
+        """The chunk-balance penalty of K (arcs, C) score tensors, weighted,
+        as 1x1: ((1/K) * sum_k sqrt(C_k)/arcs_k * ||m_k|| - 1) * weight,
+        with C_k and arcs_k read from each shape and m_k the column sums of
+        scores[k]. Unweighted, on softmax rows, it is 0 at uniform scores
+        and sqrt(C) - 1 when every arc picks one chunk, whatever the number
+        of arcs. Rows are added one after another on C- and F-ordered
+        scores alike (numpy would sum the contiguous axis of F-ordered data
+        pairwise), terms in layer order. No scores, a tensor of no rows, or
+        an m_k of norm 0 raises.
 
         The record keeps each one-row m_k and its norm. The backward hands
         each score cell the read-only broadcast view, of no size, of
-        m_k/||m_k|| * (g/K) * sqrt(C_k)/arcs_k; `backward` copies it only
-        where it is still a view when that tensor's own record runs, or when
-        the pass ends if it is a leaf, so the penalty allocates no (arcs, C)
-        gradient per layer.
+        m_k/||m_k|| * (g * weight/K) * sqrt(C_k)/arcs_k; `backward` copies
+        it only where it is still a view when that tensor's own record
+        runs, or when the pass ends if it is a leaf, so the penalty
+        allocates no (arcs, C) gradient per layer.
         """
         if not scores:
             raise ValueError("chunk_balance needs at least one layer of scores")
-        inv_k = float(1.0 / len(scores))
+        inv_k, weight = float(1.0 / len(scores)), float(weight)
         layers, total = [], 0.0
         for k, s in enumerate(scores):
             arcs, c = s.data.shape
@@ -653,11 +664,11 @@ class Tape:
             coef = float(np.sqrt(c) / arcs)
             total += norm * coef
             layers.append((_cell(s), s.data.shape, m, norm, coef))
-        out = Tensor([[total * inv_k - 1.0]])
+        out = Tensor([[(total * inv_k - 1.0) * weight]])
         views = self._views
 
         def back(g):
-            g_avg = g * inv_k
+            g_avg = g * weight * inv_k
             for cell, shape, m, norm, coef in layers:
                 if cell is not None:
                     g_m = m / norm * (g_avg * coef)[0, 0]
@@ -666,48 +677,26 @@ class Tape:
 
         return self._emit(out, scores, back)
 
-    def row_softmax(self, x: Tensor, temperature: float = 1.0) -> Tensor:
-        s = _softmax(x.data.copy(), temperature, 1)
-        out = Tensor(s)
-        gx = x._cell
-
-        def back(g):
-            _accum(gx, _softmax_backward(g, s, temperature, 1))
-
-        return self._emit(out, (x,), back)
-
-    def dropout(self, x: Tensor, keep_prob: float, rng: np.random.Generator) -> Tensor:
-        """Inverted dropout: surviving entries are scaled by 1/keep_prob.
-
-        The record keeps the keep mask at one bit per entry and the scalar
-        scale; both passes multiply by the mask, then by the scale, the
-        float mask (r < keep_prob) / keep_prob bit for bit.
-        """
-        shape = x.data.shape
-        keep = _keep_mask(shape, keep_prob, rng)
-        scale = 1.0 / keep_prob
-        out = Tensor(_drop(x.data.copy(), keep, scale))
-        gx = x._cell
-        keep = _pack(keep) if self.recording else None
-
-        def back(g):
-            _accum(gx, _drop(g, _unpack(keep, shape), scale))
-
-        return self._emit(out, (x,), back)
-
     def cross_entropy(self, logits: Tensor, labels, row_ids) -> Tensor:
         """Mean negative log-likelihood over the selected rows.
 
-        labels holds one class id per logits row; row_ids selects which rows
-        contribute (the training mask). Returns a 1x1 tensor.
+        labels holds one class id per logits row; row_ids holds the row ids
+        of the rows that contribute (a split's training ids, say), as
+        integers. A boolean mask, or any other non-integer array, raises
+        ValueError: read as ids, a mask would select rows 0 and 1. Returns
+        a 1x1 tensor.
         """
         y = np.asarray(labels, dtype=np.int64)
-        rows = np.asarray(row_ids, dtype=np.int64)
+        rows = np.asarray(row_ids)
         n, c = logits.data.shape
         if y.shape != (n,):
             raise ValueError("labels must have one entry per logits row")
         if rows.size == 0:
             raise ValueError("cross_entropy needs a non-empty row selection")
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"cross_entropy row_ids must be integer row ids, "
+                             f"got dtype {rows.dtype}")
+        rows = rows.astype(np.int64, copy=False)
         if rows.min() < 0 or rows.max() >= n:
             raise IndexError("row id out of range")
         if y[rows].min() < 0 or y[rows].max() >= c:
@@ -720,7 +709,7 @@ class Tape:
         g_logits = logits._cell
 
         def back(g):
-            soft = _softmax(z.copy(), 1.0, 1)
+            soft = softmax(z.copy(), 1.0, 1)
             soft[np.arange(rows.size), y[rows]] -= 1.0
             _accum(g_logits, _scatter_rows(rows, soft * (g[0, 0] / rows.size), n))
 

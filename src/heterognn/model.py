@@ -11,26 +11,29 @@ the whole stack. The tape's ops are exactly those that this module and
 `heterognn.training` call, and criterion 7's finite-difference battery in
 the acceptance tests runs every one of them.
 
-The encoder output h0 goes through dropout into layer 0's projection. A
-training layer then records two tape nodes: the scores
+The encoder records three tape nodes (`Tape.const_matmul`, the ReLU, and
+`Tape.project`: dropout and the output product as one node), and its
+output h0 goes through one more `project`: dropout and layer 0's
+projection. A training layer then records two: the scores
 (`Tape.arc_attention`), and the chunk sums, the residual LayerNorm and the
 next layer's dropout and projection, or the head after the last layer, as
 one node (`Tape.aggregate_update`). A record keeps its output's gradient
-cell and only the arrays its backward reads. The attention keeps the
-projection and the (arcs, C) scores, each the `.T` view of a chunk-major
-(C, arcs) array, the layout the attention's softmax and the chunk products
-read without a copy. The update keeps its dropout mask at one bit per
-entry and its LayerNorm's row means and 1/std, two floats a node, and
-beside them reads only arrays that other records hold: the scores, the
-projection, and h0, one array that every layer's update shares. What a
-backward can rebuild from those it rebuilds: the attention's ReLU output,
-and the update's message, ReLU mask, LayerNorm rows and the next
-projection's input. So no record keeps a layer's message or a LayerNorm's
-rows, and under dropout no backward reads the encoder's ReLU output: it
-is freed by the time `forward` returns.
+cell and only the arrays its backward reads. A `project` keeps its input,
+which its owner holds anyway (the encoder's ReLU output, or h0), and its
+dropout mask at one bit per entry. The attention keeps the projection and
+the (arcs, C) scores, each the `.T` view of a chunk-major (C, arcs) array,
+the layout the attention's softmax and the chunk products read without a
+copy. The update keeps its dropout mask at one bit per entry and its
+LayerNorm's row means and 1/std, two floats a node, and beside them reads
+only arrays that other records hold: the scores, the projection, and h0,
+one array that every layer's update shares. What a backward can rebuild
+from those it rebuilds: the dropped-out copies, the attention's ReLU
+output, and the update's message, ReLU mask and LayerNorm rows, so no
+record keeps any of them.
 
-The chunk-balance penalty is one record over all layers
-(`Tape.chunk_balance`), so it adds no tape node per layer. The backward
+The weighted chunk-balance penalty is one record over all layers
+(`Tape.chunk_balance`), so the loss adds three records, with the
+cross-entropy and their sum, whatever the depth. The backward
 allocates no arc-sized array that no computation needs: the penalty's
 gradient of each layer's scores is a broadcast view of one row until that
 layer's records run, so its transient does not grow with depth.
@@ -197,12 +200,13 @@ def encode(tape, params: M2mParams, features, config: M2mConfig,
     a CSR matrix for features at most 5% nonzero (bag-of-words rows) and
     the dense array otherwise. The first product is `Tape.const_matmul`,
     whose forward x @ enc_in and backward x.T @ g are sparse products for a
-    CSR input and the same BLAS calls as a dense `matmul` for an array.
+    CSR input and the same BLAS calls as a dense product for an array. The
+    second is `Tape.project`, at keep_prob 1 outside training, which draws
+    nothing from rng.
     """
     h = tape.relu(tape.const_matmul(features, params.enc_in))
-    if training and config.keep_prob < 1.0:
-        h = tape.dropout(h, config.keep_prob, rng)
-    return tape.matmul(h, params.enc_out)
+    keep_prob = config.keep_prob if training else 1.0
+    return tape.project(h, params.enc_out, keep_prob, rng)
 
 
 def attention_scores(tape, h_hat: ad.Tensor, arcs: ad.Arcs, w_att: ad.Tensor,
@@ -265,8 +269,7 @@ def forward(tape, params: M2mParams, graph, config: M2mConfig,
     arcs = ad.Arcs(graph.arc_src, graph.indptr, graph.n_nodes)
     h0 = encode(tape, params, graph.encoder_operand, config, training, rng)
     keep_prob = config.keep_prob if training else 1.0
-    h_in = tape.dropout(h0, keep_prob, rng) if keep_prob < 1.0 else h0
-    h_hat = tape.matmul(h_in, params.layer_proj[0])
+    h_hat = tape.project(h0, params.layer_proj[0], keep_prob, rng)
     attentions = []
     for k in range(config.layers):
         scores = attention_scores(
@@ -291,18 +294,17 @@ def total_loss(tape, result: ForwardResult, labels, train_ids,
     """Masked cross-entropy plus the chunk-balance penalty weighted by
     ``config.reg_strength``.
 
-    The penalty (`Tape.chunk_balance`, one record) averages over layers
-    the norm of each layer's column-summed scores, scaled by
-    sqrt(chunks)/n_arcs, then subtracts 1. It is 0 when every row is
-    uniform and sqrt(chunks) - 1, its maximum, when all mass sits on one
-    chunk, whatever the number of arcs, so it stays on the scale of the
-    cross-entropy.
+    The penalty (`Tape.chunk_balance`, one record, weight included)
+    averages over layers the norm of each layer's column-summed scores,
+    scaled by sqrt(chunks)/n_arcs, then subtracts 1. Unweighted, it is 0
+    when every row is uniform and sqrt(chunks) - 1, its maximum, when all
+    mass sits on one chunk, whatever the number of arcs, so it stays on
+    the scale of the cross-entropy.
     """
     task = tape.cross_entropy(result.logits, labels, train_ids)
     if config.reg_strength == 0.0:
         return task
-    reg = tape.chunk_balance(result.attentions)
-    return tape.add(task, tape.scale(reg, config.reg_strength))
+    return tape.add(task, tape.chunk_balance(result.attentions, config.reg_strength))
 
 
 def one_hot_arc_scores(graph, labels, chunks: int) -> np.ndarray:

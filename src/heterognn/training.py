@@ -215,10 +215,15 @@ def _greedy_match(mass: np.ndarray) -> np.ndarray:
 
 def average_scores(g: Graph, params: M2mParams,
                    config: M2mConfig) -> np.ndarray:
-    """Layer-averaged (n_arcs, chunks) score matrix from an eval forward."""
-    result = forward(ad.Tape(recording=False), params, g, config)
-    stacked = np.stack([s.data for s in result.attentions])
-    return stacked.mean(axis=0)
+    """Layer-averaged (n_arcs, chunks) score matrix from an eval forward,
+    the layers added in order into one C-ordered array: the bits of
+    np.stack(...).mean(axis=0) without its (layers, n_arcs, chunks) array."""
+    first, *rest = forward(ad.Tape(recording=False), params, g, config).attentions
+    avg = first.data.copy()
+    for scores in rest:
+        avg += scores.data
+    avg /= len(rest) + 1
+    return avg
 
 
 def attention_analysis(g: Graph, params: M2mParams, config: M2mConfig,
@@ -244,10 +249,10 @@ def attention_analysis(g: Graph, params: M2mParams, config: M2mConfig,
     norm = np.divide(mass, arc_counts[:, None],
                      out=np.zeros_like(mass), where=arc_counts[:, None] > 0)
     perm = _greedy_match(norm)
-    aligned = norm[:, perm]
     return AttentionSummary(
         avg_scores=avg_scores,
-        alignment=ad.Tape(recording=False).row_softmax(ad.constant(aligned)).data,
+        # take gives a fresh C-ordered array, which softmax overwrites
+        alignment=ad.softmax(norm.take(perm, axis=1), 1.0, 1),
         permutation=perm,
     )
 

@@ -280,7 +280,7 @@ def op_battery(rng):
 
     The leaves are rng's next seven draws, always of these shapes and
     distributions in this order, because criterion 7's model part draws its
-    graph from the same rng next. Both dropouts (`dropout`'s and
+    graph from the same rng next. Both dropouts (`project`'s and
     `aggregate_update`'s) keep 3 of 4 entries under generators seeded
     inside run, so every evaluation draws the same masks;
     `aggregate_update` sums col over the arcs in four chunks, takes s as
@@ -310,18 +310,16 @@ def op_battery(rng):
     bag = sp.csr_matrix([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.25, 0.0, 0.75]])
 
     def run(tape):
-        s = tape.scale(tape.add(a, b), 0.7)
-        kept = tape.dropout(s, 0.75, np.random.default_rng(3))
-        h = tape.relu(tape.matmul(kept, w))
+        s = tape.add(a, b)
+        h = tape.relu(tape.project(s, w, 0.75, np.random.default_rng(3)))
         scores = tape.arc_attention(h, w_att, arcs, 0.6, 0.8)
         assert scores.data.flags.f_contiguous and not scores.data.flags.c_contiguous
         projected = tape.aggregate_update(scores, col, arcs, s, 0.6, gain, bias, w,
                                           0.75, np.random.default_rng(3))
-        soft = tape.row_softmax(projected, temperature=0.7)
         ce = tape.cross_entropy(projected, labels, rows)
         encoded = tape.const_matmul(bag, w_att)
-        penalty = tape.chunk_balance([soft, scores, h, encoded])
-        return tape.add(tape.scale(penalty, 10.0), ce)
+        penalty = tape.chunk_balance([projected, scores, h, encoded], 10.0)
+        return tape.add(penalty, ce)
 
     return [a, b, w, col, gain, bias, w_att], run
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from heterognn.autodiff import (AdamState, Arcs, Tape, Tensor, _accum, constant,
-                                parameter)
+                                parameter, softmax)
 from heterognn.graphs import build_graph
 from heterognn.model import one_hot_arc_scores
 from heterognn.multiset import one_hop_desirable_m2m
@@ -80,8 +80,8 @@ def total(t, x):
     """The sum of x's entries, as two products with ones that hand x
     exactly all-ones."""
     rows, cols = x.shape
-    return t.matmul(t.matmul(constant(np.ones((1, rows))), x),
-                    constant(np.ones((cols, 1))))
+    row_sums = t.const_matmul(np.ones((1, rows)), x)
+    return t.project(row_sums, constant(np.ones((cols, 1))), 1.0, None)
 
 
 def sq_norm(t, x):
@@ -130,49 +130,49 @@ def test_item_requires_scalar():
 
 
 def test_matmul_identity():
+    # project at keep_prob 1 is the plain product
     t = Tape()
     m = constant([[1.5, -2.0], [0.25, 7.0]])
-    out = t.matmul(constant(np.eye(2)), m)
+    out = t.project(constant(np.eye(2)), m, 1.0, None)
     np.testing.assert_array_equal(out.data, m.data)
 
 
 def test_matmul_hand_example():
     t = Tape()
-    out = t.matmul(constant([[1, 2], [3, 4]]), constant([[1], [1]]))
+    out = t.project(constant([[1, 2], [3, 4]]), constant([[1], [1]]), 1.0, None)
     np.testing.assert_array_equal(out.data, [[3], [7]])
 
 
 def test_matmul_shape_error():
     t = Tape()
-    with pytest.raises(ValueError):
-        t.matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
+    with pytest.raises(ValueError, match="project dimension mismatch"):
+        t.project(constant(np.ones((2, 3))), constant(np.ones((2, 3))), 1.0, None)
+
+
+# the row softmax is autodiff.softmax along axis 1, in place on its input
 
 
 def test_row_softmax_uniform_on_zeros():
-    t = Tape()
-    out = t.row_softmax(constant([[0.0, 0.0, 0.0]]))
-    np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
+    out = softmax(np.array([[0.0, 0.0, 0.0]]), 1.0, 1)
+    np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
 
 def test_row_softmax_sharpens_at_low_temperature():
-    t = Tape()
-    out = t.row_softmax(constant([[1.0, 0.0]]), temperature=0.01)
-    np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-4)
+    out = softmax(np.array([[1.0, 0.0]]), 0.01, 1)
+    np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-4)
 
 
 def test_row_softmax_frozen_values():
-    # scalar oracle: e^1, e^2, e^3 normalized
-    t = Tape()
-    out = t.row_softmax(constant([[1.0, 2.0, 3.0]]))
-    np.testing.assert_allclose(
-        out.data, [[0.09003057, 0.24472847, 0.66524096]], atol=1e-5
-    )
+    # scalar oracle: e^1, e^2, e^3 normalized, written over the input
+    z = np.array([[1.0, 2.0, 3.0]])
+    out = softmax(z, 1.0, 1)
+    assert out is z
+    np.testing.assert_allclose(out, [[0.09003057, 0.24472847, 0.66524096]], atol=1e-5)
 
 
 def test_row_softmax_rejects_bad_temperature():
-    t = Tape()
-    with pytest.raises(ValueError):
-        t.row_softmax(constant([[1.0]]), temperature=0.0)
+    with pytest.raises(ValueError, match="temperature"):
+        softmax(np.array([[1.0]]), 0.0, 1)
 
 
 @settings(max_examples=50, deadline=None)
@@ -181,10 +181,9 @@ def test_row_softmax_rejects_bad_temperature():
     shift=st.floats(-5, 5),
 )
 def test_row_softmax_rows_sum_to_one_and_shift_invariant(x, shift):
-    t = Tape(recording=False)
-    s = t.row_softmax(constant(x)).data
+    s = softmax(x.copy(), 1.0, 1)
     np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
-    s_shifted = t.row_softmax(constant(x + shift)).data
+    s_shifted = softmax(x + shift, 1.0, 1)
     np.testing.assert_allclose(s, s_shifted, atol=1e-12)
 
 
@@ -197,7 +196,7 @@ def test_relu_clamps_negative():
 def test_relu_record_keeps_a_mask_not_its_input():
     t = Tape()
     w = parameter(np.eye(3))
-    pre = t.matmul(constant([[-1.0, 0.0, 2.5]]), w)
+    pre = t.const_matmul(np.array([[-1.0, 0.0, 2.5]]), w)
     pre_data = weakref.ref(pre.data)
     out = t.relu(pre)
     del pre
@@ -577,7 +576,7 @@ def arc_attention_chain(h, w_att, src, dst, alpha, temperature):
 @pytest.mark.parametrize("chunks", [3, 10])
 def test_arc_attention_forward_matches_the_chain(chunks):
     # bit for bit below eight chunks; from eight on numpy sums a row of
-    # the chain's row_softmax pairwise, so only the last bits may differ
+    # the chain's row-major softmax pairwise, so only the last bits may differ
     rng = np.random.default_rng(chunks)
     h, w_att = rng.normal(size=(500, 16)), rng.normal(size=(16, chunks))
     src, dst = rng.integers(0, 500, 3000), np.sort(rng.integers(0, 500, 3000))
@@ -731,33 +730,42 @@ def test_one_arcs_at_two_alphas_gives_the_bits_of_two_fresh_ones():
     assert sorted(shared._ends) == [0.3, 0.7]
 
 
+# project's dropout: dropout(x) @ w as one record
+
+
 @pytest.mark.parametrize("keep_prob", [0.3, 0.7])
 def test_dropout_matches_the_float_mask_bit_for_bit(keep_prob):
-    # the record keeps the mask packed to bits; the float mask is what it
-    # replaced
+    # the record keeps the mask packed to bits and rebuilds the dropped-out
+    # input for w's gradient; the float mask and a kept dropped-out copy
+    # are what it replaced
     rng = np.random.default_rng(23)
-    x, upstream = rng.normal(size=(60, 40)), rng.normal(size=(60, 40))
+    x, w = rng.normal(size=(60, 40)), rng.normal(size=(40, 8))
+    upstream = rng.normal(size=(60, 8))
     mask = (np.random.default_rng(9).random(x.shape) < keep_prob) / keep_prob
     t = Tape()
-    x_param = parameter(x)
-    out = t.dropout(x_param, keep_prob, np.random.default_rng(9))
+    x_param, w_param = parameter(x), parameter(w)
+    out = t.project(x_param, w_param, keep_prob, np.random.default_rng(9))
     backward_from(t, upstream, out)
-    assert same_bits(out.data, x * mask)
-    assert same_bits(x_param.grad, upstream * mask)
+    assert same_bits(out.data, (x * mask) @ w)
+    assert same_bits(x_param.grad, (upstream @ w.T) * mask)
+    assert same_bits(w_param.grad, (x * mask).T @ upstream)
 
 
 def test_dropout_keep_one_is_identity():
+    # keep_prob 1 multiplies x itself and draws nothing from rng
     t = Tape()
     x = constant([[1.0, 2.0, 3.0]])
-    out = t.dropout(x, 1.0, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    out = t.project(x, constant(np.eye(3)), 1.0, rng)
     np.testing.assert_array_equal(out.data, x.data)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_dropout_preserves_expectation():
     rng = np.random.default_rng(3)
     t = Tape(recording=False)
     x = constant(np.ones((200, 200)))
-    out = t.dropout(x, 0.6, rng)
+    out = t.project(x, constant(np.eye(200)), 0.6, rng)
     assert abs(out.data.mean() - 1.0) < 0.02
     # surviving entries are inverted-scaled at train time
     kept = out.data[out.data > 0]
@@ -766,8 +774,10 @@ def test_dropout_preserves_expectation():
 
 def test_dropout_rejects_bad_keep_prob():
     t = Tape()
-    with pytest.raises(ValueError):
-        t.dropout(constant([[1.0]]), 0.0, np.random.default_rng(0))
+    for keep_prob in (0.0, 1.5):
+        with pytest.raises(ValueError, match="keep_prob"):
+            t.project(constant([[1.0]]), constant([[1.0]]), keep_prob,
+                      np.random.default_rng(0))
 
 
 def test_cross_entropy_uniform_logits_is_log_c():
@@ -790,6 +800,21 @@ def test_cross_entropy_requires_rows():
         t.cross_entropy(constant(np.zeros((2, 2))), [0, 1], [])
 
 
+def test_cross_entropy_rejects_row_ids_that_are_not_integers():
+    # read as int64, a boolean mask would select rows 0 and 1 (a loss of
+    # 2.6623 here) instead of the rows it marks (1.7360)
+    logits = constant(np.random.default_rng(4).normal(size=(6, 3)))
+    labels = [0, 1, 2, 0, 1, 2]
+    mask = np.array([False, True, False, True, True, False])
+    for row_ids in (mask, mask.astype(float), [1.0, 3.0]):
+        with pytest.raises(ValueError, match="row_ids"):
+            Tape().cross_entropy(logits, labels, row_ids)
+    want = Tape().cross_entropy(logits, labels, [1, 3, 4]).item()
+    for row_ids in (np.flatnonzero(mask), np.array([1, 3, 4], dtype=np.uint8),
+                    np.array([1, 3, 4], dtype=np.int32)):
+        assert Tape().cross_entropy(logits, labels, row_ids).item() == want
+
+
 # ---------------------------------------------------------------------------
 # Backward pass contracts
 # ---------------------------------------------------------------------------
@@ -805,7 +830,7 @@ def test_backward_of_sum_is_ones():
 def test_backward_requires_scalar():
     t = Tape()
     w = parameter(np.ones((2, 2)))
-    out = t.scale(w, 2.0)
+    out = t.add(w, w)
     with pytest.raises(ValueError):
         t.backward(out)
 
@@ -831,7 +856,7 @@ def test_untouched_leaf_has_no_gradient():
 def test_gradient_accumulates_on_reuse():
     t = Tape()
     w = parameter([[3.0]])
-    loss = t.matmul(w, w)  # w^2, d/dw = 2w
+    loss = t.project(w, w, 1.0, None)  # w^2, d/dw = 2w
     t.backward(loss)
     np.testing.assert_allclose(w.grad, [[6.0]])
 
@@ -842,7 +867,7 @@ def test_add_hands_each_operand_its_own_gradient():
     a, b, x = (parameter(np.full((2, 2), v)) for v in (1.0, 2.0, 3.0))
     t = Tape()
     summed = t.add(t.add(a, b), t.add(x, x))
-    t.backward(total(t, t.add(summed, t.scale(a, 2.0))))
+    t.backward(total(t, t.add(summed, t.add(a, a))))
     assert a.grad is not b.grad
     np.testing.assert_array_equal(a.grad, np.full((2, 2), 3.0))
     np.testing.assert_array_equal(b.grad, np.ones((2, 2)))
@@ -852,7 +877,7 @@ def test_add_hands_each_operand_its_own_gradient():
 def test_chunk_balance_gradient_is_a_writeable_array():
     x = parameter(np.arange(6.0).reshape(3, 2))
     t = Tape()
-    t.backward(t.chunk_balance([x]))
+    t.backward(t.chunk_balance([x], 1.0))
     assert x.grad.flags.writeable and x.grad.flags.owndata
     # column sums m = (6, 9) of norm sqrt(117), at sqrt(C)/arcs = sqrt(2)/3
     want = np.array([[6.0, 9.0]]) / np.sqrt(117.0) * float(np.sqrt(2.0) / 3)
@@ -870,11 +895,12 @@ def column_mass(x):
     return mass
 
 
-def penalty_chain(layers, upstream):
+def penalty_chain(layers, weight, upstream):
     """The chunk-balance penalty's value and score gradients as the op
-    chain sum_rows -> l2_norm -> scale -> add, then scale(1/K) and
-    add(-1), computes them, in plain numpy with upstream as the gradient
-    of the value: rows added one after another, terms in layer order."""
+    chain sum_rows -> l2_norm -> scale -> add, then scale(1/K), add(-1)
+    and scale(weight), computes them, in plain numpy with upstream as the
+    gradient of the value: rows added one after another, terms in layer
+    order."""
     total, parts = None, []
     for x in layers:
         rows, cols = x.shape
@@ -885,8 +911,8 @@ def penalty_chain(layers, upstream):
         total = term if total is None else total + term
         parts.append((mass, norm, coef))
     inv_k = float(1.0 / len(layers))
-    value = total * inv_k + np.array([[-1.0]])
-    g_term = upstream * inv_k  # what each add hands each term
+    value = (total * inv_k + np.array([[-1.0]])) * weight
+    g_term = upstream * weight * inv_k  # what each add hands each term
     grads = [np.broadcast_to(mass / norm * (g_term * coef)[0, 0], x.shape)
              for x, (mass, norm, coef) in zip(layers, parts)]
     return value, grads
@@ -900,8 +926,8 @@ LAYERS = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(layers=LAYERS, upstream=st.floats(-10.0, 10.0))
-def test_chunk_balance_is_the_op_chain_bit_for_bit(layers, upstream):
+@given(layers=LAYERS, weight=st.floats(0.0, 10.0), upstream=st.floats(-10.0, 10.0))
+def test_chunk_balance_is_the_op_chain_bit_for_bit(layers, weight, upstream):
     # numpy sums the contiguous axis of F-ordered data pairwise, which
     # moves bits from eight rows on; the op adds rows in order on either
     # layout. The first layer of no rows, or of column sums of norm 0,
@@ -915,15 +941,15 @@ def test_chunk_balance_is_the_op_chain_bit_for_bit(layers, upstream):
         if x.shape[0] and np.sum(mass * mass):
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
-            value, grads = penalty_chain(data, np.ones((1, 1)))
+            value, grads = penalty_chain(data, 1.0, np.ones((1, 1)))
         assert not (np.isfinite(value).all()
                     and all(np.isfinite(g).all() for g in grads))
         match = "0 rows" if not x.shape[0] else r"\|\|m\|\| = 0"
         with pytest.raises(ValueError, match=match):
-            t.chunk_balance(params)
+            t.chunk_balance(params, weight)
         return
-    out = t.chunk_balance(params)
-    value, grads = penalty_chain(data, np.array([[upstream]]))
+    out = t.chunk_balance(params, weight)
+    value, grads = penalty_chain(data, weight, np.array([[upstream]]))
     assert same_bits(out.data, value)
     backward_from(t, np.array([[upstream]]), out)
     for p, want in zip(params, grads):
@@ -934,9 +960,9 @@ def test_pending_broadcast_gradients_add_up_like_copies():
     # chunk_balance hands each score cell a read-only broadcast view: a
     # later gradient adds into it as into a copy (add's two cells and a
     # second view included), a record whose output still holds a view gets
-    # a writable array (dropout scales g in place), and leaves end with
-    # arrays of their own. The reference passes each input through a
-    # scale by 1.0, which is exact and hands back a full array, and its
+    # a writable array (relu multiplies g in place), and leaves end with
+    # arrays of their own. The reference passes each input through an
+    # add of zeros, which hands back a full copy of the view, and its
     # additions meet in the same pairs, so the bits agree
     x = np.arange(6.0).reshape(3, 2)
     u = np.arange(8.0).reshape(4, 2) - 3.0
@@ -944,14 +970,15 @@ def test_pending_broadcast_gradients_add_up_like_copies():
     def grads(through):
         xp, up = parameter(x), parameter(u)
         t = Tape()
-        y = t.scale(xp, 3.0)
-        dropped = t.dropout(up, 0.5, np.random.default_rng(0))
+        y = t.project(xp, constant(3.0 * np.eye(2)), 1.0, None)
+        dropped = t.relu(t.project(up, constant(np.eye(2)), 0.5,
+                                   np.random.default_rng(1)))
         t.backward(t.chunk_balance([t.add(y, y), through(t, y), through(t, xp),
-                                    through(t, xp), through(t, dropped)]))
+                                    through(t, xp), through(t, dropped)], 1.0))
         return xp.grad, up.grad
 
     got = grads(lambda t, v: v)
-    want = grads(lambda t, v: t.scale(v, 1.0))
+    want = grads(lambda t, v: t.add(v, constant(np.zeros(v.shape))))
     for g, w in zip(got, want):
         assert g.flags.writeable and g.flags.owndata
         assert same_bits(g, w)
@@ -962,7 +989,7 @@ def test_leaf_gradients_accumulate_across_backward_calls():
     hidden = []
     for _ in range(2):
         t = Tape()
-        h = t.scale(w, 3.0)
+        h = t.project(w, constant(3.0 * np.eye(2)), 1.0, None)
         t.backward(total(t, h))
         hidden.append(h)
     np.testing.assert_array_equal(w.grad, [[6.0, 6.0]])
@@ -973,7 +1000,7 @@ def test_grad_is_settable_and_zero_grad_clears_it():
     w = parameter([[1.0]])
     w.grad = np.array([[5.0]])
     t = Tape()
-    t.backward(total(t, t.scale(w, 2.0)))
+    t.backward(total(t, t.project(w, constant([[2.0]]), 1.0, None)))
     np.testing.assert_array_equal(w.grad, [[7.0]])
     opt = AdamState([w])
     opt.zero_grad()
@@ -1007,7 +1034,7 @@ def test_const_matmul_of_an_array_is_matmul_of_a_constant_bit_for_bit():
     x, w0, up = rng.normal(size=(7, 5)), rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
     outs, grads = [], []
     for op in (lambda t, w: t.const_matmul(x, w),
-               lambda t, w: t.matmul(constant(x), w)):
+               lambda t, w: t.project(constant(x), w, 1.0, None)):
         t, w = Tape(), parameter(w0.copy())
         out = op(t, w)
         backward_from(t, up, out)
@@ -1044,11 +1071,11 @@ def _build_cases():
 
     @case("matmul", [(3, 4), (4, 2)])
     def _(t, a, b):
-        return total(t, t.matmul(a, b))
+        return total(t, t.project(a, b, 1.0, None))
 
     @case("add_scale", [(3, 3), (3, 3)])
     def _(t, a, b):
-        return total(t, t.add(t.scale(a, 1.7), b))
+        return total(t, t.add(t.project(a, constant(1.7 * np.eye(3)), 1.0, None), b))
 
     # draw the leaves of the retired mul cases so later cases keep their inputs
     for shape in [(5, 1), (5, 4), (4, 4), (4, 4)]:
@@ -1058,11 +1085,8 @@ def _build_cases():
     def _(t, a):
         return total(t, t.relu(a))
 
-    @case("row_softmax", [(3, 5)])
-    def _(t, a):
-        return sq_norm(t, t.row_softmax(a, temperature=0.7))
-
-    # and those of the retired layer_norm case
+    # and those of the retired row_softmax and layer_norm cases
+    rng.uniform(-2, 2, (3, 5))
     for shape in [(4, 6), (1, 6), (1, 6)]:
         rng.uniform(-2, 2, shape)
 
@@ -1082,18 +1106,17 @@ def _build_cases():
 
     @case("chunk_balance", [(4, 3)])
     def _(t, a):
-        # two layers of different widths
-        return t.chunk_balance([a, t.matmul(a, constant([[1.0, 0.5], [-1.0, 2.0],
-                                                         [0.0, 1.0]]))])
+        # two layers of different widths, weighted
+        w = constant([[1.0, 0.5], [-1.0, 2.0], [0.0, 1.0]])
+        return t.chunk_balance([a, t.project(a, w, 1.0, None)], 2.5)
 
     # draw the leaf of the retired l2_norm case so later cases keep their inputs
     rng.uniform(-2, 2, (2, 3))
 
     @case("composite_chain", [(4, 3), (3, 3)])
     def _(t, x, w):
-        h = t.relu(t.matmul(x, w))
-        s = t.row_softmax(h, temperature=1.3)
-        return t.cross_entropy(s, [0, 1, 2, 1], [0, 1, 2, 3])
+        h = t.relu(t.project(x, w, 1.0, None))
+        return t.cross_entropy(h, [0, 1, 2, 1], [0, 1, 2, 3])
 
     @case("arc_attention", [(4, 3), (3, 2)])
     def _(t, h, w):
@@ -1123,6 +1146,11 @@ def _build_cases():
         return sq_norm(t, t.aggregate_update(
             s, x, Arcs([1, 0, 2, 3, 1, 1], [0, 1, 4, 5, 6], 4), h0, 0.6, g, b, w,
             0.75, np.random.default_rng(3)))
+
+    @case("project", [(4, 6), (6, 3)])
+    def _(t, x, w):
+        # the same mask on every evaluation
+        return sq_norm(t, t.project(x, w, 0.75, np.random.default_rng(3)))
 
     return cases
 
@@ -1155,17 +1183,13 @@ def test_gradcheck_random_inputs_many_trials():
 
         def value(xa, wa):
             t = Tape()
-            h = t.matmul(constant(xa), constant(wa))
-            h = t.relu(h)
-            s = t.row_softmax(h, temperature=0.9)
-            return sq_norm(t, s).item()
+            h = t.relu(t.project(constant(xa), constant(wa), 1.0, None))
+            return t.cross_entropy(h, [0, 3, 1], [0, 1, 2]).item()
 
         t = Tape()
         wp = parameter(w.copy())
-        h = t.matmul(constant(x), wp)
-        h = t.relu(h)
-        s = t.row_softmax(h, temperature=0.9)
-        t.backward(sq_norm(t, s))
+        h = t.relu(t.project(constant(x), wp, 1.0, None))
+        t.backward(t.cross_entropy(h, [0, 3, 1], [0, 1, 2]))
         fd = finite_difference_grad(value, [x, w], 1)
         scale = max(np.abs(fd).max(), 1e-8)
         np.testing.assert_allclose(wp.grad, fd, atol=FD_RTOL * scale,
@@ -1176,7 +1200,7 @@ def test_dropout_mask_constant_in_backward():
     rng_fwd = np.random.default_rng(5)
     t = Tape()
     x = parameter(np.ones((6, 6)))
-    out = t.dropout(x, 0.5, rng_fwd)
+    out = t.project(x, constant(np.eye(6)), 0.5, rng_fwd)
     mask = out.data.copy()  # ones were scaled by mask exactly
     t.backward(total(t, out))
     np.testing.assert_array_equal(x.grad, mask)

@@ -143,7 +143,7 @@ def test_zero_mixing_weights_give_uniform_scores():
     params.layer_att[0].data[:] = 0.0
     tape = ad.Tape()
     h0 = encode(tape, params, g.features, cfg)
-    h_hat = tape.matmul(h0, params.layer_proj[0])
+    h_hat = tape.project(h0, params.layer_proj[0], 1.0, None)
     scores = attention_scores(tape, h_hat, arcs_of(g), params.layer_att[0],
                               cfg.alpha, cfg.temperature)
     np.testing.assert_allclose(scores.data, 1.0 / 3.0, rtol=0, atol=1e-15)
@@ -320,7 +320,7 @@ def test_reg_loss_reference_values():
 
     def value(scores):
         layers = [ad.constant(scores), ad.constant(scores)]
-        return float(tape.chunk_balance(layers).data[0, 0])
+        return float(tape.chunk_balance(layers, 1.0).data[0, 0])
 
     # 0 at uniform scores, sqrt(C) - 1 at collapse, at any number of arcs
     root = np.sqrt(chunks)
@@ -335,11 +335,12 @@ def test_reg_loss_reference_values():
 def test_reg_loss_rejects_bad_input():
     tape = ad.Tape()
     with pytest.raises(ValueError, match="at least one layer"):
-        tape.chunk_balance([])
+        tape.chunk_balance([], 1.0)
     with pytest.raises(ValueError, match=r"scores\[1\] has 0 rows"):
-        tape.chunk_balance([ad.constant(np.ones((3, 2))), ad.constant(np.ones((0, 2)))])
+        tape.chunk_balance([ad.constant(np.ones((3, 2))), ad.constant(np.ones((0, 2)))],
+                           1.0)
     with pytest.raises(ValueError, match=r"scores\[0\] has \|\|m\|\| = 0"):
-        tape.chunk_balance([ad.constant(np.array([[1.0, -2.0], [-1.0, 2.0]]))])
+        tape.chunk_balance([ad.constant(np.array([[1.0, -2.0], [-1.0, 2.0]]))], 1.0)
 
 
 def test_total_loss_adds_weighted_regularizer():
@@ -352,7 +353,7 @@ def test_total_loss_adds_weighted_regularizer():
     tape = ad.Tape()
     result = forward(tape, params, g, plain_cfg)
     ce = total_loss(tape, result, g.labels, mask, plain_cfg)
-    reg = tape.chunk_balance(result.attentions)
+    reg = tape.chunk_balance(result.attentions, 1.0)
     combined = total_loss(tape, result, g.labels, mask, reg_cfg)
     np.testing.assert_allclose(
         combined.data[0, 0],
@@ -456,8 +457,10 @@ def test_eval_forward_is_deterministic_and_dropout_is_not():
 
 def test_training_layer_records_two_tape_nodes():
     # the scores, and the chunk sums and residual LayerNorm fused with the
-    # next layer's dropout and projection; the chunk-balance penalty is one
-    # record whatever the depth
+    # next layer's dropout and projection. Beside the layers, the encoder
+    # records three nodes (const_matmul, relu, project) and layer 0's input
+    # projection one; the loss adds the cross-entropy, the weighted
+    # chunk-balance penalty and their sum, whatever the depth
     g = random_graph(seed=16)
     counts, with_loss = [], []
     for layers in (2, 3):
@@ -468,16 +471,16 @@ def test_training_layer_records_two_tape_nodes():
         counts.append(len(tape._nodes))
         total_loss(tape, result, g.labels, np.arange(g.n_nodes), cfg)
         with_loss.append(len(tape._nodes))
-    assert counts[1] - counts[0] == 2
-    assert with_loss[1] - with_loss[0] == 2
+    assert counts == [8, 10]
+    assert with_loss == [11, 13]
 
 
 def test_layer_records_hold_one_node_by_hidden_float_array_h0():
     # a layer's records rebuild their LayerNorm rows and messages, so the
     # only (n, hidden) float array they hold is the encoder output h0, one
     # array that every layer's update shares. Of the other records only
-    # the projections' matmuls hold one, their input: the encoder's ReLU
-    # output after dropout, and h0 after dropout
+    # the two projections hold one, their input, not its dropped-out copy:
+    # the encoder's holds its ReLU output, and layer 0's holds h0 itself
     g = random_graph(seed=18, n=12, f=5, n_classes=3)
     cfg = tiny_config(hidden=10, chunks=2, layers=3, keep_prob=0.6, reg_strength=0.5)
     params = init_params(cfg, g.n_features, g.n_classes)
@@ -510,9 +513,11 @@ def test_layer_records_hold_one_node_by_hidden_float_array_h0():
     h0_again = encode(ad.Tape(), params, g.encoder_operand, cfg, True,
                       np.random.default_rng(0))
     assert np.array_equal(h0, h0_again.data)
-    matmuls = held.pop("Tape.matmul.<locals>.back")
-    assert [len(found) for found in matmuls] == [1, 1]
-    assert not any(id(h0) in found for found in matmuls)
+    encoder, layer0 = held.pop("Tape.project.<locals>.back")
+    assert list(layer0) == [id(h0)]
+    (relu_out,) = encoder.values()
+    assert np.array_equal(relu_out,
+                          np.maximum(g.encoder_operand @ params.enc_in.data, 0.0))
     assert not any(found for records in held.values() for found in records)
 
 
@@ -589,10 +594,9 @@ def test_dense_features_keep_the_bits_of_a_constant_tensor_matmul(monkeypatch):
 
     def constant_tensor_encode(tape, params, features, config, training=False,
                                rng=None):
-        h = tape.relu(tape.matmul(ad.constant(features), params.enc_in))
-        if training and config.keep_prob < 1.0:
-            h = tape.dropout(h, config.keep_prob, rng)
-        return tape.matmul(h, params.enc_out)
+        h = tape.relu(tape.project(ad.constant(features), params.enc_in, 1.0, None))
+        keep_prob = config.keep_prob if training else 1.0
+        return tape.project(h, params.enc_out, keep_prob, rng)
 
     monkeypatch.setattr(m2m, "encode", constant_tensor_encode)
     ref_logits, ref_grads = logits_and_gradients(g, cfg)
@@ -1005,7 +1009,7 @@ def test_no_tape_record_holds_a_boolean_mask():
                        for cell in value.__closure__ or ())
         return 0
 
-    masked = {f"Tape.{op}.<locals>.back" for op in ("relu", "dropout",
+    masked = {f"Tape.{op}.<locals>.back" for op in ("relu", "project",
                                                      "aggregate_update")}
     assert masked <= {back.__qualname__ for _, back in tape._nodes}
     for _, back in tape._nodes:

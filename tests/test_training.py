@@ -140,6 +140,22 @@ def test_train_rejects_a_bad_hyperparameter_naming_it(option, value, match):
         train(g, quick_config(), random_split(g, seed=0), **kwargs)
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3, 8, 32])
+def test_average_scores_has_the_bits_of_the_stacked_mean(layers):
+    # the layers are added in layer order into one array, not stacked into
+    # a (layers, arcs, chunks) one; the scores are F-ordered
+    g = separable_graph(seed=5, n=30)
+    cfg = quick_config(layers=layers, chunks=2)
+    params = init_params(cfg, g.n_features, g.n_classes)
+    result = forward(ad.Tape(recording=False), params, g, cfg)
+    scores = [s.data for s in result.attentions]
+    assert all(s.flags.f_contiguous and not s.flags.c_contiguous for s in scores)
+    got = average_scores(g, params, cfg)
+    want = np.stack(scores).mean(axis=0)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_only_the_training_forward_records_a_tape(monkeypatch):
     flags = []
 
@@ -179,13 +195,14 @@ def test_dropout_stream_is_independent_of_the_initial_weights(monkeypatch):
     # were dropout to share init_params' stream, the first mask on the
     # encoder's hidden units would equal enc_in < 0 entry for entry
     masks = []
-    original = ad.Tape.dropout
+    original = ad.Tape.project
 
-    def recording_dropout(self, x, keep_prob, rng):
-        masks.append(copy.deepcopy(rng).random(x.data.shape) < keep_prob)
-        return original(self, x, keep_prob, rng)
+    def recording_project(self, x, w, keep_prob, rng):
+        if keep_prob < 1.0:  # keep_prob 1 draws nothing, and eval passes no rng
+            masks.append(copy.deepcopy(rng).random(x.data.shape) < keep_prob)
+        return original(self, x, w, keep_prob, rng)
 
-    monkeypatch.setattr(ad.Tape, "dropout", recording_dropout)
+    monkeypatch.setattr(ad.Tape, "project", recording_project)
     rng = np.random.default_rng(0)
     n, f = 60, 30
     labels = np.arange(n) % 3
