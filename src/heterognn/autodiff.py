@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import arc_index_dtype, check_arc_index
+from .graphs import arc_index_dtype, bucket_matrix, check_arc_index
 
 __all__ = ["Tensor", "Tape", "Arcs", "AdamState", "parameter", "constant", "softmax"]
 
@@ -81,16 +81,6 @@ def parameter(data):
 def constant(data):
     """A non-trainable tensor (inputs, masks, fixed coefficients)."""
     return Tensor(data, requires_grad=False)
-
-
-def _scatter_rows(ids, values, n):
-    """Sum the rows of values into n buckets: out[s] = sum of rows with id s.
-
-    A one-nonzero-per-column CSR matrix adds the rows of each bucket in row
-    order, the order np.add.at uses, so results match it bit for bit.
-    """
-    k = ids.shape[0]
-    return sp.csr_matrix((np.ones(k), (ids, np.arange(k))), shape=(n, k)) @ values
 
 
 def _lend(mat, data, rhs):
@@ -684,7 +674,7 @@ class Tape:
         of the rows that contribute (a split's training ids, say), as
         integers. A boolean mask, or any other non-integer array, raises
         ValueError: read as ids, a mask would select rows 0 and 1. Returns
-        a 1x1 tensor.
+        a 1x1 tensor; the backward sums row gradients with `bucket_matrix`.
         """
         y = np.asarray(labels, dtype=np.int64)
         rows = np.asarray(row_ids)
@@ -711,7 +701,7 @@ class Tape:
         def back(g):
             soft = softmax(z.copy(), 1.0, 1)
             soft[np.arange(rows.size), y[rows]] -= 1.0
-            _accum(g_logits, _scatter_rows(rows, soft * (g[0, 0] / rows.size), n))
+            _accum(g_logits, bucket_matrix(rows, n) @ (soft * (g[0, 0] / rows.size)))
 
         return self._emit(out, (logits,), back)
 

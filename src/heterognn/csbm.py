@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from .graphs import Graph, arc_index_dtype, build_graph
 
 __all__ = ["CsbmParams", "SignedGraphSample", "label_signed_sample", "sample_csbm",
-           "signed_normalize", "expected_operator", "mean_abs_degree"]
+           "signed_normalize", "expected_operator", "mean_abs_degree", "block_degree"]
 
 # signed_normalize gathers the column scales this many arcs at a time
 # (512 KiB of float64), not as one arc-length array
@@ -68,8 +68,8 @@ class CsbmParams:
             raise ValueError("n_nodes must be a multiple of n_classes")
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
             raise ValueError("edge probabilities must lie in [0, 1]")
-        if self.noise_var < 0.0:
-            raise ValueError("noise_var must be nonnegative")
+        if not 0.0 <= self.noise_var < np.inf:
+            raise ValueError(f"noise_var must be finite and >= 0, got {self.noise_var}")
 
     @property
     def n_features(self) -> int:
@@ -258,6 +258,14 @@ def signed_normalize(sample: SignedGraphSample):
     return P, kept
 
 
+def block_degree(p, q, n_classes) -> float:
+    """p + (C-1)q; ValueError unless it is positive and finite (NaN is not)."""
+    den = p + (n_classes - 1) * q
+    if not 0.0 < den < np.inf:
+        raise ValueError(f"p + (C-1)q must be positive and finite, got p={p}, q={q}")
+    return den
+
+
 def mean_abs_degree(params: CsbmParams) -> float:
     """Expected |degree| under the proof convention d-bar = (N/C)(p+(C-1)q)."""
     return params.block_size * (params.p + (params.n_classes - 1) * params.q)
@@ -271,9 +279,7 @@ def expected_operator(params: CsbmParams) -> np.ndarray:
     Multiplying B by the per-class block size recovers the coefficients of the
     expected-mean recursion.
     """
-    dbar = mean_abs_degree(params)
-    if dbar == 0:
-        raise ValueError("p + (C-1)q must be positive")
+    dbar = params.block_size * block_degree(params.p, params.q, params.n_classes)
     c = params.n_classes
     block = np.full((c, c), -params.q / dbar)
     np.fill_diagonal(block, params.p / dbar)

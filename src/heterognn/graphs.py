@@ -21,6 +21,8 @@ it is a Graph as it stands; `training._reverse_arc_index` argsorts them by
 the node and arc counts are both below 2**31 and int64 otherwise
 (`arc_index_dtype`), which is scipy's rule for CSR index arrays, so a CSR
 matrix built on a Graph's arrays shares them instead of copying them.
+`bucket_matrix` is the one scatter primitive: the loss's backward, the class
+statistics and the attention analysis's class mass all sum rows with it.
 """
 
 import json
@@ -34,7 +36,7 @@ import scipy.sparse as sp
 
 __all__ = ["Graph", "Split", "DatasetFormatError", "load_dataset",
            "save_dataset", "edge_homophily", "random_split", "largest_remainder",
-           "arc_index_dtype", "check_arc_index"]
+           "arc_index_dtype", "check_arc_index", "bucket_matrix"]
 
 SPLIT_FRACTIONS = (0.48, 0.32, 0.20)
 
@@ -89,6 +91,16 @@ def check_arc_index(arc_src, indptr, n_sources):
                          f"[0, {n_sources})")
     dtype = arc_index_dtype(max(n_sources, len(indptr) - 1), n_arcs)
     return arc_src.astype(dtype, copy=False), indptr.astype(dtype, copy=False)
+
+
+def bucket_matrix(ids, n):
+    """The (n, len(ids)) CSR matrix with a 1 at (ids[j], j), for ids in [0, n).
+
+    m @ values sums row j of values into row ids[j], rows in order as np.add.at
+    adds them, so bit for bit. Its row lengths, np.diff(m.indptr), are the counts.
+    """
+    k = len(ids)
+    return sp.csr_matrix((np.ones(k), (ids, np.arange(k))), shape=(n, k))
 
 
 @dataclass(frozen=True)

@@ -308,7 +308,8 @@ def total_loss(tape, result: ForwardResult, labels, train_ids,
 
 
 def one_hot_arc_scores(graph, labels, chunks: int) -> np.ndarray:
-    """Ground-truth scores: each arc puts all mass on its source's label."""
+    """The label-oracle (n_arcs, chunks) scores, for tests and oracle routers:
+    each arc puts all its mass on the chunk of its source's label."""
     labels = np.asarray(labels)
     scores = np.zeros((graph.n_arcs, chunks))
     scores[np.arange(graph.n_arcs), labels[graph.arc_src]] = 1.0

@@ -17,6 +17,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .csbm import block_degree
+
 __all__ = [
     "VectorMultiset", "Partition",
     "m2e_pool", "m2m_pool", "one_hop_desirable_m2m",
@@ -320,9 +322,7 @@ def m2m_expected_step(p: float, q: float, chunks: int, prior_means):
     n_classes, f = prior.shape
     if chunks != n_classes:
         raise ValueError("expected-step oracle needs one chunk per class")
-    den = p + (chunks - 1) * q
-    if den <= 0:
-        raise ValueError("p + (chunks-1)q must be positive")
+    den = block_degree(p, q, chunks)
     coef = np.full((n_classes, chunks), q / den)
     np.fill_diagonal(coef, p / den)
     # row c: blocks t = coef[c, t] * prior[t]

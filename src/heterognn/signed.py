@@ -14,7 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .csbm import CsbmParams, mean_abs_degree, sample_csbm, signed_normalize
+from .csbm import (CsbmParams, block_degree, mean_abs_degree, sample_csbm,
+                   signed_normalize)
+from .graphs import bucket_matrix
 
 __all__ = [
     "Trajectory", "propagate_linear", "class_gap", "z_score",
@@ -46,7 +48,7 @@ class Trajectory:
 
 def _class_stats(H, labels, indicator, counts):
     """Per-class means and unbiased variances; indicator is the C x N
-    class-membership matrix and counts its row sums."""
+    class-membership `bucket_matrix` and counts its row lengths."""
     means = indicator @ H / counts[:, None]
     centred = H - means[labels]
     variances = indicator @ (centred * centred) / (counts[:, None] - 1)
@@ -61,15 +63,13 @@ def propagate_linear(P, X, K: int, labels, n_classes: int) -> Trajectory:
     if H.ndim == 1:
         H = H[:, None]
     labels = np.asarray(labels)
-    n, f = H.shape
-    counts = np.bincount(labels, minlength=n_classes)
+    indicator = bucket_matrix(labels, n_classes)
+    counts = np.diff(indicator.indptr)
     small = np.flatnonzero(counts < 2)
     if small.size:
         raise ValueError(f"class {small[0]} needs at least 2 nodes for statistics")
-    indicator = sp.csr_matrix((np.ones(n), (labels, np.arange(n))),
-                              shape=(n_classes, n))
-    means = np.zeros((K + 1, n_classes, f))
-    variances = np.zeros((K + 1, n_classes, f))
+    means = np.zeros((K + 1, n_classes, H.shape[1]))
+    variances = np.zeros_like(means)
     means[0], variances[0] = _class_stats(H, labels, indicator, counts)
     for k in range(1, K + 1):
         H = P @ H
@@ -133,18 +133,12 @@ def merge_trajectories(trajectories) -> Trajectory:
     return Trajectory(pooled_mean, pooled_var, total[0, :, 0])
 
 
-def _ratio(p: float, q: float, n_classes: int) -> float:
-    den = p + (n_classes - 1) * q
-    if den <= 0:
-        raise ValueError("p + (C-1)q must be positive")
-    return (p + q) / den
-
-
 def expected_gap(p, q, n_classes, K, u_a, u_b) -> float:
     """Closed-form expected class-mean gap after K layers."""
     u_a = np.atleast_1d(np.asarray(u_a, dtype=np.float64))
     u_b = np.atleast_1d(np.asarray(u_b, dtype=np.float64))
-    return _ratio(p, q, n_classes) ** K * float(np.linalg.norm(u_a - u_b))
+    ratio = (p + q) / block_degree(p, q, n_classes)
+    return ratio ** K * float(np.linalg.norm(u_a - u_b))
 
 
 def expected_mean_recursion(p, q, n_classes, prev_means) -> np.ndarray:
@@ -158,9 +152,7 @@ def expected_mean_recursion(p, q, n_classes, prev_means) -> np.ndarray:
         prev = prev.T
     if prev.shape[0] != n_classes:
         raise ValueError(f"need {n_classes} class means, got shape {prev.shape}")
-    den = p + (n_classes - 1) * q
-    if den <= 0:
-        raise ValueError("p + (C-1)q must be positive")
+    den = block_degree(p, q, n_classes)
     total = prev.sum(axis=0, keepdims=True)
     return ((p + q) * prev - q * total) / den
 
@@ -276,9 +268,9 @@ def concentration_kappa(sigma: float, r: float) -> float:
     proportional to r + 1, and r <= -1 would meet the precondition on any
     graph.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if r < 0:
+    if not 0 < sigma < math.inf:  # at inf, kappa is 0 and the bound inf
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not r >= 0:
         raise ValueError(f"r must be at least 0, got {r}")
     return max(2.0 * (r + 1) / sigma**2, (r + 1) * (8.0 + 4.0 * sigma) / sigma**2)
 

@@ -14,14 +14,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import Graph, Split
+from .graphs import Graph, Split, bucket_matrix
 from .model import (
     M2mConfig,
     M2mParams,
     check_hyperparameter,
     forward,
     init_params,
-    one_hot_arc_scores,
     total_loss,
 )
 
@@ -243,9 +242,9 @@ def attention_analysis(g: Graph, params: M2mParams, config: M2mConfig,
         )
     if avg_scores is None:
         avg_scores = average_scores(g, params, config)
-    one_hot = one_hot_arc_scores(g, g.labels, g.n_classes)
-    mass = one_hot.T @ avg_scores
-    arc_counts = one_hot.sum(axis=0)
+    classes = bucket_matrix(g.labels[g.arc_src], g.n_classes)
+    mass = classes @ avg_scores
+    arc_counts = np.diff(classes.indptr)
     norm = np.divide(mass, arc_counts[:, None],
                      out=np.zeros_like(mass), where=arc_counts[:, None] > 0)
     perm = _greedy_match(norm)

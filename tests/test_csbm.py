@@ -42,6 +42,12 @@ def test_rejects_a_count_below_one_naming_it(field, value):
         params(**{field: value})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_rejects_a_noise_var_that_is_negative_or_not_finite_naming_it(value):
+    with pytest.raises(ValueError, match="noise_var"):
+        params(noise_var=value)
+
+
 def test_rejects_bad_probability():
     with pytest.raises(ValueError):
         params(p=1.5)

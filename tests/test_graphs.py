@@ -16,6 +16,7 @@ from heterognn.graphs import (
     Split,
     _arcs_by_destination,
     arc_index_dtype,
+    bucket_matrix,
     build_graph,
     edge_homophily,
     largest_remainder,
@@ -226,6 +227,28 @@ def test_arc_index_dtype_is_scipys_rule(n_nodes, n_arcs, want):
     assert arc_index_dtype(n_nodes, n_arcs) == want
     # scipy's choice for an n_nodes-square CSR whose indptr ends at n_arcs
     assert sp.get_index_dtype(maxval=max(n_nodes, n_arcs)) == want
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_bucket_matrix_sums_rows_as_add_at_does_bit_for_bit(dtype):
+    rng = np.random.default_rng(3)
+    ids = rng.integers(0, 6, size=500).astype(dtype)  # unsorted, repeated
+    ids[ids == 2] = 5  # bucket 2 is empty, and so is the trailing bucket 6
+    # magnitudes from 1e-8 to 1e8, so another summation order moves the bits
+    values = rng.standard_normal((500, 4)) * 10.0 ** rng.integers(-8, 9, (500, 1))
+    m = bucket_matrix(ids, 7)
+    want = np.zeros((7, 4))
+    np.add.at(want, ids, values)
+    assert m.shape == (7, 500)
+    assert np.array_equal((m @ values).view(np.uint64), want.view(np.uint64))
+    assert np.diff(m.indptr).tolist() == np.bincount(ids, minlength=7).tolist()
+    assert np.diff(m.indptr)[[2, 6]].tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("ids", [[0, 3], [-1, 0]])
+def test_bucket_matrix_rejects_an_id_outside_the_buckets(ids):
+    with pytest.raises(ValueError):
+        bucket_matrix(np.array(ids), 3)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])

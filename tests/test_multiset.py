@@ -401,6 +401,12 @@ def test_expected_step_shape_and_errors():
         m2m_expected_step(0.0, 0.0, 3, prior)
 
 
+@pytest.mark.parametrize("p, q, name", [(math.nan, 0.1, "p"), (0.2, math.nan, "q")])
+def test_expected_step_rejects_a_nan_rate_naming_it(p, q, name):
+    with pytest.raises(ValueError, match=rf"\b{name}=nan"):
+        m2m_expected_step(p, q, 3, np.eye(3))
+
+
 def test_chunked_distance_validation():
     with pytest.raises(ValueError):
         chunked_distance(np.zeros(5), np.zeros(5), 2)

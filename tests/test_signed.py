@@ -137,6 +137,28 @@ def test_iterated_recursion_equals_closed_form_grid():
             assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("run, name", [
+    (lambda: expected_gap(0.1, math.nan, 3, 2, [0.0], [1.0]), "q"),
+    (lambda: expected_gap(math.nan, 0.1, 3, 2, [0.0], [1.0]), "p"),
+    (lambda: expected_mean_recursion(0.1, math.nan, 3, np.zeros((3, 1))), "q"),
+    (lambda: expected_gap(0.1, math.inf, 3, 2, [0.0], [1.0]), "q"),
+], ids=["gap-q", "gap-p", "recursion-q", "gap-q-inf"])
+def test_a_nan_or_infinite_rate_is_rejected_naming_it(run, name):
+    with pytest.raises(ValueError, match=rf"must be positive and finite, .*\b{name}="):
+        run()
+
+
+@pytest.mark.parametrize("sigma, r, name", [
+    (math.nan, 1.0, "sigma must be positive and finite, got nan"),
+    # an infinite sigma gave kappa 0 and an infinite bound: a passed audit
+    (math.inf, 1.0, "sigma must be positive and finite, got inf"),
+    (1.2, math.nan, "r must be at least 0, got nan")])
+def test_concentration_check_rejects_a_non_finite_sigma_or_nan_r_naming_it(sigma, r, name):
+    params = CsbmParams(60, 3, 0.1, 0.1, [[-0.5], [0.0], [0.5]])
+    with pytest.raises(ValueError, match=rf"\b{name}"):
+        concentration_check(params, K=2, trials=1, sigma=sigma, r=r)
+
+
 def test_degenerate_denominator_raises():
     with pytest.raises(ValueError):
         expected_gap(0.0, 0.0, 3, 1, [0.0], [1.0])

@@ -314,6 +314,37 @@ def test_random_scores_give_near_uniform_alignment():
     np.testing.assert_allclose(summary.alignment, 1.0 / 3.0, atol=0.05)
 
 
+def test_attention_analysis_matches_a_per_class_loop_when_a_class_routes_no_arcs():
+    # hundreds of arcs, so that a blocked (BLAS) sum would move the bits
+    labels = np.r_[np.arange(36) % 2, [2, 2, 2, 2]]  # class 2's nodes are isolated
+    rng = np.random.default_rng(4)
+    edges = [(i, j) for i in range(36) for j in range(i + 1, 36) if rng.random() < 0.5]
+    g = build_graph(40, edges, rng.normal(size=(40, 5)), labels, 3)
+    scores = rng.dirichlet(np.ones(3), size=g.n_arcs)
+    cfg = quick_config(hidden=9, chunks=3)
+    params = init_params(cfg, g.n_features, g.n_classes)
+    summary = attention_analysis(g, params, cfg, avg_scores=scores)
+
+    norm = np.zeros((3, 3))
+    for c in range(3):
+        total, count = np.zeros(3), 0
+        for a in range(g.n_arcs):
+            if labels[g.arc_src[a]] == c:
+                total, count = total + scores[a], count + 1
+        if count:
+            norm[c] = total / count
+    assert not norm[2].any()
+    perm, work = [-1, -1, -1], norm.copy()
+    for _ in range(3):
+        c, t = np.unravel_index(np.argmax(work), work.shape)
+        perm[c] = t
+        work[c, :] = work[:, t] = -np.inf
+    shifted = norm[:, perm] - norm[:, perm].max(axis=1, keepdims=True)
+    want = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    assert summary.permutation.tolist() == perm
+    assert np.array_equal(summary.alignment, want)
+
+
 def test_attention_analysis_refuses_chunk_class_mismatch():
     g = mixed_graph(seed=17, n_classes=3)
     cfg = quick_config(chunks=2, hidden=8)
