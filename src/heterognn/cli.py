@@ -53,6 +53,7 @@ from .multiset import (
     relu_contraction_check,
     stacked_one_hop,
 )
+from .seeds import CHECKS, run_seed, stream
 from .signed import (
     class_gap,
     concentration_check,
@@ -274,7 +275,7 @@ def cmd_gen_csbm(args) -> int:
 def cmd_simulate(args) -> int:
     means = _parse_means(args.means, args.classes)
     trials = [CsbmParams(args.nodes, args.classes, args.p, args.q, means,
-                         args.noise_var, args.seed + t)
+                         args.noise_var, run_seed(args.seed, t))
               for t in range(args.trials)]
     merged = merge_trajectories(
         _pmap(partial(csbm_trajectory, K=args.layers), trials, args.jobs))
@@ -447,7 +448,7 @@ def _check_recursion_closed_form() -> bool:
 
 
 def cmd_theory_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = stream(args.seed, CHECKS)
     checks = [
         ("stacked one-hop layers equal the d-hop walk oracle",
          lambda: _check_walk_equivalence(rng)),
@@ -479,14 +480,16 @@ def _call_on_split(payload):
 def _run_splits(args, fn, n_splits, jobs=1, **kwargs):
     """Load a model command's dataset and config, then run, for each split s,
     ``fn(g, config, split=split, **kwargs, **training options)`` with the
-    config's seed + s and split ``random_split(seed=--split-seed + s)``.
-    Return the graph, the dataset's name and the results in split order."""
+    config seed ``run_seed(seed, s)`` and ``random_split(seed=run_seed(
+    --split-seed, s))``. Return the graph, the dataset's name and the
+    results in split order."""
     data_dir = _resolve_data(args.data)
     g = load_dataset(data_dir, row_normalize=args.row_normalize)
     config, train_kw = _load_run_config(args)
     payloads = [
-        (fn, g, replace(config, seed=config.seed + s),
-         random_split(g, seed=args.split_seed + s), {**kwargs, **train_kw})
+        (fn, g, replace(config, seed=run_seed(config.seed, s)),
+         random_split(g, seed=run_seed(args.split_seed, s)),
+         {**kwargs, **train_kw})
         for s in range(n_splits)
     ]
     dataset = os.path.basename(os.path.normpath(data_dir))
@@ -495,21 +498,21 @@ def _run_splits(args, fn, n_splits, jobs=1, **kwargs):
 
 def cmd_train(args) -> int:
     g, dataset, results = _run_splits(args, train, args.splits, args.jobs)
-    rows, best = [], None
+    rows = []
     for s, (record, params) in enumerate(results):
         rows.append((dataset, record.seed, s, record.config.layers,
                      record.test_accuracy))
         print(f"split {s}: acc={record.test_accuracy:.4f} "
               f"(best epoch {record.best_epoch} of {record.n_epochs})")
-        if best is None or record.test_accuracy > best[0].test_accuracy:
-            best = (record, params)
     accs = [r[-1] for r in rows]
     print(f"mean={np.mean(accs):.4f} std={np.std(accs):.4f} "
           f"over {args.splits} splits")
     _write_csv(args.out, ["dataset", "seed", "split", "K", "acc"], rows)
     _write_sidecar(args.out, args)
     if args.save_checkpoint:
-        record, params = best
+        # the split that validates best; max keeps the earliest on a tie
+        record, params = max(
+            results, key=lambda out: out[0].val_accuracies[out[0].best_epoch])
         save_checkpoint(args.save_checkpoint, params, record.config,
                         g.n_features, g.n_classes,
                         extra={"dataset": dataset,
@@ -735,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--jobs", type=int, default=1,
                      help="parallel workers across splits")
     sub.add_argument("--save-checkpoint", type=str, default=None,
-                     help="write the best split's weights to this base path")
+                     help="write the best-validating split's weights here")
     sub.add_argument("--out", type=str, default="accuracy.csv",
                      help="output CSV")
 

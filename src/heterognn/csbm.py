@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import Graph, arc_index_dtype, build_graph
+from .seeds import EDGES, FEATURES, stream
 
 __all__ = ["CsbmParams", "SignedGraphSample", "label_signed_sample", "sample_csbm",
            "signed_normalize", "expected_operator", "mean_abs_degree", "block_degree"]
@@ -67,7 +68,8 @@ class CsbmParams:
         if self.n_nodes % self.n_classes != 0:
             raise ValueError("n_nodes must be a multiple of n_classes")
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
-            raise ValueError("edge probabilities must lie in [0, 1]")
+            name, value = ("q", self.q) if 0.0 <= self.p <= 1.0 else ("p", self.p)
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if not 0.0 <= self.noise_var < np.inf:
             raise ValueError(f"noise_var must be finite and >= 0, got {self.noise_var}")
 
@@ -151,11 +153,12 @@ def _triangle_pairs(positions, s):
 def sample_csbm(params: CsbmParams) -> SignedGraphSample:
     """Draw one signed graph + feature sample; deterministic per params.seed.
 
-    Class-pair blocks are drawn in row-major order over a <= b: the strict
-    upper triangle of a same-class block, the full rectangle of a
-    cross-class block. The noise is drawn after all edges.
+    Class-pair blocks are drawn from the seed's EDGES stream in row-major
+    order over a <= b: the strict upper triangle of a same-class block, the
+    full rectangle of a cross-class block. The noise has its own FEATURES
+    stream, so p and q move no feature and the means and noise no arc.
     """
-    rng = np.random.default_rng(params.seed)
+    rng = stream(params.seed, EDGES)
     c, s = params.n_classes, params.block_size
     labels = np.repeat(np.arange(c), s)
     # node ids, in the Graph's index dtype: int32 below 2**31 nodes
@@ -174,7 +177,8 @@ def sample_csbm(params: CsbmParams) -> SignedGraphSample:
     # sort keys and the signs are not built beside it
     del blocks, positions, i, j
 
-    noise = rng.standard_normal((params.n_nodes, params.n_features))
+    noise = stream(params.seed, FEATURES).standard_normal(
+        (params.n_nodes, params.n_features))
     features = params.class_means[labels] + np.sqrt(params.noise_var) * noise
     graph = build_graph(params.n_nodes, edges, features, labels, c)
     del edges

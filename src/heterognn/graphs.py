@@ -34,6 +34,8 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse as sp
 
+from .seeds import SPLIT, stream
+
 __all__ = ["Graph", "Split", "DatasetFormatError", "load_dataset",
            "save_dataset", "edge_homophily", "random_split", "largest_remainder",
            "arc_index_dtype", "check_arc_index", "bucket_matrix"]
@@ -454,9 +456,9 @@ def largest_remainder(n: int, fractions) -> list:
 
 
 def random_split(g: Graph, seed: int) -> Split:
-    """Uniformly random node partition in SPLIT_FRACTIONS with deterministic
-    per-seed sizes."""
-    rng = np.random.default_rng(seed)
+    """Uniformly random node partition in SPLIT_FRACTIONS, drawn from the
+    seed's SPLIT stream, with deterministic per-seed sizes."""
+    rng = stream(seed, SPLIT)
     perm = rng.permutation(g.n_nodes)
     n_train, n_val, n_test = largest_remainder(g.n_nodes, SPLIT_FRACTIONS)
     return Split(

@@ -56,6 +56,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import autodiff as ad
+from .seeds import INIT, stream
 
 __all__ = [
     "M2mConfig", "M2mParams", "ForwardResult", "init_params",
@@ -170,8 +171,8 @@ def _glorot(rng, rows, cols):
 
 
 def init_params(config: M2mConfig, n_features: int, n_classes: int) -> M2mParams:
-    """Glorot-uniform weights, unit LayerNorm gains, zero shifts."""
-    rng = np.random.default_rng(config.seed)
+    """Glorot-uniform weights (INIT stream), unit LayerNorm gains, zero shifts."""
+    rng = stream(config.seed, INIT)
     d = config.hidden
     params = M2mParams(
         enc_in=ad.parameter(_glorot(rng, n_features, d)),

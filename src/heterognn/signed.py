@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from .csbm import (CsbmParams, block_degree, mean_abs_degree, sample_csbm,
                    signed_normalize)
 from .graphs import bucket_matrix
+from .seeds import run_seed
 
 __all__ = [
     "Trajectory", "propagate_linear", "class_gap", "z_score",
@@ -303,8 +304,9 @@ def concentration_check(params: CsbmParams, K: int, trials: int, sigma: float,
     N x f matrix whose i-th row is the mean of node i's class; with equal
     class sizes that norm is sqrt(N/C) times the largest singular value of
     the C x f mean matrix. Empirical deviations compare the propagated
-    class-mean differences against the exact expected dynamics. At K = 0 the
-    bound degenerates to zero and the report is flagged vacuous.
+    class-mean differences against the exact expected dynamics; trial t
+    samples at seed `run_seed(base_seed, t)`. At K = 0 the bound
+    degenerates to zero and the report is flagged vacuous.
     """
     kappa = concentration_kappa(sigma, r)
     dbar = mean_abs_degree(params)
@@ -319,7 +321,7 @@ def concentration_check(params: CsbmParams, K: int, trials: int, sigma: float,
     c = params.n_classes
     deviations = np.zeros(trials)
     for t in range(trials):
-        traj = csbm_trajectory(replace(params, seed=base_seed + t), K)
+        traj = csbm_trajectory(replace(params, seed=run_seed(base_seed, t)), K)
         worst = 0.0
         for a in range(c):
             for b in range(a + 1, c):

@@ -23,6 +23,7 @@ from .model import (
     init_params,
     total_loss,
 )
+from .seeds import DROPOUT, stream
 
 __all__ = [
     "TrainingDiverged", "TrainRecord", "AttentionSummary",
@@ -101,10 +102,9 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
         check_hyperparameter(name, value, *TRAIN_RULES[name])
     params = init_params(config, g.n_features, g.n_classes)
     adam = ad.AdamState(params.tensors(), lr=lr, weight_decay=weight_decay)
-    # init_params draws from the root stream of config.seed; dropout takes a
-    # spawned child so its masks are independent of the initial weights
-    dropout_rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed).spawn(1)[0])
+    # dropout has its own stream of config.seed, so its masks are
+    # independent of init_params' weights
+    dropout_rng = stream(config.seed, DROPOUT)
 
     history = ([], [], [], [])  # train loss, val loss, train acc, val acc
     best_val, best_epoch, best_test = -np.inf, -1, np.nan

@@ -11,6 +11,7 @@ import json
 import os
 import tracemalloc
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -147,6 +148,38 @@ def test_simulate_is_reproducible_modulo_timestamp(tmp_path):
     assert data_lines(a) == data_lines(b)
     assert data_lines(a) != data_lines(c)
     assert os.path.isfile(str(tmp_path / "a.config.json"))
+
+
+def test_neighbouring_seeds_share_no_simulate_trial(tmp_path, monkeypatch):
+    drawn = []
+    trajectory = cli.csbm_trajectory
+
+    def recording(params, K):
+        drawn.append(params.seed)
+        return trajectory(params, K)
+
+    monkeypatch.setattr(cli, "csbm_trajectory", recording)
+    for seed in (0, 1):
+        out = str(tmp_path / f"s{seed}.csv")
+        assert main(simulate_args(out, seed=seed) + ["--trials", "4"]) == 0
+    first, second = set(drawn[:4]), set(drawn[4:])
+    assert len(first) == len(second) == 4
+    assert not first & second
+
+
+def test_neighbouring_seeds_share_no_split_or_initialisation(tmp_path):
+    toy = make_toy(tmp_path)
+    runs = {}
+    for seed in ("0", "1"):
+        args = cli.build_parser().parse_args(
+            ["train", "--data", toy, "--seed", seed, "--split-seed", seed])
+        _, _, runs[seed] = cli._run_splits(
+            args, lambda g, config, split, **kw: (config.seed, split.seed), 3)
+    for which in (0, 1):  # the initialisation seeds, then the split seeds
+        first = {run[which] for run in runs["0"]}
+        second = {run[which] for run in runs["1"]}
+        assert len(first) == len(second) == 3
+        assert not first & second
 
 
 def test_simulate_parallel_matches_serial(tmp_path):
@@ -566,6 +599,31 @@ def test_analyze_attention_rejects_a_malformed_checkpoint_manifest(tmp_path, cap
                  "--out", str(tmp_path / "att.csv")])
     assert code == 1
     assert f"ckpt.json: field {field}" in capsys.readouterr().err
+
+
+def test_train_saves_the_split_that_validates_best(tmp_path, monkeypatch):
+    # split 0 tests best, splits 1 and 2 tie on validation: split 1 is saved
+    scripted = iter([(0.5, 0.9), (0.8, 0.6), (0.8, 0.7)])  # (val, test)
+    trained = []
+
+    def scripted_train(g, config, split, **kw):
+        record, params = training.train(g, config, split, **kw)
+        val, test = next(scripted)
+        record = replace(record, val_accuracies=[val] * record.n_epochs,
+                         test_accuracy=test)
+        trained.append(params)
+        return record, params
+
+    monkeypatch.setattr(cli, "train", scripted_train)
+    toy = make_toy(tmp_path)
+    ckpt = str(tmp_path / "ckpt")
+    assert main(train_args(toy, str(tmp_path / "acc.csv"),
+                           ["--splits", "3", "--save-checkpoint", ckpt])) == 0
+    _, params, _, _ = load_checkpoint(ckpt)
+    for saved, split_1 in zip(params.tensors(), trained[1].tensors()):
+        assert np.array_equal(saved.data, split_1.data)
+    manifest = json.loads(open(ckpt + ".json", encoding="utf-8").read())
+    assert manifest["extra"]["test_accuracy"] == 0.6
 
 
 def test_parallel_train_saves_the_same_checkpoint_bytes(tmp_path):

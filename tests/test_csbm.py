@@ -53,6 +53,45 @@ def test_rejects_bad_probability():
         params(p=1.5)
 
 
+@pytest.mark.parametrize("value", [float("nan"), -0.1, 1.5, float("inf")])
+def test_rejects_a_p_outside_the_unit_interval_naming_p(value):
+    with pytest.raises(ValueError, match=rf"^p must lie in \[0, 1\], got {value}$"):
+        params(p=value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), -0.1, 1.5, float("inf")])
+def test_rejects_a_q_outside_the_unit_interval_naming_q(value):
+    with pytest.raises(ValueError, match=rf"^q must lie in \[0, 1\], got {value}$"):
+        params(q=value)
+
+
+def sample_at_seed_4(**changes):
+    base = dict(n_nodes=300, n_classes=3, p=0.05, q=0.02,
+                class_means=[[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], seed=4)
+    return sample_csbm(CsbmParams(**{**base, **changes}))
+
+
+def test_moving_p_or_q_keeps_the_features_bit_for_bit():
+    # the edges and the noise come from two streams of the seed, so the
+    # number of edge draws cannot shift the noise
+    base = sample_at_seed_4()
+    for changes in ({"p": 0.06}, {"q": 0.03}, {"p": 0.0, "q": 1.0}):
+        moved = sample_at_seed_4(**changes)
+        assert moved.adjacency.nnz != base.adjacency.nnz
+        assert np.array_equal(moved.features, base.features)
+
+
+def test_moving_the_means_or_the_noise_keeps_the_arcs_bit_for_bit():
+    base = sample_at_seed_4()
+    for changes in ({"class_means": [[3.0, 1.0], [0.0, 0.5], [2.0, 2.0]]},
+                    {"noise_var": 4.0}):
+        moved = sample_at_seed_4(**changes)
+        assert not np.array_equal(moved.features, base.features)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(moved.adjacency, part),
+                                  getattr(base.adjacency, part))
+
+
 def test_empty_graph_when_p_q_zero():
     s = sample_csbm(params(p=0.0, q=0.0, n_nodes=300))
     assert s.adjacency.nnz == 0
@@ -380,8 +419,9 @@ def test_signed_normalize_is_bit_identical_with_isolated_end_nodes(isolated):
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_signed_normalize_drops_isolated_end_nodes_of_a_sample_bit_for_bit(weighted):
-    # a sparse sample with its first and last node cut off: P against the
-    # D @ A @ D reference, and the caller's adjacency left as it was
+    # a sparse sample with its first and last node cut off (and any node
+    # the sample left isolated): P against the D @ A @ D reference, and the
+    # caller's adjacency left as it was
     n = 300
     s = sample_csbm(params(n_nodes=n, p=0.03, q=0.015, seed=11))
     cut = np.ones(n)
@@ -394,9 +434,11 @@ def test_signed_normalize_drops_isolated_end_nodes_of_a_sample_bit_for_bit(weigh
         adjacency = (upper + upper.T).tocsr()
     ref, ref_kept = _diagonal_product_normalize(adjacency)
     assert ref_kept[0] == 1 and ref_kept[-1] == n - 2
+    n_isolated = n - len(ref_kept)
+    assert n_isolated == np.count_nonzero(np.diff(adjacency.indptr) == 0) >= 2
     before = [a.copy() for a in (adjacency.data, adjacency.indices, adjacency.indptr)]
     sample = SignedGraphSample(adjacency, s.features, s.labels)
-    with pytest.warns(UserWarning, match="dropping 2 isolated"):
+    with pytest.warns(UserWarning, match=f"dropping {n_isolated} isolated"):
         P, kept = signed_normalize(sample)
     assert np.array_equal(kept, ref_kept)
     assert P.shape == ref.shape

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from heterognn import signed
 from heterognn.csbm import CsbmParams, sample_csbm, signed_normalize
 from heterognn.signed import (
     class_gap,
@@ -456,6 +457,24 @@ def test_concentration_bound_formula_and_outcome():
 def test_negative_depth_is_rejected_naming_k(run):
     with pytest.raises(ValueError, match=r"\bK must be nonnegative"):
         run()
+
+
+def test_neighbouring_base_seeds_share_no_concentration_trial(monkeypatch):
+    drawn = []
+    trajectory = signed.csbm_trajectory
+
+    def recording(params, K):
+        drawn.append(params.seed)
+        return trajectory(params, K)
+
+    monkeypatch.setattr(signed, "csbm_trajectory", recording)
+    p = CsbmParams(60, 3, 0.3, 0.1, [[-0.5], [0.0], [0.5]])
+    reports = [concentration_check(p, K=2, trials=4, sigma=1.0, r=1.0,
+                                   base_seed=base) for base in (0, 1)]
+    first, second = set(drawn[:4]), set(drawn[4:])
+    assert len(first) == len(second) == 4
+    assert not first & second
+    assert not set(reports[0].deviations) & set(reports[1].deviations)
 
 
 def test_concentration_k0_vacuous():
