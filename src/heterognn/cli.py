@@ -500,7 +500,7 @@ def cmd_train(args) -> int:
     g, dataset, results = _run_splits(args, train, args.splits, args.jobs)
     rows = []
     for s, (record, params) in enumerate(results):
-        rows.append((dataset, record.seed, s, record.config.layers,
+        rows.append((dataset, record.config.seed, s, record.config.layers,
                      record.test_accuracy))
         print(f"split {s}: acc={record.test_accuracy:.4f} "
               f"(best epoch {record.best_epoch} of {record.n_epochs})")
@@ -528,7 +528,7 @@ def cmd_sweep_depth(args) -> int:
     rows = []
     for s, sweep in enumerate(results):
         for k, record in sweep:
-            rows.append((dataset, record.seed, s, k, record.test_accuracy))
+            rows.append((dataset, record.config.seed, s, k, record.test_accuracy))
     for k in k_values:
         accs = [acc for (_, _, _, kk, acc) in rows if kk == k]
         print(f"K={k}: mean acc {np.mean(accs):.4f} over {len(accs)} splits")

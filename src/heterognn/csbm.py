@@ -33,11 +33,29 @@ from .graphs import Graph, arc_index_dtype, build_graph
 from .seeds import EDGES, FEATURES, stream
 
 __all__ = ["CsbmParams", "SignedGraphSample", "label_signed_sample", "sample_csbm",
-           "signed_normalize", "expected_operator", "mean_abs_degree", "block_degree"]
+           "signed_normalize", "expected_operator", "mean_abs_degree", "block_degree",
+           "class_mean_rows"]
 
 # signed_normalize gathers the column scales this many arcs at a time
 # (512 KiB of float64), not as one arc-length array
 _GATHER_BLOCK = 1 << 16
+
+
+def class_mean_rows(means, n_classes) -> np.ndarray:
+    """means as a float64 (C, f) array, one row per class.
+
+    A flat length-C vector is C one-dimensional means. ValueError unless
+    the result has C rows.
+    """
+    means = np.asarray(means, dtype=np.float64)
+    if means.ndim < 2:
+        means = means.reshape(1, -1)
+    if means.shape[0] != n_classes:
+        if means.shape != (1, n_classes):
+            raise ValueError(f"class_means must have {n_classes} rows, got shape "
+                             f"{means.shape}")
+        means = means.T
+    return means
 
 
 @dataclass(frozen=True)
@@ -55,16 +73,8 @@ class CsbmParams:
             raise ValueError(f"n_classes must be at least 1, got {self.n_classes}")
         if self.n_nodes < 1:
             raise ValueError(f"n_nodes must be at least 1, got {self.n_nodes}")
-        means = np.atleast_2d(np.asarray(self.class_means, dtype=np.float64))
-        if means.shape[0] != self.n_classes:
-            # allow passing a flat length-C vector for 1-D features
-            if means.shape == (1, self.n_classes):
-                means = means.T
-            else:
-                raise ValueError(
-                    f"class_means must have {self.n_classes} rows, got {means.shape}"
-                )
-        object.__setattr__(self, "class_means", means)
+        object.__setattr__(self, "class_means",
+                           class_mean_rows(self.class_means, self.n_classes))
         if self.n_nodes % self.n_classes != 0:
             raise ValueError("n_nodes must be a multiple of n_classes")
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
@@ -271,8 +281,9 @@ def block_degree(p, q, n_classes) -> float:
 
 
 def mean_abs_degree(params: CsbmParams) -> float:
-    """Expected |degree| under the proof convention d-bar = (N/C)(p+(C-1)q)."""
-    return params.block_size * (params.p + (params.n_classes - 1) * params.q)
+    """Expected |degree| under the proof convention d-bar = (N/C)(p+(C-1)q);
+    ValueError, from `block_degree`, unless p + (C-1)q is positive and finite."""
+    return params.block_size * block_degree(params.p, params.q, params.n_classes)
 
 
 def expected_operator(params: CsbmParams) -> np.ndarray:

@@ -16,8 +16,8 @@ non-ASCII digits are rejected.
 
 A Graph is a CSR index of directed arcs, two per undirected edge, sorted
 by (dst, src). This module sorts arcs into that order, and a CSR already in
-it is a Graph as it stands; `training._reverse_arc_index` argsorts them by
-(src, dst) to pair each arc with its twin. Its arc indices are int32 when
+it is a Graph as it stands; `training._reverse_arc_index` finds each arc's
+twin by one binary search over that order. Its arc indices are int32 when
 the node and arc counts are both below 2**31 and int64 otherwise
 (`arc_index_dtype`), which is scipy's rule for CSR index arrays, so a CSR
 matrix built on a Graph's arrays shares them instead of copying them.
@@ -115,7 +115,10 @@ class Graph:
     sources, then the length of `indptr` and that order, which the model
     reads; not symmetry, which would take a second sort. The order
     check compares each source with the one before it, except at a row
-    start, so it holds one byte per arc and no copy of `arc_src`.
+    start, so it holds one byte per arc and no copy of `arc_src`. The node
+    data is checked too: `features` must be 2-D with n_nodes rows and
+    `labels` a 1-D integer array of n_nodes entries (their range is not
+    checked). Each violation raises ValueError naming its field.
 
     `arc_src` and `indptr` are stored in `arc_index_dtype(n_nodes, n_arcs)`,
     as they are when they already have it (a scipy CSR's int32 arrays) and
@@ -143,6 +146,14 @@ class Graph:
                              f"expected n_nodes + 1 = {n + 1}")
         object.__setattr__(self, "arc_src", arc_src)
         object.__setattr__(self, "indptr", indptr)
+        shape = np.shape(self.features)
+        if len(shape) != 2 or shape[0] != n:
+            raise ValueError(f"Graph field 'features': shape {shape}, expected "
+                             f"{n} rows of a 2-D array")
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iu" or labels.shape != (n,):
+            raise ValueError(f"Graph field 'labels': {labels.dtype} array of shape "
+                             f"{labels.shape}, expected {n} integers in 1-D")
         n_arcs = len(arc_src)
         # descent[k] compares arcs k and k + 1; a pair that straddles a row
         # start lies in two rows, so it may descend
@@ -236,8 +247,6 @@ def build_graph(n_nodes, undirected_edges, features, labels, n_classes) -> Graph
     edges = np.asarray(undirected_edges).reshape(-1, 2)
     features = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
-    if features.shape[0] != n_nodes or labels.shape[0] != n_nodes:
-        raise ValueError("features and labels must have one row per node")
     if edges.size:
         if edges.dtype.kind == "f":
             fractional = edges != np.floor(edges)  # NaN included

@@ -11,40 +11,16 @@ the whole stack. The tape's ops are exactly those that this module and
 `heterognn.training` call, and criterion 7's finite-difference battery in
 the acceptance tests runs every one of them.
 
-The encoder records three tape nodes (`Tape.const_matmul`, the ReLU, and
-`Tape.project`: dropout and the output product as one node), and its
-output h0 goes through one more `project`: dropout and layer 0's
-projection. A training layer then records two: the scores
-(`Tape.arc_attention`), and the chunk sums, the residual LayerNorm and the
-next layer's dropout and projection, or the head after the last layer, as
-one node (`Tape.aggregate_update`). A record keeps its output's gradient
-cell and only the arrays its backward reads. A `project` keeps its input,
-which its owner holds anyway (the encoder's ReLU output, or h0), and its
-dropout mask at one bit per entry. The attention keeps the projection and
-the (arcs, C) scores, each the `.T` view of a chunk-major (C, arcs) array,
-the layout the attention's softmax and the chunk products read without a
-copy. The update keeps its dropout mask at one bit per entry and its
-LayerNorm's row means and 1/std, two floats a node, and beside them reads
-only arrays that other records hold: the scores, the projection, and h0,
-one array that every layer's update shares. What a backward can rebuild
-from those it rebuilds: the dropped-out copies, the attention's ReLU
-output, and the update's message, ReLU mask and LayerNorm rows, so no
-record keeps any of them.
-
-The weighted chunk-balance penalty is one record over all layers
-(`Tape.chunk_balance`), so the loss adds three records, with the
-cross-entropy and their sum, whatever the depth. The backward
-allocates no arc-sized array that no computation needs: the penalty's
-gradient of each layer's scores is a broadcast view of one row until that
-layer's records run, so its transient does not grow with depth.
-
-Every layer reads the same graph, so `forward` wraps its arc index in one
-`autodiff.Arcs` per call, and all layers share the sparse operators it
-builds once: the stacked chunk CSR matrix and its CSC transpose that
-`Tape.aggregate_update` multiplies by, and the endpoint CSC matrix of
-`Tape.arc_attention`'s backward (a recording tape's first backward builds
-it). They hold index arrays and the constants alpha and 1, never a
-layer's scores, and are freed with the records that read them.
+`forward` wires the tape's ops: the encoder is `Tape.const_matmul`, a
+ReLU and `Tape.project` (dropout, then the product), and h0 goes through
+one more `project` into layer 0's projection. Each layer is then two ops:
+`Tape.arc_attention` scores the arcs, and `Tape.aggregate_update` sums
+them into chunks, applies the residual LayerNorm and projects for the next
+layer, or onto the head after the last. The loss adds `Tape.cross_entropy`
+and one `Tape.chunk_balance` over all layers. The layers share one
+`autodiff.Arcs` per call, so the sparse operators on the arc index are
+built once. What each record keeps and what its backward rebuilds is
+documented once, in `autodiff.Tape` and those ops.
 """
 
 import json
@@ -60,8 +36,7 @@ from .seeds import INIT, stream
 
 __all__ = [
     "M2mConfig", "M2mParams", "ForwardResult", "init_params",
-    "encode", "attention_scores", "layer_update",
-    "forward", "total_loss", "one_hot_arc_scores",
+    "encode", "forward", "total_loss", "one_hot_arc_scores",
     "save_checkpoint", "load_checkpoint", "check_hyperparameter", "CONFIG_RULES",
 ]
 
@@ -210,46 +185,6 @@ def encode(tape, params: M2mParams, features, config: M2mConfig,
     return tape.project(h, params.enc_out, keep_prob, rng)
 
 
-def attention_scores(tape, h_hat: ad.Tensor, arcs: ad.Arcs, w_att: ad.Tensor,
-                     alpha: float, temperature: float) -> ad.Tensor:
-    """Per-arc chunk scores: softmax of ReLU(alpha*ego + source) @ w_att.
-
-    arcs is the graph's arc index as an `autodiff.Arcs`. Rows live on arcs
-    (source scored while messaging its ego), sum to one, and stay
-    nonnegative; the two directions of an undirected edge are scored
-    independently. One fused tape op (`Tape.arc_attention`); for the
-    backward it keeps only the (arcs, C) scores, the `.T` view of a
-    chunk-major array, and recomputes the ReLU output from h_hat.
-    """
-    return tape.arc_attention(h_hat, w_att, arcs, alpha, temperature)
-
-
-def layer_update(tape, scores: ad.Tensor, h_hat: ad.Tensor, arcs: ad.Arcs,
-                 h0: ad.Tensor, beta: float, gain: ad.Tensor, bias: ad.Tensor,
-                 w: ad.Tensor, keep_prob: float, rng=None) -> ad.Tensor:
-    """dropout(LayerNorm(ReLU((1-beta) * h0 + beta * message))) @ w.
-
-    The message concatenates the per-chunk sums of source projections:
-    chunk t of node i (one chunk per score column) sums s_t(i, j) * h_hat_j
-    over i's in-arcs, so nodes with no arcs get all-zero messages. The
-    update is handed on through the projection that reads it: the next
-    layer's, after dropout at keep_prob, or the head's, with keep_prob 1,
-    which draws nothing from rng. The skip always points at the encoder
-    output, not the previous layer, so stacking layers cannot erase the
-    input features.
-
-    One fused tape op (`Tape.aggregate_update`). Of its own its record
-    keeps only the dropout mask at one bit per entry and the LayerNorm's
-    row means and 1/std: it reads the scores and h_hat, which the
-    attention's record keeps, and h0, one array for all layers. Its
-    backward rebuilds the message with the forward's chunk product, the
-    one `autodiff.Arcs.chunk_sums` computes, and from it the LayerNorm's
-    rows, so neither is kept.
-    """
-    return tape.aggregate_update(scores, h_hat, arcs, h0, beta, gain, bias, w,
-                                 keep_prob, rng)
-
-
 @dataclass
 class ForwardResult:
     logits: ad.Tensor
@@ -260,12 +195,22 @@ def forward(tape, params: M2mParams, graph, config: M2mConfig,
             training: bool = False, rng=None) -> ForwardResult:
     """Encoder, K chunked message-passing layers, then the linear head.
 
+    Layer k scores each arc as softmax(ReLU(alpha * ego + source) @ w_att /
+    temperature) over the chunks (`Tape.arc_attention`; the two directions
+    of an edge are scored independently), then updates every node to
+    dropout(LayerNorm(ReLU((1 - beta) * h0 + beta * message))) @ w
+    (`Tape.aggregate_update`), where chunk t of the message sums the
+    sources' projections weighted by their chunk-t scores and w is the next
+    layer's projection or, after the last layer, the head (without
+    dropout). The skip always points at the encoder output h0, so stacking
+    layers cannot erase the input features.
+
     Returns the logits and each layer's (n_arcs, chunks) scores. The
     encoder reads ``graph.encoder_operand``, which the graph builds on the
     first call and keeps; the layers share one `autodiff.Arcs` of the
-    graph's arc index, built per call. Evaluation mode (training=False) is deterministic.
-    Its callers in ``training`` (the per-epoch eval of ``train`` and
-    ``average_scores``) pass ``ad.Tape(recording=False)``.
+    graph's arc index, built per call. Evaluation mode (training=False) is
+    deterministic. Its callers in ``training`` (the per-epoch eval of
+    ``train`` and ``average_scores``) pass ``ad.Tape(recording=False)``.
     """
     arcs = ad.Arcs(graph.arc_src, graph.indptr, graph.n_nodes)
     h0 = encode(tape, params, graph.encoder_operand, config, training, rng)
@@ -273,18 +218,15 @@ def forward(tape, params: M2mParams, graph, config: M2mConfig,
     h_hat = tape.project(h0, params.layer_proj[0], keep_prob, rng)
     attentions = []
     for k in range(config.layers):
-        scores = attention_scores(
-            tape, h_hat, arcs, params.layer_att[k],
-            config.alpha, config.temperature,
-        )
+        scores = tape.arc_attention(h_hat, params.layer_att[k], arcs,
+                                    config.alpha, config.temperature)
         if k + 1 < config.layers:
             w_next, keep_next = params.layer_proj[k + 1], keep_prob
         else:
             w_next, keep_next = params.head, 1.0
-        h_hat = layer_update(
-            tape, scores, h_hat, arcs, h0, config.beta, params.ln_gain[k],
-            params.ln_bias[k], w_next, keep_next, rng,
-        )
+        h_hat = tape.aggregate_update(scores, h_hat, arcs, h0, config.beta,
+                                      params.ln_gain[k], params.ln_bias[k],
+                                      w_next, keep_next, rng)
         attentions.append(scores)
     # the last update projected onto the head: its output is the logits
     return ForwardResult(h_hat, attentions)

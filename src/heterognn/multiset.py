@@ -104,9 +104,8 @@ def one_hop_desirable_m2m(
     labels,
     weight=None,
     mode: str = "sum",
-    n_classes: Optional[int] = None,
 ) -> np.ndarray:
-    """Label-blocked neighborhood summary: one block per class, per node.
+    """Label-blocked neighborhood summary: C = graph.n_classes blocks per node.
 
     Block t of node i sums the features (mapped by ``weight`` when given) of
     i's in-neighbors whose label is t; with ``mode="mean"`` every block is
@@ -124,8 +123,7 @@ def one_hop_desirable_m2m(
     if mode not in ("sum", "mean"):
         raise ValueError(f"unknown pooling mode {mode!r}")
     labels = np.asarray(labels, dtype=np.int64)
-    C = n_classes if n_classes is not None else graph.n_classes
-    n = graph.n_nodes
+    C, n = graph.n_classes, graph.n_nodes
     if labels.shape != (n,):
         raise ValueError(f"need one label per node: {n} nodes, labels of "
                          f"shape {labels.shape}")
@@ -150,26 +148,12 @@ def one_hop_desirable_m2m(
     return out
 
 
-def _block_diagonal(blocks) -> np.ndarray:
-    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-    r = sum(b.shape[0] for b in blocks)
-    c = sum(b.shape[1] for b in blocks)
-    out = np.zeros((r, c))
-    i = j = 0
-    for b in blocks:
-        out[i : i + b.shape[0], j : j + b.shape[1]] = b
-        i += b.shape[0]
-        j += b.shape[1]
-    return out
-
-
 def stacked_one_hop(
     features: np.ndarray,
     graph,
     labels,
     d: int,
     weights=None,
-    n_classes: Optional[int] = None,
 ) -> np.ndarray:
     """Apply the label-blocked one-hop summary d times with sum pooling.
 
@@ -177,20 +161,20 @@ def stacked_one_hop(
     identity; otherwise it is ``[W1, blocks2, ..., blocksd]`` where ``W1``
     maps raw features and ``blocksk`` holds the C^(k-1) square blocks of the
     k-th layer's block-diagonal map, indexed lexicographically by the label
-    sequences of the incoming blocks.
+    sequences of the incoming blocks. Block b of each row is multiplied by
+    ``blocksk[b]`` alone, so the map's zero blocks are never built.
     """
     if d < 1:
         raise ValueError("need at least one hop")
-    C = n_classes if n_classes is not None else graph.n_classes
-    H = np.asarray(features, dtype=np.float64)
+    n = graph.n_nodes
     w1 = None if weights is None else weights[0]
-    H = one_hop_desirable_m2m(H, graph, labels, w1, "sum", C)
+    H = one_hop_desirable_m2m(features, graph, labels, w1, "sum")
     for k in range(2, d + 1):
-        if weights is None:
-            w = None
-        else:
-            w = _block_diagonal(weights[k - 1])
-        H = one_hop_desirable_m2m(H, graph, labels, w, "sum", C)
+        if weights is not None:
+            blocks = np.asarray(weights[k - 1], dtype=np.float64)
+            rows = H.reshape(n, len(blocks), -1).transpose(1, 0, 2)
+            H = np.matmul(rows, blocks).transpose(1, 0, 2).reshape(n, -1)
+        H = one_hop_desirable_m2m(H, graph, labels, None, "sum")
     return H
 
 
@@ -200,7 +184,6 @@ def d_hop_oracle(
     labels,
     d: int,
     weights=None,
-    n_classes: Optional[int] = None,
 ) -> np.ndarray:
     """Walk-enumeration reference for the d-fold label-blocked summary.
 
@@ -208,7 +191,8 @@ def d_hop_oracle(
     by the label sequence of the visited nodes (first hop most significant),
     sums the walk endpoints' raw features per sequence, and multiplies each
     bucket by the cumulative weight of its sequence. The output has C^d
-    blocks per node and must match `stacked_one_hop` exactly.
+    blocks per node, C = graph.n_classes, and must match `stacked_one_hop`
+    exactly.
 
     The cumulative weight of a sequence chains the per-layer blocks by label
     suffix: the layer-k block applied to a walk is the one indexed by the
@@ -217,7 +201,7 @@ def d_hop_oracle(
     if d < 1:
         raise ValueError("need at least one hop")
     labels = np.asarray(labels, dtype=np.int64)
-    C = n_classes if n_classes is not None else graph.n_classes
+    C = graph.n_classes
     X = np.asarray(features, dtype=np.float64)
     if weights is None:
         fp = X.shape[1]

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .csbm import (CsbmParams, block_degree, mean_abs_degree, sample_csbm,
-                   signed_normalize)
+from .csbm import (CsbmParams, block_degree, class_mean_rows, mean_abs_degree,
+                   sample_csbm, signed_normalize)
 from .graphs import bucket_matrix
 from .seeds import run_seed
 
@@ -147,24 +147,23 @@ def expected_mean_recursion(p, q, n_classes, prev_means) -> np.ndarray:
 
     next_c = (p * prev_c - q * sum_{c' != c} prev_c') / (p + (C-1)q).
     Pairwise differences contract by exactly (p+q)/(p+(C-1)q) per step.
+    prev_means is read by `csbm.class_mean_rows`.
     """
-    prev = np.atleast_2d(np.asarray(prev_means, dtype=np.float64))
-    if prev.shape[0] == 1 and n_classes > 1 and prev.shape[1] == n_classes:
-        prev = prev.T
-    if prev.shape[0] != n_classes:
-        raise ValueError(f"need {n_classes} class means, got shape {prev.shape}")
+    prev = class_mean_rows(prev_means, n_classes)
     den = block_degree(p, q, n_classes)
     total = prev.sum(axis=0, keepdims=True)
     return ((p + q) * prev - q * total) / den
 
 
 def expected_trajectory(p, q, n_classes, means0, K) -> np.ndarray:
-    """Iterate the expected-mean recursion; shape (K+1, C, f)."""
+    """Iterate the expected-mean recursion; shape (K+1, C, f).
+
+    means0 is read by `csbm.class_mean_rows`, so a wrong number of class
+    rows raises ValueError at every K, 0 included.
+    """
     if K < 0:
         raise ValueError("K must be nonnegative")
-    m = np.atleast_2d(np.asarray(means0, dtype=np.float64))
-    if m.shape[0] == 1 and n_classes > 1 and m.shape[1] == n_classes:
-        m = m.T
+    m = class_mean_rows(means0, n_classes)
     out = np.zeros((K + 1,) + m.shape)
     out[0] = m
     for k in range(1, K + 1):
@@ -292,8 +291,6 @@ class ConcentrationReport:
     kappa: float
     precondition_met: bool
     vacuous: bool
-    mean_degree: float
-    stacked_mean_norm: float
 
 
 def concentration_check(params: CsbmParams, K: int, trials: int, sigma: float,
@@ -337,6 +334,4 @@ def concentration_check(params: CsbmParams, K: int, trials: int, sigma: float,
         kappa=kappa,
         precondition_met=precondition_met,
         vacuous=(K == 0),
-        mean_degree=dbar,
-        stacked_mean_norm=u_norm,
     )

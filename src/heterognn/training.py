@@ -59,9 +59,7 @@ class TrainRecord:
     train_accuracies: List[float]
     val_accuracies: List[float]
     best_epoch: int
-    patience: int
     test_accuracy: float
-    seed: int
     config: M2mConfig
 
     @property
@@ -158,9 +156,7 @@ def train(g: Graph, config: M2mConfig, split: Split, max_epochs: int = 200,
         train_accuracies=history[2],
         val_accuracies=history[3],
         best_epoch=best_epoch,
-        patience=patience,
         test_accuracy=best_test,
-        seed=config.seed,
         config=config,
     )
     return record, params
@@ -272,17 +268,16 @@ def dominant_columns(matrix: np.ndarray) -> np.ndarray:
 def _reverse_arc_index(g: Graph) -> np.ndarray:
     """Index of each arc's opposite-direction twin.
 
-    `Graph` holds its arcs sorted by (dst, src), so sorting them by
-    (src, dst) puts the twin of arc a at position a, if every twin exists.
+    `Graph` holds its arcs sorted by (dst, src), so the keys dst * N + src
+    ascend in arc order and one binary search finds each twin's key.
     """
-    src, dst = g.arc_src, g.arc_dst
-    rev = np.argsort(src.astype(np.int64) * g.n_nodes + dst)
-    bad = np.flatnonzero((src[rev] != dst) | (dst[rev] != src))
-    if bad.size:
-        # at the first mismatch of the two sorted key lists, the smaller
-        # key is absent from the other list
-        a, b = bad[0], rev[bad[0]]
-        a = b if (dst[a], src[a]) > (src[b], dst[b]) else a
+    src, dst = g.arc_src.astype(np.int64), g.arc_dst.astype(np.int64)
+    keys = dst * g.n_nodes + src
+    twins = src * g.n_nodes + dst
+    rev = np.searchsorted(keys, twins)
+    missing = np.flatnonzero(keys.take(rev, mode="clip") != twins)
+    if missing.size:
+        a = missing[0]
         raise ValueError(f"arc {src[a]}->{dst[a]} has no reverse arc {dst[a]}->{src[a]}")
     return rev
 

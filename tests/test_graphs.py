@@ -219,6 +219,23 @@ def test_graph_checks_the_source_range_before_narrowing_it():
               np.zeros((3, 1)), np.zeros(3, dtype=np.int64), 1)
 
 
+@pytest.mark.parametrize("features, labels, field", [
+    (np.zeros((5, 2)), np.zeros(3, dtype=np.int64), "features"),
+    (np.zeros(3), np.zeros(3, dtype=np.int64), "features"),
+    (np.zeros((3, 2)), np.zeros(2, dtype=np.int64), "labels"),
+    (np.zeros((3, 2)), np.zeros((3, 1), dtype=np.int64), "labels"),
+    (np.zeros((3, 2)), np.zeros(3), "labels"),
+], ids=["feature-rows", "features-1d", "label-count", "labels-2d", "float-labels"])
+def test_graph_checks_its_node_data_naming_the_field(features, labels, field):
+    with pytest.raises(ValueError, match=f"Graph field '{field}'"):
+        Graph(3, np.array([1, 0]), np.array([0, 1, 2, 2]), features, labels, 1)
+
+
+def test_build_graph_rejects_node_data_of_another_size_naming_the_field():
+    with pytest.raises(ValueError, match="Graph field 'labels'"):
+        build_graph(3, [(0, 1)], np.zeros((3, 2)), [0, 1], 2)
+
+
 @pytest.mark.parametrize("n_nodes, n_arcs, want", [
     (0, 0, np.int32), (2**31 - 1, 2**31 - 1, np.int32), (2**31, 0, np.int64),
     (5, 2**31, np.int64), (2**40, 2**40, np.int64)])

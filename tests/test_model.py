@@ -26,7 +26,6 @@ from heterognn.graphs import build_graph, random_split, self_free_undirected_edg
 from heterognn.model import (
     ForwardResult,
     M2mConfig,
-    attention_scores,
     encode,
     forward,
     init_params,
@@ -144,8 +143,8 @@ def test_zero_mixing_weights_give_uniform_scores():
     tape = ad.Tape()
     h0 = encode(tape, params, g.features, cfg)
     h_hat = tape.project(h0, params.layer_proj[0], 1.0, None)
-    scores = attention_scores(tape, h_hat, arcs_of(g), params.layer_att[0],
-                              cfg.alpha, cfg.temperature)
+    scores = tape.arc_attention(h_hat, params.layer_att[0], arcs_of(g),
+                                cfg.alpha, cfg.temperature)
     np.testing.assert_allclose(scores.data, 1.0 / 3.0, rtol=0, atol=1e-15)
 
 
@@ -155,8 +154,8 @@ def test_low_temperature_sharpens_scores():
     h_hat = ad.constant(np.abs(rng.normal(size=(9, 4))) + 0.1)
     w_att = ad.constant(rng.normal(size=(4, 3)))
     tape = ad.Tape()
-    warm = attention_scores(tape, h_hat, arcs_of(g), w_att, 0.5, 1.0).data
-    cold = attention_scores(tape, h_hat, arcs_of(g), w_att, 0.5, 0.02).data
+    warm = tape.arc_attention(h_hat, w_att, arcs_of(g), 0.5, 1.0).data
+    cold = tape.arc_attention(h_hat, w_att, arcs_of(g), 0.5, 0.02).data
     assert np.array_equal(np.argmax(warm, axis=1), np.argmax(cold, axis=1))
     assert np.all(cold.max(axis=1) >= warm.max(axis=1) - 1e-12)
     assert np.all(cold.max(axis=1) > 0.95)
@@ -170,8 +169,8 @@ def test_equal_blend_scores_arc_pairs_equally():
     h_hat = ad.constant(rng.normal(size=(8, 4)))
     w_att = ad.constant(rng.normal(size=(4, 2)))
     tape = ad.Tape()
-    scores = attention_scores(tape, h_hat, arcs_of(g), w_att, alpha=1.0,
-                              temperature=0.7).data
+    scores = tape.arc_attention(h_hat, w_att, arcs_of(g), alpha=1.0,
+                                temperature=0.7).data
     for a in range(g.n_arcs):
         i, j = g.arc_src[a], g.arc_dst[a]
         rev = np.flatnonzero((g.arc_src == j) & (g.arc_dst == i))[0]

@@ -160,6 +160,21 @@ def test_concentration_check_rejects_a_non_finite_sigma_or_nan_r_naming_it(sigma
         concentration_check(params, K=2, trials=1, sigma=sigma, r=r)
 
 
+@pytest.mark.parametrize("K", [0, 2])
+def test_expected_trajectory_rejects_a_wrong_number_of_class_rows(K):
+    with pytest.raises(ValueError, match="class_means must have 3 rows"):
+        expected_trajectory(0.1, 0.05, 3, np.zeros((2, 1)), K)
+
+
+def test_a_flat_vector_is_one_dimensional_class_means_everywhere():
+    flat = [0.5, -1.0, 2.0]
+    params = CsbmParams(60, 3, 0.1, 0.05, flat)
+    assert params.class_means.shape == (3, 1)
+    traj = expected_trajectory(0.1, 0.05, 3, flat, 1)
+    assert np.array_equal(traj[0], params.class_means)
+    assert np.array_equal(traj[1], expected_mean_recursion(0.1, 0.05, 3, flat))
+
+
 def test_degenerate_denominator_raises():
     with pytest.raises(ValueError):
         expected_gap(0.0, 0.0, 3, 1, [0.0], [1.0])
