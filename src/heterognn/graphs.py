@@ -12,7 +12,10 @@ On-disk format (one directory per dataset, UTF-8, tab-separated, '\\n' or
 Numbers are ASCII, optionally signed and space-padded: integers are decimal
 digits; reals also take a fraction, an exponent, "nan" and "inf" (which the
 loader then rejects as non-finite). Underscore digit groups ("6_0") and
-non-ASCII digits are rejected.
+non-ASCII digits are rejected. A features file of integer tokens alone, as
+bag-of-words files are, is parsed by numpy's integer reader and widened to
+float64, which gives the float reader's values faster; `save_dataset` writes
+whole features as integer tokens, so what it writes takes that path too.
 
 A Graph is a CSR index of directed arcs, two per undirected edge, sorted
 by (dst, src). This module sorts arcs into that order, and a CSR already in
@@ -26,6 +29,7 @@ statistics and the attention analysis's class mass all sum rows with it.
 """
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -270,7 +274,9 @@ def _read_table(path, dtype, what, width=None):
     width is the required column count; None takes it from the first row.
     what ends the message for a row that does not parse as `dtype`. Every
     malformed case raises DatasetFormatError naming the file, and the line
-    when one line is at fault.
+    when one line is at fault. A float64 table whose content rows hold no "-"
+    is first read as int64 and widened, the same values from a faster
+    parse; any token that is not an int64 sends it to the float reader.
     """
     try:
         # universal newlines: "\n", "\r\n" and "\r" all end a line
@@ -289,6 +295,14 @@ def _read_table(path, dtype, what, width=None):
         raise DatasetFormatError(f"{path}:{numbers[bad]}: expected {width} "
                                  f"columns, got {tabs[bad] + 1}")
     parse = partial(np.loadtxt, delimiter="\t", dtype=dtype, ndmin=2, comments=None)
+    if dtype == np.float64 and not any("-" in row for row in rows):
+        # numpy's integer reader is faster than its float one, and an integer
+        # widened to float64 rounds as a correctly rounded parse of its digits
+        # does; with a "-" the float reader keeps the sign bit of "-0"
+        try:
+            return parse(rows, dtype=np.int64).astype(np.float64), numbers
+        except ValueError:  # a fraction, an exponent, nan, inf or past int64
+            pass
     try:
         return parse(rows), numbers
     except ValueError as exc:
@@ -384,8 +398,7 @@ def load_dataset(path, row_normalize=False) -> Graph:
         if huge.any():
             features[huge] /= np.abs(features[huge]).max(axis=1, keepdims=True)
             mass[huge] = np.abs(features[huge]).sum(axis=1, keepdims=True)
-        nonzero = mass[:, 0] > 0
-        features[nonzero] /= mass[nonzero]
+        np.divide(features, mass, out=features, where=mass > 0)
 
     return build_graph(n_nodes, edges, features, labels, n_classes)
 
@@ -393,7 +406,10 @@ def load_dataset(path, row_normalize=False) -> Graph:
 def save_dataset(path, g: Graph, arc_signs=None):
     """Write a Graph back to the TSV directory format.
 
-    Floats are rendered with repr() so a reload is bit-exact. When arc_signs
+    A feature that is a whole number below 2**53 with its sign bit clear is
+    written as an integer token ("3", not "3.0"), which the loader reads
+    through its integer reader; every other feature is rendered with repr()
+    ("-0.0", "1e+300"). Either way a reload is bit-exact. When arc_signs
     is given (one weight per undirected edge, aligned with the emitted edge
     order), a signs.tsv column is written alongside edges.tsv.
     """
@@ -403,8 +419,9 @@ def save_dataset(path, g: Graph, arc_signs=None):
         for u, v in und:
             fh.write(f"{u}\t{v}\n")
     with open(os.path.join(path, "features.tsv"), "w", encoding="utf-8", newline="") as fh:
-        for row in g.features.tolist():
-            fh.write("\t".join(map(repr, row)) + "\n")
+        # as floats: an integer feature array's ints lack is_integer()
+        for row in np.asarray(g.features, dtype=np.float64).tolist():
+            fh.write("\t".join(map(_feature_token, row)) + "\n")
     with open(os.path.join(path, "labels.tsv"), "w", encoding="utf-8", newline="") as fh:
         for y in g.labels:
             fh.write(f"{int(y)}\n")
@@ -418,6 +435,14 @@ def save_dataset(path, g: Graph, arc_signs=None):
         with open(os.path.join(path, "signs.tsv"), "w", encoding="utf-8", newline="") as fh:
             for s in signs:
                 fh.write(f"{int(s)}\n")
+
+
+def _feature_token(v: float) -> str:
+    """v as an integer token when it is whole, positive or +0.0 and below
+    2**53, else as repr(v); float() reads either back to v's bits."""
+    if v.is_integer() and v < 2**53 and math.copysign(1.0, v) > 0:
+        return str(int(v))
+    return repr(v)
 
 
 def self_free_undirected_edges(g: Graph) -> np.ndarray:

@@ -457,13 +457,25 @@ feature_tokens = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.sampled_from(["-0", "+1", ".5", "5.", "1E+2", " 2.5 "]),
 )
+# files of these alone take the integer reader, except that the 20-digit
+# token overflows int64 and sends its file to the float reader
+integer_tokens = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.integers(0, 2**63 - 1).map(str),
+    st.sampled_from(["0", "+3", " 7 ", "007", "9007199254740993",
+                     "12345678901234567890"]),
+)
+# no "-": a file of integer tokens and one of these tries the integer reader
+# first, and it fails on this token
+real_tokens = st.sampled_from([".5", "5.", "2.5", "1E+2", " 3.0 ", "1e300"])
 
 
 @st.composite
 def tsv_datasets(draw):
     """(files, row_normalize): a dataset directory's file texts with comment
     and blank lines, CRLF or LF endings, and raw edges that may repeat,
-    reverse or loop."""
+    reverse or loop. The features are mixed tokens, integer tokens alone, or
+    integer tokens with one real token in the last row."""
     n = draw(st.integers(1, 12))
     d = draw(st.integers(1, 4))
     n_classes = draw(st.integers(1, 4))
@@ -473,16 +485,18 @@ def tsv_datasets(draw):
     def lines(rows):
         out = []
         for row in rows:
-            out += draw(st.lists(st.sampled_from(["", "#", "# a\tb", "#1.0"]),
+            out += draw(st.lists(st.sampled_from(["", "#", "# a\tb", "#1.0", "#-0"]),
                                  max_size=2))
             out.append(row)
         tail = newline if draw(st.booleans()) else ""
         return newline.join(out) + tail
 
-    features = [
-        "\t".join(draw(st.lists(feature_tokens, min_size=d, max_size=d)))
-        for _ in range(n)
-    ]
+    kind = draw(st.sampled_from(["mixed", "integer", "real last"]))
+    tokens = feature_tokens if kind == "mixed" else integer_tokens
+    table = [draw(st.lists(tokens, min_size=d, max_size=d)) for _ in range(n)]
+    if kind == "real last":
+        table[-1][draw(st.integers(0, d - 1))] = draw(real_tokens)
+    features = ["\t".join(row) for row in table]
     labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
     edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
     files = {
@@ -495,7 +509,7 @@ def tsv_datasets(draw):
     return files, draw(st.booleans())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(case=tsv_datasets())
 def test_load_matches_the_line_by_line_reference(tmp_path_factory, case):
     files, row_normalize = case
@@ -512,6 +526,28 @@ def test_load_matches_the_line_by_line_reference(tmp_path_factory, case):
     for field in ("labels", "arc_src", "arc_dst", "indptr"):
         assert np.array_equal(getattr(g, field), getattr(expected, field)), field
     assert g.n_classes == expected.n_classes
+
+
+@pytest.mark.parametrize("features, readers", [
+    ([[0.0, 1.0, 3.0], [2.0, 0.0, 0.0]], ["int64"]),
+    ([[0.0, 1.0, 3.0], [2.0, 0.5, 0.0]], ["int64", "float64"]),
+    ([[0.0, 1.0, 3.0], [-0.0, 0.0, 0.0]], ["float64"]),
+])
+def test_saved_whole_features_take_the_integer_reader(tmp_path, monkeypatch,
+                                                       features, readers):
+    g = build_graph(2, [(0, 1)], features, [0, 1], 2)
+    save_dataset(tmp_path / "ds", g)
+    parse, tried = np.loadtxt, []
+
+    def spy(rows, **kwargs):
+        if rows[0].count("\t") == 2:  # the three-column features table
+            tried.append(np.dtype(kwargs["dtype"]).name)
+        return parse(rows, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    loaded = load_dataset(tmp_path / "ds")
+    assert tried == readers
+    assert np.array_equal(loaded.features.view(np.uint64), g.features.view(np.uint64))
 
 
 def test_n_classes_inferred_and_overridden(tmp_path):
@@ -560,23 +596,29 @@ def test_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(0)
     n = 17
     edges = {(int(a), int(b)) for a, b in rng.integers(0, n, (40, 2)) if a < b}
-    root = write_dataset(
-        tmp_path / "rt",
-        edges=sorted(edges),
-        features=rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-8, 8, (n, 5)),
-        labels=rng.integers(0, 3, n),
-        meta={"n_classes": 3},
-    )
-    g = load_dataset(root)
-    out = tmp_path / "rt2"
-    save_dataset(out, g)
-    g2 = load_dataset(out)
-    assert g2.n_nodes == g.n_nodes and g2.n_classes == g.n_classes
-    np.testing.assert_array_equal(g2.labels, g.labels)
-    assert (g2.features == g.features).all()  # bit-exact floats
-    np.testing.assert_array_equal(
-        self_free_undirected_edges(g2), self_free_undirected_edges(g)
-    )
+    random = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-8, 8, (n, 5))
+    labels = rng.integers(0, 3, n)
+    whole = np.tile([0.0, -0.0, 3.0, -3.0, 2.0**53, 2.0**53 + 2, 1e22, 1e300], (n, 1))
+    for features in (random, whole):
+        root = write_dataset(tmp_path / f"rt{features.shape[1]}", edges=sorted(edges),
+                             features=features, labels=labels, meta={"n_classes": 3})
+        g = load_dataset(root)
+        out = tmp_path / f"rt{features.shape[1]}-saved"
+        save_dataset(out, g)
+        g2 = load_dataset(out)
+        assert g2.n_nodes == g.n_nodes and g2.n_classes == g.n_classes
+        np.testing.assert_array_equal(g2.labels, g.labels)
+        # bit-exact floats, the sign of zero included
+        assert np.array_equal(g2.features.view(np.uint64), g.features.view(np.uint64))
+        assert np.array_equal(g.features.view(np.uint64), features.view(np.uint64))
+        np.testing.assert_array_equal(
+            self_free_undirected_edges(g2), self_free_undirected_edges(g)
+        )
+    # integer tokens only for whole values below 2**53 with the sign bit
+    # clear; repr keeps -0.0 and the exponent forms
+    first = (out / "features.tsv").read_text(encoding="utf-8").split("\n")[0]
+    assert first.split("\t") == ["0", "-0.0", "3", "-3.0", "9007199254740992.0",
+                                  "9007199254740994.0", "1e+22", "1e+300"]
 
 
 def _lexsorted_arcs(u, v, n):
