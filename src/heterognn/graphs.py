@@ -29,7 +29,6 @@ statistics and the attention analysis's class mass all sum rows with it.
 """
 
 import json
-import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -276,7 +275,8 @@ def _read_table(path, dtype, what, width=None):
     malformed case raises DatasetFormatError naming the file, and the line
     when one line is at fault. A float64 table whose content rows hold no "-"
     is first read as int64 and widened, the same values from a faster
-    parse; any token that is not an int64 sends it to the float reader.
+    parse; any token that is not an int64 sends it to the float reader,
+    also on a numpy that would otherwise read it as a float and truncate it.
     """
     try:
         # universal newlines: "\n", "\r\n" and "\r" all end a line
@@ -300,9 +300,21 @@ def _read_table(path, dtype, what, width=None):
         # widened to float64 rounds as a correctly rounded parse of its digits
         # does; with a "-" the float reader keeps the sign bit of "-0"
         try:
-            return parse(rows, dtype=np.int64).astype(np.float64), numbers
+            # a numpy that still parses such a token as a float and truncates
+            # it says so only by a DeprecationWarning; as an error, loadtxt
+            # raises it as the ValueError that sends the table on
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                table = parse(rows, dtype=np.int64)
         except ValueError:  # a fraction, an exponent, nan, inf or past int64
             pass
+        else:
+            # widen in place: a 1-D assignment onto its own memory needs no
+            # second feature-sized table (loadtxt's C-ordered table flattens
+            # to a view)
+            flat = table.reshape(-1)
+            np.copyto(flat.view(np.float64), flat, casting="unsafe")
+            return flat.view(np.float64).reshape(table.shape), numbers
     try:
         return parse(rows), numbers
     except ValueError as exc:
@@ -406,10 +418,10 @@ def load_dataset(path, row_normalize=False) -> Graph:
 def save_dataset(path, g: Graph, arc_signs=None):
     """Write a Graph back to the TSV directory format.
 
-    A feature that is a whole number below 2**53 with its sign bit clear is
-    written as an integer token ("3", not "3.0"), which the loader reads
-    through its integer reader; every other feature is rendered with repr()
-    ("-0.0", "1e+300"). Either way a reload is bit-exact. When arc_signs
+    Features are rendered with repr(), less the ".0" that ends a whole one
+    below 1e16 whose sign bit is clear ("3", not "3.0"), which the loader
+    reads through its integer reader; the rest keep their repr ("-0.0",
+    "-3.0", "1e+16"). Either way a reload is bit-exact. When arc_signs
     is given (one weight per undirected edge, aligned with the emitted edge
     order), a signs.tsv column is written alongside edges.tsv.
     """
@@ -419,9 +431,11 @@ def save_dataset(path, g: Graph, arc_signs=None):
         for u, v in und:
             fh.write(f"{u}\t{v}\n")
     with open(os.path.join(path, "features.tsv"), "w", encoding="utf-8", newline="") as fh:
-        # as floats: an integer feature array's ints lack is_integer()
+        # repr writes a whole float below 1e16 as its digits and ".0"; those
+        # digits alone read back through the integer reader to the same bits
         for row in np.asarray(g.features, dtype=np.float64).tolist():
-            fh.write("\t".join(map(_feature_token, row)) + "\n")
+            fh.write("\t".join([t[:-2] if t[-2:] == ".0" and t[0] != "-" else t
+                                for t in map(repr, row)]) + "\n")
     with open(os.path.join(path, "labels.tsv"), "w", encoding="utf-8", newline="") as fh:
         for y in g.labels:
             fh.write(f"{int(y)}\n")
@@ -435,14 +449,6 @@ def save_dataset(path, g: Graph, arc_signs=None):
         with open(os.path.join(path, "signs.tsv"), "w", encoding="utf-8", newline="") as fh:
             for s in signs:
                 fh.write(f"{int(s)}\n")
-
-
-def _feature_token(v: float) -> str:
-    """v as an integer token when it is whole, positive or +0.0 and below
-    2**53, else as repr(v); float() reads either back to v's bits."""
-    if v.is_integer() and v < 2**53 and math.copysign(1.0, v) > 0:
-        return str(int(v))
-    return repr(v)
 
 
 def self_free_undirected_edges(g: Graph) -> np.ndarray:

@@ -550,6 +550,38 @@ def test_saved_whole_features_take_the_integer_reader(tmp_path, monkeypatch,
     assert np.array_equal(loaded.features.view(np.uint64), g.features.view(np.uint64))
 
 
+def test_integer_reader_never_truncates_a_real_token(tmp_path, monkeypatch):
+    # numpy releases that still read an int64 token the integer parser
+    # rejects as a float, truncated, and say so only by a DeprecationWarning
+    parse = np.loadtxt
+
+    def lenient(rows, **kwargs):
+        try:
+            return parse(rows, **kwargs)
+        except ValueError:
+            if np.dtype(kwargs["dtype"]).kind != "i":
+                raise
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+        except DeprecationWarning as exc:  # as such releases' loadtxt does
+            raise ValueError("could not convert string to int64") from exc
+        return parse(rows, **{**kwargs, "dtype": np.float64}).astype(kwargs["dtype"])
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    root = write_dataset(tmp_path / "real", edges=[(0, 1)], labels=[0, 1],
+                         features=[[0.0, 1.0], [2.0, 0.0]])
+    (root / "features.tsv").write_text("0\t1\n0.5\t1E+2\n", encoding="utf-8")
+    assert load_dataset(root).features.tolist() == [[0.0, 1.0], [0.5, 100.0]]
+    for token in ("nan", "inf", "1e300"):
+        (root / "features.tsv").write_text(f"0\t1\n2\t{token}\n", encoding="utf-8")
+        if token == "1e300":
+            assert load_dataset(root).features[1, 1] == 1e300
+        else:
+            with pytest.raises(DatasetFormatError, match="finite"):
+                load_dataset(root)
+
+
 def test_n_classes_inferred_and_overridden(tmp_path):
     g = load_dataset(triangle(tmp_path))
     assert g.n_classes == 2
@@ -614,11 +646,11 @@ def test_round_trip_is_exact(tmp_path):
         np.testing.assert_array_equal(
             self_free_undirected_edges(g2), self_free_undirected_edges(g)
         )
-    # integer tokens only for whole values below 2**53 with the sign bit
-    # clear; repr keeps -0.0 and the exponent forms
+    # integer tokens only for whole values below 1e16 with the sign bit
+    # clear; repr keeps -0.0, the negatives and the exponent forms
     first = (out / "features.tsv").read_text(encoding="utf-8").split("\n")[0]
-    assert first.split("\t") == ["0", "-0.0", "3", "-3.0", "9007199254740992.0",
-                                  "9007199254740994.0", "1e+22", "1e+300"]
+    assert first.split("\t") == ["0", "-0.0", "3", "-3.0", "9007199254740992",
+                                  "9007199254740994", "1e+22", "1e+300"]
 
 
 def _lexsorted_arcs(u, v, n):
